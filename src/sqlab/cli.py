@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -237,13 +235,7 @@ def _cmd_solve(args) -> int:
 
 
 def _minus_sign_pair(d: int, copies: int) -> tuple[quantum_sim.DensityOperator, quantum_sim.DensityOperator]:
-    if d ** (2 * copies) > 4096:
-        raise ConfigError(f"family dimension {d ** (2 * copies)} too large to materialize")
-    plus = np.full(d, 1.0 / math.sqrt(d))
-    minus = plus.copy()
-    minus[0] *= -1.0
-    u = reduce(np.kron, [minus] * copies + [plus] * copies)
-    v = reduce(np.kron, [plus] * copies + [minus] * copies)
+    u, v = quantum_sim.minus_sign_product_vectors(d, copies, max_dim=4096)
     return quantum_sim.DensityOperator.from_pure(u), quantum_sim.DensityOperator.from_pure(v)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import chdtrc
 
 from .haar_moments import BoundViolationError, BudgetExceededError, trace_norm_gap
 from .quantum_sim import HELSTROM_SCHATTEN_THRESHOLD, min_copies_minus_sign
@@ -255,7 +255,7 @@ def chi_square_gof(
 
     statistic = float(np.sum((counts - expected) ** 2 / expected))
     dof = expected.size - 1
-    p_value = float(scipy_stats.chi2.sf(statistic, dof))
+    p_value = float(chdtrc(dof, statistic))
     return statistic, dof, p_value
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "helstrom_success",
     "load_density_operator",
     "min_copies_minus_sign",
+    "minus_sign_product_vectors",
     "ncopy_minus_sign_tracenorm",
     "ncopy_minus_sign_tracenorm_dense",
     "random_density_operator",
@@ -140,17 +141,39 @@ def ncopy_minus_sign_tracenorm(d: int, copies: int) -> float:
     return 2.0 * math.sqrt(max(0.0, 1.0 - c ** (4 * copies)))
 
 
-def ncopy_minus_sign_tracenorm_dense(d: int, copies: int, max_dim: int = 8192) -> float:
-    """Independent check: materialize both N-copy operators and eigendecompose."""
-    if d ** (2 * copies) > max_dim:
-        raise ValueError(f"dense cross-check dimension {d ** (2 * copies)} exceeds {max_dim}")
+def minus_sign_product_vectors(d: int, copies: int, max_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The N-copy sign-flip pair as real product vectors of dimension d^(2N).
+
+    With |+> uniform and |-> the same vector with its first entry negated,
+    returns |->^N |+>^N and |+>^N |->^N. Refuses d < 2, copies < 1 and any
+    dimension above max_dim before materializing anything.
+    """
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
+    if copies < 1:
+        raise ValueError("copies must be at least 1")
+    dim = d ** (2 * copies)
+    if dim > max_dim:
+        raise ValueError(f"minus-sign pair dimension {dim} exceeds {max_dim}")
     plus = np.full(d, 1.0 / math.sqrt(d))
     minus = plus.copy()
     minus[0] *= -1.0
     u = reduce(np.kron, [minus] * copies + [plus] * copies)
     v = reduce(np.kron, [plus] * copies + [minus] * copies)
-    diff = np.outer(u, u) - np.outer(v, v)
-    return _schatten1_hermitian(diff)
+    return u, v
+
+
+def ncopy_minus_sign_tracenorm_dense(d: int, copies: int, max_dim: int = 8192) -> float:
+    """Independent check of the closed form from the materialized N-copy pair.
+
+    uu^T - vv^T has rank 2, and its nonzero eigenvalues are those of
+    diag(1, -1) G, with G the 2x2 Gram matrix of u and v. The inner products
+    are computed numerically from the vectors; c = 1 - 2/d is never used.
+    """
+    u, v = minus_sign_product_vectors(d, copies, max_dim)
+    pair = np.stack([u, v])
+    gram = pair @ pair.T
+    return float(np.sum(np.abs(np.linalg.eigvals(np.diag([1.0, -1.0]) @ gram))))
 
 
 def min_copies_minus_sign(d: int, threshold: float = HELSTROM_SCHATTEN_THRESHOLD) -> int:

@@ -222,6 +222,14 @@ def test_cli_discriminate_needs_a_source(capsys):
     assert main(["discriminate", "--trials", "10"]) == 1
 
 
+@pytest.mark.parametrize("copies", ["0", "-1"])
+def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
+    assert main(["discriminate", "--family", "minus-sign", "--d", "4", "--copies", copies]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().count("\n") == 0 and "copies" in err
+
+
 def test_cli_sharp_p(tmp_path, capsys):
     circuit = tmp_path / "c.txt"
     circuit.write_text("qubits 3\nH 0\nT 1\nCNOT 0 2\n")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sqlab.haar_moments import (
     BudgetExceededError,
+    MomentOperator,
     Pairing,
     complex_moment,
     enumerate_pairings,
@@ -150,6 +151,40 @@ def test_real_moment_blocks_match_dense_eigh():
         np.testing.assert_allclose(
             op.eigenvalues, np.linalg.eigvalsh(op.matrix), atol=1e-12
         )
+
+
+def _real_moment_by_monomials(d, copies):
+    """Independent oracle: every matrix element from the Fraction monomial moment."""
+    basis = sym_basis(d, copies)
+    occ, nf = basis.occupations, basis.norm_factors
+    matrix = np.zeros((basis.size, basis.size))
+    for a in range(basis.size):
+        for b in range(basis.size):
+            indices = np.repeat(np.arange(1, d + 1), occ[a] + occ[b]).tolist()
+            matrix[a, b] = nf[a] * nf[b] * float(real_monomial_moment(indices, d))
+    return matrix
+
+
+@pytest.mark.parametrize("d,copies", [(2, 2), (3, 3), (4, 4), (5, 3), (2, 6)])
+def test_real_moment_block_assembly_is_bit_identical_to_monomials(d, copies):
+    assert np.array_equal(real_moment(d, copies).matrix, _real_moment_by_monomials(d, copies))
+
+
+@pytest.mark.parametrize("d,copies", [(12, 4), (8, 6), (6, 8)])
+def test_real_moment_blocks_match_dense_eigh_at_larger_cells(d, copies):
+    op = real_moment(d, copies)
+    assert np.all(np.diff(op.eigenvalues) >= 0)
+    np.testing.assert_allclose(op.eigenvalues, np.linalg.eigvalsh(op.matrix), atol=1e-12)
+
+
+def test_moment_operator_hermitian_check_covers_every_row_chunk():
+    size = 300  # larger than one row chunk of the Hermitian check
+    matrix = np.eye(size) / size
+    matrix[290, 280] = 1e-6  # both indices beyond the first chunk
+    with pytest.raises(ValueError, match="not Hermitian"):
+        MomentOperator(field="real", d=size, N=1, matrix=matrix, eigenvalues=np.full(size, 1.0 / size))
+    matrix[280, 290] = 1e-6
+    MomentOperator(field="real", d=size, N=1, matrix=matrix, eigenvalues=np.full(size, 1.0 / size))
 
 
 def test_symmetric_embedding_is_isometry():

@@ -1,6 +1,7 @@
 """Discrimination-toolkit tests: norms, success probabilities, N-copy forms."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sqlab.quantum_sim import (
     helstrom_success,
     load_density_operator,
     min_copies_minus_sign,
+    minus_sign_product_vectors,
     ncopy_minus_sign_tracenorm,
     ncopy_minus_sign_tracenorm_dense,
     random_density_operator,
@@ -125,6 +127,29 @@ def test_ncopy_closed_form_matches_dense(d, copies):
 def test_ncopy_dense_budget():
     with pytest.raises(ValueError, match="exceeds"):
         ncopy_minus_sign_tracenorm_dense(64, 4)
+
+
+@pytest.mark.parametrize("d,copies", [(2, 3), (3, 2)])
+def test_ncopy_gram_path_matches_dense_eigensolve(d, copies):
+    plus = np.full(d, 1 / math.sqrt(d))
+    minus = plus * np.r_[-1.0, np.ones(d - 1)]
+    u = reduce(np.kron, [minus] * copies + [plus] * copies)
+    v = reduce(np.kron, [plus] * copies + [minus] * copies)
+    dense = float(np.sum(np.abs(np.linalg.eigvalsh(np.outer(u, u) - np.outer(v, v)))))
+    assert ncopy_minus_sign_tracenorm_dense(d, copies) == pytest.approx(dense, abs=1e-12)
+
+
+def test_minus_sign_product_vectors():
+    u, v = minus_sign_product_vectors(3, 2, max_dim=81)
+    assert u.shape == v.shape == (81,)
+    assert float(u @ u) == pytest.approx(1.0, abs=1e-12)
+    assert float(u @ v) == pytest.approx((1 / 3) ** 4, abs=1e-12)
+    with pytest.raises(ValueError, match="copies"):
+        minus_sign_product_vectors(4, 0, max_dim=4096)
+    with pytest.raises(ValueError, match="dimension must"):
+        minus_sign_product_vectors(1, 2, max_dim=4096)
+    with pytest.raises(ValueError, match="exceeds"):
+        minus_sign_product_vectors(3, 2, max_dim=80)
 
 
 def test_ncopy_monotone_in_copies():
