@@ -296,5 +296,5 @@ def amplitude_single_copy_success(n: int) -> float:
     """
     if n < 1:
         raise ValueError("need at least one qubit")
-    overlap = 1.0 - 2.0 / float(1 << n)
+    overlap = 1.0 - math.ldexp(2.0, -n)
     return 0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - overlap**2))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -163,10 +164,19 @@ def _cmd_sample_test(args) -> int:
     if probs is None:
         # power-of-two dims split evenly into buckets, avoiding int64 overflow
         buckets = min(handle.dim, 1024)
-        bucketed = (draws - 1) // (handle.dim // buckets) + 1
-        statistic, dof, p_value = chi_square_gof(bucketed, np.full(buckets, 1.0 / buckets))
-    else:
-        statistic, dof, p_value = chi_square_gof(draws, probs)
+        draws = (draws - 1) // (handle.dim // buckets) + 1
+        probs = np.full(buckets, 1.0 / buckets)
+    statistic, dof, p_value = chi_square_gof(draws, probs)
+    if dof < 1:
+        # two cells need an expected count of 5 each: the likeliest outcome and the rest
+        p_max = float(np.max(probs) / np.sum(probs))
+        if p_max >= 1.0:
+            raise ConfigError("the sampling distribution has one outcome; there is nothing to test")
+        needed = math.ceil(5.0 / min(p_max, 1.0 - p_max))
+        raise ConfigError(
+            f"{args.draws} draws leave the chi-square test no degrees of freedom;"
+            f" use at least {needed} draws"
+        )
     passed = p_value >= args.significance
     _emit(
         {
@@ -277,13 +287,10 @@ def _cmd_sweep(args) -> int:
         threshold=getattr(args, "threshold", quantum_sim.HELSTROM_SCHATTEN_THRESHOLD),
         mc_samples=getattr(args, "mc_samples", None),
         seed=args.seed,
-        out=args.out,
-        fmt=args.fmt,
         threads=args.threads,
-        timings=args.timings,
     )
     records = run_sweep(config)
-    write_records(records, config.fmt, config.out, timings=config.timings)
+    write_records(records, args.fmt, args.out, timings=args.timings)
     if any(r.error and r.error.startswith("bound-violation") for r in records):
         return 2
     return 0

@@ -3,8 +3,9 @@
 Sweeps run one cell per parameter combination, each with a seed derived from
 (global seed, cell coordinates), so thread count and completion order never
 change the output. Rendered output is byte-identical across reruns with the
-same seed; wall-clock columns are therefore opt-in (`timings=True`) because
-they are the one field that honest reruns cannot reproduce.
+same seed; wall-clock columns are therefore opt-in (`render_records(...,
+timings=True)`) because they are the one field that honest reruns cannot
+reproduce.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .haar_moments import BoundViolationError, BudgetExceededError, trace_norm_gap
-from .quantum_sim import HELSTROM_SCHATTEN_THRESHOLD, min_copies_minus_sign
+from .quantum_sim import (
+    HELSTROM_SCHATTEN_THRESHOLD,
+    min_copies_minus_sign,
+    ncopy_minus_sign_tracenorm,
+)
 
 __all__ = [
     "ConfigError",
@@ -49,14 +54,9 @@ class ExperimentConfig:
     threshold: float = HELSTROM_SCHATTEN_THRESHOLD
     mc_samples: int | None = None
     seed: int = 0
-    out: str | None = None
-    fmt: str = "csv"
     threads: int = 1
-    timings: bool = False
 
     def __post_init__(self):
-        if self.fmt not in ("csv", "json-lines"):
-            raise ConfigError(f"unknown output format {self.fmt!r}")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
 
@@ -112,8 +112,6 @@ def _haar_gap_cell(config: ExperimentConfig, d: int, copies: int) -> ResultRecor
 
 
 def _copies_cell(config: ExperimentConfig, d: int) -> ResultRecord:
-    from .quantum_sim import ncopy_minus_sign_tracenorm
-
     record = ResultRecord(
         kind="copies-sweep",
         params={"d": d, "threshold": config.threshold},

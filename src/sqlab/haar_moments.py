@@ -8,6 +8,10 @@ equal paired indices (Isserlis' theorem restricted to the sphere) divided by
 d(d+2)...(d+2N-2). Working in the occupation basis keeps dimensions at
 binomial(d+N-1, N) instead of d^N.
 
+Both exact moments are block diagonal over the parity patterns of the
+occupations, and a `MomentOperator` holds only those blocks; the dense
+matrix is assembled on request, for tests and tiny-cell cross-checks.
+
 `trace_norm_gap` computes the Schatten-1 distance between the two moments
 and checks it against the two-term and 4N^2/d bounds, along with positivity
 of the remainder left after subtracting the scalar part from the real moment.
@@ -15,6 +19,7 @@ of the remainder left after subtracting the scalar part from the real moment.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,8 +56,6 @@ HERMITIAN_ATOL = 1e-10
 PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 BOUND_SLACK = 1e-9
-
-_HERMITIAN_CHUNK = 256
 
 
 class BudgetExceededError(Exception):
@@ -189,31 +192,57 @@ def real_monomial_moment(indices: Sequence[int], d: int) -> Fraction:
 
 @dataclass(frozen=True)
 class MomentOperator:
-    """Expected N-fold tensor power of a random rank-one projector, in SymBasis."""
+    """Expected N-fold tensor power of a random rank-one projector, in SymBasis.
+
+    Held as Hermitian diagonal blocks: each entry of `blocks` pairs the basis
+    rows of one block with the block itself, and the rows of all blocks
+    partition the basis. `eigenvalues` (ascending) are computed from the
+    blocks on construction. The dense `matrix` is built only when the
+    property is read, by tests and by the tiny-cell cross-checks of
+    `trace_norm_gap`.
+    """
 
     field: str  # "real" or "complex"
     d: int
     N: int
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    eigenvalues: np.ndarray = dataclasses.field(init=False)
 
     def __post_init__(self):
-        m = self.matrix
-        # Row chunks against the matching columns: the same maximum as over
-        # the full m - m^H, without full-size temporaries.
-        dev = max(
-            float(np.max(np.abs(m[i : i + _HERMITIAN_CHUNK] - m[:, i : i + _HERMITIAN_CHUNK].conj().T)))
-            for i in range(0, m.shape[0], _HERMITIAN_CHUNK)
-        )
-        if dev > HERMITIAN_ATOL:
-            raise ValueError(f"moment operator not Hermitian (deviation {dev:.3e})")
-        tr = float(np.trace(m).real)
+        rows = np.sort(np.concatenate([r for r, _ in self.blocks]))
+        if not np.array_equal(rows, np.arange(self.size)):
+            raise ValueError(f"block rows do not partition the {self.size} basis rows")
+        for _, block in self.blocks:
+            dev = float(np.max(np.abs(block - block.conj().T)))
+            if dev > HERMITIAN_ATOL:
+                raise ValueError(f"moment operator not Hermitian (deviation {dev:.3e})")
+        tr = sum(float(np.trace(block).real) for _, block in self.blocks)
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"moment operator trace {tr} deviates from 1")
-        if float(np.min(self.eigenvalues)) < -PSD_ATOL:
-            raise ValueError(
-                f"moment operator not PSD (min eigenvalue {float(np.min(self.eigenvalues)):.3e})"
-            )
+        eigenvalues = np.sort(np.concatenate([np.linalg.eigvalsh(b) for _, b in self.blocks]))
+        if float(eigenvalues[0]) < -PSD_ATOL:
+            raise ValueError(f"moment operator not PSD (min eigenvalue {float(eigenvalues[0]):.3e})")
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+
+    @property
+    def size(self) -> int:
+        return math.comb(self.d + self.N - 1, self.N)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense size x size assembly of the blocks (tests and tiny-cell cross-checks)."""
+        complex_blocks = any(np.iscomplexobj(b) for _, b in self.blocks)
+        m = np.zeros((self.size, self.size), dtype=np.complex128 if complex_blocks else np.float64)
+        for rows, block in self.blocks:
+            m[np.ix_(rows, rows)] = block
+        return m
+
+
+def _parity_classes(basis: SymBasis) -> list[np.ndarray]:
+    """Basis rows grouped by the parity pattern of their occupations."""
+    _, parity_class = np.unique(basis.occupations & 1, axis=0, return_inverse=True)
+    order = np.argsort(parity_class, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(parity_class[order])) + 1)
 
 
 def real_moment(d: int, copies: int, budget: int = DEFAULT_SYM_DIM_BUDGET) -> MomentOperator:
@@ -222,44 +251,31 @@ def real_moment(d: int, copies: int, budget: int = DEFAULT_SYM_DIM_BUDGET) -> Mo
     A matrix element <m|E|m'> equals norm_m * norm_m' times the monomial
     moment of the combined occupation m + m', which vanishes unless m and m'
     have identical parity patterns. The operator is therefore block diagonal
-    over parity classes: each block is assembled in one vectorised step and
-    diagonalized on its own, and the eigenvalues come back sorted ascending.
+    over parity classes, and each block is assembled in one vectorised step.
     """
     if copies > MAX_MOMENT_COPIES:
         raise BudgetExceededError(f"N={copies} exceeds the cap {MAX_MOMENT_COPIES}")
     basis = sym_basis(d, copies, budget)
-    size = basis.size
     occ = basis.occupations.astype(np.int64)
     nf = basis.norm_factors
     denom = _sphere_moment_denominator(d, copies)
     # (a-1)!! for even a; a combined occupation within a parity class is even.
     matchings = np.array([_double_factorial(a - 1) for a in range(2 * copies + 1)], dtype=np.int64)
-    matrix = np.zeros((size, size), dtype=np.float64)
-    eigenvalues = []
-
-    _, parity_class = np.unique(occ & 1, axis=0, return_inverse=True)
-    order = np.argsort(parity_class, kind="stable")
-    for rows in np.split(order, np.flatnonzero(np.diff(parity_class[order])) + 1):
+    blocks = []
+    for rows in _parity_classes(basis):
         o = occ[rows]
         count = np.prod(matchings[o[:, None, :] + o[None, :, :]], axis=2)
-        # count and denom are exact in float64 for every cell whose matrix fits
-        # in memory, so the quotient is the correctly rounded one, as float(Fraction).
-        block = np.multiply.outer(nf[rows], nf[rows]) * (count / denom)
-        matrix[np.ix_(rows, rows)] = block
-        eigenvalues.append(np.linalg.eigvalsh(block))
-
-    return MomentOperator(
-        field="real", d=d, N=copies, matrix=matrix, eigenvalues=np.sort(np.concatenate(eigenvalues))
-    )
+        # count and denom stay below 2^53 for every cell whose basis fits in
+        # memory, so the quotient is the correctly rounded one, as float(Fraction).
+        blocks.append((rows, np.multiply.outer(nf[rows], nf[rows]) * (count / denom)))
+    return MomentOperator(field="real", d=d, N=copies, blocks=tuple(blocks))
 
 
 def complex_moment(d: int, copies: int, budget: int = DEFAULT_SYM_DIM_BUDGET) -> MomentOperator:
     """Complex-sphere moment operator: identity over the symmetric dimension."""
     basis = sym_basis(d, copies, budget)
-    size = basis.size
-    matrix = np.eye(size, dtype=np.float64) / size
-    eigenvalues = np.full(size, 1.0 / size)
-    return MomentOperator(field="complex", d=d, N=copies, matrix=matrix, eigenvalues=eigenvalues)
+    blocks = tuple((rows, np.eye(rows.size) / basis.size) for rows in _parity_classes(basis))
+    return MomentOperator(field="complex", d=d, N=copies, blocks=blocks)
 
 
 def symmetric_embedding(basis: SymBasis, max_full_dim: int = 1 << 16) -> np.ndarray:
@@ -297,6 +313,7 @@ def mc_moment(
     Each sampled unit vector v contributes the rank-one projector onto its
     symmetric coefficients w_m = norm_m * prod_j v_j^{m_j}; |w| is a unit
     vector, so the estimate has exact trace one and is PSD by construction.
+    The estimate is returned as a single block.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -332,10 +349,7 @@ def mc_moment(
     second_moment = sq_accum / samples
     variance = np.maximum(second_moment - np.abs(estimate) ** 2, 0.0)
     stderr = np.sqrt(variance / samples)
-    eigenvalues = np.linalg.eigvalsh(estimate)
-    op = MomentOperator(
-        field=field, d=d, N=copies, matrix=estimate.astype(np.complex128), eigenvalues=eigenvalues
-    )
+    op = MomentOperator(field=field, d=d, N=copies, blocks=((np.arange(size), estimate),))
     return op, stderr
 
 
@@ -376,7 +390,7 @@ def trace_norm_gap(
     Violations raise BoundViolationError: they indicate a bug, not bad luck.
     """
     e_real = real_moment(d, copies, budget)
-    size = e_real.matrix.shape[0]
+    size = e_real.size
     lam = e_real.eigenvalues
 
     # E_complex is identity/size on the same basis, so the difference spectrum

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,6 @@ from .sq_oracle import (
 
 __all__ = [
     "DEFAULT_DENSE_BUDGET_N",
-    "HaarSample",
     "MINUS_SIGN",
     "ProblemInstance",
     "REAL_SEARCH",
@@ -61,15 +59,7 @@ DEFAULT_DENSE_BUDGET_N = 24
 _MANIFEST_NAME = "manifest.txt"
 
 
-@dataclass(frozen=True)
-class HaarSample:
-    """A unit vector drawn uniformly from the real or complex sphere."""
-
-    vector: np.ndarray
-    field: str  # "real" or "complex"
-
-
-def haar_unit_vector(d: int, field: str, rng: np.random.Generator) -> HaarSample:
+def haar_unit_vector(d: int, field: str, rng: np.random.Generator) -> np.ndarray:
     """Uniform unit vector via normalized Gaussians.
 
     Rotation invariance of the Gaussian makes the normalized draw exactly
@@ -87,7 +77,7 @@ def haar_unit_vector(d: int, field: str, rng: np.random.Generator) -> HaarSample
     nrm = np.linalg.norm(g)
     if nrm == 0.0:  # probability zero, but fail loudly rather than divide
         raise RuntimeError("degenerate Gaussian draw")
-    return HaarSample(vector=g / nrm, field=field)
+    return g / nrm
 
 
 class ProblemInstance:
@@ -190,8 +180,7 @@ def gen_real_vector_search(
     handles = []
     for j in range(1, num_vectors + 1):
         field = "real" if j == k_star else "complex"
-        sample = haar_unit_vector(d, field, _stream(seed, 1, j))
-        handles.append(build_dense(sample.vector))
+        handles.append(build_dense(haar_unit_vector(d, field, _stream(seed, 1, j))))
     return ProblemInstance(REAL_SEARCH, n, seed, tuple(handles), k_star)
 
 

@@ -39,13 +39,7 @@ __all__ = [
     "build_implicit",
     "load_dense_vector",
     "materialize",
-    "query",
-    "query_norm",
-    "restrict",
-    "sample",
-    "sample_many",
     "save_dense_vector",
-    "stats",
 ]
 
 
@@ -156,7 +150,10 @@ class DenseVector:
             raise ValueError("dense vector must be a nonempty 1-d sequence")
         if arr.size & (arr.size - 1):
             raise ValueError(f"length {arr.size} is not a power of two")
-        sq = float(np.sum(arr.real**2 + arr.imag**2))
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            sq = float(np.sum(arr.real**2 + arr.imag**2))
+        if not math.isfinite(sq):
+            raise ValueError(f"squared norm {sq} is not finite (non-finite or overflowing entries)")
         if sq == 0.0:
             raise ValueError("zero vector: sampling distribution undefined")
         return cls(entries=arr, squared_norm=sq)
@@ -327,30 +324,6 @@ def build_dense(values: Sequence[complex] | np.ndarray) -> SqHandle:
 def build_implicit(spec: ImplicitVector) -> SqHandle:
     """Full-capability handle over an implicit vector; per-call cost O(poly n)."""
     return SqHandle(spec)
-
-
-def sample(handle: SqHandle, rng: np.random.Generator) -> int:
-    return handle.sample(rng)
-
-
-def sample_many(handle: SqHandle, k: int, rng: np.random.Generator) -> np.ndarray:
-    return handle.sample_many(k, rng)
-
-
-def query(handle: SqHandle, i: int) -> complex:
-    return handle.query(i)
-
-
-def query_norm(handle: SqHandle) -> float:
-    return handle.query_norm()
-
-
-def restrict(handle: SqHandle, capabilities: Iterable[Capability]) -> SqHandle:
-    return handle.restrict(capabilities)
-
-
-def stats(handle: SqHandle) -> OracleStats:
-    return handle.stats()
 
 
 def materialize(backing: DenseVector | ImplicitVector | SqHandle, max_n: int = 24) -> np.ndarray:

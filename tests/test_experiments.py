@@ -25,7 +25,7 @@ def _gap_config(**overrides):
 
 def test_config_validation():
     with pytest.raises(ConfigError, match="format"):
-        ExperimentConfig(subcommand="haar-gap", fmt="xml")
+        render_records(run_sweep(_gap_config(copies_values=(1,))), "xml")
     with pytest.raises(ConfigError, match="threads"):
         ExperimentConfig(subcommand="haar-gap", threads=0)
     with pytest.raises(ConfigError, match="nonempty"):
@@ -228,6 +228,26 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().count("\n") == 0 and "copies" in err
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["sample-test", "--kind", "all-plus", "--n", "62", "--draws", "1000"], 1),
+        (["encoding-demo", "--n", "100000", "--trials", "10"], 0),
+        (["sample-test", "--vector", "{nan_file}"], 1),
+    ],
+    ids=["sample-test-no-dof", "encoding-demo-huge-n", "sample-test-nan-vector"],
+)
+def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
+    nan_file = tmp_path / "nan.txt"
+    nan_file.write_text("nan 0\n1 0\n")
+    assert main([arg.format(nan_file=nan_file) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.strip().count("\n") == 0
+    if code == 0:
+        assert json.loads(captured.out)["amplitude_single_copy_success"] == 0.5
 
 
 def test_cli_sharp_p(tmp_path, capsys):

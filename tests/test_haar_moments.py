@@ -1,6 +1,7 @@
 """Moment-operator tests: counting, monomials vs matching enumeration, the gap chain."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -177,14 +178,29 @@ def test_real_moment_blocks_match_dense_eigh_at_larger_cells(d, copies):
     np.testing.assert_allclose(op.eigenvalues, np.linalg.eigvalsh(op.matrix), atol=1e-12)
 
 
-def test_moment_operator_hermitian_check_covers_every_row_chunk():
-    size = 300  # larger than one row chunk of the Hermitian check
-    matrix = np.eye(size) / size
-    matrix[290, 280] = 1e-6  # both indices beyond the first chunk
+def test_moment_operator_checks_every_block_and_the_row_partition():
+    first = (np.array([0]), np.eye(1) / 3)
+    last = np.eye(2) / 3
+    last[1, 0] = 1e-6  # only the last block is asymmetric
     with pytest.raises(ValueError, match="not Hermitian"):
-        MomentOperator(field="real", d=size, N=1, matrix=matrix, eigenvalues=np.full(size, 1.0 / size))
-    matrix[280, 290] = 1e-6
-    MomentOperator(field="real", d=size, N=1, matrix=matrix, eigenvalues=np.full(size, 1.0 / size))
+        MomentOperator(field="real", d=3, N=1, blocks=(first, (np.array([2, 1]), last)))
+    last[0, 1] = 1e-6
+    op = MomentOperator(field="real", d=3, N=1, blocks=(first, (np.array([2, 1]), last)))
+    assert op.matrix[1, 2] == op.matrix[2, 1] == 1e-6
+    for rows in (np.array([0, 1]), np.array([1, 3]), np.array([1])):  # overlap, outside, missing
+        with pytest.raises(ValueError, match="partition"):
+            MomentOperator(field="real", d=3, N=1, blocks=(first, (rows, np.eye(rows.size) / 3)))
+
+
+def test_real_moment_memory_stays_far_below_the_dense_matrix():
+    real_moment(2, 2)  # first-call caches outside the measurement
+    tracemalloc.start()
+    try:
+        op = real_moment(24, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < op.size**2 * 8 / 10
 
 
 def test_symmetric_embedding_is_isometry():
