@@ -58,6 +58,20 @@ class Gate:
     qubits: tuple[int, ...]
 
 
+def _check_gate(gate: Gate, n: int) -> None:
+    """Raise ValueError unless `gate` is a known gate of the right arity on distinct qubits < n."""
+    if gate.name not in GATE_NAMES:
+        raise ValueError(f"unknown gate {gate.name!r}")
+    want = 2 if gate.name == "CNOT" else 1
+    if len(gate.qubits) != want:
+        raise ValueError(f"{gate.name} takes {want} qubit argument(s)")
+    for q in gate.qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range [0, {n - 1}]")
+    if gate.name == "CNOT" and gate.qubits[0] == gate.qubits[1]:
+        raise ValueError("CNOT control equals target")
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Gate list over n qubits, restricted to {H, T, S, X, Z, CNOT}."""
@@ -69,13 +83,7 @@ class Circuit:
         if self.n < 0:
             raise ValueError("qubit count must be nonnegative")
         for gate in self.gates:
-            if gate.name not in GATE_NAMES:
-                raise ValueError(f"unknown gate {gate.name!r}")
-            for q in gate.qubits:
-                if not 0 <= q < self.n:
-                    raise ValueError(f"qubit {q} out of range for {self.n} qubits")
-            if gate.name == "CNOT" and gate.qubits[0] == gate.qubits[1]:
-                raise ValueError("CNOT control equals target")
+            _check_gate(gate, self.n)
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -103,22 +111,16 @@ def parse_circuit(text: str) -> Circuit:
             if n < 0:
                 raise ValueError(f"line {lineno}: negative qubit count")
             continue
-        name = tokens[0]
-        if name not in GATE_NAMES:
-            raise ValueError(f"line {lineno}: unknown gate {name!r}")
-        want = 2 if name == "CNOT" else 1
-        if len(tokens) != want + 1:
-            raise ValueError(f"line {lineno}: {name} takes {want} qubit argument(s)")
         try:
             qubits = tuple(int(t) for t in tokens[1:])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad qubit index in {line!r}") from exc
-        for q in qubits:
-            if not 0 <= q < n:
-                raise ValueError(f"line {lineno}: qubit {q} out of range [0, {n - 1}]")
-        if name == "CNOT" and qubits[0] == qubits[1]:
-            raise ValueError(f"line {lineno}: CNOT control equals target")
-        gates.append(Gate(name, qubits))
+        gate = Gate(tokens[0], qubits)
+        try:
+            _check_gate(gate, n)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+        gates.append(gate)
     if n is None:
         return Circuit(n=0, gates=())
     return Circuit(n=n, gates=tuple(gates))

@@ -2,15 +2,16 @@
 
 The N-th moment of a Haar-random complex unit vector is a scalar on the
 symmetric subspace: identity divided by binomial(d+N-1, N). The real-sphere
-moment is not scalar; its matrix elements in the occupation-number basis
-follow from monomial sphere moments, which count perfect matchings with
-equal paired indices (Isserlis' theorem restricted to the sphere) divided by
-d(d+2)...(d+2N-2). Working in the occupation basis keeps dimensions at
-binomial(d+N-1, N) instead of d^N.
+moment is not scalar; its matrix elements in the symmetric basis follow from
+monomial sphere moments, which count perfect matchings with equal paired
+indices (Isserlis' theorem restricted to the sphere) divided by
+d(d+2)...(d+2N-2). Each basis element is stored as its nondecreasing index
+tuple, so the basis takes binomial(d+N-1, N) rows of N entries instead of
+d^N dimensions, and nothing in it grows with d beyond the row count.
 
-Both exact moments are block diagonal over the parity patterns of the
-occupations, and a `MomentOperator` holds only those blocks; the dense
-matrix is assembled on request, for tests and tiny-cell cross-checks.
+Both exact moments are block diagonal over the sets of indices that occur an
+odd number of times, and a `MomentOperator` holds only those blocks; the
+dense matrix is assembled on request, for tests and tiny-cell cross-checks.
 
 `trace_norm_gap` computes the Schatten-1 distance between the two moments
 and checks it against the two-term and 4N^2/d bounds, along with positivity
@@ -22,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -68,42 +70,45 @@ class BoundViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SymBasis:
-    """Occupation-number basis of the N-fold symmetric subspace over dimension d.
+    """Basis of the N-fold symmetric subspace over dimension d.
 
-    Elements are ordered by their nondecreasing index tuples, so for d=2, N=2
-    the occupations run (2,0), (1,1), (0,2). `norm_factors[b]` is
+    Row b of the size x N array `indices` is the nondecreasing index tuple of
+    the b-th element, in the order `combinations_with_replacement` yields
+    them, so for d=2, N=2 the rows are (0,0), (0,1), (1,1). An index j that
+    occurs m_j times in a row has occupation m_j. `norm_factors[b]` is
     sqrt(N!/prod_j m_j!), the normalization of the b-th basis state.
     """
 
     d: int
     N: int
-    occupations: np.ndarray
+    indices: np.ndarray
     norm_factors: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.occupations.shape[0]
+        return self.indices.shape[0]
+
+
+def _run_positions(indices: np.ndarray) -> np.ndarray:
+    """1-based position of each entry in its run of equal values; a row's product is prod_j m_j!."""
+    pos = np.ones(indices.shape, dtype=np.int64)
+    for k in range(1, indices.shape[1]):
+        pos[:, k] = np.where(indices[:, k] == indices[:, k - 1], pos[:, k - 1] + 1, 1)
+    return pos
 
 
 def sym_basis(d: int, copies: int, budget: int = DEFAULT_SYM_DIM_BUDGET) -> SymBasis:
-    """Enumerate the occupation basis; errors out above the dimension budget."""
+    """Enumerate the index-tuple basis; errors out above the dimension budget."""
     if d < 1 or copies < 1:
         raise ValueError("d and N must be at least 1")
     size = math.comb(d + copies - 1, copies)
     if size > budget:
         raise BudgetExceededError(f"symmetric dimension {size} exceeds budget {budget}")
-    occ = np.zeros((size, d), dtype=np.int16)
-    norm = np.empty(size, dtype=np.float64)
-    n_fact = math.factorial(copies)
-    for b, tup in enumerate(itertools.combinations_with_replacement(range(d), copies)):
-        counts = np.bincount(tup, minlength=d)
-        occ[b] = counts
-        denom = 1
-        for c in counts:
-            if c > 1:
-                denom *= math.factorial(int(c))
-        norm[b] = math.sqrt(n_fact / denom)
-    return SymBasis(d=d, N=copies, occupations=occ, norm_factors=norm)
+    indices = np.array(list(itertools.combinations_with_replacement(range(d), copies)), dtype=np.int64)
+    # Python ints keep N!/prod_j m_j! exact for every N before one correct rounding.
+    denom = np.prod(_run_positions(indices), axis=1, dtype=object)
+    norm = np.sqrt((math.factorial(copies) / denom).astype(np.float64))
+    return SymBasis(d=d, N=copies, indices=indices, norm_factors=norm)
 
 
 @dataclass(frozen=True)
@@ -162,20 +167,6 @@ def _sphere_moment_denominator(d: int, copies: int) -> int:
     return denom
 
 
-def _monomial_moment_from_occupation(alpha: Sequence[int], d: int) -> Fraction:
-    total = int(sum(alpha))
-    if total % 2:
-        return Fraction(0)
-    count = 1
-    for a in alpha:
-        a = int(a)
-        if a % 2:
-            return Fraction(0)  # an odd power admits no equal-index matching
-        if a > 1:
-            count *= _double_factorial(a - 1)
-    return Fraction(count, _sphere_moment_denominator(d, total // 2))
-
-
 def real_monomial_moment(indices: Sequence[int], d: int) -> Fraction:
     """E[x_{a_1} ... x_{a_2N}] for x uniform on the real unit sphere in R^d.
 
@@ -186,8 +177,12 @@ def real_monomial_moment(indices: Sequence[int], d: int) -> Fraction:
     for a in indices:
         if not 1 <= a <= d:
             raise ValueError(f"index {a} out of range [1, {d}]")
-    alpha = np.bincount(np.asarray(indices, dtype=np.int64) - 1, minlength=d)
-    return _monomial_moment_from_occupation(alpha, d)
+    count = 1
+    for m in Counter(int(a) for a in indices).values():
+        if m % 2:
+            return Fraction(0)  # an odd power admits no equal-index matching
+        count *= _double_factorial(m - 1)
+    return Fraction(count, _sphere_moment_denominator(d, len(indices) // 2))
 
 
 @dataclass(frozen=True)
@@ -239,8 +234,11 @@ class MomentOperator:
 
 
 def _parity_classes(basis: SymBasis) -> list[np.ndarray]:
-    """Basis rows grouped by the parity pattern of their occupations."""
-    _, parity_class = np.unique(basis.occupations & 1, axis=0, return_inverse=True)
+    """Basis rows, ascending, grouped by the set of indices they hold an odd number of times."""
+    pos = _run_positions(basis.indices)
+    run_end = np.diff(basis.indices, axis=1, append=basis.d) != 0
+    odd = np.sort(np.where(run_end & (pos % 2 == 1), basis.indices, basis.d), axis=1)
+    _, parity_class = np.unique(odd, axis=0, return_inverse=True)
     order = np.argsort(parity_class, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(parity_class[order])) + 1)
 
@@ -251,19 +249,21 @@ def real_moment(d: int, copies: int, budget: int = DEFAULT_SYM_DIM_BUDGET) -> Mo
     A matrix element <m|E|m'> equals norm_m * norm_m' times the monomial
     moment of the combined occupation m + m', which vanishes unless m and m'
     have identical parity patterns. The operator is therefore block diagonal
-    over parity classes, and each block is assembled in one vectorised step.
+    over parity classes, and each block is assembled in one vectorised step
+    from the occupations of the indices its rows use.
     """
     if copies > MAX_MOMENT_COPIES:
         raise BudgetExceededError(f"N={copies} exceeds the cap {MAX_MOMENT_COPIES}")
     basis = sym_basis(d, copies, budget)
-    occ = basis.occupations.astype(np.int64)
     nf = basis.norm_factors
     denom = _sphere_moment_denominator(d, copies)
     # (a-1)!! for even a; a combined occupation within a parity class is even.
     matchings = np.array([_double_factorial(a - 1) for a in range(2 * copies + 1)], dtype=np.int64)
     blocks = []
     for rows in _parity_classes(basis):
-        o = occ[rows]
+        idx = basis.indices[rows]
+        # occupations of the indices the block uses; any other index adds the factor (-1)!! = 1
+        o = (idx[:, :, None] == np.unique(idx)).sum(axis=1)
         count = np.prod(matchings[o[:, None, :] + o[None, :, :]], axis=2)
         # count and denom stay below 2^53 for every cell whose basis fits in
         # memory, so the quotient is the correctly rounded one, as float(Fraction).
@@ -279,7 +279,7 @@ def complex_moment(d: int, copies: int, budget: int = DEFAULT_SYM_DIM_BUDGET) ->
 
 
 def symmetric_embedding(basis: SymBasis, max_full_dim: int = 1 << 16) -> np.ndarray:
-    """Isometry V from the occupation basis into the full d^N tensor space.
+    """Isometry V from the symmetric basis into the full d^N tensor space.
 
     Column b spreads amplitude sqrt(prod_j m_j!/N!) over every distinct
     arrangement of the element's index tuple; V^T V = identity.
@@ -289,9 +289,8 @@ def symmetric_embedding(basis: SymBasis, max_full_dim: int = 1 << 16) -> np.ndar
         raise BudgetExceededError(f"full tensor dimension {full_dim} exceeds {max_full_dim}")
     v = np.zeros((full_dim, basis.size), dtype=np.float64)
     for b in range(basis.size):
-        tup = np.repeat(np.arange(basis.d), basis.occupations[b])
         amp = 1.0 / basis.norm_factors[b]
-        for arrangement in set(itertools.permutations(tup.tolist())):
+        for arrangement in set(itertools.permutations(basis.indices[b].tolist())):
             row = 0
             for idx in arrangement:
                 row = row * basis.d + idx
@@ -337,8 +336,8 @@ def mc_moment(
         w = np.empty((m, size), dtype=dtype)
         for b in range(size):
             col = np.full(m, basis.norm_factors[b], dtype=dtype)
-            for j in np.nonzero(basis.occupations[b])[0]:
-                col = col * vecs[:, j] ** int(basis.occupations[b, j])
+            for j, m_j in zip(*np.unique(basis.indices[b], return_counts=True)):
+                col = col * vecs[:, j] ** int(m_j)
             w[:, b] = col
         accum += w.T @ w.conj()
         abs_sq = (w.real**2 + w.imag**2) if np.iscomplexobj(w) else w**2

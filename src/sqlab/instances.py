@@ -125,14 +125,14 @@ def _draw_k_star(seed: int, num_vectors: int) -> int:
     return int(_stream(seed, 0).integers(1, num_vectors + 1))
 
 
-def gen_minus_sign(n: int, num_vectors: int, seed: int) -> ProblemInstance:
-    """Normalized instance: k* is (-1/sqrt(d), 1/sqrt(d), ...), others all-plus."""
+def _minus_family(kind: str, n: int, num_vectors: int, seed: int, normalized: bool) -> ProblemInstance:
+    """k* has its first entry negated, the others are all-plus; entries are +-1/sqrt(d) or +-1."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if num_vectors < 2:
         raise ValueError("need at least two vectors")
     k_star = _draw_k_star(seed, num_vectors)
-    scale = 1.0 / math.sqrt(1 << n)
+    scale = 1.0 / math.sqrt(1 << n) if normalized else 1.0
     handles = tuple(
         build_implicit(
             ImplicitVector(kind=KIND_MINUS_AT_INDEX, n=n, scale=scale, minus_index=1)
@@ -141,25 +141,17 @@ def gen_minus_sign(n: int, num_vectors: int, seed: int) -> ProblemInstance:
         )
         for j in range(1, num_vectors + 1)
     )
-    return ProblemInstance(MINUS_SIGN, n, seed, handles, k_star)
+    return ProblemInstance(kind, n, seed, handles, k_star)
+
+
+def gen_minus_sign(n: int, num_vectors: int, seed: int) -> ProblemInstance:
+    """Normalized instance: k* is (-1/sqrt(d), 1/sqrt(d), ...), others all-plus."""
+    return _minus_family(MINUS_SIGN, n, num_vectors, seed, normalized=True)
 
 
 def gen_unnormalized_minus(n: int, num_vectors: int, seed: int) -> ProblemInstance:
     """Same layout as the normalized family but with entries +-1 (norm sqrt(d))."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if num_vectors < 2:
-        raise ValueError("need at least two vectors")
-    k_star = _draw_k_star(seed, num_vectors)
-    handles = tuple(
-        build_implicit(
-            ImplicitVector(kind=KIND_MINUS_AT_INDEX, n=n, scale=1.0, minus_index=1)
-            if j == k_star
-            else ImplicitVector(kind=KIND_ALL_PLUS, n=n, scale=1.0)
-        )
-        for j in range(1, num_vectors + 1)
-    )
-    return ProblemInstance(UNNORMALIZED_MINUS, n, seed, handles, k_star)
+    return _minus_family(UNNORMALIZED_MINUS, n, num_vectors, seed, normalized=False)
 
 
 def gen_real_vector_search(

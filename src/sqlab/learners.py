@@ -50,14 +50,7 @@ class SolveReport:
     success: bool | None = None
 
     def total_calls(self) -> OracleStats:
-        total = OracleStats()
-        for s in self.per_handle_stats:
-            total = OracleStats(
-                total.sample_calls + s.sample_calls,
-                total.query_calls + s.query_calls,
-                total.norm_calls + s.norm_calls,
-            )
-        return total
+        return sum(self.per_handle_stats, OracleStats())
 
 
 def _finish(handles: Sequence[SqHandle], before: list[OracleStats], answer: int, t0: int) -> SolveReport:

@@ -132,13 +132,16 @@ def ncopy_minus_sign_tracenorm(d: int, copies: int) -> float:
     The two hypotheses are pure product states whose overlap is c^(2N) with
     c = 1 - 2/d, giving 2*sqrt(1 - c^(4N)). Grows toward 2 as N grows, so a
     fixed discrimination threshold forces N to scale linearly with d.
+    1 - c^(4N) is evaluated as -expm1(4N log1p(-2/d)), which keeps full
+    relative precision up to d = 2^62 (1 - 2/d itself rounds to 1 from 2^55).
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
     if copies < 1:
         raise ValueError("copies must be at least 1")
-    c = 1.0 - 2.0 / d
-    return 2.0 * math.sqrt(max(0.0, 1.0 - c ** (4 * copies)))
+    if d == 2:
+        return 2.0  # c = 0: the two hypotheses are orthogonal
+    return 2.0 * math.sqrt(-math.expm1(4 * copies * math.log1p(-2.0 / d)))
 
 
 def minus_sign_product_vectors(d: int, copies: int, max_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -182,10 +185,9 @@ def min_copies_minus_sign(d: int, threshold: float = HELSTROM_SCHATTEN_THRESHOLD
         raise ValueError("dimension must be at least 3 (at d=2 one copy is already perfect)")
     if not 0.0 < threshold < 2.0:
         raise ValueError("threshold must lie in (0, 2)")
-    c = 1.0 - 2.0 / d
-    # need c^(4N) <= 1 - (threshold/2)^2; start below the analytic estimate
+    # need c^(4N) <= 1 - (threshold/2)^2 with c = 1 - 2/d; start below the estimate
     target = 1.0 - (threshold / 2.0) ** 2
-    estimate = math.ceil(math.log(target) / (4.0 * math.log(c)))
+    estimate = math.ceil(math.log(target) / (4.0 * math.log1p(-2.0 / d)))
     copies = max(1, estimate - 2)
     while ncopy_minus_sign_tracenorm(d, copies) < threshold:
         copies += 1

@@ -74,6 +74,13 @@ class OracleStats:
     query_calls: int = 0
     norm_calls: int = 0
 
+    def __add__(self, other: "OracleStats") -> "OracleStats":
+        return OracleStats(
+            self.sample_calls + other.sample_calls,
+            self.query_calls + other.query_calls,
+            self.norm_calls + other.norm_calls,
+        )
+
     def __sub__(self, other: "OracleStats") -> "OracleStats":
         return OracleStats(
             self.sample_calls - other.sample_calls,

@@ -56,6 +56,13 @@ def test_parse_errors_carry_line_numbers():
         parse_circuit("qubits 2\nH 0 1\n")
 
 
+def test_circuit_constructor_checks_gate_arity():
+    with pytest.raises(ValueError, match="CNOT takes 2"):
+        Circuit(2, (Gate("CNOT", (0,)),))
+    with pytest.raises(ValueError, match="H takes 1"):
+        Circuit(2, (Gate("H", (0, 1)),))
+
+
 def test_run_statevector_single_gates():
     h = run_statevector(parse_circuit("qubits 1\nH 0\n"))
     np.testing.assert_allclose(h.amplitudes, [SQRT_HALF, SQRT_HALF], atol=1e-15)

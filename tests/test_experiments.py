@@ -236,8 +236,9 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         (["sample-test", "--kind", "all-plus", "--n", "62", "--draws", "1000"], 1),
         (["encoding-demo", "--n", "100000", "--trials", "10"], 0),
         (["sample-test", "--vector", "{nan_file}"], 1),
+        (["copies-sweep", "--d", str(1 << 55)], 0),
     ],
-    ids=["sample-test-no-dof", "encoding-demo-huge-n", "sample-test-nan-vector"],
+    ids=["sample-test-no-dof", "encoding-demo-huge-n", "sample-test-nan-vector", "copies-sweep-huge-d"],
 )
 def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
     nan_file = tmp_path / "nan.txt"
@@ -246,7 +247,7 @@ def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert captured.err.strip().count("\n") == 0
-    if code == 0:
+    if argv[0] == "encoding-demo":
         assert json.loads(captured.out)["amplitude_single_copy_success"] == 0.5
 
 

@@ -26,7 +26,7 @@ from sqlab.haar_moments import (
 
 def test_sym_basis_small_cases():
     basis = sym_basis(2, 2)
-    assert basis.occupations.tolist() == [[2, 0], [1, 1], [0, 2]]
+    assert basis.indices.tolist() == [[0, 0], [0, 1], [1, 1]]
     assert basis.norm_factors == pytest.approx([1.0, math.sqrt(2), 1.0])
     assert sym_basis(4, 1).size == 4
     assert sym_basis(16, 4).size == 3876 == math.comb(19, 4)
@@ -157,11 +157,11 @@ def test_real_moment_blocks_match_dense_eigh():
 def _real_moment_by_monomials(d, copies):
     """Independent oracle: every matrix element from the Fraction monomial moment."""
     basis = sym_basis(d, copies)
-    occ, nf = basis.occupations, basis.norm_factors
+    idx, nf = basis.indices + 1, basis.norm_factors
     matrix = np.zeros((basis.size, basis.size))
     for a in range(basis.size):
         for b in range(basis.size):
-            indices = np.repeat(np.arange(1, d + 1), occ[a] + occ[b]).tolist()
+            indices = idx[a].tolist() + idx[b].tolist()
             matrix[a, b] = nf[a] * nf[b] * float(real_monomial_moment(indices, d))
     return matrix
 
@@ -201,6 +201,18 @@ def test_real_moment_memory_stays_far_below_the_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < op.size**2 * 8 / 10
+
+
+def test_small_copy_cells_take_memory_linear_in_d():
+    trace_norm_gap(8, 1)  # first-call caches outside the measurement
+    tracemalloc.start()
+    try:
+        trace_norm_gap(4000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert sym_basis(20000, 1).indices.shape == (20000, 1)
 
 
 def test_symmetric_embedding_is_isometry():

@@ -1,6 +1,7 @@
 """Discrimination-toolkit tests: norms, success probabilities, N-copy forms."""
 
 import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -150,6 +151,14 @@ def test_minus_sign_product_vectors():
         minus_sign_product_vectors(1, 2, max_dim=4096)
     with pytest.raises(ValueError, match="exceeds"):
         minus_sign_product_vectors(3, 2, max_dim=80)
+
+
+@pytest.mark.parametrize("d", [3, 256, 1 << 30, 1 << 55, 1 << 62])
+@pytest.mark.parametrize("copies", [1, 3])
+def test_ncopy_closed_form_relative_error_against_exact(d, copies):
+    exact_sq = 1 - Fraction(d - 2, d) ** (4 * copies)
+    exact = 2 * math.sqrt(float(exact_sq))
+    assert abs(ncopy_minus_sign_tracenorm(d, copies) - exact) <= 1e-15 * exact
 
 
 def test_ncopy_monotone_in_copies():
