@@ -138,6 +138,9 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _cmd_sample_test(args) -> int:
+    # at 0 the test passes every sampler, at 1 or above it fails every one
+    if not 0.0 < args.significance < 1.0:
+        raise ConfigError(f"--significance must lie in (0, 1), got {args.significance}")
     rng = np.random.default_rng(args.seed)
     if args.vector is not None:
         handle = sq_oracle.build_dense(sq_oracle.load_dense_vector(args.vector))
@@ -297,6 +300,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_sharp_p(args) -> int:
+    # a negative tolerance fails every circuit, an infinite one passes every one
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        raise ConfigError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     circuit = circuit_bridge.parse_circuit(Path(args.circuit).read_text())
     if circuit.n == 0:
         raise ConfigError("circuit file declares zero qubits")

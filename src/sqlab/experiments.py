@@ -59,6 +59,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
+        # a Schatten-1 distance lies in [0, 2]; outside (0, 2) every cell would be invalid
+        if not 0.0 < self.threshold < 2.0:
+            raise ConfigError(f"threshold must lie in (0, 2), got {self.threshold}")
 
 
 @dataclass

@@ -59,6 +59,9 @@ PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 BOUND_SLACK = 1e-9
 
+# Elements per temporary in the per-block gather of `real_moment` (it gathers one row at least).
+_GATHER_CAP = 1 << 20
+
 
 class BudgetExceededError(Exception):
     """A requested (d, N) cell does not fit the configured memory budget."""
@@ -243,6 +246,11 @@ def _parity_classes(basis: SymBasis) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(parity_class[order])) + 1)
 
 
+def _matching_counts(matchings: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """prod_j matchings[left[a, j] + right[b, j]] for every pair of occupation rows (a, b)."""
+    return np.prod(matchings[left[:, None, :] + right[None, :, :]], axis=2)
+
+
 def real_moment(d: int, copies: int, budget: int = DEFAULT_SYM_DIM_BUDGET) -> MomentOperator:
     """Exact real-sphere moment operator assembled from monomial moments.
 
@@ -264,7 +272,13 @@ def real_moment(d: int, copies: int, budget: int = DEFAULT_SYM_DIM_BUDGET) -> Mo
         idx = basis.indices[rows]
         # occupations of the indices the block uses; any other index adds the factor (-1)!! = 1
         o = (idx[:, :, None] == np.unique(idx)).sum(axis=1)
-        count = np.prod(matchings[o[:, None, :] + o[None, :, :]], axis=2)
+        if o.size * len(o) <= _GATHER_CAP:
+            count = _matching_counts(matchings, o, o)
+        else:  # in row chunks, so no temporary holds more than _GATHER_CAP elements
+            step = max(1, _GATHER_CAP // o.size)
+            count = np.concatenate(
+                [_matching_counts(matchings, o[a : a + step], o) for a in range(0, len(o), step)]
+            )
         # count and denom stay below 2^53 for every cell whose basis fits in
         # memory, so the quotient is the correctly rounded one, as float(Fraction).
         blocks.append((rows, np.multiply.outer(nf[rows], nf[rows]) * (count / denom)))

@@ -41,6 +41,9 @@ STATE_NORM_ATOL = 1e-10
 # Schatten-1 threshold equivalent to distinguishing with probability 0.9.
 HELSTROM_SCHATTEN_THRESHOLD = 1.6
 
+# Largest dimension the N-copy closed forms serve, as for implicit vectors.
+_MAX_CLOSED_FORM_D = 1 << 62
+
 # Relative eigenvalue floor: |lambda| below this times dimension counts as zero.
 _EIG_ZERO_REL = 1e-12
 
@@ -135,8 +138,8 @@ def ncopy_minus_sign_tracenorm(d: int, copies: int) -> float:
     1 - c^(4N) is evaluated as -expm1(4N log1p(-2/d)), which keeps full
     relative precision up to d = 2^62 (1 - 2/d itself rounds to 1 from 2^55).
     """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    if not 2 <= d <= _MAX_CLOSED_FORM_D:
+        raise ValueError("dimension must lie in [2, 2^62]")
     if copies < 1:
         raise ValueError("copies must be at least 1")
     if d == 2:
@@ -185,15 +188,19 @@ def min_copies_minus_sign(d: int, threshold: float = HELSTROM_SCHATTEN_THRESHOLD
         raise ValueError("dimension must be at least 3 (at d=2 one copy is already perfect)")
     if not 0.0 < threshold < 2.0:
         raise ValueError("threshold must lie in (0, 2)")
-    # need c^(4N) <= 1 - (threshold/2)^2 with c = 1 - 2/d; start below the estimate
-    target = 1.0 - (threshold / 2.0) ** 2
-    estimate = math.ceil(math.log(target) / (4.0 * math.log1p(-2.0 / d)))
-    copies = max(1, estimate - 2)
-    while ncopy_minus_sign_tracenorm(d, copies) < threshold:
-        copies += 1
-    while copies > 1 and ncopy_minus_sign_tracenorm(d, copies - 1) >= threshold:
-        copies -= 1
-    return copies
+    # The closed form is nondecreasing in N, in floating point too, so doubling and then
+    # bisection find the smallest N. Unit steps stall from d ~ 2^53, where one more
+    # copy no longer moves the rounded value.
+    short, reached = 0, 1
+    while ncopy_minus_sign_tracenorm(d, reached) < threshold:
+        short, reached = reached, 2 * reached
+    while reached - short > 1:
+        mid = (short + reached) // 2
+        if ncopy_minus_sign_tracenorm(d, mid) >= threshold:
+            reached = mid
+        else:
+            short = mid
+    return reached
 
 
 def simulate_discrimination(

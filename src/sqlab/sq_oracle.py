@@ -7,7 +7,8 @@ operation is gated behind an explicit capability set and counted exactly, so
 experiments can account oracle cost separately from wall-clock time.
 
 Dense backings carry a binary prefix-sum tree over the squared magnitudes,
-giving O(log d) sampling after an O(d) build. Implicit backings evaluate
+built on the first Sample in O(d) and giving O(log d) sampling after that;
+backings that are only queried never build it. Implicit backings evaluate
 components from a closed form in O(poly n) without materializing 2^n entries.
 
 Indices are 1-based at the oracle boundary and 0-based internally.
@@ -16,6 +17,7 @@ Indices are 1-based at the oracle boundary and 0-based internally.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -61,6 +63,9 @@ _IMPLICIT_KINDS = (KIND_ALL_PLUS, KIND_MINUS_AT_INDEX, KIND_SIGN_PRODUCT)
 # Implicit index arithmetic must stay within exact int64 range.
 MAX_IMPLICIT_N = 62
 
+# Components formatted per write call by `save_dense_vector`.
+_SAVE_CHUNK = 1 << 14
+
 
 class CapabilityError(Exception):
     """An operation was requested that the handle's capability set does not allow."""
@@ -97,7 +102,8 @@ class _PrefixSumTree:
 
     Layout is the classic implicit heap: node i has children 2i and 2i+1,
     leaves occupy arr[m:2m]. Sampling descends from the root, so one draw
-    costs log2(d) comparisons; batched draws vectorize the descent.
+    costs log2(d) comparisons. A single draw walks the heap in scalars;
+    batched draws vectorize the descent.
     """
 
     def __init__(self, weights: np.ndarray):
@@ -142,6 +148,21 @@ class _PrefixSumTree:
             leaf[bad] = self.draw(int(np.count_nonzero(bad)), rng)
         return leaf
 
+    def draw_one(self, rng: np.random.Generator) -> int:
+        """One leaf position (0-based), drawn exactly as `draw(1, rng)` draws it."""
+        arr = self.arr
+        while True:
+            u = rng.random() * arr[1]
+            idx = 1
+            for _ in range(self.depth):
+                idx <<= 1
+                left = arr[idx]
+                if u >= left:
+                    u -= left
+                    idx += 1
+            if arr[idx] != 0.0:  # a zero-weight leaf is redrawn, as in `draw`
+                return idx - self.m
+
 
 @dataclass(frozen=True)
 class DenseVector:
@@ -175,6 +196,11 @@ class DenseVector:
 
     def norm(self) -> float:
         return math.sqrt(self.squared_norm)
+
+    @functools.cached_property
+    def prefix_tree(self) -> _PrefixSumTree:
+        """Sampling tree over |x_i|^2, built on first use and shared by every handle."""
+        return _PrefixSumTree(self.entries.real**2 + self.entries.imag**2)
 
 
 @dataclass(frozen=True)
@@ -239,17 +265,9 @@ class SqHandle:
         self,
         backing: DenseVector | ImplicitVector,
         capabilities: frozenset[Capability] = ALL_CAPABILITIES,
-        _tree: _PrefixSumTree | None = None,
     ):
         self.backing = backing
         self.capabilities = frozenset(capabilities)
-        if isinstance(backing, DenseVector):
-            if _tree is None:
-                w = backing.entries.real**2 + backing.entries.imag**2
-                _tree = _PrefixSumTree(w)
-            self._tree = _tree
-        else:
-            self._tree = None
         self._lock = threading.Lock()
         self._sample_calls = 0
         self._query_calls = 0
@@ -263,13 +281,28 @@ class SqHandle:
     def n(self) -> int:
         return self.dim.bit_length() - 1
 
+    @property
+    def _tree(self) -> _PrefixSumTree | None:
+        """The dense backing's sampling tree (built on first read); None if implicit."""
+        return self.backing.prefix_tree if isinstance(self.backing, DenseVector) else None
+
     def _require(self, cap: Capability) -> None:
         if cap not in self.capabilities:
             raise CapabilityError(f"{cap.value} not in capability set")
 
     def sample(self, rng: np.random.Generator) -> int:
-        """Draw one 1-based index with probability |x_i|^2 / ||x||^2."""
-        return int(self.sample_many(1, rng)[0])
+        """Draw one 1-based index with probability |x_i|^2 / ||x||^2.
+
+        Consumes `rng` exactly as `sample_many(1, rng)` does and returns its draw.
+        """
+        self._require(Capability.SAMPLE)
+        if isinstance(self.backing, DenseVector):
+            idx = self.backing.prefix_tree.draw_one(rng) + 1
+        else:
+            idx = int(rng.integers(1, self.dim + 1, dtype=np.int64))
+        with self._lock:
+            self._sample_calls += 1
+        return idx
 
     def sample_many(self, k: int, rng: np.random.Generator) -> np.ndarray:
         """Draw k indices at once; counts as k Sample calls."""
@@ -277,7 +310,7 @@ class SqHandle:
         if k < 0:
             raise ValueError("sample count must be nonnegative")
         if isinstance(self.backing, DenseVector):
-            idx = self._tree.draw(k, rng) + 1
+            idx = self.backing.prefix_tree.draw(k, rng) + 1
         else:
             # all implicit kinds have uniform squared magnitudes
             idx = rng.integers(1, self.dim + 1, size=k, dtype=np.int64)
@@ -316,7 +349,7 @@ class SqHandle:
         if missing:
             names = ", ".join(sorted(c.value for c in missing))
             raise CapabilityError(f"cannot grant capabilities not held: {names}")
-        return SqHandle(self.backing, requested, _tree=self._tree)
+        return SqHandle(self.backing, requested)
 
     def stats(self) -> OracleStats:
         with self._lock:
@@ -357,8 +390,10 @@ def save_dense_vector(path: str | Path, values: Sequence[complex] | np.ndarray) 
     arr = np.asarray(values, dtype=np.complex128)
     with open(path, "w") as fh:
         fh.write("# dense vector: one component per line as `<re> <im>`\n")
-        for z in arr:
-            fh.write(f"{z.real:.17g} {z.imag:.17g}\n")
+        # formatted in chunks, so memory stays bounded at the 2^24-entry budget
+        for start in range(0, arr.size, _SAVE_CHUNK):
+            chunk = arr[start : start + _SAVE_CHUNK]
+            fh.writelines(map("{:.17g} {:.17g}\n".format, chunk.real.tolist(), chunk.imag.tolist()))
 
 
 def load_dense_vector(path: str | Path) -> np.ndarray:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from sqlab import circuit_bridge
 from sqlab.cli import main
 from sqlab.experiments import (
     ConfigError,
@@ -251,15 +252,44 @@ def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
         assert json.loads(captured.out)["amplitude_single_copy_success"] == 0.5
 
 
-def test_cli_sharp_p(tmp_path, capsys):
+def test_cli_sharp_p(tmp_path, capsys, monkeypatch):
     circuit = tmp_path / "c.txt"
     circuit.write_text("qubits 3\nH 0\nT 1\nCNOT 0 2\n")
     assert main(["sharp-p", "--circuit", str(circuit)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["identity_ok"] is True
     assert payload["abs_diff"] <= 1e-12
-    # an impossible tolerance exercises the violation exit code
-    assert main(["sharp-p", "--circuit", str(circuit), "--tolerance", "-1"]) == 2
+    # a wrong reference probability exercises the violation exit code
+    monkeypatch.setattr(circuit_bridge, "p_zero_first_qubit", lambda c: payload["p_zero"] + 1e-9)
+    assert main(["sharp-p", "--circuit", str(circuit)]) == 2
+    assert json.loads(capsys.readouterr().out)["identity_ok"] is False
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--significance", "0"),
+        ("--significance", "1.5"),
+        ("--significance", "nan"),
+        ("--tolerance", "-1"),
+        ("--tolerance", "inf"),
+        ("--tolerance", "nan"),
+        ("--threshold", "2"),
+        ("--threshold", "nan"),
+    ],
+)
+def test_cli_rejects_vacuous_or_impossible_thresholds(tmp_path, capsys, flag, value):
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("qubits 2\nH 0\n")
+    command = {
+        "--significance": ["sample-test", "--dim", "8"],
+        "--tolerance": ["sharp-p", "--circuit", str(circuit)],
+        "--threshold": ["copies-sweep", "--d", "64"],
+    }[flag]
+    assert main(command + [flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.strip().count("\n") == 0
 
 
 def test_cli_encoding_demo(capsys):

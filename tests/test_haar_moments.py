@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlab import haar_moments
 from sqlab.haar_moments import (
     BudgetExceededError,
     MomentOperator,
@@ -213,6 +214,29 @@ def test_small_copy_cells_take_memory_linear_in_d():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert sym_basis(20000, 1).indices.shape == (20000, 1)
+
+
+def test_large_parity_block_gathers_in_bounded_chunks():
+    # at N=2 the 199 rows (i, i) form one parity block; gathered whole it is 199^3 int64
+    trace_norm_gap(8, 2)  # first-call caches outside the measurement
+    tracemalloc.start()
+    try:
+        trace_norm_gap(199, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
+@pytest.mark.parametrize("d,copies", [(5, 3), (12, 4)])
+def test_chunked_block_gather_is_bit_identical(monkeypatch, d, copies):
+    whole = real_moment(d, copies)
+    monkeypatch.setattr(haar_moments, "_GATHER_CAP", 7)
+    chunked = real_moment(d, copies)
+    assert len(chunked.blocks) == len(whole.blocks)
+    for (rows_a, block_a), (rows_b, block_b) in zip(whole.blocks, chunked.blocks):
+        assert np.array_equal(rows_a, rows_b)
+        assert block_a.tobytes() == block_b.tobytes()
 
 
 def test_symmetric_embedding_is_isometry():

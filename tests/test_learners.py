@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from sqlab.instances import gen_minus_sign, gen_real_vector_search, gen_unnormalized_minus
+from sqlab import sq_oracle
+from sqlab.instances import (
+    dump_instance,
+    gen_minus_sign,
+    gen_real_vector_search,
+    gen_unnormalized_minus,
+    load_instance,
+)
 from sqlab.learners import (
     MalformedInstanceError,
     solve_minus_sign,
@@ -59,6 +66,24 @@ def test_solve_real_search_batch():
         report = solve_real_search(instance.handles)
         assert instance.verify_answer(report.answer)
         assert report.total_calls() == OracleStats(0, 4, 0)
+
+
+def test_query_only_paths_build_no_sampling_tree(tmp_path, monkeypatch):
+    builds = []
+
+    class CountingTree(sq_oracle._PrefixSumTree):
+        def __init__(self, weights):
+            builds.append(len(weights))
+            super().__init__(weights)
+
+    monkeypatch.setattr(sq_oracle, "_PrefixSumTree", CountingTree)
+    dump_instance(gen_real_vector_search(10, 4, seed=3), tmp_path)
+    instance = load_instance(tmp_path)  # also regenerates the instance to recover k*
+    report = solve_real_search(instance.handles)
+    assert instance.verify_answer(report.answer)
+    assert builds == []
+    instance.handles[0].sample(np.random.default_rng(0))
+    assert builds == [1 << 10]
 
 
 def test_solve_real_search_tracks_vector_not_position():

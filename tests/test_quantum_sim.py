@@ -184,6 +184,24 @@ def test_min_copies_is_exact_threshold():
             assert ncopy_minus_sign_tracenorm(d, n_min - 1) < threshold
 
 
+@pytest.mark.parametrize("d", [3, 4096, 2**53 + 2, 2**60, 2**62])
+@pytest.mark.parametrize("threshold", [1e-9, 1.6, 1.9999999])
+def test_min_copies_is_smallest_reaching_copy_count_at_any_d(d, threshold):
+    # from d ~ 2^53 one more copy no longer moves the closed form, so a unit-step
+    # search from the estimate never terminated there
+    n_min = min_copies_minus_sign(d, threshold)
+    assert ncopy_minus_sign_tracenorm(d, n_min) >= threshold
+    assert n_min == 1 or ncopy_minus_sign_tracenorm(d, n_min - 1) < threshold
+
+
+def test_closed_forms_refuse_dimensions_above_2_to_62():
+    for d in (2**62 + 1, 10**400):
+        with pytest.raises(ValueError, match="2\\^62"):
+            ncopy_minus_sign_tracenorm(d, 1)
+        with pytest.raises(ValueError, match="2\\^62"):
+            min_copies_minus_sign(d)
+
+
 def test_min_copies_doubling_ratio():
     # linear-in-d scaling: doubling d doubles the copy requirement within 10%
     for d in (512, 1024, 2048):

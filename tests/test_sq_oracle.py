@@ -5,6 +5,7 @@ were not tuned, and any reseeding keeps each 3-sigma assertion valid except
 with probability around 1e-3 (chi-square tests run at that significance).
 """
 
+import hashlib
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -14,12 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlab import sq_oracle
 from sqlab.experiments import chi_square_gof
 from sqlab.sq_oracle import (
     ALL_CAPABILITIES,
     Capability,
     CapabilityError,
     ImplicitVector,
+    OracleStats,
     build_dense,
     build_implicit,
     load_dense_vector,
@@ -315,3 +318,80 @@ def test_sample_many_count_matches_budget(exp, k):
     assert handle.stats().sample_calls == k
     if k:
         assert draws.min() >= 1 and draws.max() <= handle.dim
+
+
+_STREAM_CASES = [
+    pytest.param(lambda: build_dense([0.5j]), id="dense-1"),
+    pytest.param(lambda: build_dense([0, 1, 0, 0, 2, 0, 0, 3]), id="dense-8-zero-leaves"),
+    pytest.param(lambda: build_dense(np.random.default_rng(41).random(1 << 20)), id="dense-2^20"),
+    pytest.param(
+        lambda: build_implicit(ImplicitVector(kind="all-plus", n=3, scale=1.0)), id="all-plus-n3"
+    ),
+    pytest.param(
+        lambda: build_implicit(
+            ImplicitVector(kind="minus-at-index", n=62, scale=1.0, minus_index=1 << 62)
+        ),
+        id="minus-at-index-n62",
+    ),
+    pytest.param(
+        lambda: build_implicit(
+            ImplicitVector(kind="sign-pattern-product", n=62, scale=2.0, sign_mask=(1 << 62) - 1)
+        ),
+        id="sign-pattern-n62",
+    ),
+]
+
+
+@pytest.mark.parametrize("make", _STREAM_CASES)
+def test_single_sample_matches_batch_of_one(make):
+    single, batched = make(), make()
+    rng_single, rng_batched = np.random.default_rng(7), np.random.default_rng(7)
+    draws = [single.sample(rng_single) for _ in range(1000)]
+    expected = [int(batched.sample_many(1, rng_batched)[0]) for _ in range(1000)]
+    assert all(type(i) is int for i in draws)
+    assert draws == expected
+    assert rng_single.bit_generator.state == rng_batched.bit_generator.state
+    assert single.stats() == batched.stats() == OracleStats(sample_calls=1000)
+
+
+def test_single_sample_is_gated_and_uncounted_without_capability():
+    for full in (build_dense([1, 2]), build_implicit(ImplicitVector(kind="all-plus", n=5, scale=1.0))):
+        gated = full.restrict({Capability.QUERY})
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(CapabilityError):
+            gated.sample(rng)
+        assert gated.stats().total() == 0
+        assert rng.bit_generator.state == state
+
+
+def test_prefix_tree_is_built_on_first_sample_and_shared():
+    handle = build_dense([1, 2, 3, 4])
+    child = handle.restrict({Capability.SAMPLE})
+    handle.query(1)
+    handle.query_norm()
+    assert "prefix_tree" not in vars(handle.backing)
+    child.sample(np.random.default_rng(0))
+    assert handle._tree is child._tree is handle.backing.prefix_tree
+
+
+def _save_dense_vector_per_line(path, values):
+    # the writer as it was before it formatted in chunks, kept as the byte reference
+    arr = np.asarray(values, dtype=np.complex128)
+    with open(path, "w") as fh:
+        fh.write("# dense vector: one component per line as `<re> <im>`\n")
+        for z in arr:
+            fh.write(f"{z.real:.17g} {z.imag:.17g}\n")
+
+
+def test_dense_vector_file_bytes_are_unchanged(tmp_path, monkeypatch):
+    monkeypatch.setattr(sq_oracle, "_SAVE_CHUNK", 3)  # several chunks and a short last one
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    values[:6] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308j, 1.0, complex(-0.0, -0.0)]
+    values[8:12] = values[8:12].real  # exact-zero imaginary parts
+    save_dense_vector(tmp_path / "new.txt", values)
+    _save_dense_vector_per_line(tmp_path / "old.txt", values)
+    digests = [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ("new.txt", "old.txt")]
+    assert digests[0] == digests[1]
+    assert np.array_equal(load_dense_vector(tmp_path / "new.txt"), values)
