@@ -24,6 +24,7 @@ from scipy.special import chdtrc
 from .haar_moments import BoundViolationError, BudgetExceededError, trace_norm_gap
 from .quantum_sim import (
     HELSTROM_SCHATTEN_THRESHOLD,
+    check_schatten_threshold,
     min_copies_minus_sign,
     ncopy_minus_sign_tracenorm,
 )
@@ -59,9 +60,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
-        # a Schatten-1 distance lies in [0, 2]; outside (0, 2) every cell would be invalid
-        if not 0.0 < self.threshold < 2.0:
-            raise ConfigError(f"threshold must lie in (0, 2), got {self.threshold}")
+        check_schatten_threshold(self.threshold)  # else every copies-sweep cell is invalid
 
 
 @dataclass

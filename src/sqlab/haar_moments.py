@@ -246,11 +246,6 @@ def _parity_classes(basis: SymBasis) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(parity_class[order])) + 1)
 
 
-def _matching_counts(matchings: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """prod_j matchings[left[a, j] + right[b, j]] for every pair of occupation rows (a, b)."""
-    return np.prod(matchings[left[:, None, :] + right[None, :, :]], axis=2)
-
-
 def real_moment(d: int, copies: int, budget: int = DEFAULT_SYM_DIM_BUDGET) -> MomentOperator:
     """Exact real-sphere moment operator assembled from monomial moments.
 
@@ -272,13 +267,11 @@ def real_moment(d: int, copies: int, budget: int = DEFAULT_SYM_DIM_BUDGET) -> Mo
         idx = basis.indices[rows]
         # occupations of the indices the block uses; any other index adds the factor (-1)!! = 1
         o = (idx[:, :, None] == np.unique(idx)).sum(axis=1)
-        if o.size * len(o) <= _GATHER_CAP:
-            count = _matching_counts(matchings, o, o)
-        else:  # in row chunks, so no temporary holds more than _GATHER_CAP elements
-            step = max(1, _GATHER_CAP // o.size)
-            count = np.concatenate(
-                [_matching_counts(matchings, o[a : a + step], o) for a in range(0, len(o), step)]
-            )
+        # prod_j matchings[o_a[j] + o_b[j]], in row chunks of at most _GATHER_CAP gathered elements
+        count = np.empty((len(o), len(o)), dtype=matchings.dtype)
+        step = max(1, _GATHER_CAP // o.size)
+        for a in range(0, len(o), step):
+            np.multiply.reduce(matchings[o[a : a + step, None] + o], axis=2, out=count[a : a + step])
         # count and denom stay below 2^53 for every cell whose basis fits in
         # memory, so the quotient is the correctly rounded one, as float(Fraction).
         blocks.append((rows, np.multiply.outer(nf[rows], nf[rows]) * (count / denom)))

@@ -21,6 +21,7 @@ __all__ = [
     "DensityOperator",
     "HELSTROM_SCHATTEN_THRESHOLD",
     "Statevector",
+    "check_schatten_threshold",
     "helstrom_success",
     "load_density_operator",
     "min_copies_minus_sign",
@@ -40,9 +41,6 @@ STATE_NORM_ATOL = 1e-10
 
 # Schatten-1 threshold equivalent to distinguishing with probability 0.9.
 HELSTROM_SCHATTEN_THRESHOLD = 1.6
-
-# Largest dimension the N-copy closed forms serve, as for implicit vectors.
-_MAX_CLOSED_FORM_D = 1 << 62
 
 # Relative eigenvalue floor: |lambda| below this times dimension counts as zero.
 _EIG_ZERO_REL = 1e-12
@@ -136,15 +134,20 @@ def ncopy_minus_sign_tracenorm(d: int, copies: int) -> float:
     c = 1 - 2/d, giving 2*sqrt(1 - c^(4N)). Grows toward 2 as N grows, so a
     fixed discrimination threshold forces N to scale linearly with d.
     1 - c^(4N) is evaluated as -expm1(4N log1p(-2/d)), which keeps full
-    relative precision up to d = 2^62 (1 - 2/d itself rounds to 1 from 2^55).
+    relative precision for every d a float can hold (1 - 2/d itself rounds
+    to 1 from 2^55). A d or 4N past the float range raises ValueError.
     """
-    if not 2 <= d <= _MAX_CLOSED_FORM_D:
-        raise ValueError("dimension must lie in [2, 2^62]")
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
     if copies < 1:
         raise ValueError("copies must be at least 1")
     if d == 2:
         return 2.0  # c = 0: the two hypotheses are orthogonal
-    return 2.0 * math.sqrt(-math.expm1(4 * copies * math.log1p(-2.0 / d)))
+    try:
+        exponent = 4 * copies * math.log1p(-2.0 / d)
+    except OverflowError:
+        raise ValueError("dimension and 4 * copies must lie below 2^1024, the float range") from None
+    return 2.0 * math.sqrt(-math.expm1(exponent))
 
 
 def minus_sign_product_vectors(d: int, copies: int, max_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -182,12 +185,22 @@ def ncopy_minus_sign_tracenorm_dense(d: int, copies: int, max_dim: int = 8192) -
     return float(np.sum(np.abs(np.linalg.eigvals(np.diag([1.0, -1.0]) @ gram))))
 
 
+def check_schatten_threshold(threshold: float) -> None:
+    """Refuse a Schatten-1 threshold outside (0, 2).
+
+    A Schatten-1 distance between states lies in [0, 2]: at 0 or below every
+    pair reaches the threshold, at 2 or above only orthogonal states do, and
+    at NaN none does.
+    """
+    if not 0.0 < threshold < 2.0:
+        raise ValueError(f"threshold must lie in (0, 2), got {threshold}")
+
+
 def min_copies_minus_sign(d: int, threshold: float = HELSTROM_SCHATTEN_THRESHOLD) -> int:
     """Smallest N whose N-copy trace norm reaches the threshold."""
     if d < 3:
         raise ValueError("dimension must be at least 3 (at d=2 one copy is already perfect)")
-    if not 0.0 < threshold < 2.0:
-        raise ValueError("threshold must lie in (0, 2)")
+    check_schatten_threshold(threshold)
     # The closed form is nondecreasing in N, in floating point too, so doubling and then
     # bisection find the smallest N. Unit steps stall from d ~ 2^53, where one more
     # copy no longer moves the rounded value.

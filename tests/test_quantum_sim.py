@@ -153,7 +153,7 @@ def test_minus_sign_product_vectors():
         minus_sign_product_vectors(3, 2, max_dim=80)
 
 
-@pytest.mark.parametrize("d", [3, 256, 1 << 30, 1 << 55, 1 << 62])
+@pytest.mark.parametrize("d", [3, 256, 1 << 30, 1 << 55, 1 << 62, 1 << 100, (1 << 1023) + 1])
 @pytest.mark.parametrize("copies", [1, 3])
 def test_ncopy_closed_form_relative_error_against_exact(d, copies):
     exact_sq = 1 - Fraction(d - 2, d) ** (4 * copies)
@@ -184,7 +184,7 @@ def test_min_copies_is_exact_threshold():
             assert ncopy_minus_sign_tracenorm(d, n_min - 1) < threshold
 
 
-@pytest.mark.parametrize("d", [3, 4096, 2**53 + 2, 2**60, 2**62])
+@pytest.mark.parametrize("d", [3, 4096, 2**53 + 2, 2**60, 2**62, 2**100, 2**1000])
 @pytest.mark.parametrize("threshold", [1e-9, 1.6, 1.9999999])
 def test_min_copies_is_smallest_reaching_copy_count_at_any_d(d, threshold):
     # from d ~ 2^53 one more copy no longer moves the closed form, so a unit-step
@@ -194,12 +194,15 @@ def test_min_copies_is_smallest_reaching_copy_count_at_any_d(d, threshold):
     assert n_min == 1 or ncopy_minus_sign_tracenorm(d, n_min - 1) < threshold
 
 
-def test_closed_forms_refuse_dimensions_above_2_to_62():
-    for d in (2**62 + 1, 10**400):
-        with pytest.raises(ValueError, match="2\\^62"):
+def test_closed_forms_refuse_dimensions_past_the_float_range():
+    # 2/d cannot be formed there; the closed forms raised OverflowError
+    for d in (2**1024, 10**400):
+        with pytest.raises(ValueError, match="float range"):
             ncopy_minus_sign_tracenorm(d, 1)
-        with pytest.raises(ValueError, match="2\\^62"):
+        with pytest.raises(ValueError, match="float range"):
             min_copies_minus_sign(d)
+    with pytest.raises(ValueError, match="float range"):
+        ncopy_minus_sign_tracenorm(3, 2**1022)
 
 
 def test_min_copies_doubling_ratio():

@@ -372,7 +372,8 @@ def test_prefix_tree_is_built_on_first_sample_and_shared():
     handle.query_norm()
     assert "prefix_tree" not in vars(handle.backing)
     child.sample(np.random.default_rng(0))
-    assert handle._tree is child._tree is handle.backing.prefix_tree
+    assert child.backing is handle.backing
+    assert "prefix_tree" in vars(handle.backing)
 
 
 def _save_dense_vector_per_line(path, values):
