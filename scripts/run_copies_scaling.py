@@ -3,39 +3,51 @@
 
 The closed-form trace norm forces N to grow linearly in d = 2^n, i.e.
 exponentially in the qubit count; this script sweeps d, fits N = alpha*d +
-beta, and prints the fit alongside the per-d values.
+beta, and prints the fit alongside the per-d values. An invalid threshold, or
+fewer than two distinct d with a valid cell, is refused with one `error:` line
+on stderr and exit code 1, before anything is written.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from sqlab.experiments import ExperimentConfig, linear_fit, run_sweep, write_records
+from sqlab.experiments import ConfigError, ExperimentConfig, linear_fit, run_sweep, write_records
 from sqlab.quantum_sim import HELSTROM_SCHATTEN_THRESHOLD
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--d", type=int, nargs="+", default=[64 << k for k in range(7)])
     parser.add_argument("--threshold", type=float, default=HELSTROM_SCHATTEN_THRESHOLD)
     parser.add_argument("--out", default="results/copies_scaling.csv")
     args = parser.parse_args()
 
-    config = ExperimentConfig(
-        subcommand="copies-sweep", d_values=tuple(args.d), threshold=args.threshold
-    )
-    records = run_sweep(config)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    write_records(records, "csv", args.out)
-
+    try:
+        config = ExperimentConfig(
+            subcommand="copies-sweep", d_values=tuple(args.d), threshold=args.threshold
+        )
+        records = run_sweep(config)
+    except (ConfigError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     good = [r for r in records if r.error is None]
     dims = [r.params["d"] for r in good]
     copies = [r.values["min_copies"] for r in good]
+    if len(set(dims)) < 2:
+        print(f"error: a line fit needs valid cells at two distinct d, got {len(set(dims))}",
+              file=sys.stderr)
+        return 1
+
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    write_records(records, "csv", args.out)
     slope, intercept, r_squared = linear_fit(dims, copies)
     print(f"wrote {len(records)} rows to {args.out}")
     for d, n_min in zip(dims, copies):
         print(f"  d={d:>5}  min copies={n_min}")
     print(f"fit: N = {slope:.6f} * d + {intercept:.3f}   (R^2 = {r_squared:.6f})")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

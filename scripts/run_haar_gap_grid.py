@@ -3,16 +3,19 @@
 
 Writes a CSV (default results/haar_gap_grid.csv) with the gap, both bounds,
 and the minimum eigenvalue of the scalar-subtracted remainder per cell, plus
-a Monte Carlo deviation column when --mc-samples is given.
+a Monte Carlo deviation column when --mc-samples is given. Invalid options,
+or a grid none of whose cells is served, are refused with one `error:` line on
+stderr and exit code 1, before anything is written.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from sqlab.experiments import ExperimentConfig, run_sweep, write_records
+from sqlab.experiments import ConfigError, ExperimentConfig, run_sweep, write_records
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--d", type=int, nargs="+", default=[2, 4, 8, 16])
     parser.add_argument("--N", type=int, nargs="+", default=[1, 2, 3, 4])
@@ -22,27 +25,36 @@ def main() -> None:
     parser.add_argument("--out", default="results/haar_gap_grid.csv")
     args = parser.parse_args()
 
-    config = ExperimentConfig(
-        subcommand="haar-gap",
-        d_values=tuple(args.d),
-        copies_values=tuple(args.N),
-        mc_samples=args.mc_samples,
-        seed=args.seed,
-        threads=args.threads,
-    )
-    records = run_sweep(config)
+    try:
+        config = ExperimentConfig(
+            subcommand="haar-gap",
+            d_values=tuple(args.d),
+            copies_values=tuple(args.N),
+            mc_samples=args.mc_samples,
+            seed=args.seed,
+            threads=args.threads,
+        )
+        records = run_sweep(config)
+    except (ConfigError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    failures = [r for r in records if r.error]
+    if len(failures) == len(records):
+        print(f"error: no cell was served; d={records[0].params['d']} N={records[0].params['N']}: "
+              f"{records[0].error}", file=sys.stderr)
+        return 1
+
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_records(records, "csv", args.out)
-
     worst_slack = min(
         r.values["bound_two_term"] - r.values["gap"] for r in records if r.error is None
     )
-    failures = [r for r in records if r.error]
     print(f"wrote {len(records)} cells to {args.out}")
     print(f"tightest two-term slack: {worst_slack:.6f}")
     if failures:
         print(f"cells with errors: {[(r.params, r.error) for r in failures]}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

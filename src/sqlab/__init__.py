@@ -18,8 +18,6 @@ from .circuit_bridge import (
 )
 from .haar_moments import (
     GapReport,
-    complex_moment,
-    enumerate_pairings,
     mc_moment,
     real_moment,
     real_monomial_moment,
@@ -31,7 +29,6 @@ from .instances import (
     gen_real_vector_search,
     gen_unnormalized_minus,
     haar_unit_vector,
-    verify_answer,
 )
 from .learners import solve_minus_sign, solve_real_search, solve_sample_only
 from .quantum_sim import (

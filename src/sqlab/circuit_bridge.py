@@ -229,35 +229,27 @@ def random_circuit(n: int, depth: int, rng: np.random.Generator) -> Circuit:
 
 @dataclass(frozen=True)
 class EncodedVector:
-    """A sign vector stored either as amplitudes or as a product of |+>/|-> factors."""
+    """A sign vector stored as a product of |+>/|-> factors, first factor most significant."""
 
-    mode: str  # "amplitude" or "product"
-    statevector: Statevector | None = None
-    factors: tuple[str, ...] | None = None
+    factors: tuple[str, ...]
 
     def __post_init__(self):
-        if self.mode == "amplitude":
-            if self.statevector is None:
-                raise ValueError("amplitude mode needs a statevector")
-        elif self.mode == "product":
-            if not self.factors or any(f not in ("+", "-") for f in self.factors):
-                raise ValueError("product mode needs factors over {+, -}")
-        else:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if not self.factors or any(f not in ("+", "-") for f in self.factors):
+            raise ValueError("a product encoding needs factors over {+, -}")
 
 
 def product_encode_sign_vector(n: int) -> EncodedVector:
     """The distinguished object: |-> on the first qubit, |+> on the rest."""
     if n < 1:
         raise ValueError("need at least one qubit")
-    return EncodedVector(mode="product", factors=("-",) + ("+",) * (n - 1))
+    return EncodedVector(factors=("-",) + ("+",) * (n - 1))
 
 
 def product_encode_all_plus(n: int) -> EncodedVector:
     """The background object: |+> on every qubit."""
     if n < 1:
         raise ValueError("need at least one qubit")
-    return EncodedVector(mode="product", factors=("+",) * n)
+    return EncodedVector(factors=("+",) * n)
 
 
 def product_state_amplitudes(factors: tuple[str, ...]) -> np.ndarray:
@@ -279,8 +271,6 @@ def solve_product_encoding(encoded: list[EncodedVector]) -> int:
     """
     hits = []
     for k, enc in enumerate(encoded, start=1):
-        if enc.mode != "product":
-            raise ValueError("this solver reads product encodings only")
         if enc.factors[0] == "-":
             hits.append(k)
     if len(hits) != 1:

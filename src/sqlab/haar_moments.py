@@ -1,21 +1,25 @@
 """Moment operators of Haar-random unit vectors on the symmetric subspace.
 
 The N-th moment of a Haar-random complex unit vector is a scalar on the
-symmetric subspace: identity divided by binomial(d+N-1, N). The real-sphere
-moment is not scalar; its matrix elements in the symmetric basis follow from
-monomial sphere moments, which count perfect matchings with equal paired
-indices (Isserlis' theorem restricted to the sphere) divided by
-d(d+2)...(d+2N-2). Each basis element is stored as its nondecreasing index
-tuple, so the basis takes binomial(d+N-1, N) rows of N entries instead of
-d^N dimensions, and nothing in it grows with d beyond the row count.
+symmetric subspace: identity divided by binomial(d+N-1, N), the normalised
+projector onto Sym^N (Harrow, "The Church of the Symmetric Subspace"), so it
+is used as that constant and never built. The real-sphere moment is not
+scalar; its matrix elements in the symmetric basis follow from monomial
+sphere moments, products of double factorials over index multiplicities
+(Isserlis' theorem restricted to the sphere) divided by d(d+2)...(d+2N-2).
+Each basis element is stored as its nondecreasing index tuple, so the basis
+takes binomial(d+N-1, N) rows of N entries instead of d^N dimensions, and
+nothing in it grows with d beyond the row count.
 
-Both exact moments are block diagonal over the sets of indices that occur an
-odd number of times, and a `MomentOperator` holds only those blocks; the
-dense matrix is assembled on request, for tests and tiny-cell cross-checks.
+The real moment is block diagonal over the sets of indices that occur an odd
+number of times, and a `MomentOperator` holds only those blocks; the dense
+matrix is assembled on request, for tests and tiny-cell cross-checks.
 
 `trace_norm_gap` computes the Schatten-1 distance between the two moments
 and checks it against the two-term and 4N^2/d bounds, along with positivity
 of the remainder left after subtracting the scalar part from the real moment.
+Its optional Monte Carlo cross-check (`mc_moment`) works on one plain
+size x size estimate at a time, admitted only within `MC_ESTIMATE_BYTE_BUDGET`.
 """
 
 from __future__ import annotations
@@ -37,11 +41,9 @@ __all__ = [
     "DEFAULT_SYM_DIM_BUDGET",
     "GapReport",
     "MAX_MOMENT_COPIES",
+    "MC_ESTIMATE_BYTE_BUDGET",
     "MomentOperator",
-    "Pairing",
     "SymBasis",
-    "complex_moment",
-    "enumerate_pairings",
     "mc_moment",
     "real_moment",
     "real_monomial_moment",
@@ -52,15 +54,20 @@ __all__ = [
 
 DEFAULT_SYM_DIM_BUDGET = 20_000
 MAX_MOMENT_COPIES = 8
-MAX_PAIRING_POINTS = 2 * MAX_MOMENT_COPIES
+# Bytes of one size x size Monte Carlo estimate, counted as complex128 for either
+# field so that a cell is admitted for both fields or for neither.
+MC_ESTIMATE_BYTE_BUDGET = 1 << 30
 
 HERMITIAN_ATOL = 1e-10
 PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 BOUND_SLACK = 1e-9
 
-# Elements per temporary in the per-block gather of `real_moment` (it gathers one row at least).
+# Elements per temporary in the block gather of `real_moment` and in the
+# coefficient gather and accumulation of `mc_moment` (one row at least).
 _GATHER_CAP = 1 << 20
+# Unit vectors drawn per RNG call in `mc_moment` (real parts before imaginary parts).
+_MC_DRAW_CHUNK = 100_000
 
 
 class BudgetExceededError(Exception):
@@ -114,42 +121,6 @@ def sym_basis(d: int, copies: int, budget: int = DEFAULT_SYM_DIM_BUDGET) -> SymB
     return SymBasis(d=d, N=copies, indices=indices, norm_factors=norm)
 
 
-@dataclass(frozen=True)
-class Pairing:
-    """A perfect matching of {1, ..., 2N} as N disjoint unordered pairs."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for a, b in self.pairs:
-            if a == b or a in seen or b in seen:
-                raise ValueError("pairs must be disjoint")
-            seen.update((a, b))
-        if seen and seen != set(range(1, 2 * len(self.pairs) + 1)):
-            raise ValueError("pairs must cover {1, ..., 2N}")
-
-
-def enumerate_pairings(num_points: int) -> list[Pairing]:
-    """All perfect matchings of {1, ..., num_points}; there are (2N-1)!! of them."""
-    if num_points % 2:
-        raise ValueError("cannot pair an odd number of points")
-    if num_points > MAX_PAIRING_POINTS:
-        raise BudgetExceededError(f"{num_points} points exceed the cap {MAX_PAIRING_POINTS}")
-
-    def rec(points: list[int]) -> list[list[tuple[int, int]]]:
-        if not points:
-            return [[]]
-        first, rest = points[0], points[1:]
-        out = []
-        for i, partner in enumerate(rest):
-            for tail in rec(rest[:i] + rest[i + 1 :]):
-                out.append([(first, partner)] + tail)
-        return out
-
-    return [Pairing(tuple(p)) for p in rec(list(range(1, num_points + 1)))]
-
-
 def _double_factorial(k: int) -> int:
     out = 1
     while k > 1:
@@ -190,17 +161,16 @@ def real_monomial_moment(indices: Sequence[int], d: int) -> Fraction:
 
 @dataclass(frozen=True)
 class MomentOperator:
-    """Expected N-fold tensor power of a random rank-one projector, in SymBasis.
+    """Expected N-fold tensor power of a real random rank-one projector, in SymBasis.
 
-    Held as Hermitian diagonal blocks: each entry of `blocks` pairs the basis
+    Held as symmetric diagonal blocks: each entry of `blocks` pairs the basis
     rows of one block with the block itself, and the rows of all blocks
     partition the basis. `eigenvalues` (ascending) are computed from the
     blocks on construction. The dense `matrix` is built only when the
-    property is read, by tests and by the tiny-cell cross-checks of
+    property is read, by tests and by the tiny-cell cross-check of
     `trace_norm_gap`.
     """
 
-    field: str  # "real" or "complex"
     d: int
     N: int
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -211,10 +181,10 @@ class MomentOperator:
         if not np.array_equal(rows, np.arange(self.size)):
             raise ValueError(f"block rows do not partition the {self.size} basis rows")
         for _, block in self.blocks:
-            dev = float(np.max(np.abs(block - block.conj().T)))
+            dev = float(np.max(np.abs(block - block.T)))
             if dev > HERMITIAN_ATOL:
                 raise ValueError(f"moment operator not Hermitian (deviation {dev:.3e})")
-        tr = sum(float(np.trace(block).real) for _, block in self.blocks)
+        tr = sum(float(np.trace(block)) for _, block in self.blocks)
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"moment operator trace {tr} deviates from 1")
         eigenvalues = np.sort(np.concatenate([np.linalg.eigvalsh(b) for _, b in self.blocks]))
@@ -229,8 +199,7 @@ class MomentOperator:
     @property
     def matrix(self) -> np.ndarray:
         """Dense size x size assembly of the blocks (tests and tiny-cell cross-checks)."""
-        complex_blocks = any(np.iscomplexobj(b) for _, b in self.blocks)
-        m = np.zeros((self.size, self.size), dtype=np.complex128 if complex_blocks else np.float64)
+        m = np.zeros((self.size, self.size))
         for rows, block in self.blocks:
             m[np.ix_(rows, rows)] = block
         return m
@@ -275,14 +244,7 @@ def real_moment(d: int, copies: int, budget: int = DEFAULT_SYM_DIM_BUDGET) -> Mo
         # count and denom stay below 2^53 for every cell whose basis fits in
         # memory, so the quotient is the correctly rounded one, as float(Fraction).
         blocks.append((rows, np.multiply.outer(nf[rows], nf[rows]) * (count / denom)))
-    return MomentOperator(field="real", d=d, N=copies, blocks=tuple(blocks))
-
-
-def complex_moment(d: int, copies: int, budget: int = DEFAULT_SYM_DIM_BUDGET) -> MomentOperator:
-    """Complex-sphere moment operator: identity over the symmetric dimension."""
-    basis = sym_basis(d, copies, budget)
-    blocks = tuple((rows, np.eye(rows.size) / basis.size) for rows in _parity_classes(basis))
-    return MomentOperator(field="complex", d=d, N=copies, blocks=blocks)
+    return MomentOperator(d=d, N=copies, blocks=tuple(blocks))
 
 
 def symmetric_embedding(basis: SymBasis, max_full_dim: int = 1 << 16) -> np.ndarray:
@@ -312,14 +274,20 @@ def mc_moment(
     field: str,
     rng: np.random.Generator,
     budget: int = DEFAULT_SYM_DIM_BUDGET,
-    chunk: int = 100_000,
-) -> tuple[MomentOperator, np.ndarray]:
-    """Monte Carlo estimate of a moment operator with entrywise standard errors.
+) -> np.ndarray:
+    """Monte Carlo estimate of the real or complex moment operator, as a size x size array.
 
     Each sampled unit vector v contributes the rank-one projector onto its
-    symmetric coefficients w_m = norm_m * prod_j v_j^{m_j}; |w| is a unit
-    vector, so the estimate has exact trace one and is PSD by construction.
-    The estimate is returned as a single block.
+    symmetric coefficients w_b = norm_b * v_{i_1} ... v_{i_N}, where i_1..i_N
+    is row b of the basis; |w| is a unit vector, so the estimate has trace
+    one, which is checked. The mean is made exactly Hermitian as (E + E^H)/2.
+
+    Unit vectors are drawn `_MC_DRAW_CHUNK` at a time, real parts before
+    imaginary parts; each chunk is gathered into coefficients and accumulated
+    in sub-chunks of at most `_GATHER_CAP` entries. Memory is therefore one
+    estimate plus bounded temporaries, and a cell whose estimate would exceed
+    `MC_ESTIMATE_BYTE_BUDGET` raises BudgetExceededError before the estimate
+    is allocated or any vector drawn.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -327,36 +295,52 @@ def mc_moment(
         raise ValueError(f"unknown field {field!r}")
     basis = sym_basis(d, copies, budget)
     size = basis.size
-    dtype = np.float64 if field == "real" else np.complex128
-    accum = np.zeros((size, size), dtype=dtype)
-    sq_accum = np.zeros((size, size), dtype=np.float64)
+    nbytes = size * size * np.dtype(np.complex128).itemsize
+    if nbytes > MC_ESTIMATE_BYTE_BUDGET:
+        raise BudgetExceededError(
+            f"Monte Carlo estimate of {nbytes} bytes exceeds budget {MC_ESTIMATE_BYTE_BUDGET}"
+        )
+    estimate = np.zeros((size, size), dtype=np.float64 if field == "real" else np.complex128)
+    step = max(1, _GATHER_CAP // size)  # samples per sub-chunk, and estimate rows per product
 
-    remaining = samples
-    while remaining > 0:
-        m = min(chunk, remaining)
-        remaining -= m
-        if field == "real":
-            vecs = rng.standard_normal((m, d))
-        else:
-            vecs = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    for start in range(0, samples, _MC_DRAW_CHUNK):
+        m = min(_MC_DRAW_CHUNK, samples - start)
+        vecs = rng.standard_normal((m, d))
+        if field == "complex":
+            vecs = vecs + 1j * rng.standard_normal((m, d))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        w = np.empty((m, size), dtype=dtype)
-        for b in range(size):
-            col = np.full(m, basis.norm_factors[b], dtype=dtype)
-            for j, m_j in zip(*np.unique(basis.indices[b], return_counts=True)):
-                col = col * vecs[:, j] ** int(m_j)
-            w[:, b] = col
-        accum += w.T @ w.conj()
-        abs_sq = (w.real**2 + w.imag**2) if np.iscomplexobj(w) else w**2
-        sq_accum += abs_sq.T @ abs_sq
+        for a in range(0, m, step):
+            sub = vecs[a : a + step]
+            w = sub[:, basis.indices[:, 0]]
+            w *= basis.norm_factors
+            for k in range(1, copies):
+                w *= sub[:, basis.indices[:, k]]
+            w_conj = w.conj()
+            for r in range(0, size, step):
+                estimate[r : r + step] += w[:, r : r + step].T @ w_conj
 
-    estimate = accum / samples
-    estimate = (estimate + estimate.conj().T) / 2.0
-    second_moment = sq_accum / samples
-    variance = np.maximum(second_moment - np.abs(estimate) ** 2, 0.0)
-    stderr = np.sqrt(variance / samples)
-    op = MomentOperator(field=field, d=d, N=copies, blocks=((np.arange(size), estimate),))
-    return op, stderr
+    estimate /= samples
+    _hermitian_part_in_place(estimate)
+    tr = float(np.trace(estimate).real)
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise ValueError(f"Monte Carlo estimate trace {tr} deviates from 1")
+    return estimate
+
+
+def _hermitian_part_in_place(a: np.ndarray) -> None:
+    """a <- (a + a^H) / 2, one pair of mirrored tiles at a time."""
+    t = max(1, math.isqrt(_GATHER_CAP))
+    for i in range(0, a.shape[0], t):
+        for j in range(i, a.shape[0], t):
+            h = (a[i : i + t, j : j + t] + a[j : j + t, i : i + t].conj().T) / 2.0
+            a[i : i + t, j : j + t] = h
+            a[j : j + t, i : i + t] = h.conj().T
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """max |a_ij| in row chunks of at most `_GATHER_CAP` entries."""
+    step = max(1, _GATHER_CAP // a.shape[1])
+    return max(float(np.max(np.abs(a[r : r + step]))) for r in range(0, a.shape[0], step))
 
 
 @dataclass(frozen=True)
@@ -447,13 +431,16 @@ def trace_norm_gap(
     if mc_samples is not None:
         if rng is None:
             raise ValueError("mc_samples requires an rng")
-        mc_real, _ = mc_moment(d, copies, mc_samples, "real", rng, budget)
-        mc_complex, _ = mc_moment(d, copies, mc_samples, "complex", rng, budget)
-        e_complex = complex_moment(d, copies, budget)
-        mc_max_dev = max(
-            float(np.max(np.abs(mc_real.matrix - e_real.matrix))),
-            float(np.max(np.abs(mc_complex.matrix - e_complex.matrix))),
-        )
+        # Deviations are taken in place: the real estimate minus each exact
+        # block (it is 0 off the blocks), the complex one minus I/size.
+        estimate = mc_moment(d, copies, mc_samples, "real", rng, budget)
+        for rows, block in e_real.blocks:
+            estimate[np.ix_(rows, rows)] -= block
+        dev_real = _max_abs(estimate)
+        del estimate
+        estimate = mc_moment(d, copies, mc_samples, "complex", rng, budget)
+        estimate[np.diag_indices(size)] -= 1.0 / size
+        mc_max_dev = max(dev_real, _max_abs(estimate))
 
     return GapReport(
         d=d,

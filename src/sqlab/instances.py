@@ -44,7 +44,6 @@ __all__ = [
     "haar_unit_vector",
     "load_instance",
     "pairwise_distance_report",
-    "verify_answer",
 ]
 
 logger = logging.getLogger(__name__)
@@ -110,10 +109,6 @@ class ProblemInstance:
             f"ProblemInstance(kind={self.kind!r}, n={self.n}, "
             f"C={self.num_vectors}, seed={self.seed})"
         )
-
-
-def verify_answer(instance: ProblemInstance, k: int) -> bool:
-    return instance.verify_answer(k)
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:

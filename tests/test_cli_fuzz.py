@@ -4,9 +4,10 @@ Each example runs `sqlab.cli.main` in-process on an argv with arbitrary
 numbers, including negatives, zeros, NaN and infinities, and checks that the
 exit code is 0, 1 or 2, that nothing escapes as a traceback, and that stdout
 is strict JSON or CSV with no NaN or Infinity token. Sizes stay small (dense
-dimensions up to 2^10, at most 8 vectors or copies, at most 1000 trials), so
-the whole module runs in a few seconds; implicit vectors and the closed-form
-sweep cost the same at any size, so n and d range past the sizes they accept.
+dimensions up to 2^10, at most 8 vectors or copies, at most 1000 trials, Haar
+moments up to d=8, N=4 with at most 2000 Monte Carlo samples), so the whole
+module runs in a few seconds; implicit vectors and the closed-form sweep cost
+the same at any size, so n and d range past the sizes they accept.
 """
 
 import contextlib
@@ -47,7 +48,7 @@ def _check(argv):
     assert "Traceback" not in err, (argv, err)
     if not out:
         return
-    if argv[argv.index("--seed") + 2] == "copies-sweep":
+    if argv[argv.index("--seed") + 2] in ("copies-sweep", "haar-gap"):
         rows = list(csv.reader(io.StringIO(out)))
         assert rows and all(len(row) == len(rows[0]) for row in rows), (argv, out)
         bad = {cell for row in rows for cell in row if cell.lower() in _NON_FINITE_TOKENS}
@@ -131,3 +132,15 @@ def test_fuzz_encoding_demo(seed, n, trials, vectors):
         ["--seed", str(seed), "encoding-demo"]
         + ["--n", str(n), "--trials", str(trials), "--C", str(vectors)]
     )
+
+
+@fuzz_settings
+@given(
+    seed=seeds,
+    d=st.integers(-2, 8),
+    copies=st.integers(-2, 4),
+    mc_samples=st.one_of(st.none(), st.integers(-2, 2000)),
+)
+def test_fuzz_haar_gap(seed, d, copies, mc_samples):
+    mc = [] if mc_samples is None else ["--mc-samples", str(mc_samples)]
+    _check(["--seed", str(seed), "haar-gap", "--d", str(d), "--N", str(copies), *mc])

@@ -1,5 +1,7 @@
 """Sweep and CLI tests: determinism, error records, exit codes, file formats."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -171,6 +173,15 @@ def test_cli_haar_gap_writes_deterministic_csv(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
     header = out_a.read_text().splitlines()[0]
     assert header == "d,N,sym_dim,gap,bound_two_term,bound_final,o_rest_min_eig,mc_max_dev,seed,error"
+
+
+def test_cli_haar_gap_refuses_a_monte_carlo_estimate_over_budget(capsys):
+    # (24, 4) passes the size budget, but its estimate would take 4.9 GB
+    assert main(["haar-gap", "--d", "24", "--N", "4", "--mc-samples", "200"]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    (row,) = csv.DictReader(io.StringIO(captured.out))
+    assert row["error"].startswith("budget-exceeded: Monte Carlo estimate")
 
 
 def test_cli_solve_pipeline(tmp_path, capsys):

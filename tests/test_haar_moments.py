@@ -1,7 +1,9 @@
 """Moment-operator tests: counting, monomials vs matching enumeration, the gap chain."""
 
+import itertools
 import math
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +13,10 @@ from hypothesis import strategies as st
 
 from sqlab import haar_moments
 from sqlab.haar_moments import (
+    MAX_MOMENT_COPIES,
+    MC_ESTIMATE_BYTE_BUDGET,
     BudgetExceededError,
     MomentOperator,
-    Pairing,
-    complex_moment,
-    enumerate_pairings,
     mc_moment,
     real_moment,
     real_monomial_moment,
@@ -40,6 +41,49 @@ def test_sym_basis_counts_and_budget():
         sym_basis(32, 4)  # C(35,4) = 52360 > default budget
     with pytest.raises(ValueError):
         sym_basis(0, 1)
+
+
+MAX_PAIRING_POINTS = 2 * MAX_MOMENT_COPIES
+
+
+@dataclass(frozen=True)
+class Pairing:
+    """A perfect matching of {1, ..., 2N} as N disjoint unordered pairs."""
+
+    pairs: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        seen: set[int] = set()
+        for a, b in self.pairs:
+            if a == b or a in seen or b in seen:
+                raise ValueError("pairs must be disjoint")
+            seen.update((a, b))
+        if seen and seen != set(range(1, 2 * len(self.pairs) + 1)):
+            raise ValueError("pairs must cover {1, ..., 2N}")
+
+
+def enumerate_pairings(num_points: int) -> list[Pairing]:
+    """All perfect matchings of {1, ..., num_points}; there are (2N-1)!! of them.
+
+    The independent reference against which `real_monomial_moment`'s
+    double-factorial count is checked.
+    """
+    if num_points % 2:
+        raise ValueError("cannot pair an odd number of points")
+    if num_points > MAX_PAIRING_POINTS:
+        raise BudgetExceededError(f"{num_points} points exceed the cap {MAX_PAIRING_POINTS}")
+
+    def rec(points: list[int]) -> list[list[tuple[int, int]]]:
+        if not points:
+            return [[]]
+        first, rest = points[0], points[1:]
+        out = []
+        for i, partner in enumerate(rest):
+            for tail in rec(rest[:i] + rest[i + 1 :]):
+                out.append([(first, partner)] + tail)
+        return out
+
+    return [Pairing(tuple(p)) for p in rec(list(range(1, num_points + 1)))]
 
 
 def test_enumerate_pairings_counts():
@@ -127,17 +171,28 @@ def test_real_moment_d2_n2_matrix_and_eigenvalues():
 
 @pytest.mark.parametrize("d,copies", [(2, 2), (3, 2), (4, 3), (6, 2), (5, 4)])
 def test_moment_operators_are_states(d, copies):
-    for op in (real_moment(d, copies), complex_moment(d, copies)):
-        assert float(np.trace(op.matrix).real) == pytest.approx(1.0, abs=1e-10)
-        assert float(np.min(op.eigenvalues)) >= -1e-10
-        np.testing.assert_allclose(op.matrix, op.matrix.conj().T, atol=1e-10)
+    op = real_moment(d, copies)
+    assert float(np.trace(op.matrix)) == pytest.approx(1.0, abs=1e-10)
+    assert float(np.min(op.eigenvalues)) >= -1e-10
+    np.testing.assert_allclose(op.matrix, op.matrix.T, atol=1e-10)
 
 
 def test_complex_moment_is_scalar():
-    op = complex_moment(2, 2)
-    np.testing.assert_allclose(op.matrix, np.eye(3) / 3, atol=1e-15)
-    assert np.unique(op.eigenvalues).size == 1
-    np.testing.assert_allclose(complex_moment(4, 1).matrix, np.eye(4) / 4, atol=1e-15)
+    # The complex moment is P_sym / dim Sym^N (Schur), and P_sym is the average of
+    # the N! permutations of the tensor factors. In the symmetric basis that is
+    # identity/size, the constant `trace_norm_gap` compares against.
+    for d, copies in ((2, 2), (4, 1), (3, 3), (2, 4)):
+        basis = sym_basis(d, copies)
+        full = d**copies
+        identity = np.eye(full).reshape((d,) * copies + (full,))
+        p_sym = sum(
+            identity.transpose(perm + (copies,)).reshape(full, full)
+            for perm in itertools.permutations(range(copies))
+        ) / math.factorial(copies)
+        v = symmetric_embedding(basis)
+        np.testing.assert_allclose(v @ v.T, p_sym, atol=1e-12)
+        assert float(np.trace(p_sym)) == pytest.approx(basis.size, abs=1e-12)
+        np.testing.assert_allclose(v.T @ (p_sym / basis.size) @ v, np.eye(basis.size) / basis.size, atol=1e-15)
 
 
 def test_real_moment_budget_checks():
@@ -184,13 +239,13 @@ def test_moment_operator_checks_every_block_and_the_row_partition():
     last = np.eye(2) / 3
     last[1, 0] = 1e-6  # only the last block is asymmetric
     with pytest.raises(ValueError, match="not Hermitian"):
-        MomentOperator(field="real", d=3, N=1, blocks=(first, (np.array([2, 1]), last)))
+        MomentOperator(d=3, N=1, blocks=(first, (np.array([2, 1]), last)))
     last[0, 1] = 1e-6
-    op = MomentOperator(field="real", d=3, N=1, blocks=(first, (np.array([2, 1]), last)))
+    op = MomentOperator(d=3, N=1, blocks=(first, (np.array([2, 1]), last)))
     assert op.matrix[1, 2] == op.matrix[2, 1] == 1e-6
     for rows in (np.array([0, 1]), np.array([1, 3]), np.array([1])):  # overlap, outside, missing
         with pytest.raises(ValueError, match="partition"):
-            MomentOperator(field="real", d=3, N=1, blocks=(first, (rows, np.eye(rows.size) / 3)))
+            MomentOperator(d=3, N=1, blocks=(first, (rows, np.eye(rows.size) / 3)))
 
 
 def test_real_moment_memory_stays_far_below_the_dense_matrix():
@@ -251,21 +306,22 @@ def test_symmetric_embedding_is_isometry():
 def test_mc_moment_converges_to_real_moment():
     rng = np.random.default_rng(100)
     exact = real_moment(2, 2).matrix
-    estimate, stderr = mc_moment(2, 2, 100_000, "real", rng)
-    assert float(np.max(np.abs(estimate.matrix - exact))) < 0.01
-    assert stderr.shape == exact.shape and np.all(stderr >= 0)
+    estimate = mc_moment(2, 2, 100_000, "real", rng)
+    assert isinstance(estimate, np.ndarray) and estimate.dtype == np.float64
+    assert float(np.max(np.abs(estimate - exact))) < 0.01
 
 
 def test_mc_moment_converges_to_complex_moment():
     rng = np.random.default_rng(101)
-    estimate, _ = mc_moment(2, 2, 100_000, "complex", rng)
-    np.testing.assert_allclose(estimate.matrix, np.eye(3) / 3, atol=0.01)
+    estimate = mc_moment(2, 2, 100_000, "complex", rng)
+    np.testing.assert_allclose(estimate, np.eye(3) / 3, atol=0.01)
+    assert np.array_equal(estimate, estimate.conj().T)  # exactly Hermitian
 
 
 def test_mc_moment_single_sample_is_rank_one_state():
     rng = np.random.default_rng(102)
-    estimate, _ = mc_moment(3, 2, 1, "real", rng)
-    eigs = np.sort(estimate.eigenvalues)
+    estimate = mc_moment(3, 2, 1, "real", rng)
+    eigs = np.linalg.eigvalsh(estimate)
     assert eigs[-1] == pytest.approx(1.0, abs=1e-10)
     assert np.all(np.abs(eigs[:-1]) < 1e-10)
 
@@ -275,8 +331,8 @@ def test_mc_moment_error_scales_like_inverse_sqrt_samples():
     exact = real_moment(2, 2).matrix
     devs = {}
     for samples in (10_000, 100_000, 1_000_000):
-        estimate, _ = mc_moment(2, 2, samples, "real", rng)
-        devs[samples] = float(np.max(np.abs(estimate.matrix - exact)))
+        estimate = mc_moment(2, 2, samples, "real", rng)
+        devs[samples] = float(np.max(np.abs(estimate - exact)))
     scaled = [devs[s] * math.sqrt(s) for s in devs]
     assert max(scaled) < 3 * min(scaled)
 
@@ -287,6 +343,94 @@ def test_mc_moment_validation():
         mc_moment(2, 2, 0, "real", rng)
     with pytest.raises(ValueError):
         mc_moment(2, 2, 10, "rational", rng)
+
+
+def _mc_moment_by_per_row_loop(d, copies, samples, field, rng):
+    """Reference: vectors drawn 100 000 at a time, real parts before imaginary
+    parts, and one column of coefficients per basis row, as prod_j v_j ** m_j."""
+    basis = sym_basis(d, copies)
+    accum = 0.0
+    for start in range(0, samples, 100_000):
+        m = min(100_000, samples - start)
+        vecs = rng.standard_normal((m, d))
+        if field == "complex":
+            vecs = vecs + 1j * rng.standard_normal((m, d))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        w = np.empty((m, basis.size), dtype=vecs.dtype)
+        for b in range(basis.size):
+            col = np.full(m, basis.norm_factors[b], dtype=vecs.dtype)
+            for j, m_j in zip(*np.unique(basis.indices[b], return_counts=True)):
+                col = col * vecs[:, j] ** int(m_j)
+            w[:, b] = col
+        accum = accum + w.T @ w.conj()
+    estimate = accum / samples
+    return (estimate + estimate.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("cap", [7, 1 << 20])
+def test_mc_moment_gather_matches_per_row_loop(monkeypatch, field, cap):
+    # the gather multiplies N factors where the loop takes powers, and sums in
+    # sub-chunks: equal up to rounding of a few float64 operations per entry
+    monkeypatch.setattr(haar_moments, "_GATHER_CAP", cap)
+    estimate = mc_moment(4, 3, 3000, field, np.random.default_rng(110))
+    reference = _mc_moment_by_per_row_loop(4, 3, 3000, field, np.random.default_rng(110))
+    np.testing.assert_allclose(estimate, reference, rtol=1e-13, atol=1e-16)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_mc_moment_sub_chunks_keep_the_rng_stream(monkeypatch, field):
+    # 150 000 samples span two draw chunks, and a small gather cap splits each
+    # into sub-chunks of 682 samples; the vectors and the stream stay the same
+    monkeypatch.setattr(haar_moments, "_GATHER_CAP", 1 << 12)
+    rng, reference_rng = np.random.default_rng(106), np.random.default_rng(106)
+    estimate = mc_moment(3, 2, 150_000, field, rng)
+    reference = _mc_moment_by_per_row_loop(3, 2, 150_000, field, reference_rng)
+    np.testing.assert_allclose(estimate, reference, rtol=1e-12, atol=1e-16)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_mc_moment_refuses_an_estimate_over_the_byte_budget():
+    size = math.comb(24 + 3, 4)
+    assert size * size * 16 > MC_ESTIMATE_BYTE_BUDGET
+    rng = np.random.default_rng(107)
+    state = rng.bit_generator.state
+    for field in ("real", "complex"):
+        with pytest.raises(BudgetExceededError, match="Monte Carlo estimate"):
+            mc_moment(24, 4, 200, field, rng)
+    assert rng.bit_generator.state == state  # refused before any draw
+
+
+def test_mc_cross_check_memory_is_one_estimate_plus_bounded_temporaries():
+    trace_norm_gap(4, 2, mc_samples=10, rng=np.random.default_rng(0))  # first-call caches
+    size = math.comb(12 + 3, 4)
+    tracemalloc.start()
+    try:
+        trace_norm_gap(12, 4, mc_samples=2000, rng=np.random.default_rng(108))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one complex estimate (29.8 MB) plus a few temporaries of _GATHER_CAP complex
+    # entries; two live estimates, or the 2000 x size coefficient table, would exceed it
+    assert peak < size * size * 16 + 4 * haar_moments._GATHER_CAP * 16
+
+
+def test_no_eigensolve_runs_on_a_monte_carlo_estimate(monkeypatch):
+    shapes = []
+
+    def counting(fn):
+        def wrapped(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+
+        return wrapped
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    trace_norm_gap(8, 3, mc_samples=500, rng=np.random.default_rng(109))
+    monkeypatch.undo()
+    block_shapes = [block.shape for _, block in real_moment(8, 3).blocks]
+    assert sorted(shapes) == sorted(block_shapes)
 
 
 def test_gap_vanishes_at_single_copy():
@@ -308,9 +452,8 @@ def test_gap_report_d2_n2_exact_values():
 def test_gap_matches_direct_eigendecomposition():
     for d, copies in ((2, 2), (3, 2), (4, 3), (6, 2)):
         report = trace_norm_gap(d, copies)
-        direct = float(
-            np.sum(np.abs(np.linalg.eigvalsh(complex_moment(d, copies).matrix - real_moment(d, copies).matrix)))
-        )
+        e_real = real_moment(d, copies)
+        direct = float(np.sum(np.abs(np.linalg.eigvalsh(np.eye(e_real.size) / e_real.size - e_real.matrix))))
         assert report.gap == pytest.approx(direct, abs=1e-10)
 
 

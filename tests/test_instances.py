@@ -17,7 +17,6 @@ from sqlab.instances import (
     haar_unit_vector,
     load_instance,
     pairwise_distance_report,
-    verify_answer,
 )
 from sqlab.sq_oracle import ImplicitVector, build_dense, materialize
 
@@ -164,14 +163,14 @@ def test_pairwise_distance_rejects_implicit():
 
 def test_verify_answer_bounds_and_purity():
     instance = gen_minus_sign(4, 3, seed=14)
-    star = [k for k in (1, 2, 3) if verify_answer(instance, k)]
+    star = [k for k in (1, 2, 3) if instance.verify_answer(k)]
     assert len(star) == 1
-    assert verify_answer(instance, star[0])  # repeated call, same result
-    assert not verify_answer(instance, star[0] % 3 + 1)
+    assert instance.verify_answer(star[0])  # repeated call, same result
+    assert not instance.verify_answer(star[0] % 3 + 1)
     with pytest.raises(ValueError):
-        verify_answer(instance, 0)
+        instance.verify_answer(0)
     with pytest.raises(ValueError):
-        verify_answer(instance, 4)
+        instance.verify_answer(4)
 
 
 def test_repr_does_not_leak_answer():

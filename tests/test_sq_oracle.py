@@ -241,7 +241,7 @@ def test_prefix_tree_leaves_match_squared_magnitudes():
     rng = np.random.default_rng(23)
     values = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     handle = build_dense(values)
-    leaves = handle._tree.leaf_weights
+    leaves = handle.backing.prefix_tree.leaf_weights
     np.testing.assert_allclose(leaves, np.abs(values) ** 2, rtol=1e-12)
 
 
