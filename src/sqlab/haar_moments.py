@@ -54,8 +54,9 @@ __all__ = [
 
 DEFAULT_SYM_DIM_BUDGET = 20_000
 MAX_MOMENT_COPIES = 8
-# Bytes of one size x size Monte Carlo estimate, counted as complex128 for either
-# field so that a cell is admitted for both fields or for neither.
+# Bytes of one size x size Monte Carlo estimate plus one draw chunk and its
+# temporary, counted as complex128 for either field so that a cell is admitted
+# for both fields or for neither.
 MC_ESTIMATE_BYTE_BUDGET = 1 << 30
 
 HERMITIAN_ATOL = 1e-10
@@ -285,9 +286,10 @@ def mc_moment(
     Unit vectors are drawn `_MC_DRAW_CHUNK` at a time, real parts before
     imaginary parts; each chunk is gathered into coefficients and accumulated
     in sub-chunks of at most `_GATHER_CAP` entries. Memory is therefore one
-    estimate plus bounded temporaries, and a cell whose estimate would exceed
-    `MC_ESTIMATE_BYTE_BUDGET` raises BudgetExceededError before the estimate
-    is allocated or any vector drawn.
+    estimate, one draw chunk and bounded temporaries. A cell whose estimate
+    plus draw chunk (min(samples, `_MC_DRAW_CHUNK`) x d complex entries and
+    their temporary) would exceed `MC_ESTIMATE_BYTE_BUDGET` raises
+    BudgetExceededError before the estimate is allocated or any vector drawn.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -295,10 +297,13 @@ def mc_moment(
         raise ValueError(f"unknown field {field!r}")
     basis = sym_basis(d, copies, budget)
     size = basis.size
-    nbytes = size * size * np.dtype(np.complex128).itemsize
-    if nbytes > MC_ESTIMATE_BYTE_BUDGET:
+    itemsize = np.dtype(np.complex128).itemsize
+    nbytes = size * size * itemsize
+    chunk_bytes = 2 * min(samples, _MC_DRAW_CHUNK) * d * itemsize
+    if nbytes + chunk_bytes > MC_ESTIMATE_BYTE_BUDGET:
         raise BudgetExceededError(
-            f"Monte Carlo estimate of {nbytes} bytes exceeds budget {MC_ESTIMATE_BYTE_BUDGET}"
+            f"Monte Carlo estimate of {nbytes} bytes and draw chunk of {chunk_bytes} bytes"
+            f" exceed budget {MC_ESTIMATE_BYTE_BUDGET}"
         )
     estimate = np.zeros((size, size), dtype=np.float64 if field == "real" else np.complex128)
     step = max(1, _GATHER_CAP // size)  # samples per sub-chunk, and estimate rows per product

@@ -41,7 +41,6 @@ __all__ = [
     "build_implicit",
     "load_dense_vector",
     "materialize",
-    "save_dense_vector",
 ]
 
 
@@ -62,9 +61,6 @@ _IMPLICIT_KINDS = (KIND_ALL_PLUS, KIND_MINUS_AT_INDEX, KIND_SIGN_PRODUCT)
 
 # Implicit index arithmetic must stay within exact int64 range.
 MAX_IMPLICIT_N = 62
-
-# Components formatted per write call by `save_dense_vector`.
-_SAVE_CHUNK = 1 << 14
 
 
 class CapabilityError(Exception):
@@ -378,17 +374,6 @@ def materialize(backing: DenseVector | ImplicitVector | SqHandle, max_n: int = 2
         parity = np.bitwise_count(masked) & 1
         out[parity == 1] *= -1
     return out
-
-
-def save_dense_vector(path: str | Path, values: Sequence[complex] | np.ndarray) -> None:
-    """Write one `<re> <im>` line per component; round-trips exactly."""
-    arr = np.asarray(values, dtype=np.complex128)
-    with open(path, "w") as fh:
-        fh.write("# dense vector: one component per line as `<re> <im>`\n")
-        # formatted in chunks, so memory stays bounded at the 2^24-entry budget
-        for start in range(0, arr.size, _SAVE_CHUNK):
-            chunk = arr[start : start + _SAVE_CHUNK]
-            fh.writelines(map("{:.17g} {:.17g}\n".format, chunk.real.tolist(), chunk.imag.tolist()))
 
 
 def load_dense_vector(path: str | Path) -> np.ndarray:

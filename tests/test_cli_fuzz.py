@@ -4,16 +4,18 @@ Each example runs `sqlab.cli.main` in-process on an argv with arbitrary
 numbers, including negatives, zeros, NaN and infinities, and checks that the
 exit code is 0, 1 or 2, that nothing escapes as a traceback, and that stdout
 is strict JSON or CSV with no NaN or Infinity token. Sizes stay small (dense
-dimensions up to 2^10, at most 8 vectors or copies, at most 1000 trials, Haar
-moments up to d=8, N=4 with at most 2000 Monte Carlo samples), so the whole
-module runs in a few seconds; implicit vectors and the closed-form sweep cost
-the same at any size, so n and d range past the sizes they accept.
+dimensions up to 2^10, or 2^12 for instances, at most 8 vectors or copies, at
+most 1000 trials, Haar moments up to d=8, N=4 with at most 2000 Monte Carlo
+samples), so the whole module runs in a few seconds; implicit vectors and the
+closed-form sweep cost the same at any size, so n and d range past the sizes
+they accept.
 """
 
 import contextlib
 import csv
 import io
 import json
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -144,3 +146,24 @@ def test_fuzz_encoding_demo(seed, n, trials, vectors):
 def test_fuzz_haar_gap(seed, d, copies, mc_samples):
     mc = [] if mc_samples is None else ["--mc-samples", str(mc_samples)]
     _check(["--seed", str(seed), "haar-gap", "--d", str(d), "--N", str(copies), *mc])
+
+
+@fuzz_settings
+@given(
+    seed=seeds,
+    kind=st.sampled_from(["minus-sign", "real-search", "unnormalized-minus"]),
+    n=st.integers(-1, 12),
+    vectors=st.integers(-1, 8),
+    reveal=st.booleans(),
+)
+def test_fuzz_gen_instance_then_solve(seed, kind, n, vectors, reveal):
+    # every solver runs on whatever the generator wrote, or on the missing directory
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = f"{tmp}/inst"
+        _check(
+            ["--seed", str(seed), "gen-instance", "--kind", kind]
+            + ["--n", str(n), "--C", str(vectors), "--dir", directory]
+            + (["--reveal"] if reveal else [])
+        )
+        for solver in ("minus-sign", "real-search", "sample-only"):
+            _check(["--seed", str(seed), "solve", solver, "--instance", directory])

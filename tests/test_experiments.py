@@ -3,12 +3,13 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 
 from sqlab import circuit_bridge
-from sqlab.cli import main
+from sqlab.cli import _SOLVER_NAMES, main
 from sqlab.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -18,6 +19,7 @@ from sqlab.experiments import (
     render_records,
     run_sweep,
 )
+from test_instances import copy_as_legacy_directory
 
 
 def _gap_config(**overrides):
@@ -193,6 +195,76 @@ def test_cli_solve_pipeline(tmp_path, capsys):
     assert payload["correct"] is True
     assert [c["query"] for c in payload["calls"]] == [1, 1, 1]
     assert [c["sample"] for c in payload["calls"]] == [0, 0, 0]
+
+
+def test_cli_haar_gap_refuses_a_monte_carlo_draw_chunk_over_budget(capsys):
+    # (2000, 1) has a 64 MB estimate, but a 100 000-vector draw chunk would take 6.4 GB
+    assert main(["haar-gap", "--d", "2000", "--N", "1", "--mc-samples", "100000"]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    (row,) = csv.DictReader(io.StringIO(captured.out))
+    assert row["error"].startswith("budget-exceeded: Monte Carlo estimate")
+    assert "draw chunk" in row["error"]
+
+
+def _solve_line(capsys, solver, directory):
+    assert main(["solve", solver, "--instance", str(directory)]) == 0
+    return re.sub(r'"elapsed_ns":\d+,', "", capsys.readouterr().out)
+
+
+def test_cli_solve_report_is_the_same_for_npy_and_legacy_text(tmp_path, capsys):
+    inst_dir = tmp_path / "inst"
+    assert main(["--seed", "26", "gen-instance", "--kind", "real-search", "--n", "10", "--C", "4", "--dir", str(inst_dir)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in inst_dir.iterdir()) == ["manifest.txt"] + [f"vector_{j}.npy" for j in range(1, 5)]
+    copy_as_legacy_directory(inst_dir, tmp_path / "legacy")
+    npy_line = _solve_line(capsys, "real-search", inst_dir)
+    assert '"correct":true' in npy_line and "elapsed_ns" not in npy_line
+    assert _solve_line(capsys, "real-search", tmp_path / "legacy") == npy_line
+
+
+def _pickled_object_array(path):
+    np.save(path, np.array([1.0, None], dtype=object), allow_pickle=True)
+
+
+def _npz_archive(path):
+    with open(path, "wb") as fh:
+        np.savez(fh, a=np.full(4, 0.5 + 0j))
+
+
+def _npy_bytes(values):
+    buffer = io.BytesIO()
+    np.save(buffer, values)
+    return buffer.getvalue()
+
+
+_VALID = _npy_bytes(np.full(4, 0.5 + 0j))
+_MALFORMED_NPY = {
+    "empty": lambda p: p.write_bytes(b""),
+    "truncated header": lambda p: p.write_bytes(_VALID[:20]),
+    "truncated data": lambda p: p.write_bytes(_VALID[:-5]),
+    "header claims 2^50 entries": lambda p: p.write_bytes(_VALID.replace(b"(4,)", b"(1125899906842624,)")),
+    "pickled object array": _pickled_object_array,
+    "text renamed": lambda p: p.write_text("0.5 0\n0.5 0\n0.5 0\n0.5 0\n"),
+    "2-d array": lambda p: np.save(p, np.full((2, 2), 0.5 + 0j)),
+    "string dtype": lambda p: np.save(p, np.array(["0.5", "0.5", "0.5", "0.5"])),
+    "npz archive": _npz_archive,
+    "wrong length": lambda p: np.save(p, np.array([0.6, 0.8j])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_NPY))
+def test_cli_solve_rejects_a_malformed_npy_vector(tmp_path, capsys, case):
+    inst_dir = tmp_path / "inst"
+    assert main(["--seed", "27", "gen-instance", "--kind", "real-search", "--n", "2", "--C", "2", "--dir", str(inst_dir), "--reveal"]) == 0
+    capsys.readouterr()
+    _MALFORMED_NPY[case](inst_dir / "vector_2.npy")
+    for solver in _SOLVER_NAMES:
+        assert main(["solve", solver, "--instance", str(inst_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.strip().count("\n") == 0
+        assert "vector_2.npy" in captured.err
 
 
 def test_cli_solve_sample_only(tmp_path, capsys):

@@ -401,6 +401,24 @@ def test_mc_moment_refuses_an_estimate_over_the_byte_budget():
     assert rng.bit_generator.state == state  # refused before any draw
 
 
+def test_mc_moment_refuses_a_draw_chunk_over_the_byte_budget():
+    # at (2000, 1) the estimate is 64 MB, but one 100 000-vector draw chunk is 6.4 GB
+    assert 2 * 100_000 * 2000 * 16 > MC_ESTIMATE_BYTE_BUDGET > 2000 * 2000 * 16
+    mc_moment(2, 1, 10, "real", np.random.default_rng(0))  # first-call caches
+    rng = np.random.default_rng(111)
+    state = rng.bit_generator.state
+    tracemalloc.start()
+    try:
+        for field in ("real", "complex"):
+            with pytest.raises(BudgetExceededError, match="draw chunk of 6400000000 bytes"):
+                mc_moment(2000, 1, 100_000, field, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # refused before the estimate or any chunk is allocated
+    assert rng.bit_generator.state == state  # and before any draw
+
+
 def test_mc_cross_check_memory_is_one_estimate_plus_bounded_temporaries():
     trace_norm_gap(4, 2, mc_samples=10, rng=np.random.default_rng(0))  # first-call caches
     size = math.comb(12 + 3, 4)

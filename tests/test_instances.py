@@ -18,7 +18,9 @@ from sqlab.instances import (
     load_instance,
     pairwise_distance_report,
 )
+from sqlab.learners import solve_real_search
 from sqlab.sq_oracle import ImplicitVector, build_dense, materialize
+from test_sq_oracle import write_legacy_dense_vector
 
 
 def test_haar_real_d1_is_sign():
@@ -207,14 +209,79 @@ def test_dump_reveal_writes_answer(tmp_path):
     assert load_instance(tmp_path / "inst")._k_star == instance._k_star
 
 
+def test_dump_writes_new_files_instead_of_rewriting_in_place(tmp_path):
+    first, second = gen_real_vector_search(4, 2, seed=28), gen_real_vector_search(4, 2, seed=29)
+    dump_instance(first, tmp_path / "inst")
+    for name in ("vector_1.npy", "manifest.txt"):  # hard links keep whatever file is there now
+        (tmp_path / name).hardlink_to(tmp_path / "inst" / name)
+    before = (tmp_path / "manifest.txt").read_text()
+    dump_instance(second, tmp_path / "inst")
+    assert np.load(tmp_path / "vector_1.npy").tobytes() == first.handles[0].backing.entries.tobytes()
+    assert (tmp_path / "manifest.txt").read_text() == before
+    assert load_instance(tmp_path / "inst").seed == 29
+
+
 def test_load_detects_tampering(tmp_path):
     instance = gen_real_vector_search(4, 2, seed=19)
     dump_instance(instance, tmp_path / "inst")
-    victim = tmp_path / "inst" / "vector_1.txt"
-    lines = victim.read_text().splitlines()
-    lines[1] = "0.5 0.5"
-    victim.write_text("\n".join(lines) + "\n")
+    victim = tmp_path / "inst" / "vector_1.npy"
+    values = np.load(victim)
+    values[0] = 0.5 + 0.5j
+    np.save(victim, values)
     with pytest.raises(ValueError, match="does not match"):
+        load_instance(tmp_path / "inst")
+
+
+def copy_as_legacy_directory(src, dst):
+    """Copy an instance directory, rewriting each `npy` vector as a legacy `dense` text file."""
+    dst.mkdir()
+    lines = []
+    for line in (src / "manifest.txt").read_text().splitlines():
+        tokens = line.split()
+        if tokens[0] == "vector" and tokens[2] == "npy":
+            name = tokens[3].replace(".npy", ".txt")
+            write_legacy_dense_vector(dst / name, np.load(src / tokens[3]))
+            line = f"vector {tokens[1]} dense {name}"
+        lines.append(line)
+    (dst / "manifest.txt").write_text("\n".join(lines) + "\n")
+
+
+def test_legacy_dense_manifest_loads_and_solves_the_same(tmp_path):
+    instance = gen_real_vector_search(6, 3, seed=23)
+    dump_instance(instance, tmp_path / "npy")
+    copy_as_legacy_directory(tmp_path / "npy", tmp_path / "legacy")
+    assert "vector 1 dense vector_1.txt" in (tmp_path / "legacy" / "manifest.txt").read_text()
+    reports = []
+    for name in ("npy", "legacy"):
+        loaded = load_instance(tmp_path / name)  # regenerates from the seed, so also checks the data
+        assert loaded._k_star == instance._k_star
+        for a, b in zip(loaded.handles, instance.handles):
+            assert a.backing.entries.tobytes() == b.backing.entries.tobytes()
+        reports.append(solve_real_search(loaded.handles))
+    assert reports[0].answer == reports[1].answer == instance._k_star
+    assert reports[0].per_handle_stats == reports[1].per_handle_stats
+
+
+@pytest.mark.parametrize("legacy", [False, True])
+def test_load_checks_vector_length_against_manifest(tmp_path, legacy):
+    # revealed, so no regeneration would catch the short vectors
+    dump_instance(gen_real_vector_search(4, 2, seed=24), tmp_path / "inst", reveal=True)
+    short = np.array([0.6, 0.8j])
+    for j in (1, 2):
+        np.save(tmp_path / "inst" / f"vector_{j}.npy", short)
+    directory = tmp_path / "inst"
+    if legacy:
+        copy_as_legacy_directory(tmp_path / "inst", tmp_path / "legacy")
+        directory = tmp_path / "legacy"
+    with pytest.raises(ValueError, match=r"vector_1\.(npy|txt): 2 entries, the manifest's n=4 needs 16"):
+        load_instance(directory)
+
+
+def test_load_checks_implicit_n_against_manifest(tmp_path):
+    dump_instance(gen_minus_sign(4, 2, seed=25), tmp_path / "inst", reveal=True)
+    manifest = tmp_path / "inst" / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("n 4\n", "n 5\n"))
+    with pytest.raises(ValueError, match="vector 1 has n=4, the manifest n=5"):
         load_instance(tmp_path / "inst")
 
 

@@ -5,7 +5,6 @@ were not tuned, and any reseeding keeps each 3-sigma assertion valid except
 with probability around 1e-3 (chi-square tests run at that significance).
 """
 
-import hashlib
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -15,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlab import sq_oracle
 from sqlab.experiments import chi_square_gof
 from sqlab.sq_oracle import (
     ALL_CAPABILITIES,
@@ -27,7 +25,6 @@ from sqlab.sq_oracle import (
     build_implicit,
     load_dense_vector,
     materialize,
-    save_dense_vector,
 )
 
 
@@ -288,13 +285,28 @@ def test_sampling_time_scales_gently():
     assert t_deep < 8 * max(t_shallow, 1e-9)
 
 
+def write_legacy_dense_vector(path, values):
+    """Write a vector in the text format `load_dense_vector` reads: one `%.17g` pair per line.
+
+    Instance directories used to hold their dense vectors in this format;
+    tests use it to build legacy directories.
+    """
+    arr = np.asarray(values, dtype=np.complex128)
+    with open(path, "w") as fh:
+        fh.write("# dense vector: one component per line as `<re> <im>`\n")
+        for z in arr:
+            fh.write(f"{z.real:.17g} {z.imag:.17g}\n")
+
+
 def test_dense_vector_file_round_trip(tmp_path):
-    rng = np.random.default_rng(31)
-    values = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    values[:6] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308j, 1.0, complex(-0.0, -0.0)]
+    values[8:12] = values[8:12].real  # exact-zero imaginary parts
     path = tmp_path / "vec.txt"
-    save_dense_vector(path, values)
+    write_legacy_dense_vector(path, values)
     loaded = load_dense_vector(path)
-    assert np.array_equal(loaded, values)
+    assert loaded.tobytes() == values.tobytes()  # bit-exact, signed zeros included
 
 
 def test_dense_vector_file_parsing(tmp_path):
@@ -374,25 +386,3 @@ def test_prefix_tree_is_built_on_first_sample_and_shared():
     child.sample(np.random.default_rng(0))
     assert child.backing is handle.backing
     assert "prefix_tree" in vars(handle.backing)
-
-
-def _save_dense_vector_per_line(path, values):
-    # the writer as it was before it formatted in chunks, kept as the byte reference
-    arr = np.asarray(values, dtype=np.complex128)
-    with open(path, "w") as fh:
-        fh.write("# dense vector: one component per line as `<re> <im>`\n")
-        for z in arr:
-            fh.write(f"{z.real:.17g} {z.imag:.17g}\n")
-
-
-def test_dense_vector_file_bytes_are_unchanged(tmp_path, monkeypatch):
-    monkeypatch.setattr(sq_oracle, "_SAVE_CHUNK", 3)  # several chunks and a short last one
-    rng = np.random.default_rng(5)
-    values = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    values[:6] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308j, 1.0, complex(-0.0, -0.0)]
-    values[8:12] = values[8:12].real  # exact-zero imaginary parts
-    save_dense_vector(tmp_path / "new.txt", values)
-    _save_dense_vector_per_line(tmp_path / "old.txt", values)
-    digests = [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ("new.txt", "old.txt")]
-    assert digests[0] == digests[1]
-    assert np.array_equal(load_dense_vector(tmp_path / "new.txt"), values)
