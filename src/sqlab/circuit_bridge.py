@@ -42,14 +42,10 @@ __all__ = [
 MAX_QUBITS = 20
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-_GATE_MATRICES: dict[str, np.ndarray] = {
-    "H": np.array([[1, 1], [1, -1]], dtype=np.complex128) * _SQRT_HALF,
-    "T": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=np.complex128),
-    "S": np.array([[1, 0], [0, 1j]], dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-GATE_NAMES = tuple(_GATE_MATRICES) + ("CNOT",)
+GATE_NAMES = ("H", "T", "S", "X", "Z", "CNOT")
+# the diagonal gates are diag(1, phase); H and X are their own inverses
+_PHASES = {"T": complex(np.exp(1j * math.pi / 4)), "S": 1j, "Z": -1 + 0j}
+_DAGGER_PHASES = {name: phase.conjugate() for name, phase in _PHASES.items()}
 
 
 @dataclass(frozen=True)
@@ -126,47 +122,72 @@ def parse_circuit(text: str) -> Circuit:
     return Circuit(n=n, gates=tuple(gates))
 
 
-def _apply_single(state: np.ndarray, matrix: np.ndarray, q: int, n: int) -> np.ndarray:
-    tensor = state.reshape([2] * n)
-    tensor = np.moveaxis(np.tensordot(matrix, np.moveaxis(tensor, q, 0), axes=(1, 0)), 0, q)
-    return np.ascontiguousarray(tensor).reshape(-1)
+def _blocks(state: np.ndarray, q: int, n: int) -> np.ndarray:
+    """View of `state` as (outer, bit q, inner) for qubit q of an n-qubit circuit.
+
+    The buffer may hold several 2^n-amplitude blocks side by side; the extra
+    leading qubits fold into the outer axis, so a gate acts on each block.
+    """
+    return state.reshape(-1, 2, 1 << (n - q - 1))
 
 
-def _apply_cnot(state: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    tensor = state.reshape([2] * n).copy()
-    sel0 = [slice(None)] * n
-    sel1 = [slice(None)] * n
-    sel0[control] = 1
-    sel1[control] = 1
-    sel0[target] = 0
-    sel1[target] = 1
-    a = tensor[tuple(sel0)].copy()
-    tensor[tuple(sel0)] = tensor[tuple(sel1)]
-    tensor[tuple(sel1)] = a
-    return tensor.reshape(-1)
+def _apply_h(state: np.ndarray, scratch: np.ndarray, q: int, n: int) -> None:
+    """H as (h*a0 + h*a1, h*a0 - h*a1) with h = 1/sqrt(2), ending back in `state`."""
+    np.multiply(state.view(np.float64), _SQRT_HALF, out=scratch.view(np.float64))
+    a, out = _blocks(scratch, q, n), _blocks(state, q, n)
+    np.add(a[:, 0], a[:, 1], out=out[:, 0])
+    np.subtract(a[:, 0], a[:, 1], out=out[:, 1])
 
 
-def _run_gates(state: np.ndarray, gates, n: int, dagger: bool = False) -> np.ndarray:
-    seq = reversed(gates) if dagger else gates
-    for gate in seq:
-        if gate.name == "CNOT":
-            state = _apply_cnot(state, gate.qubits[0], gate.qubits[1], n)
+def _apply_x(src: np.ndarray, dst: np.ndarray, q: int, n: int) -> None:
+    """Copy `src` into `dst` with bit q flipped."""
+    np.copyto(_blocks(dst, q, n), _blocks(src, q, n)[:, ::-1])
+
+
+def _apply_cnot(src: np.ndarray, dst: np.ndarray, control: int, target: int, n: int) -> None:
+    """Copy `src` into `dst` with the target bit flipped where the control bit is set."""
+    lo, hi = sorted((control, target))
+    shape = (-1, 2, 1 << (hi - lo - 1), 2, 1 << (n - hi - 1))
+    a, out = src.reshape(shape), dst.reshape(shape)
+    if control < target:
+        out[:, 0] = a[:, 0]
+        out[:, 1] = a[:, 1, :, ::-1]
+    else:
+        out[:, :, :, 0] = a[:, :, :, 0]
+        out[:, :, :, 1] = a[:, ::-1, :, 1]
+
+
+def _run_gates(pair: list[np.ndarray], gates, n: int, dagger: bool = False) -> None:
+    """Apply `gates` (or their inverse) to the state in pair[0]; pair[1] is scratch.
+
+    Diagonal gates scale the |1> half of their qubit in place, and H goes
+    through the scratch buffer and back. X and CNOT are permutations: they
+    copy into the scratch buffer and the two entries of `pair` swap. No gate
+    allocates an amplitude vector.
+    """
+    phases = _DAGGER_PHASES if dagger else _PHASES
+    for gate in reversed(gates) if dagger else gates:
+        state, scratch = pair
+        if gate.name in phases:
+            _blocks(state, gate.qubits[0], n)[:, 1] *= phases[gate.name]
+        elif gate.name == "H":
+            _apply_h(state, scratch, gate.qubits[0], n)
         else:
-            matrix = _GATE_MATRICES[gate.name]
-            if dagger:
-                matrix = matrix.conj().T
-            state = _apply_single(state, matrix, gate.qubits[0], n)
-    return state
+            if gate.name == "CNOT":
+                _apply_cnot(state, scratch, gate.qubits[0], gate.qubits[1], n)
+            else:
+                _apply_x(state, scratch, gate.qubits[0], n)
+            pair.reverse()
 
 
 def run_statevector(circuit: Circuit) -> Statevector:
     """U applied to the all-zeros state, to double precision."""
     if circuit.n > MAX_QUBITS:
         raise ValueError(f"{circuit.n} qubits exceed the budget of {MAX_QUBITS}")
-    state = np.zeros(1 << circuit.n, dtype=np.complex128)
-    state[0] = 1.0
-    state = _run_gates(state, circuit.gates, circuit.n)
-    return Statevector(amplitudes=state, n=circuit.n)
+    pair = [np.zeros(1 << circuit.n, dtype=np.complex128), np.empty(1 << circuit.n, dtype=np.complex128)]
+    pair[0][0] = 1.0
+    _run_gates(pair, circuit.gates, circuit.n)
+    return Statevector(amplitudes=pair[0], n=circuit.n)
 
 
 def build_psi_u(circuit: Circuit) -> Statevector:
@@ -176,6 +197,10 @@ def build_psi_u(circuit: Circuit) -> Statevector:
     controlled by qubit 1 (U's first qubit) targeting the ancilla. The
     leading amplitude of the result equals the probability of outcome 0 when
     measuring the first qubit of U|0^n>.
+
+    U never touches the ancilla, so the half of the vector with the ancilla
+    set stays exactly zero until the CNOT: the first U runs on the leading
+    2^n amplitudes only. U^dag then runs on both halves as one batch.
     """
     n = circuit.n
     if n + 1 > MAX_QUBITS:
@@ -183,13 +208,18 @@ def build_psi_u(circuit: Circuit) -> Statevector:
     if n == 0:
         raise ValueError("the probe construction needs at least one circuit qubit")
     m = n + 1
-    shifted = tuple(Gate(g.name, tuple(q + 1 for q in g.qubits)) for g in circuit.gates)
-    state = np.zeros(1 << m, dtype=np.complex128)
-    state[0] = 1.0
-    state = _run_gates(state, shifted, m)
-    state = _apply_cnot(state, control=1, target=0, n=m)
-    state = _run_gates(state, shifted, m, dagger=True)
-    return Statevector(amplitudes=state, n=m)
+    # both start zeroed: the first U may end in either, and the CNOT reads its zero upper half
+    full = [np.zeros(1 << m, dtype=np.complex128), np.zeros(1 << m, dtype=np.complex128)]
+    full[0][0] = 1.0
+    half = [buf[: 1 << n] for buf in full]
+    _run_gates(half, circuit.gates, n)
+    if half[0].base is not full[0]:
+        full.reverse()
+    state, scratch = full
+    _apply_cnot(state, scratch, control=1, target=0, n=m)
+    full.reverse()
+    _run_gates(full, circuit.gates, n, dagger=True)
+    return Statevector(amplitudes=full[0], n=m)
 
 
 def p_zero_first_qubit(circuit: Circuit) -> float:

@@ -383,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, ValueError, learners.MalformedInstanceError) as exc:
+    except (OSError, ValueError, learners.MalformedInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (BoundViolationError, AssertionError) as exc:

@@ -226,6 +226,13 @@ def _parse_implicit_descriptor(tokens: list[str]) -> ImplicitVector:
     return ImplicitVector(kind=kind, **kwargs)
 
 
+def _manifest_int(token: str, where: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise ValueError(f"{where}: expected an integer, got {token!r}") from exc
+
+
 def _load_npy_vector(path: Path) -> np.ndarray:
     """One dense vector from a `.npy` file; every malformed file is a ValueError naming it.
 
@@ -298,33 +305,37 @@ def load_instance(directory: str | Path) -> ProblemInstance:
     directory = Path(directory)
     manifest = directory / _MANIFEST_NAME
     kind = None
-    n = None
-    num_vectors = None
-    seed = None
-    k_star = None
+    numbers: dict[str, int] = {}
     vector_specs: dict[int, tuple[str, list[str]]] = {}
     for lineno, raw in enumerate(manifest.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
-        key = tokens[0]
-        if key == "kind":
-            kind = tokens[1]
-        elif key == "n":
-            n = int(tokens[1])
-        elif key == "C":
-            num_vectors = int(tokens[1])
-        elif key == "seed":
-            seed = int(tokens[1])
-        elif key == "k_star":
-            k_star = int(tokens[1])
-        elif key == "vector":
-            vector_specs[int(tokens[1])] = (tokens[2], tokens[3:])
+        key, *values = line.split()
+        where = f"{manifest}:{lineno}"
+        if key == "vector":
+            if len(values) < 3:
+                raise ValueError(f"{where}: expected `vector <j> <backing> <file or descriptor>`")
+            j = _manifest_int(values[0], where)
+            if j in vector_specs:
+                raise ValueError(f"{where}: vector {j} given twice")
+            vector_specs[j] = (values[1], values[2:])
+        elif key not in ("kind", "n", "C", "seed", "k_star"):
+            raise ValueError(f"{where}: unknown manifest key {key!r}")
+        elif len(values) != 1:
+            raise ValueError(f"{where}: expected `{key} <value>`, got {line!r}")
+        elif key in numbers or (key == "kind" and kind is not None):
+            raise ValueError(f"{where}: {key} given twice")
+        elif key == "kind":
+            if values[0] not in _GENERATORS:
+                raise ValueError(f"{where}: unknown instance kind {values[0]!r}")
+            kind = values[0]
         else:
-            raise ValueError(f"{manifest}:{lineno}: unknown manifest key {key!r}")
-    if kind is None or n is None or num_vectors is None or seed is None:
+            numbers[key] = _manifest_int(values[0], where)
+    if kind is None or any(key not in numbers for key in ("n", "C", "seed")):
         raise ValueError(f"{manifest}: incomplete manifest")
+    n, num_vectors, seed = numbers["n"], numbers["C"], numbers["seed"]
+    k_star = numbers.get("k_star")
     if n < 1:
         raise ValueError(f"{manifest}: n must be at least 1, got {n}")
     if sorted(vector_specs) != list(range(1, num_vectors + 1)):
@@ -334,7 +345,10 @@ def load_instance(directory: str | Path) -> ProblemInstance:
     for j in range(1, num_vectors + 1):
         backing_kind, rest = vector_specs[j]
         if backing_kind == "implicit":
-            spec = _parse_implicit_descriptor(rest)
+            try:
+                spec = _parse_implicit_descriptor(rest)
+            except (TypeError, ValueError) as exc:  # TypeError: a required field is missing
+                raise ValueError(f"{manifest}: vector {j}: {exc}") from exc
             if spec.n != n:
                 raise ValueError(f"{manifest}: vector {j} has n={spec.n}, the manifest n={n}")
             handles.append(build_implicit(spec))

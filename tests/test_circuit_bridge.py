@@ -1,11 +1,15 @@
 """Circuit-bridge tests: parsing, simulation, the probe identity, encodings."""
 
+import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sqlab.circuit_bridge import (
+    GATE_NAMES,
     Circuit,
     Gate,
     amplitude_single_copy_success,
@@ -19,11 +23,59 @@ from sqlab.circuit_bridge import (
     run_statevector,
     solve_product_encoding,
     sq_from_state,
+    _run_gates,
 )
 from sqlab.experiments import chi_square_gof
 from sqlab.sq_oracle import ImplicitVector, materialize
 
 SQRT_HALF = 1 / math.sqrt(2)
+
+# explicit gate matrices for the dense cross-checks, independent of the kernels
+_DENSE_1Q = {
+    "H": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+    "T": np.diag([1, np.exp(1j * math.pi / 4)]),
+    "S": np.diag([1, 1j]),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Z": np.diag([1, -1]),
+}
+
+
+def _dense_gate(gate, n):
+    """The 2^n x 2^n unitary of one gate, qubit 0 the leftmost Kronecker factor."""
+    eye = np.eye(2)
+    if gate.name == "CNOT":
+        control, target = gate.qubits
+        off, on = [eye] * n, [eye] * n
+        off[control] = np.diag([1, 0])
+        on[control] = np.diag([0, 1])
+        on[target] = _DENSE_1Q["X"]
+        return functools.reduce(np.kron, off) + functools.reduce(np.kron, on)
+    factors = [eye] * n
+    factors[gate.qubits[0]] = _DENSE_1Q[gate.name]
+    return functools.reduce(np.kron, factors)
+
+
+def _dense_circuit(circuit):
+    unitary = np.eye(1 << circuit.n, dtype=complex)
+    for gate in circuit.gates:
+        unitary = _dense_gate(gate, circuit.n) @ unitary
+    return unitary
+
+
+def _all_gates(n):
+    singles = [Gate(name, (q,)) for name in GATE_NAMES if name != "CNOT" for q in range(n)]
+    return singles + [Gate("CNOT", pair) for pair in itertools.permutations(range(n), 2)]
+
+
+def _kernel(state, gates, n, dagger=False):
+    pair = [state.copy(), np.full_like(state, np.nan)]  # scratch garbage must not leak in
+    _run_gates(pair, gates, n, dagger=dagger)
+    return pair[0]
+
+
+def _random_state(n, rng):
+    state = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    return state / np.linalg.norm(state)
 
 
 def test_parse_basic_circuit():
@@ -91,6 +143,68 @@ def test_qubit_zero_is_most_significant():
     assert state.amplitudes[2] == 1.0  # |10> at index 2
     state = run_statevector(parse_circuit("qubits 2\nX 1\n"))
     assert state.amplitudes[1] == 1.0  # |01> at index 1
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_gate_kernel_matches_its_dense_unitary(n):
+    rng = np.random.default_rng(n)
+    gates = _all_gates(n)
+    assert len(gates) == 5 * n + n * (n - 1)
+    for gate in gates:
+        state = _random_state(n, rng)
+        unitary = _dense_gate(gate, n)
+        np.testing.assert_allclose(_kernel(state, (gate,), n), unitary @ state, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            _kernel(state, (gate,), n, dagger=True), unitary.conj().T @ state, rtol=0, atol=1e-14
+        )
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_gate_sequences_match_the_dense_circuit_unitary(n):
+    rng = np.random.default_rng(10 + n)
+    for _ in range(4):
+        circuit = random_circuit(n, 30, rng)
+        unitary = _dense_circuit(circuit)
+        state = _random_state(n, rng)
+        np.testing.assert_allclose(_kernel(state, circuit.gates, n), unitary @ state, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            _kernel(state, circuit.gates, n, dagger=True), unitary.conj().T @ state, rtol=0, atol=1e-14
+        )
+        np.testing.assert_allclose(run_statevector(circuit).amplitudes, unitary[:, 0], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_build_psi_u_matches_the_dense_probe(n):
+    rng = np.random.default_rng(20 + n)
+    cnot = _dense_gate(Gate("CNOT", (1, 0)), n + 1)
+    zero = np.zeros(2 << n)
+    zero[0] = 1.0
+    for _ in range(4):
+        circuit = random_circuit(n, 25, rng)
+        lifted = np.kron(np.eye(2), _dense_circuit(circuit))
+        expected = lifted.conj().T @ cnot @ lifted @ zero
+        np.testing.assert_allclose(build_psi_u(circuit).amplitudes, expected, rtol=0, atol=1e-14)
+
+
+def test_probe_identity_at_benchmark_size():
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        circuit = random_circuit(16, 200, rng)
+        probe = build_psi_u(circuit)
+        assert probe.n == 17
+        assert abs(sq_from_state(probe).query(1) - p_zero_first_qubit(circuit)) <= 1e-12
+
+
+def test_build_psi_u_holds_at_most_three_amplitude_vectors():
+    circuit = random_circuit(16, 200, np.random.default_rng(4))
+    vector_bytes = np.dtype(np.complex128).itemsize << 17
+    tracemalloc.start()
+    try:
+        build_psi_u(circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * vector_bytes
 
 
 def test_build_psi_u_identity_circuit():

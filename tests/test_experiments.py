@@ -267,6 +267,42 @@ def test_cli_solve_rejects_a_malformed_npy_vector(tmp_path, capsys, case):
         assert "vector_2.npy" in captured.err
 
 
+_MALFORMED_MANIFEST_LINES = {
+    "key without value": ("n 8", "n"),
+    "non-integer n": ("n 8", "n eight"),
+    "non-integer C": ("C 2", "C two"),
+    "non-integer seed": ("seed 28", "seed 0x1c"),
+    "non-integer vector index": ("vector 1 ", "vector one "),
+    "vector without backing": (None, "vector 3"),
+    "unknown kind": ("kind minus-sign", "kind mystery"),
+    "repeated key": (None, "seed 28"),
+    "repeated kind": (None, "kind minus-sign"),
+    "repeated vector": (None, "vector 2 implicit all-plus n=8 scale=0.0625"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_MANIFEST_LINES))
+def test_cli_solve_rejects_a_malformed_manifest_line(tmp_path, capsys, case):
+    inst_dir = tmp_path / "inst"
+    assert main(["--seed", "28", "gen-instance", "--kind", "minus-sign", "--n", "8", "--C", "2", "--dir", str(inst_dir)]) == 0
+    capsys.readouterr()
+    manifest = inst_dir / "manifest.txt"
+    old, new = _MALFORMED_MANIFEST_LINES[case]
+    lines = manifest.read_text().splitlines()
+    if old is None:  # appended: the line repeats one already there
+        lines.append(new)
+        lineno = len(lines)
+    else:
+        lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(old))
+        lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
+    manifest.write_text("\n".join(lines) + "\n")
+    assert main(["solve", "minus-sign", "--instance", str(inst_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.strip().count("\n") == 0
+    assert f"manifest.txt:{lineno}:" in captured.err
+
+
 def test_cli_solve_sample_only(tmp_path, capsys):
     inst_dir = tmp_path / "inst"
     main(["--seed", "22", "gen-instance", "--kind", "minus-sign", "--n", "8", "--C", "2", "--dir", str(inst_dir)])
@@ -333,6 +369,23 @@ def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
     assert captured.err.strip().count("\n") == 0
     if argv[0] == "encoding-demo":
         assert json.loads(captured.out)["amplitude_single_copy_success"] == 0.5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sharp-p", "--circuit", "{dir}"],
+        ["sample-test", "--vector", "{dir}"],
+        ["discriminate", "--a", "{dir}", "--b", "{dir}"],
+    ],
+    ids=["sharp-p", "sample-test", "discriminate"],
+)
+def test_cli_rejects_a_directory_as_file_argument(tmp_path, capsys, argv):
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.strip().count("\n") == 0
+    assert str(tmp_path) in captured.err
 
 
 def test_cli_sharp_p(tmp_path, capsys, monkeypatch):

@@ -285,6 +285,17 @@ def test_load_checks_implicit_n_against_manifest(tmp_path):
         load_instance(tmp_path / "inst")
 
 
+@pytest.mark.parametrize("descriptor", ["all-plus scale=0.25", "all-plus n=4 scale=x", "all-plus n=4 scale=0.25 colour=red"])
+def test_load_rejects_a_malformed_implicit_descriptor(tmp_path, descriptor):
+    dump_instance(gen_minus_sign(4, 2, seed=25), tmp_path / "inst", reveal=True)
+    manifest = tmp_path / "inst" / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    lines = [f"vector 2 implicit {descriptor}" if line.startswith("vector 2 ") else line for line in lines]
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="manifest.txt: vector 2: "):
+        load_instance(tmp_path / "inst")
+
+
 def test_instance_validation():
     handles = gen_minus_sign(3, 2, seed=20).handles
     with pytest.raises(ValueError, match="kind"):
