@@ -34,6 +34,7 @@ from .learners import solve_minus_sign, solve_real_search, solve_sample_only
 from .quantum_sim import (
     DensityOperator,
     Statevector,
+    discriminate_pure_pair,
     helstrom_success,
     min_copies_minus_sign,
     ncopy_minus_sign_tracenorm,

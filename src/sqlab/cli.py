@@ -247,30 +247,30 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _minus_sign_pair(d: int, copies: int) -> tuple[quantum_sim.DensityOperator, quantum_sim.DensityOperator]:
-    u, v = quantum_sim.minus_sign_product_vectors(d, copies, max_dim=4096)
-    return quantum_sim.DensityOperator.from_pure(u), quantum_sim.DensityOperator.from_pure(v)
-
-
 def _cmd_discriminate(args) -> int:
+    rng = np.random.default_rng(args.seed)
     if args.family is not None:
-        rho_a, rho_b = _minus_sign_pair(args.d, args.copies)
+        u, v = quantum_sim.minus_sign_product_vectors(
+            args.d, args.copies, max_dim=1 << instances.DEFAULT_DENSE_BUDGET_N
+        )
+        dim = u.size
+        schatten, success, empirical = quantum_sim.discriminate_pure_pair(u, v, args.trials, rng)
         source = f"family:{args.family}(d={args.d},copies={args.copies})"
     elif args.a and args.b:
         rho_a = quantum_sim.load_density_operator(args.a)
         rho_b = quantum_sim.load_density_operator(args.b)
+        dim = rho_a.dim
+        schatten = quantum_sim.schatten1_diff(rho_a, rho_b)
+        success = quantum_sim._success_from_schatten1(schatten)
+        empirical = quantum_sim.simulate_discrimination(rho_a, rho_b, args.trials, rng)
         source = "files"
     else:
         raise ConfigError("discriminate needs either --a and --b or --family")
-    rng = np.random.default_rng(args.seed)
-    schatten = quantum_sim.schatten1_diff(rho_a, rho_b)
-    success = quantum_sim.helstrom_success(rho_a, rho_b)
-    empirical = quantum_sim.simulate_discrimination(rho_a, rho_b, args.trials, rng)
     _emit(
         {
             "experiment": "discriminate",
             "source": source,
-            "dim": rho_a.dim,
+            "dim": dim,
             "schatten1_diff": schatten,
             "optimal_success": success,
             "empirical_success": empirical,

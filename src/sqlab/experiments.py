@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import chdtrc
 
-from .haar_moments import BoundViolationError, BudgetExceededError, trace_norm_gap
+from .haar_moments import BoundViolationError, BudgetExceededError, GapReport, trace_norm_gap
 from .quantum_sim import (
     HELSTROM_SCHATTEN_THRESHOLD,
     check_schatten_threshold,
@@ -88,6 +88,10 @@ def _cell_rng(seed: int, *coords: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=coords))
 
 
+def _gap_values(report: GapReport) -> dict:
+    return {name: getattr(report, name) for name in _SCHEMAS["haar-gap"][1]}
+
+
 def _haar_gap_cell(config: ExperimentConfig, d: int, copies: int) -> ResultRecord:
     record = ResultRecord(
         kind="haar-gap", params={"d": d, "N": copies}, values={}, seed=config.seed
@@ -97,15 +101,10 @@ def _haar_gap_cell(config: ExperimentConfig, d: int, copies: int) -> ResultRecor
         report = trace_norm_gap(
             d, copies, mc_samples=config.mc_samples, rng=_cell_rng(config.seed, d, copies)
         )
-        record.values = {
-            "sym_dim": report.sym_dim,
-            "gap": report.gap,
-            "bound_two_term": report.bound_two_term,
-            "bound_final": report.bound_final,
-            "o_rest_min_eig": report.o_rest_min_eig,
-            "mc_max_dev": report.mc_max_dev,
-        }
+        record.values = _gap_values(report)
     except BudgetExceededError as exc:
+        if exc.exact is not None:  # only the Monte Carlo stage was refused
+            record.values = _gap_values(exc.exact)
         record.error = f"budget-exceeded: {exc}"
     except BoundViolationError as exc:
         record.error = f"bound-violation: {exc}"

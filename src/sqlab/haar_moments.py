@@ -72,7 +72,13 @@ _MC_DRAW_CHUNK = 100_000
 
 
 class BudgetExceededError(Exception):
-    """A requested (d, N) cell does not fit the configured memory budget."""
+    """A requested (d, N) cell does not fit the configured memory budget.
+
+    When `trace_norm_gap` refuses only its Monte Carlo stage, `exact` holds
+    the cell's checked report (with `mc_max_dev` None); otherwise it is None.
+    """
+
+    exact: "GapReport | None" = None
 
 
 class BoundViolationError(RuntimeError):
@@ -383,6 +389,8 @@ def trace_norm_gap(
     but not asserted against on its own. At tiny sizes the swapped 2N-copy
     pair is materialized densely and its distance checked against 2 * gap.
     Violations raise BoundViolationError: they indicate a bug, not bad luck.
+    A Monte Carlo stage over its byte budget raises BudgetExceededError with
+    the checked exact report in `exact`.
     """
     e_real = real_moment(d, copies, budget)
     size = e_real.size
@@ -432,22 +440,7 @@ def trace_norm_gap(
             f"swapped-pair distance {swapped} exceeds 2*gap {2 * gap} at d={d}, N={copies}",
         )
 
-    mc_max_dev = None
-    if mc_samples is not None:
-        if rng is None:
-            raise ValueError("mc_samples requires an rng")
-        # Deviations are taken in place: the real estimate minus each exact
-        # block (it is 0 off the blocks), the complex one minus I/size.
-        estimate = mc_moment(d, copies, mc_samples, "real", rng, budget)
-        for rows, block in e_real.blocks:
-            estimate[np.ix_(rows, rows)] -= block
-        dev_real = _max_abs(estimate)
-        del estimate
-        estimate = mc_moment(d, copies, mc_samples, "complex", rng, budget)
-        estimate[np.diag_indices(size)] -= 1.0 / size
-        mc_max_dev = max(dev_real, _max_abs(estimate))
-
-    return GapReport(
+    report = GapReport(
         d=d,
         N=copies,
         sym_dim=size,
@@ -456,5 +449,31 @@ def trace_norm_gap(
         bound_final=bound_final,
         middle_term=middle_term,
         o_rest_min_eig=o_rest_min_eig,
-        mc_max_dev=mc_max_dev,
     )
+    if mc_samples is None:
+        return report
+    try:
+        mc_max_dev = _mc_max_dev(e_real, mc_samples, rng, budget)
+    except BudgetExceededError as exc:
+        exc.exact = report
+        raise
+    return dataclasses.replace(report, mc_max_dev=mc_max_dev)
+
+
+def _mc_max_dev(
+    e_real: MomentOperator, samples: int, rng: np.random.Generator | None, budget: int
+) -> float:
+    """Largest entry deviation of the real and complex Monte Carlo estimates from the exact moments."""
+    if rng is None:
+        raise ValueError("mc_samples requires an rng")
+    d, copies, size = e_real.d, e_real.N, e_real.size
+    # Deviations are taken in place: the real estimate minus each exact
+    # block (it is 0 off the blocks), the complex one minus I/size.
+    estimate = mc_moment(d, copies, samples, "real", rng, budget)
+    for rows, block in e_real.blocks:
+        estimate[np.ix_(rows, rows)] -= block
+    dev_real = _max_abs(estimate)
+    del estimate
+    estimate = mc_moment(d, copies, samples, "complex", rng, budget)
+    estimate[np.diag_indices(size)] -= 1.0 / size
+    return max(dev_real, _max_abs(estimate))

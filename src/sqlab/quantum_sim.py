@@ -1,6 +1,10 @@
 """Density-operator discrimination: trace norms, optimal-measurement success,
 and the N-copy closed forms for the minus-sign families.
 
+A pair of pure states is reported from its overlap alone
+(`discriminate_pure_pair`); dense density operators serve mixed states read
+from files and the test-only cross-check of that Gram form.
+
 Convention: ||M||_1 is the Schatten-1 norm (sum of singular values), so two
 orthogonal pure states differ by norm 2 and the optimal success probability
 for equal priors is 1/2 + ||rho_a - rho_b||_1 / 4. A success threshold of 0.9
@@ -22,6 +26,7 @@ __all__ = [
     "HELSTROM_SCHATTEN_THRESHOLD",
     "Statevector",
     "check_schatten_threshold",
+    "discriminate_pure_pair",
     "helstrom_success",
     "load_density_operator",
     "min_copies_minus_sign",
@@ -121,10 +126,32 @@ def schatten1_diff(a: DensityOperator, b: DensityOperator) -> float:
     return _schatten1_hermitian(a.matrix - b.matrix)
 
 
+def _success_from_schatten1(schatten: float) -> float:
+    """Optimal equal-prior success 1/2 + ||a - b||_1 / 4, clamped to [1/2, 1]."""
+    return min(max(0.5 + 0.25 * schatten, 0.5), 1.0)
+
+
 def helstrom_success(a: DensityOperator, b: DensityOperator) -> float:
     """Optimal success probability for equal-prior discrimination of a vs b."""
-    p = 0.5 + 0.25 * schatten1_diff(a, b)
-    return min(max(p, 0.5), 1.0)
+    return _success_from_schatten1(schatten1_diff(a, b))
+
+
+def _pure_pair_schatten1(u: np.ndarray, v: np.ndarray) -> float:
+    """||uu^H - vv^H||_1 = 2 sqrt(1 - s) for unit vectors, s = |<u|v>|^2 / (<u|u><v|v>).
+
+    The difference has rank 2, so its trace norm follows from the Gram
+    matrix of u and v; the three inner products are taken numerically, with
+    no closed form. Identical rays give exactly 0, orthogonal ones exactly 2.
+    """
+    if u.shape != v.shape:
+        raise ValueError(f"dimension mismatch: {u.size} vs {v.size}")
+    uu, vv = np.vdot(u, u).real, np.vdot(v, v).real
+    for norm_sq in (uu, vv):
+        nrm = math.sqrt(norm_sq)
+        if not abs(nrm - 1.0) <= STATE_NORM_ATOL:
+            raise ValueError(f"pure state norm {nrm} deviates from 1")
+    overlap = abs(np.vdot(u, v)) ** 2 / (uu * vv)
+    return 2.0 * math.sqrt(max(1.0 - overlap, 0.0))
 
 
 def ncopy_minus_sign_tracenorm(d: int, copies: int) -> float:
@@ -175,14 +202,10 @@ def minus_sign_product_vectors(d: int, copies: int, max_dim: int) -> tuple[np.nd
 def ncopy_minus_sign_tracenorm_dense(d: int, copies: int, max_dim: int = 8192) -> float:
     """Independent check of the closed form from the materialized N-copy pair.
 
-    uu^T - vv^T has rank 2, and its nonzero eigenvalues are those of
-    diag(1, -1) G, with G the 2x2 Gram matrix of u and v. The inner products
-    are computed numerically from the vectors; c = 1 - 2/d is never used.
+    The trace norm of uu^T - vv^T comes from the inner products of the
+    vectors (`_pure_pair_schatten1`); c = 1 - 2/d is never used.
     """
-    u, v = minus_sign_product_vectors(d, copies, max_dim)
-    pair = np.stack([u, v])
-    gram = pair @ pair.T
-    return float(np.sum(np.abs(np.linalg.eigvals(np.diag([1.0, -1.0]) @ gram))))
+    return _pure_pair_schatten1(*minus_sign_product_vectors(d, copies, max_dim))
 
 
 def check_schatten_threshold(threshold: float) -> None:
@@ -226,16 +249,38 @@ def simulate_discrimination(
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     eigvals, eigvecs = np.linalg.eigh(a.matrix - b.matrix)
     positive = eigvecs[:, eigvals >= 0.0]
     projector = positive @ positive.conj().T
     p_click_a = float(np.trace(projector @ a.matrix).real)
     p_click_b = float(np.trace(projector @ b.matrix).real)
+    return _click_success_rate(p_click_a, p_click_b, trials, rng)
+
+
+def discriminate_pure_pair(
+    u: np.ndarray, v: np.ndarray, trials: int, rng: np.random.Generator
+) -> tuple[float, float, float]:
+    """Schatten-1 distance, optimal success and empirical success rate for pure states u, v.
+
+    The same report as `schatten1_diff`, `helstrom_success` and
+    `simulate_discrimination` on `DensityOperator.from_pure(u)` and `(v)`,
+    from the overlap of u and v alone: the optimal projector clicks with
+    probability `success` on u and `1 - success` on v, and the random draws
+    are those of `simulate_discrimination`.
+    """
+    schatten = _pure_pair_schatten1(u, v)
+    success = _success_from_schatten1(schatten)
+    return schatten, success, _click_success_rate(success, 1.0 - success, trials, rng)
+
+
+def _click_success_rate(
+    p_click_a: float, p_click_b: float, trials: int, rng: np.random.Generator
+) -> float:
+    """Success rate of guessing `a` on a click, over `trials` equal-prior draws."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     p_click_a = min(max(p_click_a, 0.0), 1.0)
     p_click_b = min(max(p_click_b, 0.0), 1.0)
-
     truth_is_a = rng.integers(2, size=trials).astype(bool)
     click_prob = np.where(truth_is_a, p_click_a, p_click_b)
     clicked = rng.random(trials) < click_prob

@@ -4,11 +4,11 @@ Each example runs `sqlab.cli.main` in-process on an argv with arbitrary
 numbers, including negatives, zeros, NaN and infinities, and checks that the
 exit code is 0, 1 or 2, that nothing escapes as a traceback, and that stdout
 is strict JSON or CSV with no NaN or Infinity token. Sizes stay small (dense
-dimensions up to 2^10, or 2^12 for instances, at most 8 vectors or copies, at
-most 1000 trials, Haar moments up to d=8, N=4 with at most 2000 Monte Carlo
-samples), so the whole module runs in a few seconds; implicit vectors and the
-closed-form sweep cost the same at any size, so n and d range past the sizes
-they accept.
+dimensions up to 2^10, or 2^12 for instances, pure pairs up to 2^16, at most 8
+vectors or copies, at most 1000 trials, Haar moments up to d=8, N=4 with at
+most 2000 Monte Carlo samples), so the whole module runs in a few seconds;
+implicit vectors and the closed-form sweep cost the same at any size, so n and
+d range past the sizes they accept.
 """
 
 import contextlib
@@ -98,9 +98,10 @@ def test_fuzz_sample_test(seed, source, draws, significance):
 @fuzz_settings
 @given(seed=seeds, d=st.integers(-2, 16), copies=st.integers(-2, 8), trials=st.integers(-2, 1000))
 def test_fuzz_discriminate(seed, d, copies, trials):
-    # the pair has dimension d^(2 copies); pairs up to 256 are built, larger ones up to
-    # 4096 would only cost time (dense eigensolves), and larger ones still are refused
-    if d > 1 and copies > 0 and 256 < d ** (2 * copies) <= 4096:
+    # the pair has dimension d^(2 copies); pairs up to 2^16 are built, larger ones up to
+    # 2^24 would only cost time and memory (two vectors of that length), and larger
+    # ones still are refused
+    if d > 1 and copies > 0 and 2**16 < d ** (2 * copies) <= 2**24:
         copies = 1
     _check(
         ["--seed", str(seed), "discriminate", "--family", "minus-sign"]

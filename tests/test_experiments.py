@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from sqlab.experiments import (
     render_records,
     run_sweep,
 )
+from sqlab.quantum_sim import ncopy_minus_sign_tracenorm
 from test_instances import copy_as_legacy_directory
 
 
@@ -177,6 +179,15 @@ def test_cli_haar_gap_writes_deterministic_csv(tmp_path):
     assert header == "d,N,sym_dim,gap,bound_two_term,bound_final,o_rest_min_eig,mc_max_dev,seed,error"
 
 
+def _exact_columns_are_kept(capsys, d, n, row):
+    # a refused Monte Carlo stage leaves the cell's exact, checked columns as served without it
+    assert row["mc_max_dev"] == ""
+    assert main(["haar-gap", "--d", d, "--N", n]) == 0
+    (exact,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    exact_columns = ("sym_dim", "gap", "bound_two_term", "bound_final", "o_rest_min_eig")
+    assert all(row[c] != "" and row[c] == exact[c] for c in exact_columns)
+
+
 def test_cli_haar_gap_refuses_a_monte_carlo_estimate_over_budget(capsys):
     # (24, 4) passes the size budget, but its estimate would take 4.9 GB
     assert main(["haar-gap", "--d", "24", "--N", "4", "--mc-samples", "200"]) == 0
@@ -184,6 +195,7 @@ def test_cli_haar_gap_refuses_a_monte_carlo_estimate_over_budget(capsys):
     assert "Traceback" not in captured.err
     (row,) = csv.DictReader(io.StringIO(captured.out))
     assert row["error"].startswith("budget-exceeded: Monte Carlo estimate")
+    _exact_columns_are_kept(capsys, "24", "4", row)
 
 
 def test_cli_solve_pipeline(tmp_path, capsys):
@@ -205,6 +217,7 @@ def test_cli_haar_gap_refuses_a_monte_carlo_draw_chunk_over_budget(capsys):
     (row,) = csv.DictReader(io.StringIO(captured.out))
     assert row["error"].startswith("budget-exceeded: Monte Carlo estimate")
     assert "draw chunk" in row["error"]
+    _exact_columns_are_kept(capsys, "2000", "1", row)
 
 
 def _solve_line(capsys, solver, directory):
@@ -325,6 +338,44 @@ def test_cli_discriminate_family(capsys):
     assert payload["dim"] == 256
     sigma = (payload["optimal_success"] * (1 - payload["optimal_success"]) / 2000) ** 0.5
     assert abs(payload["empirical_success"] - payload["optimal_success"]) < 3 * sigma + 1e-9
+
+
+def test_cli_discriminate_family_runs_no_eigensolve(capsys, monkeypatch):
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, _name=name, **k: calls.append(_name))
+    assert main(["--seed", "3", "discriminate", "--family", "minus-sign", "--d", "4", "--copies", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 256
+    assert calls == []
+
+
+def test_cli_discriminate_family_at_pair_dimension_4096(capsys):
+    # the largest pair the former cap admitted, which as two dense 4096^2 density
+    # operators took about 80 s
+    assert main(["discriminate", "--family", "minus-sign", "--d", "8", "--copies", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dim"] == 4096
+    assert abs(payload["schatten1_diff"] - ncopy_minus_sign_tracenorm(8, 2)) <= 1e-12
+
+
+def test_cli_discriminate_family_memory_is_a_few_pair_vectors(capsys):
+    main(["discriminate", "--family", "minus-sign", "--d", "2", "--copies", "1"])  # first-call caches
+    capsys.readouterr()
+    dim = 4**10
+    tracemalloc.start()
+    try:
+        assert main(["discriminate", "--family", "minus-sign", "--d", "4", "--copies", "5"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["dim"] == dim
+    assert peak <= 4 * dim * 8
+
+
+def test_cli_discriminate_family_refuses_past_the_dense_vector_budget(capsys):
+    assert main(["discriminate", "--family", "minus-sign", "--d", "2", "--copies", "13"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: minus-sign pair dimension {2**26} exceeds {2**24}\n"
 
 
 def test_cli_discriminate_files(tmp_path, capsys):

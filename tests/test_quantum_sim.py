@@ -10,6 +10,7 @@ import pytest
 from sqlab.quantum_sim import (
     DensityOperator,
     Statevector,
+    discriminate_pure_pair,
     helstrom_success,
     load_density_operator,
     min_copies_minus_sign,
@@ -244,3 +245,56 @@ def test_density_operator_file_round_trip(tmp_path):
     bad.write_text("2\n1 0 0 0\n")
     with pytest.raises(ValueError, match="header"):
         load_density_operator(bad)
+
+
+def _random_pure_pair(dim, rng):
+    u, v = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(2))
+    return u / np.linalg.norm(u), v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 16, 64])
+def test_pure_pair_gram_form_matches_the_dense_density_operators(dim):
+    rng = np.random.default_rng(100 + dim)
+    for k in range(5):
+        u, v = _random_pure_pair(dim, rng)
+        schatten, success, empirical = discriminate_pure_pair(u, v, 10_000, np.random.default_rng(k))
+        rho_u, rho_v = DensityOperator.from_pure(u), DensityOperator.from_pure(v)
+        assert abs(schatten - schatten1_diff(rho_u, rho_v)) <= 1e-12
+        assert abs(success - helstrom_success(rho_u, rho_v)) <= 1e-12
+        # the optimal projector's click probabilities agree far below 1/trials,
+        # so the same draws give the same rate
+        assert empirical == simulate_discrimination(rho_u, rho_v, 10_000, np.random.default_rng(k))
+
+
+def test_pure_pair_gram_form_is_exact_for_identical_and_orthogonal_pairs():
+    rng = np.random.default_rng(7)
+    for dim in (2, 3, 16, 64):
+        u, v = _random_pure_pair(dim, rng)
+        assert discriminate_pure_pair(u, u, 10, rng)[:2] == (0.0, 0.5)
+        w = v - np.vdot(u, v) * u
+        w /= np.linalg.norm(w)
+        assert discriminate_pure_pair(u, w, 10, rng)[:2] == (2.0, 1.0)
+        assert simulate_discrimination(
+            DensityOperator.from_pure(u), DensityOperator.from_pure(w), 1000, np.random.default_rng(dim)
+        ) == discriminate_pure_pair(u, w, 1000, np.random.default_rng(dim))[2] == 1.0
+        # for identical states every measurement is optimal: the dense path always clicks,
+        # the Gram path clicks with probability 1/2, and both rates sit at 1/2
+        rho_u = DensityOperator.from_pure(u)
+        assert schatten1_diff(rho_u, rho_u) == 0.0
+        for rate in (
+            simulate_discrimination(rho_u, rho_u, 10_000, np.random.default_rng(dim)),
+            discriminate_pure_pair(u, u, 10_000, np.random.default_rng(dim))[2],
+        ):
+            assert abs(rate - 0.5) < 0.015  # 3 sigma
+
+
+def test_pure_pair_checks_norms_dimensions_and_trials():
+    u, v = np.array([1.0, 0.0]), np.array([0.6, 0.8])
+    with pytest.raises(ValueError, match="norm"):
+        discriminate_pure_pair(u, 2 * v, 10, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="norm"):
+        discriminate_pure_pair(np.array([np.nan, 0.0]), v, 10, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="mismatch"):
+        discriminate_pure_pair(u, np.array([1.0, 0.0, 0.0]), 10, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="trials"):
+        discriminate_pure_pair(u, v, 0, np.random.default_rng(0))
