@@ -27,6 +27,7 @@ import numpy as np
 
 from . import circuit_bridge, instances, learners, quantum_sim, sq_oracle
 from .experiments import (
+    MIN_EXPECTED_COUNT,
     ConfigError,
     ExperimentConfig,
     chi_square_gof,
@@ -171,11 +172,11 @@ def _cmd_sample_test(args) -> int:
         probs = np.full(buckets, 1.0 / buckets)
     statistic, dof, p_value = chi_square_gof(draws, probs)
     if dof < 1:
-        # two cells need an expected count of 5 each: the likeliest outcome and the rest
+        # two cells need MIN_EXPECTED_COUNT each: the likeliest outcome and the rest
         p_max = float(np.max(probs) / np.sum(probs))
         if p_max >= 1.0:
             raise ConfigError("the sampling distribution has one outcome; there is nothing to test")
-        needed = math.ceil(5.0 / min(p_max, 1.0 - p_max))
+        needed = math.ceil(MIN_EXPECTED_COUNT / min(p_max, 1.0 - p_max))
         raise ConfigError(
             f"{args.draws} draws leave the chi-square test no degrees of freedom;"
             f" use at least {needed} draws"
@@ -250,9 +251,7 @@ def _cmd_solve(args) -> int:
 def _cmd_discriminate(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.family is not None:
-        u, v = quantum_sim.minus_sign_product_vectors(
-            args.d, args.copies, max_dim=1 << instances.DEFAULT_DENSE_BUDGET_N
-        )
+        u, v = quantum_sim.minus_sign_product_vectors(args.d, args.copies)
         dim = u.size
         schatten, success, empirical = quantum_sim.discriminate_pure_pair(u, v, args.trials, rng)
         source = f"family:{args.family}(d={args.d},copies={args.copies})"

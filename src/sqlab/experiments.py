@@ -32,6 +32,7 @@ from .quantum_sim import (
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
+    "MIN_EXPECTED_COUNT",
     "ResultRecord",
     "chi_square_gof",
     "linear_fit",
@@ -39,6 +40,10 @@ __all__ = [
     "run_sweep",
     "write_records",
 ]
+
+
+# Bins expected to hold fewer draws than this are pooled before a chi-square test.
+MIN_EXPECTED_COUNT = 5.0
 
 
 class ConfigError(Exception):
@@ -177,9 +182,7 @@ def render_records(records: list[ResultRecord], fmt: str, timings: bool = False)
     kind = records[0].kind
     if any(r.kind != kind for r in records):
         raise ValueError("cannot mix record kinds in one output")
-    param_names, value_names = _SCHEMAS.get(
-        kind, (tuple(records[0].params), tuple(records[0].values))
-    )
+    param_names, value_names = _SCHEMAS[kind]
     columns = list(param_names) + list(value_names) + ["seed", "error"]
     if timings:
         columns.append("seconds")
@@ -219,12 +222,10 @@ def write_records(
     return text
 
 
-def chi_square_gof(
-    indices: np.ndarray, probabilities: np.ndarray, min_expected: float = 5.0
-) -> tuple[float, int, float]:
+def chi_square_gof(indices: np.ndarray, probabilities: np.ndarray) -> tuple[float, int, float]:
     """Chi-square goodness of fit of sampled 1-based indices against probabilities.
 
-    Bins with expected count below `min_expected` are pooled into one cell
+    Bins with expected count below `MIN_EXPECTED_COUNT` are pooled into one cell
     (the usual validity rule for the chi-square approximation). Returns
     (statistic, degrees of freedom, p-value).
     """
@@ -236,12 +237,12 @@ def chi_square_gof(
     counts = np.bincount(idx - 1, minlength=probabilities.size).astype(float)
     expected = probabilities * counts.sum()
 
-    small = expected < min_expected
+    small = expected < MIN_EXPECTED_COUNT
     if small.any():
         pooled_obs = counts[small].sum()
         pooled_exp = expected[small].sum()
         counts, expected = counts[~small], expected[~small]
-        if pooled_exp >= min_expected or expected.size == 0:
+        if pooled_exp >= MIN_EXPECTED_COUNT or expected.size == 0:
             counts = np.append(counts, pooled_obs)
             expected = np.append(expected, pooled_exp)
         elif pooled_exp > 0.0 or pooled_obs > 0.0:

@@ -35,14 +35,16 @@ from typing import Sequence
 
 import numpy as np
 
+from .quantum_sim import HERMITIAN_ATOL, PSD_ATOL, TRACE_ATOL
+
 __all__ = [
     "BoundViolationError",
     "BudgetExceededError",
-    "DEFAULT_SYM_DIM_BUDGET",
     "GapReport",
     "MAX_MOMENT_COPIES",
     "MC_ESTIMATE_BYTE_BUDGET",
     "MomentOperator",
+    "SYM_DIM_BUDGET",
     "SymBasis",
     "mc_moment",
     "real_moment",
@@ -52,16 +54,13 @@ __all__ = [
     "trace_norm_gap",
 ]
 
-DEFAULT_SYM_DIM_BUDGET = 20_000
+SYM_DIM_BUDGET = 20_000
 MAX_MOMENT_COPIES = 8
 # Bytes of one size x size Monte Carlo estimate plus one draw chunk and its
 # temporary, counted as complex128 for either field so that a cell is admitted
 # for both fields or for neither.
 MC_ESTIMATE_BYTE_BUDGET = 1 << 30
 
-HERMITIAN_ATOL = 1e-10
-PSD_ATOL = 1e-10
-TRACE_ATOL = 1e-10
 BOUND_SLACK = 1e-9
 
 # Elements per temporary in the block gather of `real_moment` and in the
@@ -69,10 +68,12 @@ BOUND_SLACK = 1e-9
 _GATHER_CAP = 1 << 20
 # Unit vectors drawn per RNG call in `mc_moment` (real parts before imaginary parts).
 _MC_DRAW_CHUNK = 100_000
+# Largest d^N that `symmetric_embedding` materializes.
+_MAX_EMBED_DIM = 1 << 16
 
 
 class BudgetExceededError(Exception):
-    """A requested (d, N) cell does not fit the configured memory budget.
+    """A requested (d, N) cell does not fit its memory budget.
 
     When `trace_norm_gap` refuses only its Monte Carlo stage, `exact` holds
     the cell's checked report (with `mc_max_dev` None); otherwise it is None.
@@ -114,13 +115,13 @@ def _run_positions(indices: np.ndarray) -> np.ndarray:
     return pos
 
 
-def sym_basis(d: int, copies: int, budget: int = DEFAULT_SYM_DIM_BUDGET) -> SymBasis:
+def sym_basis(d: int, copies: int) -> SymBasis:
     """Enumerate the index-tuple basis; errors out above the dimension budget."""
     if d < 1 or copies < 1:
         raise ValueError("d and N must be at least 1")
     size = math.comb(d + copies - 1, copies)
-    if size > budget:
-        raise BudgetExceededError(f"symmetric dimension {size} exceeds budget {budget}")
+    if size > SYM_DIM_BUDGET:
+        raise BudgetExceededError(f"symmetric dimension {size} exceeds budget {SYM_DIM_BUDGET}")
     indices = np.array(list(itertools.combinations_with_replacement(range(d), copies)), dtype=np.int64)
     # Python ints keep N!/prod_j m_j! exact for every N before one correct rounding.
     denom = np.prod(_run_positions(indices), axis=1, dtype=object)
@@ -222,7 +223,7 @@ def _parity_classes(basis: SymBasis) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(parity_class[order])) + 1)
 
 
-def real_moment(d: int, copies: int, budget: int = DEFAULT_SYM_DIM_BUDGET) -> MomentOperator:
+def real_moment(d: int, copies: int) -> MomentOperator:
     """Exact real-sphere moment operator assembled from monomial moments.
 
     A matrix element <m|E|m'> equals norm_m * norm_m' times the monomial
@@ -233,7 +234,7 @@ def real_moment(d: int, copies: int, budget: int = DEFAULT_SYM_DIM_BUDGET) -> Mo
     """
     if copies > MAX_MOMENT_COPIES:
         raise BudgetExceededError(f"N={copies} exceeds the cap {MAX_MOMENT_COPIES}")
-    basis = sym_basis(d, copies, budget)
+    basis = sym_basis(d, copies)
     nf = basis.norm_factors
     denom = _sphere_moment_denominator(d, copies)
     # (a-1)!! for even a; a combined occupation within a parity class is even.
@@ -254,15 +255,15 @@ def real_moment(d: int, copies: int, budget: int = DEFAULT_SYM_DIM_BUDGET) -> Mo
     return MomentOperator(d=d, N=copies, blocks=tuple(blocks))
 
 
-def symmetric_embedding(basis: SymBasis, max_full_dim: int = 1 << 16) -> np.ndarray:
+def symmetric_embedding(basis: SymBasis) -> np.ndarray:
     """Isometry V from the symmetric basis into the full d^N tensor space.
 
     Column b spreads amplitude sqrt(prod_j m_j!/N!) over every distinct
     arrangement of the element's index tuple; V^T V = identity.
     """
     full_dim = basis.d**basis.N
-    if full_dim > max_full_dim:
-        raise BudgetExceededError(f"full tensor dimension {full_dim} exceeds {max_full_dim}")
+    if full_dim > _MAX_EMBED_DIM:
+        raise BudgetExceededError(f"full tensor dimension {full_dim} exceeds {_MAX_EMBED_DIM}")
     v = np.zeros((full_dim, basis.size), dtype=np.float64)
     for b in range(basis.size):
         amp = 1.0 / basis.norm_factors[b]
@@ -274,14 +275,7 @@ def symmetric_embedding(basis: SymBasis, max_full_dim: int = 1 << 16) -> np.ndar
     return v
 
 
-def mc_moment(
-    d: int,
-    copies: int,
-    samples: int,
-    field: str,
-    rng: np.random.Generator,
-    budget: int = DEFAULT_SYM_DIM_BUDGET,
-) -> np.ndarray:
+def mc_moment(d: int, copies: int, samples: int, field: str, rng: np.random.Generator) -> np.ndarray:
     """Monte Carlo estimate of the real or complex moment operator, as a size x size array.
 
     Each sampled unit vector v contributes the rank-one projector onto its
@@ -301,7 +295,7 @@ def mc_moment(
         raise ValueError("samples must be at least 1")
     if field not in ("real", "complex"):
         raise ValueError(f"unknown field {field!r}")
-    basis = sym_basis(d, copies, budget)
+    basis = sym_basis(d, copies)
     size = basis.size
     itemsize = np.dtype(np.complex128).itemsize
     nbytes = size * size * itemsize
@@ -375,11 +369,7 @@ def _check(condition: bool, message: str) -> None:
 
 
 def trace_norm_gap(
-    d: int,
-    copies: int,
-    mc_samples: int | None = None,
-    rng: np.random.Generator | None = None,
-    budget: int = DEFAULT_SYM_DIM_BUDGET,
+    d: int, copies: int, mc_samples: int | None = None, rng: np.random.Generator | None = None
 ) -> GapReport:
     """Gap ||E_complex - E_real||_1 with every inequality of its bound chain checked.
 
@@ -392,7 +382,7 @@ def trace_norm_gap(
     A Monte Carlo stage over its byte budget raises BudgetExceededError with
     the checked exact report in `exact`.
     """
-    e_real = real_moment(d, copies, budget)
+    e_real = real_moment(d, copies)
     size = e_real.size
     lam = e_real.eigenvalues
 
@@ -428,8 +418,7 @@ def trace_norm_gap(
     )
 
     if d <= 3 and copies <= 2:
-        basis = sym_basis(d, copies, budget)
-        v = symmetric_embedding(basis)
+        v = symmetric_embedding(sym_basis(d, copies))
         e_real_full = v @ e_real.matrix @ v.T
         e_complex_full = (v @ v.T) / size
         rho_a = np.kron(e_complex_full, e_real_full)
@@ -453,27 +442,25 @@ def trace_norm_gap(
     if mc_samples is None:
         return report
     try:
-        mc_max_dev = _mc_max_dev(e_real, mc_samples, rng, budget)
+        mc_max_dev = _mc_max_dev(e_real, mc_samples, rng)
     except BudgetExceededError as exc:
         exc.exact = report
         raise
     return dataclasses.replace(report, mc_max_dev=mc_max_dev)
 
 
-def _mc_max_dev(
-    e_real: MomentOperator, samples: int, rng: np.random.Generator | None, budget: int
-) -> float:
+def _mc_max_dev(e_real: MomentOperator, samples: int, rng: np.random.Generator | None) -> float:
     """Largest entry deviation of the real and complex Monte Carlo estimates from the exact moments."""
     if rng is None:
         raise ValueError("mc_samples requires an rng")
     d, copies, size = e_real.d, e_real.N, e_real.size
     # Deviations are taken in place: the real estimate minus each exact
     # block (it is 0 off the blocks), the complex one minus I/size.
-    estimate = mc_moment(d, copies, samples, "real", rng, budget)
+    estimate = mc_moment(d, copies, samples, "real", rng)
     for rows, block in e_real.blocks:
         estimate[np.ix_(rows, rows)] -= block
     dev_real = _max_abs(estimate)
     del estimate
-    estimate = mc_moment(d, copies, samples, "complex", rng, budget)
+    estimate = mc_moment(d, copies, samples, "complex", rng)
     estimate[np.diag_indices(size)] -= 1.0 / size
     return max(dev_real, _max_abs(estimate))

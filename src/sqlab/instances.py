@@ -13,13 +13,13 @@ stream per vector, so instances are reproducible under parallel sweeps.
 
 from __future__ import annotations
 
-import logging
 import math
 from pathlib import Path
 
 import numpy as np
 
 from .sq_oracle import (
+    DENSE_BUDGET_N,
     ImplicitVector,
     KIND_ALL_PLUS,
     KIND_MINUS_AT_INDEX,
@@ -31,7 +31,6 @@ from .sq_oracle import (
 )
 
 __all__ = [
-    "DEFAULT_DENSE_BUDGET_N",
     "MINUS_SIGN",
     "ProblemInstance",
     "REAL_SEARCH",
@@ -45,14 +44,9 @@ __all__ = [
     "pairwise_distance_report",
 ]
 
-logger = logging.getLogger(__name__)
-
 MINUS_SIGN = "minus-sign"
 REAL_SEARCH = "real-search"
 UNNORMALIZED_MINUS = "unnormalized-minus"
-
-# 2^24 complex entries per vector is the default materialization ceiling.
-DEFAULT_DENSE_BUDGET_N = 24
 
 _MANIFEST_NAME = "manifest.txt"
 
@@ -148,17 +142,12 @@ def gen_unnormalized_minus(n: int, num_vectors: int, seed: int) -> ProblemInstan
     return _minus_family(UNNORMALIZED_MINUS, n, num_vectors, seed, normalized=False)
 
 
-def gen_real_vector_search(
-    n: int,
-    num_vectors: int,
-    seed: int,
-    max_dense_n: int = DEFAULT_DENSE_BUDGET_N,
-) -> ProblemInstance:
+def gen_real_vector_search(n: int, num_vectors: int, seed: int) -> ProblemInstance:
     """Haar instance: vector k* uniform on the real sphere, the rest complex."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > max_dense_n:
-        raise ValueError(f"n={n} exceeds the dense materialization budget ({max_dense_n})")
+    if n > DENSE_BUDGET_N:
+        raise ValueError(f"n={n} exceeds the dense materialization budget ({DENSE_BUDGET_N})")
     if num_vectors < 2:
         raise ValueError("need at least two vectors")
     k_star = _draw_k_star(seed, num_vectors)

@@ -75,24 +75,19 @@ def solve_minus_sign(handles: Sequence[SqHandle]) -> SolveReport:
     return _finish(handles, before, negatives[0], t0)
 
 
-def solve_real_search(handles: Sequence[SqHandle], imag_tol: float = 0.0) -> SolveReport:
+def solve_real_search(handles: Sequence[SqHandle]) -> SolveReport:
     """Find the real vector by testing Im of the first component, C Query calls.
 
-    The default test is exact (Im == 0.0): generated real vectors store
-    literal zero imaginary parts, while complex Gaussian components are never
-    exactly real in double precision except with negligible probability.
-    `imag_tol` admits externally produced data that carries rounding dust.
+    The test is exact (Im == 0.0): generated real vectors store literal zero
+    imaginary parts, while complex Gaussian components are never exactly real
+    in double precision except with negligible probability.
     """
-    if imag_tol < 0.0:
-        raise ValueError("imag_tol must be nonnegative")
     before = [h.stats() for h in handles]
     t0 = time.perf_counter_ns()
     firsts = [h.query(1) for h in handles]
-    real_ones = [k for k, z in enumerate(firsts, start=1) if abs(z.imag) <= imag_tol]
+    real_ones = [k for k, z in enumerate(firsts, start=1) if z.imag == 0.0]
     if len(real_ones) != 1:
-        logger.warning(
-            "real-search anomaly: %d components with |Im| <= %g", len(real_ones), imag_tol
-        )
+        logger.warning("real-search anomaly: %d components with |Im| <= 0", len(real_ones))
         raise MalformedInstanceError(
             f"expected exactly one real first component, found {len(real_ones)}"
         )

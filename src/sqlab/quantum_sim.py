@@ -21,6 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .sq_oracle import DENSE_BUDGET_N
+
 __all__ = [
     "DensityOperator",
     "HELSTROM_SCHATTEN_THRESHOLD",
@@ -64,7 +66,7 @@ class Statevector:
         if arr.ndim != 1 or arr.size != 1 << self.n:
             raise ValueError(f"expected 2^{self.n} amplitudes, got shape {arr.shape}")
         nrm = np.linalg.norm(arr)
-        if abs(nrm - 1.0) > STATE_NORM_ATOL:
+        if not abs(nrm - 1.0) <= STATE_NORM_ATOL:  # a NaN or infinite amplitude fails too
             raise ValueError(f"state norm {nrm} deviates from 1 beyond {STATE_NORM_ATOL}")
 
 
@@ -85,16 +87,19 @@ class DensityOperator:
             raise ValueError("density operator must be a square matrix")
         if m.shape[0] != self.dim:
             raise ValueError(f"dim field {self.dim} does not match shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("density operator has NaN or infinite entries")
         dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
         if dev > HERMITIAN_ATOL:
             raise ValueError(f"matrix is non-Hermitian beyond tolerance ({dev:.3e})")
         m = (m + m.conj().T) / 2.0
         object.__setattr__(self, "matrix", m)
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TRACE_ATOL:
+        # written so that a NaN, from entries whose sum overflows, fails the check
+        if not abs(tr - 1.0) <= TRACE_ATOL:
             raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
         min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -PSD_ATOL:
+        if not min_eig >= -PSD_ATOL:
             raise ValueError(f"matrix is not PSD (min eigenvalue {min_eig:.3e})")
 
     @classmethod
@@ -106,7 +111,7 @@ class DensityOperator:
     def from_pure(cls, state: Statevector | np.ndarray | Sequence[complex]) -> "DensityOperator":
         vec = state.amplitudes if isinstance(state, Statevector) else np.asarray(state, dtype=np.complex128)
         nrm = np.linalg.norm(vec)
-        if abs(nrm - 1.0) > STATE_NORM_ATOL:
+        if not abs(nrm - 1.0) <= STATE_NORM_ATOL:  # a NaN or infinite amplitude fails too
             raise ValueError(f"pure state norm {nrm} deviates from 1")
         return cls(matrix=np.outer(vec, vec.conj()), dim=vec.size)
 
@@ -177,20 +182,25 @@ def ncopy_minus_sign_tracenorm(d: int, copies: int) -> float:
     return 2.0 * math.sqrt(-math.expm1(exponent))
 
 
-def minus_sign_product_vectors(d: int, copies: int, max_dim: int) -> tuple[np.ndarray, np.ndarray]:
+def minus_sign_product_vectors(d: int, copies: int) -> tuple[np.ndarray, np.ndarray]:
     """The N-copy sign-flip pair as real product vectors of dimension d^(2N).
 
     With |+> uniform and |-> the same vector with its first entry negated,
     returns |->^N |+>^N and |+>^N |->^N. Refuses d < 2, copies < 1 and any
-    dimension above max_dim before materializing anything.
+    dimension above 2^DENSE_BUDGET_N before materializing anything.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
     if copies < 1:
         raise ValueError("copies must be at least 1")
+    cap = 1 << DENSE_BUDGET_N
+    # With d >= 2 either bound alone puts d^(2N) past the cap, so a pair that
+    # large is refused before its dimension is formed as an integer.
+    if d > cap or copies > DENSE_BUDGET_N:
+        raise ValueError(f"minus-sign pair dimension d^(2N) with d={d}, N={copies} exceeds {cap}")
     dim = d ** (2 * copies)
-    if dim > max_dim:
-        raise ValueError(f"minus-sign pair dimension {dim} exceeds {max_dim}")
+    if dim > cap:
+        raise ValueError(f"minus-sign pair dimension {dim} exceeds {cap}")
     plus = np.full(d, 1.0 / math.sqrt(d))
     minus = plus.copy()
     minus[0] *= -1.0
@@ -199,13 +209,13 @@ def minus_sign_product_vectors(d: int, copies: int, max_dim: int) -> tuple[np.nd
     return u, v
 
 
-def ncopy_minus_sign_tracenorm_dense(d: int, copies: int, max_dim: int = 8192) -> float:
+def ncopy_minus_sign_tracenorm_dense(d: int, copies: int) -> float:
     """Independent check of the closed form from the materialized N-copy pair.
 
     The trace norm of uu^T - vv^T comes from the inner products of the
     vectors (`_pure_pair_schatten1`); c = 1 - 2/d is never used.
     """
-    return _pure_pair_schatten1(*minus_sign_product_vectors(d, copies, max_dim))
+    return _pure_pair_schatten1(*minus_sign_product_vectors(d, copies))
 
 
 def check_schatten_threshold(threshold: float) -> None:
@@ -288,13 +298,9 @@ def _click_success_rate(
     return float(successes) / trials
 
 
-def random_density_operator(
-    dim: int, rng: np.random.Generator, rank: int | None = None
-) -> DensityOperator:
-    """Random full- or fixed-rank density operator from a Ginibre factor."""
-    if rank is None:
-        rank = dim
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+def random_density_operator(dim: int, rng: np.random.Generator) -> DensityOperator:
+    """Random full-rank density operator from a square Ginibre factor."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     return DensityOperator.from_matrix(m / np.trace(m).real)
 
@@ -328,5 +334,6 @@ def load_density_operator(path: str | Path) -> DensityOperator:
     if len(tokens) != 2 * dim * dim:
         raise ValueError(f"{path}: expected {2 * dim * dim} numbers, found {len(tokens)}")
     flat = np.asarray([float(t) for t in tokens], dtype=np.float64)
-    matrix = (flat[0::2] + 1j * flat[1::2]).reshape(dim, dim)
+    with np.errstate(invalid="ignore"):  # 1j * inf; DensityOperator refuses the entry
+        matrix = (flat[0::2] + 1j * flat[1::2]).reshape(dim, dim)
     return DensityOperator.from_matrix(matrix)

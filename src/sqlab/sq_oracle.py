@@ -30,6 +30,7 @@ __all__ = [
     "ALL_CAPABILITIES",
     "Capability",
     "CapabilityError",
+    "DENSE_BUDGET_N",
     "DenseVector",
     "ImplicitVector",
     "KIND_ALL_PLUS",
@@ -61,6 +62,10 @@ _IMPLICIT_KINDS = (KIND_ALL_PLUS, KIND_MINUS_AT_INDEX, KIND_SIGN_PRODUCT)
 
 # Implicit index arithmetic must stay within exact int64 range.
 MAX_IMPLICIT_N = 62
+
+# Implicit vectors, real-search instances and minus-sign pure pairs are
+# materialized with at most 2^DENSE_BUDGET_N entries.
+DENSE_BUDGET_N = 24
 
 
 class CapabilityError(Exception):
@@ -117,10 +122,6 @@ class _PrefixSumTree:
         self.arr = arr
         self.m = m
         self.depth = m.bit_length() - 1
-
-    @property
-    def total(self) -> float:
-        return float(self.arr[1])
 
     @property
     def leaf_weights(self) -> np.ndarray:
@@ -357,14 +358,14 @@ def build_implicit(spec: ImplicitVector) -> SqHandle:
     return SqHandle(spec)
 
 
-def materialize(backing: DenseVector | ImplicitVector | SqHandle, max_n: int = 24) -> np.ndarray:
-    """Dense copy of a vector; refuses implicit backings larger than 2^max_n."""
+def materialize(backing: DenseVector | ImplicitVector | SqHandle) -> np.ndarray:
+    """Dense copy of a vector; refuses implicit backings larger than 2^DENSE_BUDGET_N."""
     if isinstance(backing, SqHandle):
         backing = backing.backing
     if isinstance(backing, DenseVector):
         return backing.entries.copy()
-    if backing.n > max_n:
-        raise ValueError(f"refusing to materialize 2^{backing.n} entries (max_n={max_n})")
+    if backing.n > DENSE_BUDGET_N:
+        raise ValueError(f"refusing to materialize 2^{backing.n} entries (max_n={DENSE_BUDGET_N})")
     d = backing.dim
     out = np.full(d, backing.scale, dtype=np.complex128)
     if backing.kind == KIND_MINUS_AT_INDEX:

@@ -4,18 +4,21 @@ Each example runs `sqlab.cli.main` in-process on an argv with arbitrary
 numbers, including negatives, zeros, NaN and infinities, and checks that the
 exit code is 0, 1 or 2, that nothing escapes as a traceback, and that stdout
 is strict JSON or CSV with no NaN or Infinity token. Sizes stay small (dense
-dimensions up to 2^10, or 2^12 for instances, pure pairs up to 2^16, at most 8
-vectors or copies, at most 1000 trials, Haar moments up to d=8, N=4 with at
-most 2000 Monte Carlo samples), so the whole module runs in a few seconds;
-implicit vectors and the closed-form sweep cost the same at any size, so n and
-d range past the sizes they accept.
+dimensions up to 2^10, or 2^12 for instances, pure pairs up to 2^16, density
+operators up to 3x3, at most 8 vectors, at most 1000 trials, Haar moments up to
+d=8, N=4 with at most 2000 Monte Carlo samples), so the whole module runs in a
+few seconds; implicit vectors, the closed-form sweep and the refusal of a pure
+pair past the dense budget cost the same at any size, so n, d and copies range
+past the sizes they accept.
 """
 
 import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -96,17 +99,53 @@ def test_fuzz_sample_test(seed, source, draws, significance):
 
 
 @fuzz_settings
-@given(seed=seeds, d=st.integers(-2, 16), copies=st.integers(-2, 8), trials=st.integers(-2, 1000))
+@given(
+    seed=seeds,
+    d=st.one_of(st.integers(-2, 16), st.integers(-2, 2**4000)),
+    copies=st.one_of(st.integers(-2, 8), st.integers(-2, 2**30)),
+    trials=st.integers(-2, 1000),
+)
 def test_fuzz_discriminate(seed, d, copies, trials):
     # the pair has dimension d^(2 copies); pairs up to 2^16 are built, larger ones up to
     # 2^24 would only cost time and memory (two vectors of that length), and larger
-    # ones still are refused
-    if d > 1 and copies > 0 and 2**16 < d ** (2 * copies) <= 2**24:
-        copies = 1
+    # ones still are refused. Past d = 2^12 or 12 copies the pair is past 2^24, so the
+    # power is formed only below both.
+    if 1 < d <= 2**12 and 0 < copies <= 12 and 2**16 < d ** (2 * copies) <= 2**24:
+        d, copies = min(d, 2**8), 1
     _check(
         ["--seed", str(seed), "discriminate", "--family", "minus-sign"]
         + ["--d", str(d), "--copies", str(copies), "--trials", str(trials)]
     )
+
+
+def _density_file(k, entries):
+    rows = [" ".join(entries[2 * k * r : 2 * k * (r + 1)]) for r in range(k)]
+    return "\n".join([f"dim {k}", *rows]) + "\n"
+
+
+@fuzz_settings
+@given(
+    seed=seeds,
+    files=st.lists(
+        st.integers(1, 3).flatmap(
+            lambda k: st.tuples(st.just(k), st.lists(numbers, min_size=2 * k * k, max_size=2 * k * k))
+        ),
+        min_size=2,
+        max_size=2,
+    ),
+    trials=st.integers(-2, 1000),
+)
+def test_fuzz_discriminate_files(seed, files, trials):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["--seed", str(seed), "discriminate", "--trials", str(trials)]
+        for flag, (k, entries) in zip(("--a", "--b"), files):
+            path = Path(tmp) / f"{flag[2:]}.txt"
+            path.write_text(_density_file(k, entries))
+            argv += [flag, str(path)]
+        if all(math.isfinite(float(x)) for _, entries in files for x in entries):
+            _check(argv)
+        else:
+            assert _run(argv)[0] == 1, argv
 
 
 @fuzz_settings

@@ -408,18 +408,39 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         (["encoding-demo", "--n", "100000", "--trials", "10"], 0),
         (["sample-test", "--vector", "{nan_file}"], 1),
         (["copies-sweep", "--d", str(1 << 55)], 0),
+        (["discriminate", "--a", "{nan_density}", "--b", "{one_density}"], 1),
+        (["discriminate", "--family", "minus-sign", "--d", "4", "--copies", "5000"], 1),
+        (["discriminate", "--family", "minus-sign", "--d", "9" * 2200, "--copies", "1"], 1),
+        (["discriminate", "--family", "minus-sign", "--d", "4", "--copies", "100000000"], 1),
     ],
-    ids=["sample-test-no-dof", "encoding-demo-huge-n", "sample-test-nan-vector", "copies-sweep-huge-d"],
+    ids=[
+        "sample-test-no-dof",
+        "encoding-demo-huge-n",
+        "sample-test-nan-vector",
+        "copies-sweep-huge-d",
+        "discriminate-nan-density",
+        "discriminate-many-copies",
+        "discriminate-huge-d",
+        "discriminate-huge-copies",
+    ],
 )
 def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
-    nan_file = tmp_path / "nan.txt"
-    nan_file.write_text("nan 0\n1 0\n")
-    assert main([arg.format(nan_file=nan_file) for arg in argv]) == code
+    files = {
+        "nan_file": "nan 0\n1 0\n",
+        "nan_density": "dim 2\nnan 0 0 0\n0 0 1 0\n",
+        "one_density": "dim 2\n1 0 0 0\n0 0 0 0\n",
+    }
+    for name, text in files.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    paths = {name: tmp_path / f"{name}.txt" for name in files}
+    assert main([arg.format(**paths) for arg in argv]) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert captured.err.strip().count("\n") == 0
     if argv[0] == "encoding-demo":
         assert json.loads(captured.out)["amplitude_single_copy_success"] == 0.5
+    if "--family" in argv:
+        assert captured.err.startswith("error: minus-sign pair dimension d^(2N) with d=")
 
 
 @pytest.mark.parametrize(

@@ -110,7 +110,7 @@ def test_gen_real_vector_search_structure():
 def test_gen_real_vector_search_budget():
     with pytest.raises(ValueError, match="budget"):
         gen_real_vector_search(25, 2, seed=0)
-    gen_real_vector_search(12, 2, seed=0, max_dense_n=12)
+    gen_real_vector_search(12, 2, seed=0)
 
 
 def test_generation_is_deterministic():

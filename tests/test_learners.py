@@ -102,10 +102,6 @@ def test_solve_real_search_tolerance_variant():
     ]
     with pytest.raises(MalformedInstanceError):
         solve_real_search(handles)  # exact test sees no exactly-real component
-    report = solve_real_search(handles, imag_tol=1e-12)
-    assert report.answer == 2
-    with pytest.raises(ValueError):
-        solve_real_search(handles, imag_tol=-1.0)
 
 
 def test_solver_stats_are_deltas():

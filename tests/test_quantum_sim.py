@@ -44,6 +44,27 @@ def test_statevector_validation():
         Statevector(np.array([1.0, 1.0]), n=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_states_refuse_nan_and_infinite_entries(bad):
+    with pytest.raises(ValueError, match="norm"):
+        Statevector(np.array([bad, 0.0]), 1)
+    with pytest.raises(ValueError, match="norm"):
+        DensityOperator.from_pure(np.array([bad, 0.0]))
+    for entry in [(0, 0), (0, 1)]:
+        matrix = np.diag([1.0, 0.0]).astype(complex)
+        matrix[entry] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            DensityOperator.from_matrix(matrix)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_density_operator_refuses_finite_entries_whose_sums_overflow():
+    # the symmetrized matrix holds inf, and its trace or spectrum NaN
+    for matrix in ([[0.5, 1e308], [1e308, 0.5]], np.diag([1e308, -1e308])):
+        with pytest.raises(ValueError, match="PSD|trace"):
+            DensityOperator.from_matrix(np.array(matrix))
+
+
 def test_density_operator_validation():
     with pytest.raises(ValueError, match="non-Hermitian"):
         DensityOperator.from_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
@@ -131,6 +152,16 @@ def test_ncopy_dense_budget():
         ncopy_minus_sign_tracenorm_dense(64, 4)
 
 
+@pytest.mark.parametrize("d,copies", [(2, 7), (4, 4)])
+def test_ncopy_dense_serves_pairs_up_to_the_dense_vector_budget(d, copies):
+    # D = 2^14 and 2^16, past the 8192 that once capped this check
+    assert ncopy_minus_sign_tracenorm_dense(d, copies) == pytest.approx(
+        ncopy_minus_sign_tracenorm(d, copies), abs=1e-12
+    )
+    with pytest.raises(ValueError, match=f"dimension {2**26} exceeds {2**24}"):
+        ncopy_minus_sign_tracenorm_dense(2, 13)
+
+
 @pytest.mark.parametrize("d,copies", [(2, 3), (3, 2)])
 def test_ncopy_gram_path_matches_dense_eigensolve(d, copies):
     plus = np.full(d, 1 / math.sqrt(d))
@@ -142,16 +173,16 @@ def test_ncopy_gram_path_matches_dense_eigensolve(d, copies):
 
 
 def test_minus_sign_product_vectors():
-    u, v = minus_sign_product_vectors(3, 2, max_dim=81)
+    u, v = minus_sign_product_vectors(3, 2)
     assert u.shape == v.shape == (81,)
     assert float(u @ u) == pytest.approx(1.0, abs=1e-12)
     assert float(u @ v) == pytest.approx((1 / 3) ** 4, abs=1e-12)
     with pytest.raises(ValueError, match="copies"):
-        minus_sign_product_vectors(4, 0, max_dim=4096)
+        minus_sign_product_vectors(4, 0)
     with pytest.raises(ValueError, match="dimension must"):
-        minus_sign_product_vectors(1, 2, max_dim=4096)
+        minus_sign_product_vectors(1, 2)
     with pytest.raises(ValueError, match="exceeds"):
-        minus_sign_product_vectors(3, 2, max_dim=80)
+        minus_sign_product_vectors(2, 13)
 
 
 @pytest.mark.parametrize("d", [3, 256, 1 << 30, 1 << 55, 1 << 62, 1 << 100, (1 << 1023) + 1])
