@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantum_sim import Statevector
-from .sq_oracle import SqHandle, build_dense
+from .sq_oracle import SqHandle, build_dense, content_lines
 
 __all__ = [
     "Circuit",
@@ -87,16 +87,13 @@ def parse_circuit(text: str) -> Circuit:
 
     First content line is `qubits <n>`; gate lines follow, one per line:
     `H <q>` / `T <q>` / `S <q>` / `X <q>` / `Z <q>` / `CNOT <c> <t>`.
-    Lines starting with `#` are comments. Empty input yields the trivial
-    identity circuit on zero qubits.
+    Comments and blank lines follow `content_lines`. Empty input yields the
+    trivial identity circuit on zero qubits.
     """
     n = None
     gates: list[Gate] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for lineno, tokens in content_lines(text.splitlines()):
+        line = " ".join(tokens)
         if n is None:
             if tokens[0] != "qubits" or len(tokens) != 2:
                 raise ValueError(f"line {lineno}: expected `qubits <n>`, got {line!r}")

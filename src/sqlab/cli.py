@@ -302,7 +302,10 @@ def _cmd_sharp_p(args) -> int:
     # a negative tolerance fails every circuit, an infinite one passes every one
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
         raise ConfigError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
-    circuit = circuit_bridge.parse_circuit(Path(args.circuit).read_text())
+    try:
+        circuit = circuit_bridge.parse_circuit(Path(args.circuit).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{args.circuit}: {exc}") from None
     if circuit.n == 0:
         raise ConfigError("circuit file declares zero qubits")
     t0 = time.perf_counter_ns()
@@ -379,10 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.subcommand](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, learners.MalformedInstanceError) as exc:
+    except (ConfigError, OSError, ValueError, learners.MalformedInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (BoundViolationError, AssertionError) as exc:

@@ -26,6 +26,7 @@ from .sq_oracle import (
     SqHandle,
     build_dense,
     build_implicit,
+    content_lines,
     load_dense_vector,
     materialize,
 )
@@ -296,11 +297,7 @@ def load_instance(directory: str | Path) -> ProblemInstance:
     kind = None
     numbers: dict[str, int] = {}
     vector_specs: dict[int, tuple[str, list[str]]] = {}
-    for lineno, raw in enumerate(manifest.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, *values = line.split()
+    for lineno, (key, *values) in content_lines(manifest.read_text().splitlines()):
         where = f"{manifest}:{lineno}"
         if key == "vector":
             if len(values) < 3:
@@ -312,7 +309,7 @@ def load_instance(directory: str | Path) -> ProblemInstance:
         elif key not in ("kind", "n", "C", "seed", "k_star"):
             raise ValueError(f"{where}: unknown manifest key {key!r}")
         elif len(values) != 1:
-            raise ValueError(f"{where}: expected `{key} <value>`, got {line!r}")
+            raise ValueError(f"{where}: expected `{key} <value>`, got {' '.join([key, *values])!r}")
         elif key in numbers or (key == "kind" and kind is not None):
             raise ValueError(f"{where}: {key} given twice")
         elif key == "kind":

@@ -11,7 +11,6 @@ budget helps.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,9 +26,6 @@ __all__ = [
     "solve_real_search",
     "solve_sample_only",
 ]
-
-logger = logging.getLogger(__name__)
-
 
 class MalformedInstanceError(Exception):
     """The handles do not contain exactly one distinguished vector."""
@@ -87,7 +83,6 @@ def solve_real_search(handles: Sequence[SqHandle]) -> SolveReport:
     firsts = [h.query(1) for h in handles]
     real_ones = [k for k, z in enumerate(firsts, start=1) if z.imag == 0.0]
     if len(real_ones) != 1:
-        logger.warning("real-search anomaly: %d components with |Im| <= 0", len(real_ones))
         raise MalformedInstanceError(
             f"expected exactly one real first component, found {len(real_ones)}"
         )

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sq_oracle import DENSE_BUDGET_N
+from .sq_oracle import DENSE_BUDGET_N, content_lines
 
 __all__ = [
     "DensityOperator",
@@ -65,55 +65,62 @@ class Statevector:
         object.__setattr__(self, "amplitudes", arr)
         if arr.ndim != 1 or arr.size != 1 << self.n:
             raise ValueError(f"expected 2^{self.n} amplitudes, got shape {arr.shape}")
-        nrm = np.linalg.norm(arr)
-        if not abs(nrm - 1.0) <= STATE_NORM_ATOL:  # a NaN or infinite amplitude fails too
-            raise ValueError(f"state norm {nrm} deviates from 1 beyond {STATE_NORM_ATOL}")
+        _unit_norm_sq(arr)
+
+
+def _unit_norm_sq(vec: np.ndarray) -> float:
+    """<vec|vec>, after refusing a vector whose 2-norm is not 1 within STATE_NORM_ATOL."""
+    norm_sq = float(np.vdot(vec, vec).real)
+    nrm = math.sqrt(norm_sq)
+    if not abs(nrm - 1.0) <= STATE_NORM_ATOL:  # a NaN or infinite amplitude fails too
+        raise ValueError(f"state norm {nrm} deviates from 1 beyond {STATE_NORM_ATOL}")
+    return norm_sq
 
 
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, positive semi-definite, trace-one matrix.
 
-    Construction symmetrizes floating-point drift via (M + M^dag)/2 when the
+    Construction symmetrizes floating-point drift via M/2 + M^dag/2, which
+    cannot overflow and equals (M + M^dag)/2 for normal entries, when the
     deviation is within tolerance and rejects anything worse.
     """
 
     matrix: np.ndarray
-    dim: int
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density operator must be a square matrix")
-        if m.shape[0] != self.dim:
-            raise ValueError(f"dim field {self.dim} does not match shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("density operator has NaN or infinite entries")
-        dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        if dev > HERMITIAN_ATOL:
+        # a difference or trace past the float range is inf, which the checks refuse
+        with np.errstate(over="ignore"):
+            dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+            m = m / 2.0 + m.conj().T / 2.0
+            tr = float(np.trace(m).real)
+        if not dev <= HERMITIAN_ATOL:
             raise ValueError(f"matrix is non-Hermitian beyond tolerance ({dev:.3e})")
-        m = (m + m.conj().T) / 2.0
-        object.__setattr__(self, "matrix", m)
-        tr = float(np.trace(m).real)
-        # written so that a NaN, from entries whose sum overflows, fails the check
         if not abs(tr - 1.0) <= TRACE_ATOL:
             raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
+        object.__setattr__(self, "matrix", m)
         min_eig = float(np.linalg.eigvalsh(m)[0])
         if not min_eig >= -PSD_ATOL:
             raise ValueError(f"matrix is not PSD (min eigenvalue {min_eig:.3e})")
 
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "DensityOperator":
-        matrix = np.asarray(matrix, dtype=np.complex128)
-        return cls(matrix=matrix, dim=matrix.shape[0])
+        return cls(matrix)
 
     @classmethod
     def from_pure(cls, state: Statevector | np.ndarray | Sequence[complex]) -> "DensityOperator":
         vec = state.amplitudes if isinstance(state, Statevector) else np.asarray(state, dtype=np.complex128)
-        nrm = np.linalg.norm(vec)
-        if not abs(nrm - 1.0) <= STATE_NORM_ATOL:  # a NaN or infinite amplitude fails too
-            raise ValueError(f"pure state norm {nrm} deviates from 1")
-        return cls(matrix=np.outer(vec, vec.conj()), dim=vec.size)
+        _unit_norm_sq(vec)
+        return cls(np.outer(vec, vec.conj()))
 
 
 def _schatten1_hermitian(matrix: np.ndarray) -> float:
@@ -150,11 +157,7 @@ def _pure_pair_schatten1(u: np.ndarray, v: np.ndarray) -> float:
     """
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.size} vs {v.size}")
-    uu, vv = np.vdot(u, u).real, np.vdot(v, v).real
-    for norm_sq in (uu, vv):
-        nrm = math.sqrt(norm_sq)
-        if not abs(nrm - 1.0) <= STATE_NORM_ATOL:
-            raise ValueError(f"pure state norm {nrm} deviates from 1")
+    uu, vv = _unit_norm_sq(u), _unit_norm_sq(v)
     overlap = abs(np.vdot(u, v)) ** 2 / (uu * vv)
     return 2.0 * math.sqrt(max(1.0 - overlap, 0.0))
 
@@ -314,26 +317,27 @@ def save_density_operator(path: str | Path, rho: DensityOperator) -> None:
 
 
 def load_density_operator(path: str | Path) -> DensityOperator:
-    """Parse the density-operator text format (`#` begins a comment line)."""
-    tokens: list[str] = []
-    dim = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if dim is None:
-                if parts[0] != "dim" or len(parts) != 2:
-                    raise ValueError(f"{path}: expected `dim <k>` header, got {line!r}")
-                dim = int(parts[1])
-                continue
-            tokens.extend(parts)
-    if dim is None:
-        raise ValueError(f"{path}: missing `dim <k>` header")
-    if len(tokens) != 2 * dim * dim:
-        raise ValueError(f"{path}: expected {2 * dim * dim} numbers, found {len(tokens)}")
-    flat = np.asarray([float(t) for t in tokens], dtype=np.float64)
-    with np.errstate(invalid="ignore"):  # 1j * inf; DensityOperator refuses the entry
-        matrix = (flat[0::2] + 1j * flat[1::2]).reshape(dim, dim)
-    return DensityOperator.from_matrix(matrix)
+    """Parse the density-operator text format; every refusal is a ValueError naming the file."""
+    dim, values = None, []
+    try:
+        with open(path) as fh:
+            for lineno, tokens in content_lines(fh):
+                try:
+                    if dim is not None:
+                        values.extend(float(t) for t in tokens)
+                    elif tokens[0] != "dim" or len(tokens) != 2:
+                        raise ValueError("expected `dim <k>` header")
+                    elif (dim := int(tokens[1])) < 1:
+                        raise ValueError("dimension must be at least 1")
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc} in {' '.join(tokens)!r}") from None
+        if dim is None:
+            raise ValueError("missing `dim <k>` header")
+        if len(values) != 2 * dim * dim:
+            raise ValueError(f"expected {2 * dim * dim} numbers, found {len(values)}")
+        flat = np.asarray(values, dtype=np.float64)
+        with np.errstate(invalid="ignore"):  # 1j * inf; DensityOperator refuses the entry
+            matrix = (flat[0::2] + 1j * flat[1::2]).reshape(dim, dim)
+        return DensityOperator.from_matrix(matrix)
+    except ValueError as exc:  # also bytes that do not decode as text
+        raise ValueError(f"{path}: {exc}") from None

@@ -22,7 +22,7 @@ import math
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -108,9 +108,7 @@ class _PrefixSumTree:
     """
 
     def __init__(self, weights: np.ndarray):
-        m = len(weights)
-        if m & (m - 1):
-            raise ValueError("weight count must be a power of two")
+        m = len(weights)  # 2^n: the tree is only built from a DenseVector's entries
         arr = np.zeros(2 * m, dtype=np.float64)
         arr[m:] = weights
         size = m
@@ -377,21 +375,27 @@ def materialize(backing: DenseVector | ImplicitVector | SqHandle) -> np.ndarray:
     return out
 
 
+def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """1-based `(lineno, tokens)` of each line that is not blank and not a comment.
+
+    Every sqlab text format splits lines on whitespace, and a line whose first
+    token starts with `#` is a comment.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            yield lineno, tokens
+
+
 def load_dense_vector(path: str | Path) -> np.ndarray:
-    """Parse the dense vector text format (`#` begins a comment line)."""
+    """Parse the dense vector text format: one `<re> <im>` pair per content line."""
     values = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected `<re> <im>`, got {line!r}")
+        for lineno, tokens in content_lines(fh):
             try:
-                re_part, im_part = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: not a number: {line!r}") from exc
+                re_part, im_part = map(float, tokens)  # a wrong count is a ValueError too
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected `<re> <im>`, got {' '.join(tokens)!r}") from None
             values.append(complex(re_part, im_part))
     if not values:
         raise ValueError(f"{path}: no components found")

@@ -2,8 +2,9 @@
 
 Each example runs `sqlab.cli.main` in-process on an argv with arbitrary
 numbers, including negatives, zeros, NaN and infinities, and checks that the
-exit code is 0, 1 or 2, that nothing escapes as a traceback, and that stdout
-is strict JSON or CSV with no NaN or Infinity token. Sizes stay small (dense
+exit code is 0, 1 or 2, that nothing escapes as a traceback or a numpy
+warning, that stderr holds at most one line, and that stdout is strict JSON
+or CSV with no NaN or Infinity token. Sizes stay small (dense
 dimensions up to 2^10, or 2^12 for instances, pure pairs up to 2^16, density
 operators up to 3x3, at most 8 vectors, at most 1000 trials, Haar moments up to
 d=8, N=4 with at most 2000 Monte Carlo samples), so the whole module runs in a
@@ -21,10 +22,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sqlab.cli import main
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 _NON_FINITE_TOKENS = {"nan", "-nan", "inf", "-inf", "infinity", "-infinity"}
 
@@ -51,6 +54,7 @@ def _check(argv):
     code, out, err = _run(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err, (argv, err)
+    assert len(err.splitlines()) <= 1, (argv, err)
     if not out:
         return
     if argv[argv.index("--seed") + 2] in ("copies-sweep", "haar-gap"):
@@ -135,6 +139,8 @@ def _density_file(k, entries):
     ),
     trials=st.integers(-2, 1000),
 )
+# finite entries whose Hermitian part overflows: refused in one line, with no numpy warning
+@example(seed=0, files=[(2, ["0.5", "0", "1e308", "0", "1e308", "0", "0.5", "0"]), (1, ["1.0", "0"])], trials=10)
 def test_fuzz_discriminate_files(seed, files, trials):
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["--seed", str(seed), "discriminate", "--trials", str(trials)]

@@ -3,8 +3,12 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,6 +413,13 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         (["sample-test", "--vector", "{nan_file}"], 1),
         (["copies-sweep", "--d", str(1 << 55)], 0),
         (["discriminate", "--a", "{nan_density}", "--b", "{one_density}"], 1),
+        (["discriminate", "--a", "{overflow_offdiagonal}", "--b", "{one_density}"], 1),
+        (["discriminate", "--a", "{overflow_trace}", "--b", "{one_density}"], 1),
+        (["discriminate", "--a", "{word_dim}", "--b", "{one_density}"], 1),
+        (["discriminate", "--a", "{negative_dim}", "--b", "{one_density}"], 1),
+        (["discriminate", "--a", "{word_entry}", "--b", "{one_density}"], 1),
+        (["discriminate", "--a", "{undecodable}", "--b", "{one_density}"], 1),
+        (["sharp-p", "--circuit", "{bad_circuit}"], 1),
         (["discriminate", "--family", "minus-sign", "--d", "4", "--copies", "5000"], 1),
         (["discriminate", "--family", "minus-sign", "--d", "9" * 2200, "--copies", "1"], 1),
         (["discriminate", "--family", "minus-sign", "--d", "4", "--copies", "100000000"], 1),
@@ -419,19 +430,35 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         "sample-test-nan-vector",
         "copies-sweep-huge-d",
         "discriminate-nan-density",
+        "discriminate-overflowing-off-diagonal",
+        "discriminate-overflowing-trace",
+        "discriminate-non-integer-dim",
+        "discriminate-negative-dim",
+        "discriminate-non-numeric-entry",
+        "discriminate-undecodable-density",
+        "sharp-p-bad-qubit-index",
         "discriminate-many-copies",
         "discriminate-huge-d",
         "discriminate-huge-copies",
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
     files = {
         "nan_file": "nan 0\n1 0\n",
         "nan_density": "dim 2\nnan 0 0 0\n0 0 1 0\n",
         "one_density": "dim 2\n1 0 0 0\n0 0 0 0\n",
+        # finite entries whose Hermitian part or trace overflows
+        "overflow_offdiagonal": "dim 2\n0.5 0 1e308 0\n1e308 0 0.5 0\n",
+        "overflow_trace": "dim 2\n1e308 0 0 0\n0 0 -1e308 0\n",
+        "word_dim": "dim abc\n",
+        "negative_dim": "dim -1\n1 0\n",
+        "word_entry": "dim 1\n1 x\n",
+        "bad_circuit": "qubits 2\nH x\n",
+        "undecodable": "dim 1\n\xff 0\n",  # byte 0xff, which is not UTF-8
     }
     for name, text in files.items():
-        (tmp_path / f"{name}.txt").write_text(text)
+        (tmp_path / f"{name}.txt").write_bytes(text.encode("latin-1"))
     paths = {name: tmp_path / f"{name}.txt" for name in files}
     assert main([arg.format(**paths) for arg in argv]) == code
     captured = capsys.readouterr()
@@ -441,6 +468,9 @@ def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
         assert json.loads(captured.out)["amplitude_single_copy_success"] == 0.5
     if "--family" in argv:
         assert captured.err.startswith("error: minus-sign pair dimension d^(2N) with d=")
+    for flag in ("--a", "--circuit"):  # a refused density or circuit file is named
+        if flag in argv:
+            assert captured.err.startswith(f"error: {argv[argv.index(flag) + 1].format(**paths)}:")
 
 
 @pytest.mark.parametrize(
@@ -458,6 +488,19 @@ def test_cli_rejects_a_directory_as_file_argument(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.strip().count("\n") == 0
     assert str(tmp_path) in captured.err
+
+
+def test_cli_solve_real_search_refuses_in_one_stderr_line(tmp_path):
+    # a subprocess, so that anything logged would reach stderr as it does for a user
+    inst_dir = tmp_path / "inst"
+    assert main(["--seed", "5", "gen-instance", "--kind", "minus-sign", "--n", "6", "--C", "4", "--dir", str(inst_dir)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sqlab.cli", "solve", "real-search", "--instance", str(inst_dir)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: expected exactly one real first component, found 4\n"
 
 
 def test_cli_sharp_p(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Discrimination-toolkit tests: norms, success probabilities, N-copy forms."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from functools import reduce
@@ -57,12 +58,36 @@ def test_states_refuse_nan_and_infinite_entries(bad):
             DensityOperator.from_matrix(matrix)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_density_operator_refuses_finite_entries_whose_sums_overflow():
-    # the symmetrized matrix holds inf, and its trace or spectrum NaN
-    for matrix in ([[0.5, 1e308], [1e308, 0.5]], np.diag([1e308, -1e308])):
-        with pytest.raises(ValueError, match="PSD|trace"):
+    # finite entries whose Hermitian part, difference or trace leaves the float range
+    cases = [
+        ([[0.5, 1e308], [1e308, 0.5]], "PSD"),
+        (np.diag([1e308, -1e308]), "trace"),
+        (np.diag([1.7e308, 1.7e308]), "trace"),
+        ([[0.5, 1.7e308], [-1.7e308, 0.5]], "non-Hermitian"),
+    ]
+    for matrix, match in cases:
+        with pytest.raises(ValueError, match=match):
             DensityOperator.from_matrix(np.array(matrix))
+
+
+def test_density_operator_holds_only_its_matrix():
+    rho = random_density_operator(3, np.random.default_rng(4))
+    assert [f.name for f in dataclasses.fields(DensityOperator)] == ["matrix"]
+    assert rho.dim == 3 and DensityOperator.from_pure(np.array([0.6, 0.8j])).dim == 2
+
+
+def test_density_operator_symmetrizes_as_the_mean_with_its_adjoint():
+    # M/2 + M^dag/2 equals (M + M^dag)/2 bit for bit on normal entries
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        dim = int(rng.integers(1, 6))
+        m = random_density_operator(dim, rng).matrix
+        m = m + 1e-12 * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
+        m /= np.trace(m).real
+        rho = DensityOperator.from_matrix(m)
+        assert rho.matrix.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
 
 
 def test_density_operator_validation():

@@ -23,6 +23,7 @@ from sqlab.sq_oracle import (
     OracleStats,
     build_dense,
     build_implicit,
+    content_lines,
     load_dense_vector,
     materialize,
 )
@@ -318,6 +319,11 @@ def test_dense_vector_file_parsing(tmp_path):
     bad.write_text("1.5\n")
     with pytest.raises(ValueError, match="expected"):
         load_dense_vector(bad)
+
+
+def test_content_lines_skip_blank_and_comment_lines():
+    lines = ["# head", "", "  \t", "a  b\tc", "  #x y", "x # y", "#", "1"]
+    assert list(content_lines(lines)) == [(4, ["a", "b", "c"]), (6, ["x", "#", "y"]), (8, ["1"])]
 
 
 @settings(max_examples=25)
