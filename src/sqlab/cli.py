@@ -144,7 +144,11 @@ def _cmd_sample_test(args) -> int:
         raise ConfigError(f"--significance must lie in (0, 1), got {args.significance}")
     rng = np.random.default_rng(args.seed)
     if args.vector is not None:
-        handle = sq_oracle.build_dense(sq_oracle.load_dense_vector(args.vector))
+        values = sq_oracle.load_dense_vector(args.vector)
+        try:
+            handle = sq_oracle.build_dense(values)
+        except ValueError as exc:
+            raise ValueError(f"{args.vector}: {exc}") from None
         probs = np.abs(handle.backing.entries) ** 2
     elif args.kind is not None:
         if args.n is None:

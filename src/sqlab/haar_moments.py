@@ -12,8 +12,12 @@ takes binomial(d+N-1, N) rows of N entries instead of d^N dimensions, and
 nothing in it grows with d beyond the row count.
 
 The real moment is block diagonal over the sets of indices that occur an odd
-number of times, and a `MomentOperator` holds only those blocks; the dense
-matrix is assembled on request, for tests and tiny-cell cross-checks.
+number of times, and a `MomentOperator` holds only those blocks. Index
+permutations map one such set onto any other of the same size s and commute
+with the moment, so every block of one s has the same shape: the blocks are
+built and eigensolved as one (classes, k, k) stack per s, at most N/2 + 1
+stacks in all. The dense matrix is assembled on request, for tests and
+tiny-cell cross-checks.
 
 `trace_norm_gap` computes the Schatten-1 distance between the two moments
 and checks it against the two-term and 4N^2/d bounds, along with positivity
@@ -171,11 +175,13 @@ def real_monomial_moment(indices: Sequence[int], d: int) -> Fraction:
 class MomentOperator:
     """Expected N-fold tensor power of a real random rank-one projector, in SymBasis.
 
-    Held as symmetric diagonal blocks: each entry of `blocks` pairs the basis
-    rows of one block with the block itself, and the rows of all blocks
-    partition the basis. `eigenvalues` (ascending) are computed from the
-    blocks on construction. The dense `matrix` is built only when the
-    property is read, by tests and by the tiny-cell cross-check of
+    Held as symmetric diagonal blocks, one per parity class, stacked by odd-set
+    size s (the number of indices a row holds an odd number of times): each
+    entry of `blocks` pairs a (classes, k) array, whose c-th row lists the
+    basis rows of class c, with the (classes, k, k) stack of their blocks. The
+    rows of all stacks partition the basis. `eigenvalues` (ascending) are
+    computed from the stacks on construction. The dense `matrix` is built only
+    when the property is read, by tests and by the tiny-cell cross-check of
     `trace_norm_gap`.
     """
 
@@ -185,17 +191,19 @@ class MomentOperator:
     eigenvalues: np.ndarray = dataclasses.field(init=False)
 
     def __post_init__(self):
-        rows = np.sort(np.concatenate([r for r, _ in self.blocks]))
+        for rows, stack in self.blocks:
+            if rows.ndim != 2 or stack.shape != (*rows.shape, rows.shape[1]):
+                raise ValueError(f"block rows of shape {rows.shape} do not index a stack of shape {stack.shape}")
+        rows = np.sort(np.concatenate([r.ravel() for r, _ in self.blocks]))
         if not np.array_equal(rows, np.arange(self.size)):
             raise ValueError(f"block rows do not partition the {self.size} basis rows")
-        for _, block in self.blocks:
-            dev = float(np.max(np.abs(block - block.T)))
-            if dev > HERMITIAN_ATOL:
-                raise ValueError(f"moment operator not Hermitian (deviation {dev:.3e})")
-        tr = sum(float(np.trace(block)) for _, block in self.blocks)
+        dev = max(float(np.max(np.abs(stack - stack.swapaxes(1, 2)))) for _, stack in self.blocks)
+        if dev > HERMITIAN_ATOL:
+            raise ValueError(f"moment operator not Hermitian (deviation {dev:.3e})")
+        tr = sum(float(np.trace(stack, axis1=1, axis2=2).sum()) for _, stack in self.blocks)
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"moment operator trace {tr} deviates from 1")
-        eigenvalues = np.sort(np.concatenate([np.linalg.eigvalsh(b) for _, b in self.blocks]))
+        eigenvalues = np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel() for _, stack in self.blocks]))
         if float(eigenvalues[0]) < -PSD_ATOL:
             raise ValueError(f"moment operator not PSD (min eigenvalue {float(eigenvalues[0]):.3e})")
         object.__setattr__(self, "eigenvalues", eigenvalues)
@@ -208,19 +216,24 @@ class MomentOperator:
     def matrix(self) -> np.ndarray:
         """Dense size x size assembly of the blocks (tests and tiny-cell cross-checks)."""
         m = np.zeros((self.size, self.size))
-        for rows, block in self.blocks:
-            m[np.ix_(rows, rows)] = block
+        for rows, stack in self.blocks:
+            m[rows[:, :, None], rows[:, None, :]] = stack
         return m
 
 
-def _parity_classes(basis: SymBasis) -> list[np.ndarray]:
-    """Basis rows, ascending, grouped by the set of indices they hold an odd number of times."""
-    pos = _run_positions(basis.indices)
-    run_end = np.diff(basis.indices, axis=1, append=basis.d) != 0
-    odd = np.sort(np.where(run_end & (pos % 2 == 1), basis.indices, basis.d), axis=1)
-    _, parity_class = np.unique(odd, axis=0, return_inverse=True)
-    order = np.argsort(parity_class, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(parity_class[order])) + 1)
+def _class_rows(members: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """`members` (ascending) grouped by equal rows of `keys`, one class per row of the result.
+
+    Classes follow in lexicographic order of their keys, and each keeps its
+    members ascending. Every class must have the same number of members.
+    """
+    order = np.lexsort(keys.T[::-1])  # stable, primary key first column
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)])
+    sizes = np.diff(np.r_[starts, len(order)])
+    if np.any(sizes != sizes[0]):
+        raise ValueError(f"classes of one group differ in size ({sizes.min()} to {sizes.max()} rows)")
+    return members[order].reshape(len(starts), sizes[0])
 
 
 def real_moment(d: int, copies: int) -> MomentOperator:
@@ -228,9 +241,11 @@ def real_moment(d: int, copies: int) -> MomentOperator:
 
     A matrix element <m|E|m'> equals norm_m * norm_m' times the monomial
     moment of the combined occupation m + m', which vanishes unless m and m'
-    have identical parity patterns. The operator is therefore block diagonal
-    over parity classes, and each block is assembled in one vectorised step
-    from the occupations of the indices its rows use.
+    hold the same set S of indices an odd number of times. The operator is
+    therefore block diagonal over these parity classes. A row of class S is S
+    plus (N - |S|)/2 pairs on any indices, so the moment's invariance under
+    index permutations gives every class of one odd-set size s the same row
+    count; the blocks of one s are assembled and eigensolved as one stack.
     """
     if copies > MAX_MOMENT_COPIES:
         raise BudgetExceededError(f"N={copies} exceeds the cap {MAX_MOMENT_COPIES}")
@@ -238,20 +253,36 @@ def real_moment(d: int, copies: int) -> MomentOperator:
     nf = basis.norm_factors
     denom = _sphere_moment_denominator(d, copies)
     # (a-1)!! for even a; a combined occupation within a parity class is even.
-    matchings = np.array([_double_factorial(a - 1) for a in range(2 * copies + 1)], dtype=np.int64)
+    # Each entry is at most 15!!, so it is gathered as int32 and multiplied as int64.
+    matchings = np.array([_double_factorial(a - 1) for a in range(2 * copies + 1)], dtype=np.int32)
+    # each row's odd set, ascending and padded with d to N entries
+    run_end = np.diff(basis.indices, axis=1, append=d) != 0
+    odd = np.sort(np.where(run_end & (_run_positions(basis.indices) % 2 == 1), basis.indices, d), axis=1)
+    odd_size = np.sum(odd < d, axis=1)
     blocks = []
-    for rows in _parity_classes(basis):
-        idx = basis.indices[rows]
-        # occupations of the indices the block uses; any other index adds the factor (-1)!! = 1
-        o = (idx[:, :, None] == np.unique(idx)).sum(axis=1)
-        # prod_j matchings[o_a[j] + o_b[j]], in row chunks of at most _GATHER_CAP gathered elements
-        count = np.empty((len(o), len(o)), dtype=matchings.dtype)
-        step = max(1, _GATHER_CAP // o.size)
-        for a in range(0, len(o), step):
-            np.multiply.reduce(matchings[o[a : a + step, None] + o], axis=2, out=count[a : a + step])
+    for s in np.unique(odd_size):  # s = N mod 2, N mod 2 + 2, ..., at most N
+        members = np.flatnonzero(odd_size == s)
+        rows = _class_rows(members, odd[members])
+        classes, k = rows.shape
+        # occupations as uint8 (at most N <= 8), so that the gather's index
+        # temporary takes one byte per element
+        if s < copies:  # pairs may sit on any index, so each class uses all d
+            o = (basis.indices[rows][..., None] == np.arange(d)).sum(axis=2, dtype=np.uint8)
+        else:  # each class is one row holding its N indices once
+            o = np.ones((classes, 1, copies), dtype=np.uint8)
+        # prod_j matchings[o_a[j] + o_b[j]], in chunks of at most _GATHER_CAP
+        # gathered elements: whole classes, or row chunks of one class
+        count = np.empty((classes, k, k), dtype=np.int64)
+        step = max(1, _GATHER_CAP // (k * o.shape[2]))
+        per, r = max(1, step // k), min(step, k)
+        for c in range(0, classes, per):
+            for a in range(0, k, r):
+                gathered = matchings[o[c : c + per, a : a + r, None] + o[c : c + per, None]]
+                np.multiply.reduce(gathered, axis=3, dtype=np.int64, out=count[c : c + per, a : a + r])
         # count and denom stay below 2^53 for every cell whose basis fits in
         # memory, so the quotient is the correctly rounded one, as float(Fraction).
-        blocks.append((rows, np.multiply.outer(nf[rows], nf[rows]) * (count / denom)))
+        nf_rows = nf[rows]
+        blocks.append((rows, (nf_rows[:, :, None] * nf_rows[:, None, :]) * (count / denom)))
     return MomentOperator(d=d, N=copies, blocks=tuple(blocks))
 
 
@@ -457,8 +488,8 @@ def _mc_max_dev(e_real: MomentOperator, samples: int, rng: np.random.Generator |
     # Deviations are taken in place: the real estimate minus each exact
     # block (it is 0 off the blocks), the complex one minus I/size.
     estimate = mc_moment(d, copies, samples, "real", rng)
-    for rows, block in e_real.blocks:
-        estimate[np.ix_(rows, rows)] -= block
+    for rows, stack in e_real.blocks:
+        estimate[rows[:, :, None], rows[:, None, :]] -= stack
     dev_real = _max_abs(estimate)
     del estimate
     estimate = mc_moment(d, copies, samples, "complex", rng)

@@ -297,7 +297,11 @@ def load_instance(directory: str | Path) -> ProblemInstance:
     kind = None
     numbers: dict[str, int] = {}
     vector_specs: dict[int, tuple[str, list[str]]] = {}
-    for lineno, (key, *values) in content_lines(manifest.read_text().splitlines()):
+    try:
+        text = manifest.read_text()
+    except ValueError as exc:  # bytes that do not decode as text
+        raise ValueError(f"{manifest}: {exc}") from None
+    for lineno, (key, *values) in content_lines(text.splitlines()):
         where = f"{manifest}:{lineno}"
         if key == "vector":
             if len(values) < 3:
@@ -343,7 +347,10 @@ def load_instance(directory: str | Path) -> ProblemInstance:
             entries = _load_npy_vector(path) if backing_kind == "npy" else load_dense_vector(path)
             if entries.size != 1 << n:
                 raise ValueError(f"{path}: {entries.size} entries, the manifest's n={n} needs {1 << n}")
-            handles.append(build_dense(entries))
+            try:
+                handles.append(build_dense(entries))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         else:
             raise ValueError(f"{manifest}: unknown backing {backing_kind!r}")
 

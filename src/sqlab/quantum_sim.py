@@ -334,7 +334,8 @@ def load_density_operator(path: str | Path) -> DensityOperator:
         if dim is None:
             raise ValueError("missing `dim <k>` header")
         if len(values) != 2 * dim * dim:
-            raise ValueError(f"expected {2 * dim * dim} numbers, found {len(values)}")
+            # 2*dim^2 is not formatted: at thousands of digits it passes Python's int-to-str limit
+            raise ValueError(f"found {len(values)} numbers, not the 2*dim^2 that `dim` needs")
         flat = np.asarray(values, dtype=np.float64)
         with np.errstate(invalid="ignore"):  # 1j * inf; DensityOperator refuses the entry
             matrix = (flat[0::2] + 1j * flat[1::2]).reshape(dim, dim)

@@ -388,15 +388,22 @@ def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
 
 
 def load_dense_vector(path: str | Path) -> np.ndarray:
-    """Parse the dense vector text format: one `<re> <im>` pair per content line."""
+    """Parse the dense vector text format: one `<re> <im>` pair per content line.
+
+    Every refusal is a ValueError naming the file. The values are not checked
+    as a vector; `build_dense` does that.
+    """
     values = []
-    with open(path) as fh:
-        for lineno, tokens in content_lines(fh):
-            try:
-                re_part, im_part = map(float, tokens)  # a wrong count is a ValueError too
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected `<re> <im>`, got {' '.join(tokens)!r}") from None
-            values.append(complex(re_part, im_part))
-    if not values:
-        raise ValueError(f"{path}: no components found")
-    return np.asarray(values, dtype=np.complex128)
+    try:
+        with open(path) as fh:
+            for lineno, tokens in content_lines(fh):
+                try:
+                    re_part, im_part = map(float, tokens)  # a wrong count is a ValueError too
+                except ValueError:
+                    raise ValueError(f"line {lineno}: expected `<re> <im>`, got {' '.join(tokens)!r}") from None
+                values.append(complex(re_part, im_part))
+        if not values:
+            raise ValueError("no components found")
+        return np.asarray(values, dtype=np.complex128)
+    except ValueError as exc:  # also bytes that do not decode as text
+        raise ValueError(f"{path}: {exc}") from None

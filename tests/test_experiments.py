@@ -411,6 +411,8 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         (["sample-test", "--kind", "all-plus", "--n", "62", "--draws", "1000"], 1),
         (["encoding-demo", "--n", "100000", "--trials", "10"], 0),
         (["sample-test", "--vector", "{nan_file}"], 1),
+        (["sample-test", "--vector", "{undecodable_vector}"], 1),
+        (["solve", "minus-sign", "--instance", "{undecodable_manifest}"], 1),
         (["copies-sweep", "--d", str(1 << 55)], 0),
         (["discriminate", "--a", "{nan_density}", "--b", "{one_density}"], 1),
         (["discriminate", "--a", "{overflow_offdiagonal}", "--b", "{one_density}"], 1),
@@ -419,6 +421,7 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         (["discriminate", "--a", "{negative_dim}", "--b", "{one_density}"], 1),
         (["discriminate", "--a", "{word_entry}", "--b", "{one_density}"], 1),
         (["discriminate", "--a", "{undecodable}", "--b", "{one_density}"], 1),
+        (["discriminate", "--a", "{huge_dim}", "--b", "{one_density}"], 1),
         (["sharp-p", "--circuit", "{bad_circuit}"], 1),
         (["discriminate", "--family", "minus-sign", "--d", "4", "--copies", "5000"], 1),
         (["discriminate", "--family", "minus-sign", "--d", "9" * 2200, "--copies", "1"], 1),
@@ -428,6 +431,8 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         "sample-test-no-dof",
         "encoding-demo-huge-n",
         "sample-test-nan-vector",
+        "sample-test-undecodable-vector",
+        "solve-undecodable-manifest",
         "copies-sweep-huge-d",
         "discriminate-nan-density",
         "discriminate-overflowing-off-diagonal",
@@ -436,6 +441,7 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         "discriminate-negative-dim",
         "discriminate-non-numeric-entry",
         "discriminate-undecodable-density",
+        "discriminate-huge-dim",
         "sharp-p-bad-qubit-index",
         "discriminate-many-copies",
         "discriminate-huge-d",
@@ -456,10 +462,15 @@ def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
         "word_entry": "dim 1\n1 x\n",
         "bad_circuit": "qubits 2\nH x\n",
         "undecodable": "dim 1\n\xff 0\n",  # byte 0xff, which is not UTF-8
+        "undecodable_vector": "\xff 0\n1 0\n",
+        "huge_dim": "dim " + "9" * 4000 + "\n1 0\n",
     }
     for name, text in files.items():
         (tmp_path / f"{name}.txt").write_bytes(text.encode("latin-1"))
     paths = {name: tmp_path / f"{name}.txt" for name in files}
+    paths["undecodable_manifest"] = tmp_path / "inst"
+    paths["undecodable_manifest"].mkdir()
+    (tmp_path / "inst" / "manifest.txt").write_bytes(b"kind \xff\n")
     assert main([arg.format(**paths) for arg in argv]) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -468,9 +479,13 @@ def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
         assert json.loads(captured.out)["amplitude_single_copy_success"] == 0.5
     if "--family" in argv:
         assert captured.err.startswith("error: minus-sign pair dimension d^(2N) with d=")
-    for flag in ("--a", "--circuit"):  # a refused density or circuit file is named
+    for flag in ("--a", "--circuit", "--vector"):  # a refused density, circuit or vector file is named
         if flag in argv:
             assert captured.err.startswith(f"error: {argv[argv.index(flag) + 1].format(**paths)}:")
+    if "--instance" in argv:
+        assert captured.err.startswith(f"error: {tmp_path / 'inst' / 'manifest.txt'}:")
+    if "{huge_dim}" in argv:
+        assert "2*dim^2" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -235,17 +235,103 @@ def test_real_moment_blocks_match_dense_eigh_at_larger_cells(d, copies):
 
 
 def test_moment_operator_checks_every_block_and_the_row_partition():
-    first = (np.array([0]), np.eye(1) / 3)
-    last = np.eye(2) / 3
-    last[1, 0] = 1e-6  # only the last block is asymmetric
+    first = (np.array([[0]]), np.full((1, 1, 1), 1 / 5))
+    rows = np.array([[1, 2], [4, 3]])
+    stack = np.stack([np.eye(2), np.eye(2)]) / 5
+    stack[1, 1, 0] = 1e-6  # only the second member of the stack is asymmetric
     with pytest.raises(ValueError, match="not Hermitian"):
-        MomentOperator(d=3, N=1, blocks=(first, (np.array([2, 1]), last)))
-    last[0, 1] = 1e-6
-    op = MomentOperator(d=3, N=1, blocks=(first, (np.array([2, 1]), last)))
-    assert op.matrix[1, 2] == op.matrix[2, 1] == 1e-6
-    for rows in (np.array([0, 1]), np.array([1, 3]), np.array([1])):  # overlap, outside, missing
+        MomentOperator(d=5, N=1, blocks=(first, (rows, stack)))
+    stack[1, 0, 1] = 1e-6
+    op = MomentOperator(d=5, N=1, blocks=(first, (rows, stack)))
+    assert op.matrix[3, 4] == op.matrix[4, 3] == 1e-6
+    for bad in ([[1, 2], [2, 3]], [[1, 2], [3, 5]], [[1, 2]]):  # overlap, outside, missing
+        bad = np.array(bad)
         with pytest.raises(ValueError, match="partition"):
-            MomentOperator(d=3, N=1, blocks=(first, (rows, np.eye(rows.size) / 3)))
+            MomentOperator(d=5, N=1, blocks=(first, (bad, np.stack([np.eye(2)] * len(bad)) / 5)))
+    # classes of one group that differ in size: refused when grouped, and a
+    # stack whose blocks do not match the group's row count is refused too
+    with pytest.raises(ValueError, match="differ in size"):
+        haar_moments._class_rows(np.arange(3), np.array([[0], [0], [1]]))
+    with pytest.raises(ValueError, match="do not index"):
+        MomentOperator(d=5, N=1, blocks=(first, (rows, np.stack([np.eye(3)] * 2) / 7.5)))
+
+
+def _real_moment_per_class(d, copies):
+    """Reference: the per-parity-class assembly that the stacked one replaced.
+
+    One Python iteration and one eigensolve per class, each class's rows
+    ascending. Returns (rows, block) per class and the sorted eigenvalues.
+    """
+    basis = sym_basis(d, copies)
+    pos = haar_moments._run_positions(basis.indices)
+    run_end = np.diff(basis.indices, axis=1, append=basis.d) != 0
+    odd = np.sort(np.where(run_end & (pos % 2 == 1), basis.indices, basis.d), axis=1)
+    _, parity_class = np.unique(odd, axis=0, return_inverse=True)
+    order = np.argsort(parity_class, kind="stable")
+    nf = basis.norm_factors
+    denom = haar_moments._sphere_moment_denominator(d, copies)
+    matchings = np.array([haar_moments._double_factorial(a - 1) for a in range(2 * copies + 1)], dtype=np.int64)
+    blocks, eigenvalues = [], []
+    for rows in np.split(order, np.flatnonzero(np.diff(parity_class[order])) + 1):
+        idx = basis.indices[rows]
+        o = (idx[:, :, None] == np.unique(idx)).sum(axis=1)
+        count = np.empty((len(o), len(o)), dtype=matchings.dtype)
+        step = max(1, haar_moments._GATHER_CAP // o.size)
+        for a in range(0, len(o), step):
+            np.multiply.reduce(matchings[o[a : a + step, None] + o], axis=2, out=count[a : a + step])
+        block = np.multiply.outer(nf[rows], nf[rows]) * (count / denom)
+        blocks.append((rows, block))
+        eigenvalues.append(np.linalg.eigvalsh(block))
+    return blocks, np.sort(np.concatenate(eigenvalues))
+
+
+@pytest.mark.parametrize("d,copies", [(5, 3), (12, 4), (16, 4), (8, 6), (6, 8), (40, 3), (199, 2)])
+def test_stacked_moment_is_byte_identical_to_the_per_class_assembly(d, copies):
+    op = real_moment(d, copies)
+    blocks, eigenvalues = _real_moment_per_class(d, copies)
+    assert op.eigenvalues.tobytes() == eigenvalues.tobytes()
+    # the blocks, keyed by each class's first row, fix every entry of the matrix
+    stacked = {int(r[0]): (r, block) for rows, stack in op.blocks for r, block in zip(rows, stack)}
+    assert len(stacked) == len(blocks)
+    for rows, block in blocks:
+        got_rows, got_block = stacked[int(rows[0])]
+        assert np.array_equal(got_rows, rows)
+        assert got_block.tobytes() == block.tobytes()
+    if op.size <= 200:
+        dense = np.zeros((op.size, op.size))
+        for rows, block in blocks:
+            dense[np.ix_(rows, rows)] = block
+        assert op.matrix.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("d,copies", [(5, 3), (12, 4), (16, 4), (8, 6), (6, 8), (40, 3), (199, 2), (300, 1)])
+def test_real_moment_makes_one_eigensolve_per_odd_set_size(monkeypatch, d, copies):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    real_moment(d, copies)
+    assert len(calls) <= copies // 2 + 1
+
+
+# gap and o_rest_min_eig of the per-class assembly, as float.hex()
+_PINNED_GAPS = {
+    (16, 4): ("0x1.06bca1af286bcp-1", "-0x1.7c00000000000p-59"),
+    (12, 4): ("0x1.37c57c57c57c5p-1", "-0x1.9000000000000p-58"),
+    (8, 6): ("0x1.1989d89d89d8bp+0", "-0x1.d800000000000p-59"),
+    (6, 8): ("0x1.2389d89d89d8ap+0", "-0x1.0b00000000000p-58"),
+    (199, 2): ("0x1.46088aba95804p-7", "-0x1.d200000000000p-59"),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(_PINNED_GAPS))
+def test_gap_bytes_are_pinned(cell):
+    report = trace_norm_gap(*cell)
+    assert (report.gap.hex(), report.o_rest_min_eig.hex()) == _PINNED_GAPS[cell]
 
 
 def test_real_moment_memory_stays_far_below_the_dense_matrix():
@@ -286,12 +372,20 @@ def test_large_parity_block_gathers_in_bounded_chunks():
 @pytest.mark.parametrize("d,copies", [(5, 3), (12, 4)])
 def test_chunked_block_gather_is_bit_identical(monkeypatch, d, copies):
     whole = real_moment(d, copies)
-    monkeypatch.setattr(haar_moments, "_GATHER_CAP", 7)
-    chunked = real_moment(d, copies)
-    assert len(chunked.blocks) == len(whole.blocks)
-    for (rows_a, block_a), (rows_b, block_b) in zip(whole.blocks, chunked.blocks):
-        assert np.array_equal(rows_a, rows_b)
-        assert block_a.tobytes() == block_b.tobytes()
+    for cap in (7, 5000):
+        monkeypatch.setattr(haar_moments, "_GATHER_CAP", cap)
+        chunked = real_moment(d, copies)
+        if (d, copies, cap) == (12, 4, 5000):
+            # both chunking regimes: several whole classes per chunk (the 66
+            # classes of 12 rows over 12 indices), and row chunks of one class
+            # (the 78 x 78 block)
+            steps = {rows.shape: max(1, cap // (rows.shape[1] * d)) for rows, _ in chunked.blocks}
+            assert 2 <= steps[(66, 12)] // 12 < 66
+            assert steps[(1, 78)] < 78
+        assert len(chunked.blocks) == len(whole.blocks)
+        for (rows_a, block_a), (rows_b, block_b) in zip(whole.blocks, chunked.blocks):
+            assert np.array_equal(rows_a, rows_b)
+            assert block_a.tobytes() == block_b.tobytes()
 
 
 def test_symmetric_embedding_is_isometry():

@@ -277,6 +277,18 @@ def test_load_checks_vector_length_against_manifest(tmp_path, legacy):
         load_instance(directory)
 
 
+@pytest.mark.parametrize("legacy", [False, True])
+def test_load_names_the_vector_file_it_refuses(tmp_path, legacy):
+    dump_instance(gen_real_vector_search(4, 2, seed=24), tmp_path / "inst", reveal=True)
+    np.save(tmp_path / "inst" / "vector_1.npy", np.full(16, np.nan))
+    directory = tmp_path / "inst"
+    if legacy:
+        copy_as_legacy_directory(tmp_path / "inst", tmp_path / "legacy")
+        directory = tmp_path / "legacy"
+    with pytest.raises(ValueError, match=r"vector_1\.(npy|txt): squared norm nan is not finite"):
+        load_instance(directory)
+
+
 def test_load_checks_implicit_n_against_manifest(tmp_path):
     dump_instance(gen_minus_sign(4, 2, seed=25), tmp_path / "inst", reveal=True)
     manifest = tmp_path / "inst" / "manifest.txt"
