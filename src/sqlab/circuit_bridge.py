@@ -1,6 +1,9 @@
 """Small statevector circuits: the ancilla-probability state construction and
 the product-versus-amplitude encoding contrast.
 
+A product-encoded object is held as the two amplitudes of its first factor,
+the only qubit that its measurement reads.
+
 For a circuit U on n qubits, the (n+1)-qubit state built by conjugating a
 CNOT with U places the probability of measuring 0 on U's first qubit into
 its leading amplitude. Querying that single amplitude through an SQ oracle
@@ -15,27 +18,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .quantum_sim import Statevector
-from .sq_oracle import SqHandle, build_dense, content_lines
+from .quantum_sim import Statevector, _minus_sign_schatten1, success_from_schatten1
+from .sq_oracle import SqHandle, build_dense, content_lines, parse_int, quoted
 
 __all__ = [
     "Circuit",
-    "EncodedVector",
     "Gate",
     "MAX_QUBITS",
     "amplitude_single_copy_success",
     "build_psi_u",
+    "measure_product_encoding",
     "p_zero_first_qubit",
     "parse_circuit",
-    "product_encode_all_plus",
-    "product_encode_sign_vector",
-    "product_state_amplitudes",
     "random_circuit",
     "run_statevector",
-    "solve_product_encoding",
     "sq_from_state",
 ]
 
@@ -57,7 +57,7 @@ class Gate:
 def _check_gate(gate: Gate, n: int) -> None:
     """Raise ValueError unless `gate` is a known gate of the right arity on distinct qubits < n."""
     if gate.name not in GATE_NAMES:
-        raise ValueError(f"unknown gate {gate.name!r}")
+        raise ValueError(f"unknown gate {quoted(gate.name)}")
     want = 2 if gate.name == "CNOT" else 1
     if len(gate.qubits) != want:
         raise ValueError(f"{gate.name} takes {want} qubit argument(s)")
@@ -93,26 +93,17 @@ def parse_circuit(text: str) -> Circuit:
     n = None
     gates: list[Gate] = []
     for lineno, tokens in content_lines(text.splitlines()):
-        line = " ".join(tokens)
-        if n is None:
-            if tokens[0] != "qubits" or len(tokens) != 2:
-                raise ValueError(f"line {lineno}: expected `qubits <n>`, got {line!r}")
-            try:
-                n = int(tokens[1])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: bad qubit count {tokens[1]!r}") from exc
-            if n < 0:
-                raise ValueError(f"line {lineno}: negative qubit count")
-            continue
         try:
-            qubits = tuple(int(t) for t in tokens[1:])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad qubit index in {line!r}") from exc
-        gate = Gate(tokens[0], qubits)
-        try:
+            if n is None:
+                if tokens[0] != "qubits" or len(tokens) != 2:
+                    raise ValueError(f"expected `qubits <n>`, got {quoted(' '.join(tokens))}")
+                if (n := parse_int(tokens[1])) < 0:
+                    raise ValueError("negative qubit count")
+                continue
+            gate = Gate(tokens[0], tuple(parse_int(t) for t in tokens[1:]))
             _check_gate(gate, n)
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
+            raise ValueError(f"line {lineno}: {exc}") from None
         gates.append(gate)
     if n is None:
         return Circuit(n=0, gates=())
@@ -254,66 +245,29 @@ def random_circuit(n: int, depth: int, rng: np.random.Generator) -> Circuit:
     return Circuit(n=n, gates=tuple(gates))
 
 
-@dataclass(frozen=True)
-class EncodedVector:
-    """A sign vector stored as a product of |+>/|-> factors, first factor most significant."""
+def measure_product_encoding(first_qubits: Sequence[tuple[complex, complex]]) -> int:
+    """Measure the first qubit of each product-encoded object once in the {|+>, |->} basis.
 
-    factors: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.factors or any(f not in ("+", "-") for f in self.factors):
-            raise ValueError("a product encoding needs factors over {+, -}")
-
-
-def product_encode_sign_vector(n: int) -> EncodedVector:
-    """The distinguished object: |-> on the first qubit, |+> on the rest."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    return EncodedVector(factors=("-",) + ("+",) * (n - 1))
-
-
-def product_encode_all_plus(n: int) -> EncodedVector:
-    """The background object: |+> on every qubit."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    return EncodedVector(factors=("+",) * n)
-
-
-def product_state_amplitudes(factors: tuple[str, ...]) -> np.ndarray:
-    """Amplitudes of the product state, first factor most significant."""
-    amps = np.ones(1, dtype=np.complex128)
-    plus = np.array([_SQRT_HALF, _SQRT_HALF], dtype=np.complex128)
-    minus = np.array([_SQRT_HALF, -_SQRT_HALF], dtype=np.complex128)
-    for f in factors:
-        amps = np.kron(amps, plus if f == "+" else minus)
-    return amps
-
-
-def solve_product_encoding(encoded: list[EncodedVector]) -> int:
-    """Measure the first qubit of each object once in the {|+>, |->} basis.
-
-    Product factors are exactly |+> or |->, so the Born probability of the
-    minus outcome is 0 or 1 and one copy per object decides deterministically.
-    Returns the 1-based index of the object that yields the minus outcome.
+    That measurement reads only the first factor of a product state, so an
+    object is that factor's two amplitudes (f0, f1), and `first_qubits[k-1]`
+    holds them for object k. The minus outcome has Born probability
+    |<-|f>|^2 = |f0 - f1|^2 / 2, which is 0 for |+> and 1 for |-> up to
+    rounding, so one copy per object decides. Returns the 1-based index of
+    the one object whose minus outcome is the likely one.
     """
-    hits = []
-    for k, enc in enumerate(encoded, start=1):
-        if enc.factors[0] == "-":
-            hits.append(k)
+    hits = [k for k, (f0, f1) in enumerate(first_qubits, start=1) if abs(f0 - f1) ** 2 / 2.0 > 0.5]
     if len(hits) != 1:
         raise ValueError(f"expected exactly one minus-encoded object, found {len(hits)}")
     return hits[0]
 
 
 def amplitude_single_copy_success(n: int) -> float:
-    """Optimal one-copy success probability for the amplitude-encoded pair.
+    """Optimal one-copy success for the amplitude-encoded pair, correctly rounded for every n.
 
-    The two amplitude-encoded states have overlap 1 - 2/d with d = 2^n, so
-    the optimal measurement succeeds with 1/2 + sqrt(1 - (1-2/d)^2)/2, which
-    decreases toward 1/2 as n grows. Contrast with the product encoding,
-    where one copy succeeds with certainty.
+    The two states are the sign-flip pair of dimension d = 2^n, with overlap
+    1 - 2/d: the success 1/2 + sqrt(1 - (1-2/d)^2)/2 falls toward 1/2 as n
+    grows, while the product encoding succeeds with one copy for certain.
     """
     if n < 1:
         raise ValueError("need at least one qubit")
-    overlap = 1.0 - math.ldexp(2.0, -n)
-    return 0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - overlap**2))
+    return success_from_schatten1(_minus_sign_schatten1(math.ldexp(2.0, -n), 2))

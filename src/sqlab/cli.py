@@ -264,7 +264,7 @@ def _cmd_discriminate(args) -> int:
         rho_b = quantum_sim.load_density_operator(args.b)
         dim = rho_a.dim
         schatten = quantum_sim.schatten1_diff(rho_a, rho_b)
-        success = quantum_sim._success_from_schatten1(schatten)
+        success = quantum_sim.success_from_schatten1(schatten)
         empirical = quantum_sim.simulate_discrimination(rho_a, rho_b, args.trials, rng)
         source = "files"
     else:
@@ -341,16 +341,15 @@ def _cmd_encoding_demo(args) -> int:
     if args.n < 1 or args.trials < 1 or args.num_vectors < 2:
         raise ConfigError("encoding-demo needs n >= 1, trials >= 1, C >= 2")
     rng = np.random.default_rng(args.seed)
+    # each object is the first factor of its product state: |-> for k*, |+> for the rest
+    h = math.sqrt(0.5)
+    plus, minus = (h, h), (h, -h)
     successes = 0
     for _ in range(args.trials):
         k_star = int(rng.integers(1, args.num_vectors + 1))
-        encoded = [
-            circuit_bridge.product_encode_sign_vector(args.n)
-            if k == k_star
-            else circuit_bridge.product_encode_all_plus(args.n)
-            for k in range(1, args.num_vectors + 1)
-        ]
-        if circuit_bridge.solve_product_encoding(encoded) == k_star:
+        first_qubits = [plus] * args.num_vectors
+        first_qubits[k_star - 1] = minus
+        if circuit_bridge.measure_product_encoding(first_qubits) == k_star:
             successes += 1
     _emit(
         {

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .haar_moments import BoundViolationError, BudgetExceededError, GapReport, trace_norm_gap
+from .instances import keyed_stream
 from .quantum_sim import (
     HELSTROM_SCHATTEN_THRESHOLD,
     check_schatten_threshold,
@@ -89,10 +90,6 @@ _SCHEMAS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 }
 
 
-def _cell_rng(seed: int, *coords: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=coords))
-
-
 def _gap_values(report: GapReport) -> dict:
     return {name: getattr(report, name) for name in _SCHEMAS["haar-gap"][1]}
 
@@ -104,7 +101,7 @@ def _haar_gap_cell(config: ExperimentConfig, d: int, copies: int) -> ResultRecor
     t0 = time.perf_counter_ns()
     try:
         report = trace_norm_gap(
-            d, copies, mc_samples=config.mc_samples, rng=_cell_rng(config.seed, d, copies)
+            d, copies, mc_samples=config.mc_samples, rng=keyed_stream(config.seed, d, copies)
         )
         record.values = _gap_values(report)
     except BudgetExceededError as exc:

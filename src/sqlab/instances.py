@@ -29,6 +29,8 @@ from .sq_oracle import (
     content_lines,
     load_dense_vector,
     materialize,
+    parse_int,
+    quoted,
 )
 
 __all__ = [
@@ -105,13 +107,13 @@ class ProblemInstance:
         )
 
 
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic child generator keyed by (seed, *key)."""
+def keyed_stream(seed: int, *key: int) -> np.random.Generator:
+    """Deterministic child generator keyed by (seed, *key); sweeps key their cells with it too."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 def _draw_k_star(seed: int, num_vectors: int) -> int:
-    return int(_stream(seed, 0).integers(1, num_vectors + 1))
+    return int(keyed_stream(seed, 0).integers(1, num_vectors + 1))
 
 
 def _minus_family(kind: str, n: int, num_vectors: int, seed: int, normalized: bool) -> ProblemInstance:
@@ -156,7 +158,7 @@ def gen_real_vector_search(n: int, num_vectors: int, seed: int) -> ProblemInstan
     handles = []
     for j in range(1, num_vectors + 1):
         field = "real" if j == k_star else "complex"
-        handles.append(build_dense(haar_unit_vector(d, field, _stream(seed, 1, j))))
+        handles.append(build_dense(haar_unit_vector(d, field, keyed_stream(seed, 1, j))))
     return ProblemInstance(REAL_SEARCH, n, seed, tuple(handles), k_star)
 
 
@@ -203,24 +205,16 @@ def _parse_implicit_descriptor(tokens: list[str]) -> ImplicitVector:
     kwargs: dict = {}
     for tok in tokens[1:]:
         key, _, value = tok.partition("=")
-        if key == "n":
-            kwargs["n"] = int(value)
+        if key in ("n", "minus_index", "sign_mask"):
+            kwargs[key] = parse_int(value)
         elif key == "scale":
-            kwargs["scale"] = float(value)
-        elif key == "minus_index":
-            kwargs["minus_index"] = int(value)
-        elif key == "sign_mask":
-            kwargs["sign_mask"] = int(value)
+            try:
+                kwargs["scale"] = float(value)
+            except ValueError:  # float()'s message quotes the whole token
+                raise ValueError(f"expected a number, got {quoted(value)}") from None
         else:
-            raise ValueError(f"unknown implicit field {key!r}")
+            raise ValueError(f"unknown implicit field {quoted(key)}")
     return ImplicitVector(kind=kind, **kwargs)
-
-
-def _manifest_int(token: str, where: str) -> int:
-    try:
-        return int(token)
-    except ValueError as exc:
-        raise ValueError(f"{where}: expected an integer, got {token!r}") from exc
 
 
 def _load_npy_vector(path: Path) -> np.ndarray:
@@ -302,26 +296,28 @@ def load_instance(directory: str | Path) -> ProblemInstance:
     except ValueError as exc:  # bytes that do not decode as text
         raise ValueError(f"{manifest}: {exc}") from None
     for lineno, (key, *values) in content_lines(text.splitlines()):
-        where = f"{manifest}:{lineno}"
-        if key == "vector":
-            if len(values) < 3:
-                raise ValueError(f"{where}: expected `vector <j> <backing> <file or descriptor>`")
-            j = _manifest_int(values[0], where)
-            if j in vector_specs:
-                raise ValueError(f"{where}: vector {j} given twice")
-            vector_specs[j] = (values[1], values[2:])
-        elif key not in ("kind", "n", "C", "seed", "k_star"):
-            raise ValueError(f"{where}: unknown manifest key {key!r}")
-        elif len(values) != 1:
-            raise ValueError(f"{where}: expected `{key} <value>`, got {' '.join([key, *values])!r}")
-        elif key in numbers or (key == "kind" and kind is not None):
-            raise ValueError(f"{where}: {key} given twice")
-        elif key == "kind":
-            if values[0] not in _GENERATORS:
-                raise ValueError(f"{where}: unknown instance kind {values[0]!r}")
-            kind = values[0]
-        else:
-            numbers[key] = _manifest_int(values[0], where)
+        try:
+            if key == "vector":
+                if len(values) < 3:
+                    raise ValueError("expected `vector <j> <backing> <file or descriptor>`")
+                j = parse_int(values[0])
+                if j in vector_specs:
+                    raise ValueError(f"vector {j} given twice")
+                vector_specs[j] = (values[1], values[2:])
+            elif key not in ("kind", "n", "C", "seed", "k_star"):
+                raise ValueError(f"unknown manifest key {quoted(key)}")
+            elif len(values) != 1:
+                raise ValueError(f"expected `{key} <value>`, got {quoted(' '.join([key, *values]))}")
+            elif key in numbers or (key == "kind" and kind is not None):
+                raise ValueError(f"{key} given twice")
+            elif key == "kind":
+                if values[0] not in _GENERATORS:
+                    raise ValueError(f"unknown instance kind {quoted(values[0])}")
+                kind = values[0]
+            else:
+                numbers[key] = parse_int(values[0])
+        except ValueError as exc:
+            raise ValueError(f"{manifest}:{lineno}: {exc}") from None
     if kind is None or any(key not in numbers for key in ("n", "C", "seed")):
         raise ValueError(f"{manifest}: incomplete manifest")
     n, num_vectors, seed = numbers["n"], numbers["C"], numbers["seed"]
@@ -352,7 +348,7 @@ def load_instance(directory: str | Path) -> ProblemInstance:
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
         else:
-            raise ValueError(f"{manifest}: unknown backing {backing_kind!r}")
+            raise ValueError(f"{manifest}: unknown backing {quoted(backing_kind)}")
 
     if k_star is None:
         regenerated = _GENERATORS[kind](n, num_vectors, seed)

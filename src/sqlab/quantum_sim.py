@@ -1,5 +1,5 @@
 """Density-operator discrimination: trace norms, optimal-measurement success,
-and the N-copy closed forms for the minus-sign families.
+and the closed forms for the minus-sign (sign-flip) pair.
 
 A pair of pure states is reported from its overlap alone
 (`discriminate_pure_pair`); dense density operators serve mixed states read
@@ -7,8 +7,9 @@ from files and the test-only cross-check of that Gram form.
 
 Convention: ||M||_1 is the Schatten-1 norm (sum of singular values), so two
 orthogonal pure states differ by norm 2 and the optimal success probability
-for equal priors is 1/2 + ||rho_a - rho_b||_1 / 4. A success threshold of 0.9
-therefore corresponds to Schatten-1 norm 1.6 (trace distance 0.8).
+for equal priors is 1/2 + ||rho_a - rho_b||_1 / 4 (`success_from_schatten1`).
+A success threshold of 0.9 therefore corresponds to Schatten-1 norm 1.6
+(trace distance 0.8).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sq_oracle import DENSE_BUDGET_N, content_lines
+from .sq_oracle import DENSE_BUDGET_N, content_lines, parse_int, quoted
 
 __all__ = [
     "DensityOperator",
@@ -39,6 +40,7 @@ __all__ = [
     "save_density_operator",
     "schatten1_diff",
     "simulate_discrimination",
+    "success_from_schatten1",
 ]
 
 HERMITIAN_ATOL = 1e-10
@@ -138,14 +140,14 @@ def schatten1_diff(a: DensityOperator, b: DensityOperator) -> float:
     return _schatten1_hermitian(a.matrix - b.matrix)
 
 
-def _success_from_schatten1(schatten: float) -> float:
+def success_from_schatten1(schatten: float) -> float:
     """Optimal equal-prior success 1/2 + ||a - b||_1 / 4, clamped to [1/2, 1]."""
     return min(max(0.5 + 0.25 * schatten, 0.5), 1.0)
 
 
 def helstrom_success(a: DensityOperator, b: DensityOperator) -> float:
     """Optimal success probability for equal-prior discrimination of a vs b."""
-    return _success_from_schatten1(schatten1_diff(a, b))
+    return success_from_schatten1(schatten1_diff(a, b))
 
 
 def _pure_pair_schatten1(u: np.ndarray, v: np.ndarray) -> float:
@@ -162,27 +164,41 @@ def _pure_pair_schatten1(u: np.ndarray, v: np.ndarray) -> float:
     return 2.0 * math.sqrt(max(1.0 - overlap, 0.0))
 
 
-def ncopy_minus_sign_tracenorm(d: int, copies: int) -> float:
-    """Closed-form Schatten-1 distance between the N-copy sign-flip pair.
-
-    The two hypotheses are pure product states whose overlap is c^(2N) with
-    c = 1 - 2/d, giving 2*sqrt(1 - c^(4N)). Grows toward 2 as N grows, so a
-    fixed discrimination threshold forces N to scale linearly with d.
-    1 - c^(4N) is evaluated as -expm1(4N log1p(-2/d)), which keeps full
-    relative precision for every d a float can hold (1 - 2/d itself rounds
-    to 1 from 2^55). A d or 4N past the float range raises ValueError.
-    """
+def _check_minus_sign_pair(d: int, copies: int) -> None:
     if d < 2:
         raise ValueError("dimension must be at least 2")
     if copies < 1:
         raise ValueError("copies must be at least 1")
-    if d == 2:
-        return 2.0  # c = 0: the two hypotheses are orthogonal
+
+
+def _minus_sign_schatten1(two_over_d: float, power: int) -> float:
+    """2 sqrt(1 - c^p) with c = 1 - 2/d: the sign-flip pair's Schatten-1 distance.
+
+    |+> is uniform on d entries and |-> is |+> with its first entry negated,
+    so <+|-> = c. The two pure states compared have squared overlap c^p:
+    p = 2 for one copy of each, p = 4N for the N-copy product pair.
+    1 - c^p is evaluated as -expm1(p log1p(-2/d)), which keeps full relative
+    precision for every d a float can hold (1 - 2/d itself rounds to 1 from
+    d = 2^55). Callers pass 2/d, since d itself may lie past the float range.
+    """
+    if two_over_d == 1.0:
+        return 2.0  # d = 2, c = 0: the two hypotheses are orthogonal
+    return 2.0 * math.sqrt(-math.expm1(power * math.log1p(-two_over_d)))
+
+
+def ncopy_minus_sign_tracenorm(d: int, copies: int) -> float:
+    """Closed-form Schatten-1 distance between the N-copy sign-flip pair.
+
+    The two hypotheses are pure product states whose overlap is c^(2N) with
+    c = 1 - 2/d, giving 2*sqrt(1 - c^(4N)) (`_minus_sign_schatten1`). Grows
+    toward 2 as N grows, so a fixed discrimination threshold forces N to
+    scale linearly with d. A d or 4N past the float range raises ValueError.
+    """
+    _check_minus_sign_pair(d, copies)
     try:
-        exponent = 4 * copies * math.log1p(-2.0 / d)
+        return _minus_sign_schatten1(2.0 / d, 4 * copies)
     except OverflowError:
         raise ValueError("dimension and 4 * copies must lie below 2^1024, the float range") from None
-    return 2.0 * math.sqrt(-math.expm1(exponent))
 
 
 def minus_sign_product_vectors(d: int, copies: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,10 +208,7 @@ def minus_sign_product_vectors(d: int, copies: int) -> tuple[np.ndarray, np.ndar
     returns |->^N |+>^N and |+>^N |->^N. Refuses d < 2, copies < 1 and any
     dimension above 2^DENSE_BUDGET_N before materializing anything.
     """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    if copies < 1:
-        raise ValueError("copies must be at least 1")
+    _check_minus_sign_pair(d, copies)
     cap = 1 << DENSE_BUDGET_N
     # With d >= 2 either bound alone puts d^(2N) past the cap, so a pair that
     # large is refused before its dimension is formed as an integer.
@@ -282,7 +295,7 @@ def discriminate_pure_pair(
     are those of `simulate_discrimination`.
     """
     schatten = _pure_pair_schatten1(u, v)
-    success = _success_from_schatten1(schatten)
+    success = success_from_schatten1(schatten)
     return schatten, success, _click_success_rate(success, 1.0 - success, trials, rng)
 
 
@@ -322,15 +335,17 @@ def load_density_operator(path: str | Path) -> DensityOperator:
     try:
         with open(path) as fh:
             for lineno, tokens in content_lines(fh):
+                header = dim is None
                 try:
-                    if dim is not None:
-                        values.extend(float(t) for t in tokens)
+                    if not header:
+                        values.extend(map(float, tokens))
                     elif tokens[0] != "dim" or len(tokens) != 2:
                         raise ValueError("expected `dim <k>` header")
-                    elif (dim := int(tokens[1])) < 1:
+                    elif (dim := parse_int(tokens[1])) < 1:
                         raise ValueError("dimension must be at least 1")
                 except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc} in {' '.join(tokens)!r}") from None
+                    reason = exc if header else "expected numbers"  # float()'s message quotes the whole token
+                    raise ValueError(f"line {lineno}: {reason} in {quoted(' '.join(tokens))}") from None
         if dim is None:
             raise ValueError("missing `dim <k>` header")
         if len(values) != 2 * dim * dim:

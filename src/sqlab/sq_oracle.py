@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -219,7 +220,7 @@ class ImplicitVector:
 
     def __post_init__(self):
         if self.kind not in _IMPLICIT_KINDS:
-            raise ValueError(f"unsupported implicit kind {self.kind!r}")
+            raise ValueError(f"unsupported implicit kind {quoted(self.kind)}")
         if not 1 <= self.n <= MAX_IMPLICIT_N:
             raise ValueError(f"n must be in [1, {MAX_IMPLICIT_N}], got {self.n}")
         if not self.scale > 0:
@@ -387,6 +388,28 @@ def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
             yield lineno, tokens
 
 
+# Characters of an input line or token that a refusal quotes; the rest is elided.
+_QUOTED_CHARS = 40
+
+
+def quoted(text: str) -> str:
+    """`repr(text)` cut after `_QUOTED_CHARS` characters: how a refusal quotes its input."""
+    if len(text) <= _QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
+
+
+def parse_int(token: str) -> int:
+    """`int(token)`, refused in sqlab's words, also past Python's integer-string digit limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before Python 3.10.7
+    if limit and len(token) > limit:
+        raise ValueError(f"integer {quoted(token)} is longer than {limit} digits")
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {quoted(token)}") from None
+
+
 def load_dense_vector(path: str | Path) -> np.ndarray:
     """Parse the dense vector text format: one `<re> <im>` pair per content line.
 
@@ -400,7 +423,7 @@ def load_dense_vector(path: str | Path) -> np.ndarray:
                 try:
                     re_part, im_part = map(float, tokens)  # a wrong count is a ValueError too
                 except ValueError:
-                    raise ValueError(f"line {lineno}: expected `<re> <im>`, got {' '.join(tokens)!r}") from None
+                    raise ValueError(f"line {lineno}: expected `<re> <im>`, got {quoted(' '.join(tokens))}") from None
                 values.append(complex(re_part, im_part))
         if not values:
             raise ValueError("no components found")

@@ -13,11 +13,9 @@ import numpy as np
 from sqlab.circuit_bridge import (
     amplitude_single_copy_success,
     build_psi_u,
+    measure_product_encoding,
     p_zero_first_qubit,
-    product_encode_all_plus,
-    product_encode_sign_vector,
     random_circuit,
-    solve_product_encoding,
     sq_from_state,
 )
 from sqlab.experiments import (
@@ -181,14 +179,13 @@ def test_criterion_7_probe_state_amplitude_identity():
 def test_criterion_8_encoding_contrast():
     started = time.perf_counter()
     rng = np.random.default_rng(8001)
+    # a product-encoded object is its first factor, the one qubit the measurement reads
+    plus, minus = (math.sqrt(0.5), math.sqrt(0.5)), (math.sqrt(0.5), -math.sqrt(0.5))
     successes = 0
     for _ in range(1000):
         k_star = int(rng.integers(1, 3))
-        encoded = [
-            product_encode_sign_vector(10) if k == k_star else product_encode_all_plus(10)
-            for k in (1, 2)
-        ]
-        successes += int(solve_product_encoding(encoded) == k_star)
+        encoded = [minus if k == k_star else plus for k in (1, 2)]
+        successes += int(measure_product_encoding(encoded) == k_star)
     assert successes == 1000
 
     assert amplitude_single_copy_success(10) <= 0.54

@@ -1,5 +1,6 @@
 """Circuit-bridge tests: parsing, simulation, the probe identity, encodings."""
 
+import decimal
 import functools
 import itertools
 import math
@@ -15,13 +16,10 @@ from sqlab.circuit_bridge import (
     amplitude_single_copy_success,
     build_psi_u,
     p_zero_first_qubit,
+    measure_product_encoding,
     parse_circuit,
-    product_encode_all_plus,
-    product_encode_sign_vector,
-    product_state_amplitudes,
     random_circuit,
     run_statevector,
-    solve_product_encoding,
     sq_from_state,
     _run_gates,
 )
@@ -257,29 +255,30 @@ def test_budget_checks():
         build_psi_u(Circuit(n=0, gates=()))
 
 
+# first factors of the two product encodings: |+> and |->
+_PLUS = (math.sqrt(0.5), math.sqrt(0.5))
+_MINUS = (math.sqrt(0.5), -math.sqrt(0.5))
+
+
 def test_product_encoding_solver_deterministic():
-    encoded = [
-        product_encode_all_plus(5),
-        product_encode_sign_vector(5),
-        product_encode_all_plus(5),
-    ]
-    assert solve_product_encoding(encoded) == 2
+    assert measure_product_encoding([_PLUS, _MINUS, _PLUS]) == 2
     with pytest.raises(ValueError, match="exactly one"):
-        solve_product_encoding([product_encode_all_plus(3), product_encode_all_plus(3)])
+        measure_product_encoding([_PLUS, _PLUS])
+    with pytest.raises(ValueError, match="exactly one"):
+        measure_product_encoding([_MINUS, _PLUS, _MINUS])
 
 
 def test_product_encoding_single_qubit_orthogonal():
-    minus = product_encode_sign_vector(1)
-    plus = product_encode_all_plus(1)
-    amp_m = product_state_amplitudes(minus.factors)
-    amp_p = product_state_amplitudes(plus.factors)
-    assert abs(np.vdot(amp_m, amp_p)) < 1e-15
+    assert abs(np.vdot(_PLUS, _MINUS)) < 1e-15
+    # the outcome depends on the ray only: a global phase decides the same way
+    phased = [tuple(1j * a for a in _PLUS), tuple(-a for a in _MINUS), np.array(_PLUS)]
+    assert measure_product_encoding(phased) == 2
 
 
 def test_product_state_matches_sign_pattern_oracle():
     # |-> (x) |+>^(n-1) has amplitudes (-1)^(leading bit)/sqrt(d)
     n = 4
-    amps = product_state_amplitudes(product_encode_sign_vector(n).factors)
+    amps = functools.reduce(np.kron, [np.array(_MINUS)] + [np.array(_PLUS)] * (n - 1))
     spec = ImplicitVector(
         kind="sign-pattern-product", n=n, scale=1 / math.sqrt(1 << n), sign_mask=1 << (n - 1)
     )
@@ -287,11 +286,27 @@ def test_product_state_matches_sign_pattern_oracle():
 
 
 def test_amplitude_single_copy_success_curve():
-    assert amplitude_single_copy_success(1) == pytest.approx(1.0)
+    assert amplitude_single_copy_success(1) == 1.0
     assert amplitude_single_copy_success(10) <= 0.54
-    values = [amplitude_single_copy_success(n) for n in range(2, 21)]
+    # strictly decreasing until 1/2 + 2^(-n/2) is within one ulp of 1/2
+    values = [amplitude_single_copy_success(n) for n in range(2, 106)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] > 0.5
+    assert amplitude_single_copy_success(100000) == 0.5
+
+
+def test_amplitude_single_copy_success_is_correctly_rounded():
+    # the success is 1/2 + sqrt(1/d - 1/d^2) = 1/2 + sqrt(d - 1)/d exactly, for d = 2^n
+    off = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400
+        for n in [*range(1, 301), 100000]:
+            d = decimal.Decimal(2) ** n
+            exact = decimal.Decimal(1) / 2 + (d - 1).sqrt() / d
+            got = amplitude_single_copy_success(n)
+            if abs(decimal.Decimal(got) - exact) > decimal.Decimal(math.ulp(got)) / 2:
+                off.append(n)
+    assert off == []
 
 
 def test_amplitude_success_agrees_with_helstrom_at_small_n():

@@ -426,6 +426,7 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         (["discriminate", "--family", "minus-sign", "--d", "4", "--copies", "5000"], 1),
         (["discriminate", "--family", "minus-sign", "--d", "9" * 2200, "--copies", "1"], 1),
         (["discriminate", "--family", "minus-sign", "--d", "4", "--copies", "100000000"], 1),
+        (["encoding-demo", "--n", "1000000", "--trials", "1000"], 0),
     ],
     ids=[
         "sample-test-no-dof",
@@ -446,6 +447,7 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         "discriminate-many-copies",
         "discriminate-huge-d",
         "discriminate-huge-copies",
+        "encoding-demo-million-n",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -560,11 +562,50 @@ def test_cli_rejects_vacuous_or_impossible_thresholds(tmp_path, capsys, flag, va
 
 def test_cli_encoding_demo(capsys):
     assert main(["--seed", "4", "encoding-demo", "--n", "6", "--trials", "200"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["product_successes"] == 200
-    assert payload["measurements_per_object"] == 1
-    expected = 0.5 + 0.5 * (1 - (1 - 2 / 64) ** 2) ** 0.5
-    assert payload["amplitude_single_copy_success"] == pytest.approx(expected, abs=1e-12)
+    assert capsys.readouterr().out == (
+        '{"experiment":"encoding-demo","n":6,"C":2,"trials":200,"product_successes":200,'
+        '"product_success_rate":1.0,"measurements_per_object":1,'
+        '"amplitude_single_copy_success":0.6240195927061527,"seed":4}\n'
+    )
+
+
+_MANIFEST_HEAD = "kind minus-sign\nC 2\nseed 0\n"
+
+
+@pytest.mark.parametrize(
+    "name,text,reason",
+    [
+        ("density.txt", "dim " + "9" * 5000 + "\n1 0\n", "longer than"),
+        ("density.txt", "dim 1\n1 " + "x" * 5000 + "\n", "expected numbers"),
+        ("vector.txt", "1 0\n" + "7" * 5000 + "\n", "expected `<re> <im>`"),
+        ("circuit.txt", "qubits " + "9" * 5000 + "\n", "longer than"),
+        ("circuit.txt", "qubits 1\n" + "G" * 5000 + " 0\n", "unknown gate"),
+        ("manifest.txt", _MANIFEST_HEAD + "n " + "9" * 5000 + "\n", "longer than"),
+        (
+            "manifest.txt",
+            _MANIFEST_HEAD + "n 2\nvector 1 implicit all-plus n=2 scale=1\n"
+            "vector 2 implicit " + "k" * 5000 + " n=2 scale=1\n",
+            "unsupported implicit kind",
+        ),
+    ],
+    ids=["density-dim", "density-entry", "vector-line", "circuit-qubits", "circuit-gate",
+         "manifest-n", "manifest-descriptor"],
+)
+def test_a_long_token_gives_a_short_refusal(tmp_path, capsys, name, text, reason):
+    (tmp_path / name).write_text(text)
+    path = str(tmp_path / name)
+    argv = {
+        "density.txt": ["discriminate", "--a", path, "--b", path],
+        "vector.txt": ["sample-test", "--vector", path],
+        "circuit.txt": ["sharp-p", "--circuit", path],
+        "manifest.txt": ["solve", "minus-sign", "--instance", str(tmp_path)],
+    }[name]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1
+    assert reason in err and "characters)" in err
+    assert len(err.encode()) < 300, err
+    assert "set_int_max_str_digits" not in err
 
 
 def test_cli_missing_instance_dir_is_config_error(capsys):

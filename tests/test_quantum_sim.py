@@ -164,6 +164,22 @@ def test_ncopy_examples():
         ncopy_minus_sign_tracenorm(4, 0)
 
 
+@pytest.mark.parametrize(
+    "d,copies,pinned",
+    [
+        (3, 1, "0x1.fcd4669f1b2f1p+0"),
+        (4, 7, "0x1.fffffff000000p+0"),
+        (64, 1, "0x1.61a193f327660p-1"),
+        (4096, 100, "0x1.af5f4e4b4ed92p-1"),
+        (1 << 55, 3, "0x1.bb67ae8584ca9p-25"),
+        (1 << 60, 100, "0x1.c48c6001f0abfp-25"),
+    ],
+)
+def test_ncopy_closed_form_bytes_are_pinned(d, copies, pinned):
+    # recorded before the one-copy amplitude success came to share this closed form
+    assert ncopy_minus_sign_tracenorm(d, copies).hex() == pinned
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("copies", [1, 2, 3])
 def test_ncopy_closed_form_matches_dense(d, copies):

@@ -6,6 +6,7 @@ with probability around 1e-3 (chi-square tests run at that significance).
 """
 
 import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,6 +27,8 @@ from sqlab.sq_oracle import (
     content_lines,
     load_dense_vector,
     materialize,
+    parse_int,
+    quoted,
 )
 
 
@@ -324,6 +327,18 @@ def test_dense_vector_file_parsing(tmp_path):
 def test_content_lines_skip_blank_and_comment_lines():
     lines = ["# head", "", "  \t", "a  b\tc", "  #x y", "x # y", "#", "1"]
     assert list(content_lines(lines)) == [(4, ["a", "b", "c"]), (6, ["x", "#", "y"]), (8, ["1"])]
+
+
+def test_refusals_quote_a_bounded_prefix_and_parse_int_refuses_in_its_own_words():
+    assert quoted("dim x") == "'dim x'"
+    assert quoted("y" * 5000) == repr("y" * 40) + "... (5000 characters)"
+    assert parse_int("-12") == -12
+    with pytest.raises(ValueError, match=r"^expected an integer, got 'x'$"):
+        parse_int("x")
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError, match=rf"\({limit + 1} characters\) is longer than {limit} digits$"):
+        parse_int("9" * (limit + 1))
+    assert parse_int("9" * limit) == 10**limit - 1
 
 
 @settings(max_examples=25)
