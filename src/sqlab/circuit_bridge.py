@@ -63,7 +63,7 @@ def _check_gate(gate: Gate, n: int) -> None:
         raise ValueError(f"{gate.name} takes {want} qubit argument(s)")
     for q in gate.qubits:
         if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range [0, {n - 1}]")
+            raise ValueError(f"qubit {quoted(q)} out of range [0, {quoted(n - 1)}]")
     if gate.name == "CNOT" and gate.qubits[0] == gate.qubits[1]:
         raise ValueError("CNOT control equals target")
 
@@ -171,7 +171,7 @@ def _run_gates(pair: list[np.ndarray], gates, n: int, dagger: bool = False) -> N
 def run_statevector(circuit: Circuit) -> Statevector:
     """U applied to the all-zeros state, to double precision."""
     if circuit.n > MAX_QUBITS:
-        raise ValueError(f"{circuit.n} qubits exceed the budget of {MAX_QUBITS}")
+        raise ValueError(f"{quoted(circuit.n)} qubits exceed the budget of {MAX_QUBITS}")
     pair = [np.zeros(1 << circuit.n, dtype=np.complex128), np.empty(1 << circuit.n, dtype=np.complex128)]
     pair[0][0] = 1.0
     _run_gates(pair, circuit.gates, circuit.n)
@@ -192,7 +192,7 @@ def build_psi_u(circuit: Circuit) -> Statevector:
     """
     n = circuit.n
     if n + 1 > MAX_QUBITS:
-        raise ValueError(f"{n + 1} qubits exceed the budget of {MAX_QUBITS}")
+        raise ValueError(f"{quoted(n + 1)} qubits exceed the budget of {MAX_QUBITS}")
     if n == 0:
         raise ValueError("the probe construction needs at least one circuit qubit")
     m = n + 1

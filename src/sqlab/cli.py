@@ -48,11 +48,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _int(text: str) -> int:
+    """The type of every integer flag: `sq_oracle.parse_int`, refused as argparse refuses a flag."""
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok)
+        return sq_oracle.parse_int(text)
     except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(_int(tok) for tok in text.split(",") if tok)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -65,10 +70,10 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="sqlab")
-    parser.add_argument("--seed", type=int, default=0, help="global RNG seed")
+    parser.add_argument("--seed", type=_int, default=0, help="global RNG seed")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
     parser.add_argument("--format", dest="fmt", choices=("csv", "json-lines"), default="csv")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=_int, default=1)
     parser.add_argument(
         "--timings",
         action="store_true",
@@ -79,43 +84,43 @@ def _build_parser() -> _ArgumentParser:
     p = sub.add_parser("sample-test", help="chi-square test of the sampler")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--vector", help="dense vector file")
-    src.add_argument("--dim", type=int, help="random complex vector of this dimension")
+    src.add_argument("--dim", type=_int, help="random complex vector of this dimension")
     src.add_argument(
         "--kind",
         choices=(sq_oracle.KIND_ALL_PLUS, sq_oracle.KIND_MINUS_AT_INDEX, sq_oracle.KIND_SIGN_PRODUCT),
         help="implicit vector kind (with --n, --minus-index, --scale, --sign-mask)",
     )
-    p.add_argument("--n", type=int, help="dimension exponent for --kind")
-    p.add_argument("--minus-index", type=int, default=1)
+    p.add_argument("--n", type=_int, help="dimension exponent for --kind")
+    p.add_argument("--minus-index", type=_int, default=1)
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--sign-mask", type=int, default=1)
-    p.add_argument("--draws", type=int, default=100_000)
+    p.add_argument("--sign-mask", type=_int, default=1)
+    p.add_argument("--draws", type=_int, default=100_000)
     p.add_argument("--significance", type=float, default=1e-3)
 
     p = sub.add_parser("gen-instance", help="generate and dump an instance")
     p.add_argument("--kind", required=True, choices=sorted(instances._GENERATORS))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--C", dest="num_vectors", type=int, default=2)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--C", dest="num_vectors", type=_int, default=2)
     p.add_argument("--dir", required=True, help="output directory")
     p.add_argument("--reveal", action="store_true", help="write k* into the manifest")
 
     p = sub.add_parser("solve", help="run a solver on a dumped instance")
     p.add_argument("solver", choices=_SOLVER_NAMES)
     p.add_argument("--instance", required=True, help="instance directory")
-    p.add_argument("--budget", type=int, default=10_000, help="samples per handle (sample-only)")
+    p.add_argument("--budget", type=_int, default=10_000, help="samples per handle (sample-only)")
 
     p = sub.add_parser("discriminate", help="two-state discrimination report")
     p.add_argument("--a", help="density operator file for the first state")
     p.add_argument("--b", help="density operator file for the second state")
     p.add_argument("--family", choices=("minus-sign",), help="construct a named pair instead")
-    p.add_argument("--d", type=int, default=4, help="vector dimension for --family")
-    p.add_argument("--copies", type=int, default=1, help="copies per state for --family")
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--d", type=_int, default=4, help="vector dimension for --family")
+    p.add_argument("--copies", type=_int, default=1, help="copies per state for --family")
+    p.add_argument("--trials", type=_int, default=10_000)
 
     p = sub.add_parser("haar-gap", help="moment-gap sweep over (d, N)")
     p.add_argument("--d", type=_int_list, required=True, help="comma-separated d list")
     p.add_argument("--N", dest="copies", type=_int_list, required=True)
-    p.add_argument("--mc-samples", type=int, default=None)
+    p.add_argument("--mc-samples", type=_int, default=None)
 
     p = sub.add_parser("copies-sweep", help="minimal copies vs dimension")
     p.add_argument("--d", type=_int_list, required=True)
@@ -131,9 +136,9 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-12)
 
     p = sub.add_parser("encoding-demo", help="product vs amplitude encoding contrast")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--C", dest="num_vectors", type=int, default=2)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--trials", type=_int, default=1000)
+    p.add_argument("--C", dest="num_vectors", type=_int, default=2)
 
     return parser
 
@@ -308,12 +313,10 @@ def _cmd_sharp_p(args) -> int:
         raise ConfigError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     try:
         circuit = circuit_bridge.parse_circuit(Path(args.circuit).read_text())
+        t0 = time.perf_counter_ns()
+        probe = circuit_bridge.build_psi_u(circuit)  # refuses zero qubits and any past the budget
     except ValueError as exc:
         raise ValueError(f"{args.circuit}: {exc}") from None
-    if circuit.n == 0:
-        raise ConfigError("circuit file declares zero qubits")
-    t0 = time.perf_counter_ns()
-    probe = circuit_bridge.build_psi_u(circuit)
     handle = circuit_bridge.sq_from_state(probe)
     amplitude = handle.query(1)
     p_zero = circuit_bridge.p_zero_first_qubit(circuit)

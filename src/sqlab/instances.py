@@ -23,6 +23,7 @@ from .sq_oracle import (
     ImplicitVector,
     KIND_ALL_PLUS,
     KIND_MINUS_AT_INDEX,
+    MAX_IMPLICIT_N,
     SqHandle,
     build_dense,
     build_implicit,
@@ -150,7 +151,7 @@ def gen_real_vector_search(n: int, num_vectors: int, seed: int) -> ProblemInstan
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > DENSE_BUDGET_N:
-        raise ValueError(f"n={n} exceeds the dense materialization budget ({DENSE_BUDGET_N})")
+        raise ValueError(f"n={quoted(n)} exceeds the dense materialization budget ({DENSE_BUDGET_N})")
     if num_vectors < 2:
         raise ValueError("need at least two vectors")
     k_star = _draw_k_star(seed, num_vectors)
@@ -220,12 +221,13 @@ def _parse_implicit_descriptor(tokens: list[str]) -> ImplicitVector:
 def _load_npy_vector(path: Path) -> np.ndarray:
     """One dense vector from a `.npy` file; every malformed file is a ValueError naming it.
 
-    The file is memory-mapped, so a header that claims more entries than the
-    file holds is refused before anything of that size is allocated.
+    A file that cannot be opened raises the OSError. The file is
+    memory-mapped, so a header that claims more entries than the file holds is
+    refused before anything of that size is allocated.
     """
     try:
         arr = np.load(path, mmap_mode="r", allow_pickle=False)
-    except (EOFError, OSError, ValueError) as exc:
+    except (EOFError, ValueError) as exc:
         raise ValueError(f"{path}: not a readable .npy array ({exc})") from exc
     if not isinstance(arr, np.ndarray):  # an .npz archive
         arr.close()
@@ -302,7 +304,7 @@ def load_instance(directory: str | Path) -> ProblemInstance:
                     raise ValueError("expected `vector <j> <backing> <file or descriptor>`")
                 j = parse_int(values[0])
                 if j in vector_specs:
-                    raise ValueError(f"vector {j} given twice")
+                    raise ValueError(f"vector {quoted(j)} given twice")
                 vector_specs[j] = (values[1], values[2:])
             elif key not in ("kind", "n", "C", "seed", "k_star"):
                 raise ValueError(f"unknown manifest key {quoted(key)}")
@@ -322,10 +324,10 @@ def load_instance(directory: str | Path) -> ProblemInstance:
         raise ValueError(f"{manifest}: incomplete manifest")
     n, num_vectors, seed = numbers["n"], numbers["C"], numbers["seed"]
     k_star = numbers.get("k_star")
-    if n < 1:
-        raise ValueError(f"{manifest}: n must be at least 1, got {n}")
-    if sorted(vector_specs) != list(range(1, num_vectors + 1)):
-        raise ValueError(f"{manifest}: expected vectors 1..{num_vectors}")
+    if not 1 <= n <= MAX_IMPLICIT_N:
+        raise ValueError(f"{manifest}: n must be in [1, {MAX_IMPLICIT_N}], got {quoted(n)}")
+    if len(vector_specs) != num_vectors or sorted(vector_specs) != list(range(1, num_vectors + 1)):
+        raise ValueError(f"{manifest}: expected vectors 1..{quoted(num_vectors)}")
 
     handles = []
     for j in range(1, num_vectors + 1):
@@ -340,7 +342,10 @@ def load_instance(directory: str | Path) -> ProblemInstance:
             handles.append(build_implicit(spec))
         elif backing_kind in ("npy", "dense"):  # `dense` is the legacy text format
             path = directory / rest[0]
-            entries = _load_npy_vector(path) if backing_kind == "npy" else load_dense_vector(path)
+            try:
+                entries = _load_npy_vector(path) if backing_kind == "npy" else load_dense_vector(path)
+            except OSError as exc:  # its message repeats the file name, which may be any length
+                raise ValueError(f"{manifest}: vector {j}: {quoted(rest[0])}: {exc.strerror}") from None
             if entries.size != 1 << n:
                 raise ValueError(f"{path}: {entries.size} entries, the manifest's n={n} needs {1 << n}")
             try:
@@ -355,9 +360,9 @@ def load_instance(directory: str | Path) -> ProblemInstance:
         for loaded, regen in zip(handles, regenerated.handles):
             if isinstance(loaded.backing, ImplicitVector):
                 if loaded.backing != regen.backing:
-                    raise ValueError("dumped instance does not match its seed")
+                    raise ValueError(f"{manifest}: dumped instance does not match its seed")
             else:
                 if not np.array_equal(loaded.backing.entries, materialize(regen)):
-                    raise ValueError("dumped instance does not match its seed")
+                    raise ValueError(f"{manifest}: dumped instance does not match its seed")
         k_star = regenerated._k_star
     return ProblemInstance(kind, n, seed, tuple(handles), k_star)

@@ -213,7 +213,9 @@ def minus_sign_product_vectors(d: int, copies: int) -> tuple[np.ndarray, np.ndar
     # With d >= 2 either bound alone puts d^(2N) past the cap, so a pair that
     # large is refused before its dimension is formed as an integer.
     if d > cap or copies > DENSE_BUDGET_N:
-        raise ValueError(f"minus-sign pair dimension d^(2N) with d={d}, N={copies} exceeds {cap}")
+        raise ValueError(
+            f"minus-sign pair dimension d^(2N) with d={quoted(d)}, N={quoted(copies)} exceeds {cap}"
+        )
     dim = d ** (2 * copies)
     if dim > cap:
         raise ValueError(f"minus-sign pair dimension {dim} exceeds {cap}")

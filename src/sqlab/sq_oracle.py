@@ -6,10 +6,11 @@ Query returns a component exactly, and QueryN returns the 2-norm. Each
 operation is gated behind an explicit capability set and counted exactly, so
 experiments can account oracle cost separately from wall-clock time.
 
-Dense backings carry a binary prefix-sum tree over the squared magnitudes,
-built on the first Sample in O(d) and giving O(log d) sampling after that;
-backings that are only queried never build it. Implicit backings evaluate
-components from a closed form in O(poly n) without materializing 2^n entries.
+Dense backings carry the running sums of the squared magnitudes, built on the
+first Sample in O(d); a draw is then a binary search for the first running sum
+above a uniform point, O(log d). Backings that are only queried never build
+them. Implicit backings evaluate components from a closed form in O(poly n)
+without materializing 2^n entries.
 
 Indices are 1-based at the oracle boundary and 0-based internally.
 """
@@ -99,67 +100,6 @@ class OracleStats:
         return self.sample_calls + self.query_calls + self.norm_calls
 
 
-class _PrefixSumTree:
-    """Flat binary tree of cumulative weights; leaves hold |x_i|^2.
-
-    Layout is the classic implicit heap: node i has children 2i and 2i+1,
-    leaves occupy arr[m:2m]. Sampling descends from the root, so one draw
-    costs log2(d) comparisons. A single draw walks the heap in scalars;
-    batched draws vectorize the descent.
-    """
-
-    def __init__(self, weights: np.ndarray):
-        m = len(weights)  # 2^n: the tree is only built from a DenseVector's entries
-        arr = np.zeros(2 * m, dtype=np.float64)
-        arr[m:] = weights
-        size = m
-        while size > 1:
-            half = size // 2
-            level = arr[size : 2 * size]
-            arr[half:size] = level[0::2] + level[1::2]
-            size = half
-        self.arr = arr
-        self.m = m
-        self.depth = m.bit_length() - 1
-
-    @property
-    def leaf_weights(self) -> np.ndarray:
-        return self.arr[self.m :]
-
-    def draw(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw k leaf positions (0-based) proportional to leaf weight."""
-        u = rng.random(k) * self.arr[1]
-        idx = np.ones(k, dtype=np.int64)
-        for _ in range(self.depth):
-            idx <<= 1
-            left = self.arr[idx]
-            go_right = u >= left
-            u -= np.where(go_right, left, 0.0)
-            idx += go_right
-        leaf = idx - self.m
-        # subtraction roundoff can, at boundary values of u, land on a
-        # zero-weight leaf; those draws are invalid and are redrawn
-        bad = self.arr[idx] == 0.0
-        if np.any(bad):
-            leaf[bad] = self.draw(int(np.count_nonzero(bad)), rng)
-        return leaf
-
-    def draw_one(self, rng: np.random.Generator) -> int:
-        """One leaf position (0-based), drawn exactly as `draw(1, rng)` draws it."""
-        arr = self.arr
-        while True:
-            u = rng.random() * arr[1]
-            idx = 1
-            for _ in range(self.depth):
-                idx <<= 1
-                left = arr[idx]
-                if u >= left:
-                    u -= left
-                    idx += 1
-            if arr[idx] != 0.0:  # a zero-weight leaf is redrawn, as in `draw`
-                return idx - self.m
-
-
 @dataclass(frozen=True)
 class DenseVector:
     """Explicitly stored complex vector with its squared 2-norm cached."""
@@ -180,23 +120,22 @@ class DenseVector:
             raise ValueError(f"squared norm {sq} is not finite (non-finite or overflowing entries)")
         if sq == 0.0:
             raise ValueError("zero vector: sampling distribution undefined")
+        if sq < np.finfo(np.float64).tiny:  # a subnormal total can round a draw's point onto it
+            raise ValueError(f"squared norm {sq:.3g} is subnormal: too small to sample from")
         return cls(entries=arr, squared_norm=sq)
 
     @property
     def dim(self) -> int:
         return self.entries.size
 
-    @property
-    def n(self) -> int:
-        return self.dim.bit_length() - 1
-
     def norm(self) -> float:
         return math.sqrt(self.squared_norm)
 
     @functools.cached_property
-    def prefix_tree(self) -> _PrefixSumTree:
-        """Sampling tree over |x_i|^2, built on first use and shared by every handle."""
-        return _PrefixSumTree(self.entries.real**2 + self.entries.imag**2)
+    def cdf(self) -> np.ndarray:
+        """Running sums of |x_i|^2, built on first use and shared by every handle."""
+        weights = self.entries.real**2 + self.entries.imag**2
+        return np.cumsum(weights, out=weights)
 
 
 @dataclass(frozen=True)
@@ -222,7 +161,7 @@ class ImplicitVector:
         if self.kind not in _IMPLICIT_KINDS:
             raise ValueError(f"unsupported implicit kind {quoted(self.kind)}")
         if not 1 <= self.n <= MAX_IMPLICIT_N:
-            raise ValueError(f"n must be in [1, {MAX_IMPLICIT_N}], got {self.n}")
+            raise ValueError(f"n must be in [1, {MAX_IMPLICIT_N}], got {quoted(self.n)}")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
         if self.kind == KIND_MINUS_AT_INDEX:
@@ -273,35 +212,35 @@ class SqHandle:
     def dim(self) -> int:
         return self.backing.dim
 
-    @property
-    def n(self) -> int:
-        return self.dim.bit_length() - 1
-
     def _require(self, cap: Capability) -> None:
         if cap not in self.capabilities:
             raise CapabilityError(f"{cap.value} not in capability set")
 
     def sample(self, rng: np.random.Generator) -> int:
-        """Draw one 1-based index with probability |x_i|^2 / ||x||^2.
-
-        Consumes `rng` exactly as `sample_many(1, rng)` does and returns its draw.
-        """
-        self._require(Capability.SAMPLE)
-        if isinstance(self.backing, DenseVector):
-            idx = self.backing.prefix_tree.draw_one(rng) + 1
-        else:
-            idx = int(rng.integers(1, self.dim + 1, dtype=np.int64))
-        with self._lock:
-            self._sample_calls += 1
-        return idx
+        """Draw one 1-based index with probability |x_i|^2 / ||x||^2; the draw of `sample_many(1, rng)`."""
+        return int(self.sample_many(1, rng)[0])
 
     def sample_many(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw k indices at once; counts as k Sample calls."""
+        """Draw k indices at once; counts as k Sample calls.
+
+        k is refused past 2^DENSE_BUDGET_N, the array-length budget, before
+        anything is drawn or counted. A dense draw is the index i whose
+        interval [cdf[i-1], cdf[i]) holds u = U(0,1)*cdf[-1]: a zero weight
+        has an empty interval and is never drawn, and u < cdf[-1] because the
+        total is not subnormal. The points are searched in sorted order, which
+        keeps the search's memory accesses local.
+        """
         self._require(Capability.SAMPLE)
-        if k < 0:
-            raise ValueError("sample count must be nonnegative")
+        if not 0 <= k <= 1 << DENSE_BUDGET_N:
+            raise ValueError(f"sample count must be in [0, 2^{DENSE_BUDGET_N}], got {quoted(k)}")
         if isinstance(self.backing, DenseVector):
-            idx = self.backing.prefix_tree.draw(k, rng) + 1
+            cdf = self.backing.cdf
+            u = rng.random(k) * cdf[-1]
+            order = np.argsort(u)
+            u = u[order]
+            idx = np.empty(k, dtype=np.int64)
+            idx[order] = np.searchsorted(cdf, u, side="right")
+            idx += 1
         else:
             # all implicit kinds have uniform squared magnitudes
             idx = rng.integers(1, self.dim + 1, size=k, dtype=np.int64)
@@ -392,10 +331,15 @@ def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
 _QUOTED_CHARS = 40
 
 
-def quoted(text: str) -> str:
-    """`repr(text)` cut after `_QUOTED_CHARS` characters: how a refusal quotes its input."""
+def quoted(value: str | int) -> str:
+    """How a refusal quotes an input token or an integer parsed from one.
+
+    `repr(value)` when `str(value)` has at most `_QUOTED_CHARS` characters;
+    otherwise the repr of its first `_QUOTED_CHARS` characters and its length.
+    """
+    text = str(value)
     if len(text) <= _QUOTED_CHARS:
-        return repr(text)
+        return repr(value)
     return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
 
 

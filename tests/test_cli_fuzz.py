@@ -92,7 +92,8 @@ def circuit_file(tmp_path_factory):
             numbers,
         ),
     ),
-    draws=st.integers(-2, 5000),
+    # past 2^24 (`DENSE_BUDGET_N`) draws are refused before anything is drawn
+    draws=st.one_of(st.integers(-2, 5000), st.integers((1 << 24) + 1, 2**64)),
     significance=numbers,
 )
 def test_fuzz_sample_test(seed, source, draws, significance):

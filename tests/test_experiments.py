@@ -25,6 +25,7 @@ from sqlab.experiments import (
     run_sweep,
 )
 from sqlab.quantum_sim import ncopy_minus_sign_tracenorm
+from sqlab.sq_oracle import DENSE_BUDGET_N
 from test_instances import copy_as_legacy_directory
 
 
@@ -427,6 +428,23 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         (["discriminate", "--family", "minus-sign", "--d", "9" * 2200, "--copies", "1"], 1),
         (["discriminate", "--family", "minus-sign", "--d", "4", "--copies", "100000000"], 1),
         (["encoding-demo", "--n", "1000000", "--trials", "1000"], 0),
+        (["solve", "minus-sign", "--instance", "{unknown_key}"], 1),
+        (["solve", "minus-sign", "--instance", "{no_seed}"], 1),
+        (["solve", "minus-sign", "--instance", "{n_zero}"], 1),
+        (["solve", "minus-sign", "--instance", "{huge_n}"], 1),
+        (["solve", "minus-sign", "--instance", "{huge_C}"], 1),
+        (["solve", "minus-sign", "--instance", "{missing_vector}"], 1),
+        (["solve", "minus-sign", "--instance", "{unknown_backing}"], 1),
+        (["solve", "minus-sign", "--instance", "{not_its_seed}"], 1),
+        (["discriminate", "--a", "{no_dim}", "--b", "{one_density}"], 1),
+        (["sample-test", "--vector", "{comments_only}"], 1),
+        (["sample-test", "--vector", "{subnormal_vector}"], 1),
+        (["sample-test", "--kind", "all-plus"], 1),
+        (["sample-test", "--dim", "0"], 1),
+        (["sample-test", "--vector", "{one_entry}"], 1),
+        (["sharp-p", "--circuit", "{zero_qubits}"], 1),
+        (["copies-sweep", "--d", ","], 1),
+        (["haar-gap", "--d", "x", "--N", "1"], 1),
     ],
     ids=[
         "sample-test-no-dof",
@@ -448,6 +466,23 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         "discriminate-huge-d",
         "discriminate-huge-copies",
         "encoding-demo-million-n",
+        "solve-unknown-manifest-key",
+        "solve-manifest-without-seed",
+        "solve-manifest-n-zero",
+        "solve-manifest-huge-n",
+        "solve-manifest-huge-C",
+        "solve-manifest-missing-vector",
+        "solve-manifest-unknown-backing",
+        "solve-implicit-vector-not-its-seed",
+        "discriminate-density-without-dim",
+        "sample-test-comments-only-vector",
+        "sample-test-subnormal-norm-vector",
+        "sample-test-kind-without-n",
+        "sample-test-dim-zero",
+        "sample-test-one-entry-vector",
+        "sharp-p-zero-qubits",
+        "copies-sweep-empty-d-list",
+        "haar-gap-non-integer-d",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -466,13 +501,33 @@ def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
         "undecodable": "dim 1\n\xff 0\n",  # byte 0xff, which is not UTF-8
         "undecodable_vector": "\xff 0\n1 0\n",
         "huge_dim": "dim " + "9" * 4000 + "\n1 0\n",
+        "no_dim": "1 0\n",
+        "comments_only": "# no components\n\n",
+        # squared norm 2.09e-320, a subnormal
+        "subnormal_vector": "1e-160 0\n3e-161 0\n0 0\n1e-160 0\n",
+        "one_entry": "1 0\n",
+        "zero_qubits": "qubits 0\n",
     }
     for name, text in files.items():
         (tmp_path / f"{name}.txt").write_bytes(text.encode("latin-1"))
     paths = {name: tmp_path / f"{name}.txt" for name in files}
-    paths["undecodable_manifest"] = tmp_path / "inst"
-    paths["undecodable_manifest"].mkdir()
-    (tmp_path / "inst" / "manifest.txt").write_bytes(b"kind \xff\n")
+    head, plus = "kind minus-sign\nn 2\nC 2\n", "implicit all-plus n=2 scale=0.5"
+    manifests = {
+        "undecodable_manifest": "kind \xff\n",
+        "unknown_key": head + "seed 0\ncolour red\n",
+        "no_seed": head + f"vector 1 {plus}\nvector 2 {plus}\n",
+        "n_zero": "kind minus-sign\nn 0\nC 2\nseed 0\n",
+        "huge_n": "kind real-search\nn 1000000000000\nC 2\nseed 0\nvector 1 dense ../one_entry.txt\n"
+        "vector 2 dense ../one_entry.txt\n",
+        "huge_C": "kind minus-sign\nn 2\nC 1000000000000\nseed 0\n",
+        "missing_vector": head + f"seed 0\nvector 1 {plus}\n",
+        "unknown_backing": head + f"seed 0\nvector 1 {plus}\nvector 2 zip vector_2.zip\n",
+        "not_its_seed": head + f"seed 0\nvector 1 {plus}\nvector 2 {plus}\n",  # seed 0 has a minus vector
+    }
+    for name, text in manifests.items():
+        paths[name] = tmp_path / name
+        paths[name].mkdir()
+        (paths[name] / "manifest.txt").write_bytes(text.encode("latin-1"))
     assert main([arg.format(**paths) for arg in argv]) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -481,11 +536,12 @@ def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
         assert json.loads(captured.out)["amplitude_single_copy_success"] == 0.5
     if "--family" in argv:
         assert captured.err.startswith("error: minus-sign pair dimension d^(2N) with d=")
-    for flag in ("--a", "--circuit", "--vector"):  # a refused density, circuit or vector file is named
-        if flag in argv:
-            assert captured.err.startswith(f"error: {argv[argv.index(flag) + 1].format(**paths)}:")
-    if "--instance" in argv:
-        assert captured.err.startswith(f"error: {tmp_path / 'inst' / 'manifest.txt'}:")
+    # a refused density, circuit, vector or manifest file is named; a one-entry vector
+    # is a readable file, and what is refused is a test with one outcome
+    for flag in ("--a", "--circuit", "--vector", "--instance"):
+        if flag in argv and "{one_entry}" not in argv:
+            path = Path(argv[argv.index(flag) + 1].format(**paths))
+            assert captured.err.startswith(f"error: {path / 'manifest.txt' if flag == '--instance' else path}:")
     if "{huge_dim}" in argv:
         assert "2*dim^2" in captured.err
 
@@ -587,9 +643,23 @@ _MANIFEST_HEAD = "kind minus-sign\nC 2\nseed 0\n"
             "vector 2 implicit " + "k" * 5000 + " n=2 scale=1\n",
             "unsupported implicit kind",
         ),
+        ("circuit.txt", "qubits " + "9" * 4000 + "\n", "qubits exceed the budget"),
+        ("circuit.txt", "qubits 2\nH " + "9" * 4000 + "\n", "out of range"),
+        (
+            "manifest.txt",
+            _MANIFEST_HEAD + "n 2\nvector 1 implicit all-plus n=" + "9" * 4000 + " scale=1\n"
+            "vector 2 implicit all-plus n=2 scale=1\n",
+            "n must be in [1, 62]",
+        ),
+        (
+            "manifest.txt",
+            _MANIFEST_HEAD + "n 2\nvector 1 implicit all-plus n=2 scale=1\nvector 2 npy " + "v" * 5000 + ".npy\n",
+            "vector 2: 'vvvv",
+        ),
     ],
     ids=["density-dim", "density-entry", "vector-line", "circuit-qubits", "circuit-gate",
-         "manifest-n", "manifest-descriptor"],
+         "manifest-n", "manifest-descriptor", "circuit-qubits-in-digit-limit",
+         "circuit-gate-qubit-in-digit-limit", "manifest-descriptor-n-in-digit-limit", "manifest-npy-name"],
 )
 def test_a_long_token_gives_a_short_refusal(tmp_path, capsys, name, text, reason):
     (tmp_path / name).write_text(text)
@@ -606,6 +676,34 @@ def test_a_long_token_gives_a_short_refusal(tmp_path, capsys, name, text, reason
     assert reason in err and "characters)" in err
     assert len(err.encode()) < 300, err
     assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("value", ["9" * 5000, "x" * 5000], ids=["digits", "letters"])
+@pytest.mark.parametrize(
+    "argv", [["haar-gap", "--N", "1", "--d"], ["discriminate", "--family", "minus-sign", "--d"]], ids=["list", "int"]
+)
+def test_a_long_integer_flag_gives_a_short_refusal(capsys, argv, value):
+    assert main(argv + [value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --d: ") and err.count("\n") == 1
+    assert len(err.encode()) < 300, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample-test", "--dim", "8", "--draws", "1000000000"],
+        ["solve", "sample-only", "--budget", "1000000000", "--instance", "{inst}"],
+    ],
+    ids=["sample-test", "solve-sample-only"],
+)
+def test_a_sample_count_past_the_budget_is_refused_in_one_line(tmp_path, capsys, argv):
+    assert main(["gen-instance", "--kind", "minus-sign", "--n", "3", "--dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main([arg.format(inst=tmp_path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: sample count must be in [0, 2^{DENSE_BUDGET_N}], got 1000000000\n"
 
 
 def test_cli_missing_instance_dir_is_config_error(capsys):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from sqlab import sq_oracle
 from sqlab.instances import (
     dump_instance,
     gen_minus_sign,
@@ -68,22 +67,14 @@ def test_solve_real_search_batch():
         assert report.total_calls() == OracleStats(0, 4, 0)
 
 
-def test_query_only_paths_build_no_sampling_tree(tmp_path, monkeypatch):
-    builds = []
-
-    class CountingTree(sq_oracle._PrefixSumTree):
-        def __init__(self, weights):
-            builds.append(len(weights))
-            super().__init__(weights)
-
-    monkeypatch.setattr(sq_oracle, "_PrefixSumTree", CountingTree)
+def test_query_only_paths_build_no_sampling_tree(tmp_path):
     dump_instance(gen_real_vector_search(10, 4, seed=3), tmp_path)
     instance = load_instance(tmp_path)  # also regenerates the instance to recover k*
     report = solve_real_search(instance.handles)
     assert instance.verify_answer(report.answer)
-    assert builds == []
+    assert not any("cdf" in vars(h.backing) for h in instance.handles)
     instance.handles[0].sample(np.random.default_rng(0))
-    assert builds == [1 << 10]
+    assert [vars(h.backing).get("cdf", np.empty(0)).size for h in instance.handles] == [1 << 10, 0, 0, 0]
 
 
 def test_solve_real_search_tracks_vector_not_position():

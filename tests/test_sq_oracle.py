@@ -5,6 +5,7 @@ were not tuned, and any reseeding keeps each 3-sigma assertion valid except
 with probability around 1e-3 (chi-square tests run at that significance).
 """
 
+import hashlib
 import math
 import sys
 import time
@@ -16,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlab.experiments import chi_square_gof
+from sqlab.instances import haar_unit_vector
 from sqlab.sq_oracle import (
     ALL_CAPABILITIES,
+    DENSE_BUDGET_N,
     Capability,
     CapabilityError,
     ImplicitVector,
@@ -242,8 +245,7 @@ def test_prefix_tree_leaves_match_squared_magnitudes():
     rng = np.random.default_rng(23)
     values = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     handle = build_dense(values)
-    leaves = handle.backing.prefix_tree.leaf_weights
-    np.testing.assert_allclose(leaves, np.abs(values) ** 2, rtol=1e-12)
+    assert handle.backing.cdf.tobytes() == np.cumsum(values.real**2 + values.imag**2).tobytes()
 
 
 def test_concurrent_counters_are_exact():
@@ -269,9 +271,10 @@ def _per_draw_seconds(handle, draws, rng):
 
 
 def test_sampling_time_scales_gently():
-    """Dense sampling is O(log d) descents; implicit is O(poly n).
+    """A dense draw is a binary search over d running sums; implicit is O(poly n).
 
-    Theoretical dense ratio for 2^16 vs 2^10 is 1.6; the bound of 8 leaves
+    Theoretical dense ratio for 2^16 vs 2^10 is at most 1.6 (log2 d), and the
+    sort of the batch costs the same at both sizes; the bound of 8 leaves
     generous room for scheduler noise.
     """
     rng = np.random.default_rng(0)
@@ -403,7 +406,86 @@ def test_prefix_tree_is_built_on_first_sample_and_shared():
     child = handle.restrict({Capability.SAMPLE})
     handle.query(1)
     handle.query_norm()
-    assert "prefix_tree" not in vars(handle.backing)
+    assert "cdf" not in vars(handle.backing)
     child.sample(np.random.default_rng(0))
     assert child.backing is handle.backing
-    assert "prefix_tree" in vars(handle.backing)
+    assert "cdf" in vars(handle.backing)
+
+
+# sha256 of `sample_many(2**16)` and of 1000 `sample()` draws, recorded with the
+# prefix-sum tree that drew them before the running sums did
+_PINNED_STREAMS = [
+    pytest.param(
+        lambda: haar_unit_vector(1 << 20, "complex", np.random.default_rng(31)),
+        "3b8f5fae6acce06322d37e907b3d981312b74c50ec6e72394be913c1bfed7f15",
+        "f49525141a5aecb86cf50cc4e90091f60ae9d9f95d36d93ecdd30595d7c23a60",
+        id="haar-2^20",
+    ),
+    pytest.param(
+        lambda: [0, 1, 0, 0, 2, 0, 0, 3],
+        "bb523890914f56f9c36c6aa62b044116a8a42f6548d04b8bf5a4befadfc8ca46",
+        "f87b93172fba5f59228ac6cef78fc148bafd0b0e0a88525855b3a3506ff9432f",
+        id="dense-8-zero-leaves",
+    ),
+    pytest.param(
+        lambda: np.exp(5 * np.random.default_rng(32).standard_normal(1 << 12)),
+        "ed7a91a31258fcabadedd2d1bcd79701f8af5b544ea1f1e57a378a6e48855c2b",
+        "4bb6eec28b833e4c8c66c13054585117e3953a066dbc5632e6c5fef787117026",
+        id="heavy-tailed-2^12",
+    ),
+    pytest.param(
+        lambda: np.ones(1 << 10),
+        "1dfad62d659396cdd860d58eb76977c8b711eefa6c731cf5fe69eecd0f1351af",
+        "dcb846fabfbe66a3b50cdeb5ade0cd92ae7ed3247fceb46ef04b2bc3928955fb",
+        id="uniform-2^10",
+    ),
+]
+
+
+@pytest.mark.parametrize("make,many_sha,single_sha", _PINNED_STREAMS)
+def test_draws_are_pinned(make, many_sha, single_sha):
+    handle = build_dense(make())
+    many = handle.sample_many(1 << 16, np.random.default_rng(7))
+    rng = np.random.default_rng(8)
+    single = np.array([handle.sample(rng) for _ in range(1000)], dtype="<i8")
+    assert hashlib.sha256(many.astype("<i8").tobytes()).hexdigest() == many_sha
+    assert hashlib.sha256(single.tobytes()).hexdigest() == single_sha
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.just(0.0) | st.floats(min_value=1e-150, max_value=1e150) | st.floats(min_value=0.0, max_value=1.0),
+        min_size=1,
+        max_size=64,
+    ),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_draws_lie_in_range_and_never_on_a_zero_weight(magnitudes, seed):
+    size = 1 << (len(magnitudes) - 1).bit_length()
+    values = np.zeros(size)
+    values[: len(magnitudes)] = magnitudes
+    if not np.sum(values**2) >= np.finfo(np.float64).tiny:
+        values[-1] = 1.0
+    handle = build_dense(values)
+    draws = handle.sample_many(2000, np.random.default_rng(seed))
+    assert draws.min() >= 1 and draws.max() <= size
+    assert np.all((values**2)[draws - 1] > 0.0)  # a weight that underflows to 0 counts as zero
+
+
+def test_build_refuses_a_subnormal_squared_norm():
+    # without this refusal, 23 of 200 000 draws from this vector were index 5 of 4
+    with pytest.raises(ValueError, match=r"^squared norm 2\.09e-320 is subnormal"):
+        build_dense([1e-160, 3e-161, 0, 1e-160])
+    assert build_dense([np.sqrt(np.finfo(np.float64).tiny), 0]).dim == 2
+
+
+def test_sample_count_is_refused_past_the_budget_before_drawing():
+    for handle in (build_dense([1, 2]), build_implicit(ImplicitVector(kind="all-plus", n=62, scale=1.0))):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for k in (-1, (1 << DENSE_BUDGET_N) + 1, 10**9):
+            with pytest.raises(ValueError, match=rf"^sample count must be in \[0, 2\^{DENSE_BUDGET_N}\], got {k}$"):
+                handle.sample_many(k, rng)
+        assert rng.bit_generator.state == state
+        assert handle.stats().total() == 0
