@@ -3,10 +3,13 @@
 
 Shows the two constant-query solvers finding the hidden vector with exactly
 C component reads, the sample-only baseline stuck at chance level, and the
-copy requirement of the corresponding state-discrimination problem.
+copy requirement of the corresponding state-discrimination problem. Options
+no task can serve are refused with one `error:` line on stderr and exit code
+1, before anything is printed.
 """
 
 import argparse
+import sys
 
 from sqlab.instances import gen_minus_sign, gen_real_vector_search, gen_unnormalized_minus
 from sqlab.learners import solve_minus_sign, solve_real_search, solve_sample_only
@@ -16,34 +19,26 @@ from sqlab.sq_oracle import Capability
 import numpy as np
 
 
-def _show(label, instance, report):
+def _line(label, instance, report):
     calls = report.total_calls()
-    print(
+    return (
         f"{label:<20} answer={report.answer} correct={instance.verify_answer(report.answer)} "
         f"queries={calls.query_calls} samples={calls.sample_calls} "
         f"elapsed={report.elapsed_ns / 1e3:.1f}us"
     )
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=12)
-    parser.add_argument("--C", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=10_000)
-    parser.add_argument("--baseline-trials", type=int, default=200)
-    args = parser.parse_args()
-
-    print(f"n={args.n} (d=2^{args.n}), C={args.C}, seed={args.seed}\n")
-
+def _report(args) -> list[str]:
     minus = gen_minus_sign(args.n, args.C, args.seed)
-    _show("sign flip", minus, solve_minus_sign(minus.handles))
-
     unnorm = gen_unnormalized_minus(args.n, args.C, args.seed)
-    _show("unnormalized flip", unnorm, solve_minus_sign(unnorm.handles))
-
     real = gen_real_vector_search(min(args.n, 20), args.C, args.seed)
-    _show("real vector", real, solve_real_search(real.handles))
+    lines = [
+        f"n={args.n} (d=2^{args.n}), C={args.C}, seed={args.seed}",
+        "",
+        _line("sign flip", minus, solve_minus_sign(minus.handles)),
+        _line("unnormalized flip", unnorm, solve_minus_sign(unnorm.handles)),
+        _line("real vector", real, solve_real_search(real.handles)),
+    ]
 
     rng = np.random.default_rng(args.seed)
     hits = 0
@@ -52,18 +47,35 @@ def main() -> None:
         restricted = [h.restrict({Capability.SAMPLE}) for h in inst.handles]
         report = solve_sample_only(restricted, args.budget, rng)
         hits += int(inst.verify_answer(report.answer))
-    print(
-        f"\nsample-only baseline: {hits}/{args.baseline_trials} correct "
-        f"(chance level 1/{args.C} = {1 / args.C:.3f}) with budget {args.budget} per handle"
-    )
 
     d = 1 << args.n
     copies = min_copies_minus_sign(d)
-    print(
+    return lines + [
+        "",
+        f"sample-only baseline: {hits}/{args.baseline_trials} correct "
+        f"(chance level 1/{args.C} = {1 / args.C:.3f}) with budget {args.budget} per handle",
         f"state-input route: reaching 0.9 discrimination success at d={d} "
-        f"needs {copies} copies of each state (grows linearly in d)"
-    )
+        f"needs {copies} copies of each state (grows linearly in d)",
+    ]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--n", type=int, default=12)
+    parser.add_argument("--C", type=int, default=4)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--budget", type=int, default=10_000)
+    parser.add_argument("--baseline-trials", type=int, default=200)
+    args = parser.parse_args()
+
+    try:
+        lines = _report(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print("\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

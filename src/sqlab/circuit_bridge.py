@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .quantum_sim import Statevector, _minus_sign_schatten1, success_from_schatten1
-from .sq_oracle import SqHandle, build_dense, content_lines, parse_int, quoted
+from .sq_oracle import content_lines, parse_int, quoted
 
 __all__ = [
     "Circuit",
@@ -36,7 +36,6 @@ __all__ = [
     "parse_circuit",
     "random_circuit",
     "run_statevector",
-    "sq_from_state",
 ]
 
 MAX_QUBITS = 20
@@ -217,11 +216,6 @@ def p_zero_first_qubit(circuit: Circuit) -> float:
     state = run_statevector(circuit).amplitudes
     half = state.size // 2
     return float(np.sum(np.abs(state[:half]) ** 2))
-
-
-def sq_from_state(state: Statevector) -> SqHandle:
-    """Dense SQ handle over the state's amplitudes (QueryN is 1 by unitarity)."""
-    return build_dense(state.amplitudes)
 
 
 def random_circuit(n: int, depth: int, rng: np.random.Generator) -> Circuit:

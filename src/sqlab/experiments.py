@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .haar_moments import BoundViolationError, BudgetExceededError, GapReport, trace_norm_gap
 from .instances import keyed_stream
@@ -249,6 +248,9 @@ def chi_square_gof(indices: np.ndarray, probabilities: np.ndarray) -> tuple[floa
             expected[j] += pooled_exp
     if expected.size < 2:
         return 0.0, 0, 1.0
+
+    # imported here: scipy.special takes most of `import sqlab.cli`, and only this test needs it
+    from scipy.special import chdtrc
 
     statistic = float(np.sum((counts - expected) ** 2 / expected))
     dof = expected.size - 1

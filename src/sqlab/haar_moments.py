@@ -40,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .quantum_sim import HERMITIAN_ATOL, PSD_ATOL, TRACE_ATOL
+from .sq_oracle import quoted
 
 __all__ = [
     "BoundViolationError",
@@ -125,7 +126,7 @@ def sym_basis(d: int, copies: int) -> SymBasis:
         raise ValueError("d and N must be at least 1")
     size = math.comb(d + copies - 1, copies)
     if size > SYM_DIM_BUDGET:
-        raise BudgetExceededError(f"symmetric dimension {size} exceeds budget {SYM_DIM_BUDGET}")
+        raise BudgetExceededError(f"symmetric dimension {quoted(size)} exceeds budget {SYM_DIM_BUDGET}")
     indices = np.array(list(itertools.combinations_with_replacement(range(d), copies)), dtype=np.int64)
     # Python ints keep N!/prod_j m_j! exact for every N before one correct rounding.
     denom = np.prod(_run_positions(indices), axis=1, dtype=object)
@@ -248,7 +249,7 @@ def real_moment(d: int, copies: int) -> MomentOperator:
     count; the blocks of one s are assembled and eigensolved as one stack.
     """
     if copies > MAX_MOMENT_COPIES:
-        raise BudgetExceededError(f"N={copies} exceeds the cap {MAX_MOMENT_COPIES}")
+        raise BudgetExceededError(f"N={quoted(copies)} exceeds the cap {MAX_MOMENT_COPIES}")
     basis = sym_basis(d, copies)
     nf = basis.norm_factors
     denom = _sphere_moment_denominator(d, copies)
@@ -406,9 +407,10 @@ def trace_norm_gap(
 
     Verifies 0 <= gap <= 2(1 - (1+2N/d)^-N) <= 4N^2/d and that the remainder
     E_real - (N!/(d(d+2)...(d+2N-2))) * I is PSD. The middle quantity
-    1 - (d+N-1)!(d/2-1)!/(2^N (d/2+N-1)!(d-1)!) is reported for inspection
-    but not asserted against on its own. At tiny sizes the swapped 2N-copy
-    pair is materialized densely and its distance checked against 2 * gap.
+    1 - (d+N-1)!(d/2-1)!/(2^N (d/2+N-1)!(d-1)!), which is exactly 1 - size
+    times that scalar, is reported for inspection but not asserted against on
+    its own. At tiny sizes the swapped 2N-copy pair is materialized densely
+    and its distance checked against 2 * gap.
     Violations raise BoundViolationError: they indicate a bug, not bad luck.
     A Monte Carlo stage over its byte budget raises BudgetExceededError with
     the checked exact report in `exact`.
@@ -424,13 +426,7 @@ def trace_norm_gap(
     scalar = Fraction(math.factorial(copies), _sphere_moment_denominator(d, copies))
     o_rest_min_eig = float(lam[0]) - float(scalar)
 
-    middle_term = 1.0 - math.exp(
-        math.lgamma(d + copies)
-        - math.lgamma(d)
-        + math.lgamma(d / 2.0)
-        - copies * math.log(2.0)
-        - math.lgamma(d / 2.0 + copies)
-    )
+    middle_term = float(1 - size * scalar)
     bound_two_term = 2.0 * (1.0 - (1.0 + 2.0 * copies / d) ** (-copies))
     bound_final = 4.0 * copies**2 / d
 

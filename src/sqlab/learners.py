@@ -36,14 +36,13 @@ class SolveReport:
     """Outcome of one solve: answer index, per-handle oracle usage, wall time.
 
     `per_handle_stats` are deltas over the solve only, so a report is exact
-    even when the handles had been used before. `success` is filled by the
-    harness via `verify_answer`; solvers never see the hidden index.
+    even when the handles had been used before. Solvers never see the hidden
+    index; the caller checks the answer with `ProblemInstance.verify_answer`.
     """
 
     answer: int
     per_handle_stats: tuple[OracleStats, ...]
     elapsed_ns: int
-    success: bool | None = None
 
     def total_calls(self) -> OracleStats:
         return sum(self.per_handle_stats, OracleStats())

@@ -30,7 +30,6 @@ __all__ = [
     "Statevector",
     "check_schatten_threshold",
     "discriminate_pure_pair",
-    "helstrom_success",
     "load_density_operator",
     "min_copies_minus_sign",
     "minus_sign_product_vectors",
@@ -143,11 +142,6 @@ def schatten1_diff(a: DensityOperator, b: DensityOperator) -> float:
 def success_from_schatten1(schatten: float) -> float:
     """Optimal equal-prior success 1/2 + ||a - b||_1 / 4, clamped to [1/2, 1]."""
     return min(max(0.5 + 0.25 * schatten, 0.5), 1.0)
-
-
-def helstrom_success(a: DensityOperator, b: DensityOperator) -> float:
-    """Optimal success probability for equal-prior discrimination of a vs b."""
-    return success_from_schatten1(schatten1_diff(a, b))
 
 
 def _pure_pair_schatten1(u: np.ndarray, v: np.ndarray) -> float:
@@ -290,7 +284,7 @@ def discriminate_pure_pair(
 ) -> tuple[float, float, float]:
     """Schatten-1 distance, optimal success and empirical success rate for pure states u, v.
 
-    The same report as `schatten1_diff`, `helstrom_success` and
+    The same report as `schatten1_diff`, `success_from_schatten1` of it and
     `simulate_discrimination` on `DensityOperator.from_pure(u)` and `(v)`,
     from the overlap of u and v alone: the optimal projector clicks with
     probability `success` on u and `1 - success` on v, and the random draws

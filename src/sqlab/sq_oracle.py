@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import re
 import sys
 import threading
 from dataclasses import dataclass
@@ -332,25 +333,41 @@ _QUOTED_CHARS = 40
 
 
 def quoted(value: str | int) -> str:
-    """How a refusal quotes an input token or an integer parsed from one.
+    """How a refusal quotes an input token or an integer parsed or computed from one.
 
     `repr(value)` when `str(value)` has at most `_QUOTED_CHARS` characters;
     otherwise the repr of its first `_QUOTED_CHARS` characters and its length.
+    A long integer's text is cut arithmetically, never formed in full, because
+    `str()` refuses integers past Python's integer-string digit limit.
     """
+    if isinstance(value, int):
+        sign, magnitude = "-" * (value < 0), abs(value)
+        # a lower bound from bit_length, then exact: the least k with magnitude < 10^k
+        digits = max(1, int((magnitude.bit_length() - 1) * math.log10(2)))
+        while magnitude >= 10**digits:
+            digits += 1
+        length = len(sign) + digits
+        if length > _QUOTED_CHARS:
+            head = sign + str(magnitude // 10 ** (length - _QUOTED_CHARS))
+            return f"{head!r}... ({length} characters)"
     text = str(value)
     if len(text) <= _QUOTED_CHARS:
         return repr(value)
     return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
 
 
+# The integer literals `int()` accepts in base 10.
+_INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
 def parse_int(token: str) -> int:
     """`int(token)`, refused in sqlab's words, also past Python's integer-string digit limit."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before Python 3.10.7
-    if limit and len(token) > limit:
-        raise ValueError(f"integer {quoted(token)} is longer than {limit} digits")
     try:
         return int(token)
     except ValueError:
+        if _INT_LITERAL.fullmatch(token):  # a well-formed literal is refused only for its length
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"integer {quoted(token)} is longer than {limit} digits") from None
         raise ValueError(f"expected an integer, got {quoted(token)}") from None
 
 

@@ -16,7 +16,6 @@ from sqlab.circuit_bridge import (
     measure_product_encoding,
     p_zero_first_qubit,
     random_circuit,
-    sq_from_state,
 )
 from sqlab.experiments import (
     ExperimentConfig,
@@ -29,12 +28,13 @@ from sqlab.haar_moments import mc_moment, real_moment, trace_norm_gap
 from sqlab.instances import gen_minus_sign, gen_real_vector_search
 from sqlab.learners import solve_minus_sign, solve_real_search, solve_sample_only
 from sqlab.quantum_sim import (
-    helstrom_success,
     min_copies_minus_sign,
     ncopy_minus_sign_tracenorm,
     ncopy_minus_sign_tracenorm_dense,
     random_density_operator,
+    schatten1_diff,
     simulate_discrimination,
+    success_from_schatten1,
 )
 from sqlab.sq_oracle import Capability, OracleStats, build_dense
 
@@ -111,7 +111,7 @@ def test_criterion_4_discrimination_simulation_matches_formula():
         dim = int(rng.integers(2, 17))
         rho_a = random_density_operator(dim, rng)
         rho_b = random_density_operator(dim, rng)
-        predicted = helstrom_success(rho_a, rho_b)
+        predicted = success_from_schatten1(schatten1_diff(rho_a, rho_b))
         empirical = simulate_discrimination(rho_a, rho_b, 10_000, rng)
         sigma = math.sqrt(predicted * (1 - predicted) / 10_000)
         assert abs(empirical - predicted) <= 3 * sigma + 1e-12
@@ -170,7 +170,7 @@ def test_criterion_7_probe_state_amplitude_identity():
         n = int(rng.integers(1, 9))
         depth = int(rng.integers(0, 21))
         circuit = random_circuit(n, depth, rng)
-        handle = sq_from_state(build_psi_u(circuit))
+        handle = build_dense(build_psi_u(circuit).amplitudes)
         deviation = abs(handle.query(1) - p_zero_first_qubit(circuit))
         assert deviation <= 1e-12
     _finish(7, "probe-state amplitude identity", started, 60.0)

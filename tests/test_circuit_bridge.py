@@ -20,11 +20,10 @@ from sqlab.circuit_bridge import (
     parse_circuit,
     random_circuit,
     run_statevector,
-    sq_from_state,
     _run_gates,
 )
 from sqlab.experiments import chi_square_gof
-from sqlab.sq_oracle import ImplicitVector, materialize
+from sqlab.sq_oracle import ImplicitVector, build_dense, materialize
 
 SQRT_HALF = 1 / math.sqrt(2)
 
@@ -190,7 +189,7 @@ def test_probe_identity_at_benchmark_size():
         circuit = random_circuit(16, 200, rng)
         probe = build_psi_u(circuit)
         assert probe.n == 17
-        assert abs(sq_from_state(probe).query(1) - p_zero_first_qubit(circuit)) <= 1e-12
+        assert abs(build_dense(probe.amplitudes).query(1) - p_zero_first_qubit(circuit)) <= 1e-12
 
 
 def test_build_psi_u_holds_at_most_three_amplitude_vectors():
@@ -231,14 +230,14 @@ def test_probe_identity_on_random_circuits():
         n = int(rng.integers(1, 9))
         depth = int(rng.integers(0, 21))
         circuit = random_circuit(n, depth, rng)
-        handle = sq_from_state(build_psi_u(circuit))
+        handle = build_dense(build_psi_u(circuit).amplitudes)
         deviation = abs(handle.query(1) - p_zero_first_qubit(circuit))
         assert deviation <= 1e-12
 
 
-def test_sq_from_state_norm_and_distribution():
+def test_state_handle_norm_and_distribution():
     state = run_statevector(parse_circuit("qubits 2\nH 0\nH 1\nCNOT 0 1\nS 1\n"))
-    handle = sq_from_state(state)
+    handle = build_dense(state.amplitudes)
     assert handle.query_norm() == pytest.approx(1.0, abs=1e-10)
     rng = np.random.default_rng(2)
     draws = handle.sample_many(40_000, rng)
@@ -310,14 +309,14 @@ def test_amplitude_single_copy_success_is_correctly_rounded():
 
 
 def test_amplitude_success_agrees_with_helstrom_at_small_n():
-    from sqlab.quantum_sim import DensityOperator, helstrom_success
+    from sqlab.quantum_sim import DensityOperator, schatten1_diff, success_from_schatten1
 
     for n in (1, 2, 3, 6):
         d = 1 << n
         plus = np.full(d, 1 / math.sqrt(d))
         minus = plus.copy()
         minus[0] *= -1
-        direct = helstrom_success(
-            DensityOperator.from_pure(minus), DensityOperator.from_pure(plus)
+        direct = success_from_schatten1(
+            schatten1_diff(DensityOperator.from_pure(minus), DensityOperator.from_pure(plus))
         )
         assert amplitude_single_copy_success(n) == pytest.approx(direct, abs=1e-12)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqlab import circuit_bridge
+from sqlab import circuit_bridge, experiments
 from sqlab.cli import _SOLVER_NAMES, main
 from sqlab.experiments import (
     ConfigError,
@@ -24,6 +24,7 @@ from sqlab.experiments import (
     render_records,
     run_sweep,
 )
+from sqlab.haar_moments import BoundViolationError
 from sqlab.quantum_sim import ncopy_minus_sign_tracenorm
 from sqlab.sq_oracle import DENSE_BUDGET_N
 from test_instances import copy_as_legacy_directory
@@ -409,7 +410,7 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
 @pytest.mark.parametrize(
     "argv,code",
     [
-        (["sample-test", "--kind", "all-plus", "--n", "62", "--draws", "1000"], 1),
+        (["sample-test", "--n", "62", "--draws", "1000"], 1),
         (["encoding-demo", "--n", "100000", "--trials", "10"], 0),
         (["sample-test", "--vector", "{nan_file}"], 1),
         (["sample-test", "--vector", "{undecodable_vector}"], 1),
@@ -437,9 +438,10 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         (["solve", "minus-sign", "--instance", "{unknown_backing}"], 1),
         (["solve", "minus-sign", "--instance", "{not_its_seed}"], 1),
         (["discriminate", "--a", "{no_dim}", "--b", "{one_density}"], 1),
+        (["discriminate", "--a", "{no_content}", "--b", "{one_density}"], 1),
         (["sample-test", "--vector", "{comments_only}"], 1),
         (["sample-test", "--vector", "{subnormal_vector}"], 1),
-        (["sample-test", "--kind", "all-plus"], 1),
+        (["sample-test", "--n", "0"], 1),
         (["sample-test", "--dim", "0"], 1),
         (["sample-test", "--vector", "{one_entry}"], 1),
         (["sharp-p", "--circuit", "{zero_qubits}"], 1),
@@ -475,9 +477,10 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         "solve-manifest-unknown-backing",
         "solve-implicit-vector-not-its-seed",
         "discriminate-density-without-dim",
+        "discriminate-density-without-content",
         "sample-test-comments-only-vector",
         "sample-test-subnormal-norm-vector",
-        "sample-test-kind-without-n",
+        "sample-test-n-zero",
         "sample-test-dim-zero",
         "sample-test-one-entry-vector",
         "sharp-p-zero-qubits",
@@ -502,6 +505,7 @@ def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
         "undecodable_vector": "\xff 0\n1 0\n",
         "huge_dim": "dim " + "9" * 4000 + "\n1 0\n",
         "no_dim": "1 0\n",
+        "no_content": "# a comment, and no `dim` line\n\n",
         "comments_only": "# no components\n\n",
         # squared norm 2.09e-320, a subnormal
         "subnormal_vector": "1e-160 0\n3e-161 0\n0 0\n1e-160 0\n",
@@ -574,6 +578,19 @@ def test_cli_solve_real_search_refuses_in_one_stderr_line(tmp_path):
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == "error: expected exactly one real first component, found 4\n"
+
+
+def test_importing_the_cli_leaves_scipy_to_the_chi_square_test():
+    # a fresh interpreter, so that no other test has imported scipy already
+    code = (
+        "import sys, sqlab.cli\n"
+        "assert 'scipy.special' not in sys.modules, 'scipy.special imported with sqlab.cli'\n"
+        "sys.exit(sqlab.cli.main(['sample-test', '--dim', '8', '--draws', '2000']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True
 
 
 def test_cli_sharp_p(tmp_path, capsys, monkeypatch):
@@ -687,6 +704,44 @@ def test_a_long_integer_flag_gives_a_short_refusal(capsys, argv, value):
     err = capsys.readouterr().err
     assert err.startswith("error: argument --d: ") and err.count("\n") == 1
     assert len(err.encode()) < 300, err
+    # only a token that int() would take past the digit limit is called an integer
+    assert ("longer than" if value[0] == "9" else "expected an integer") in err
+
+
+@pytest.mark.parametrize(
+    "d,copies", [("4", "9" * 4000), ("1" + "0" * 3000, "2")], ids=["copies-past-the-cap", "sym-dim-past-the-digit-limit"]
+)
+def test_a_huge_integer_cell_is_a_short_budget_record(capsys, d, copies):
+    # the refused N, and the symmetric dimension C(d+1, 2) of about 6000 digits, are quoted, not formatted
+    assert main(["haar-gap", "--d", d, "--N", copies]) == 0
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert row["error"].startswith("budget-exceeded: ") and len(row["error"]) < 200, row["error"]
+
+
+def test_a_bound_violation_is_a_record_and_exit_2(tmp_path, capsys, monkeypatch):
+    def violate(d, copies, **kwargs):
+        raise BoundViolationError(f"negative gap at d={d}, N={copies}")
+
+    monkeypatch.setattr(experiments, "trace_norm_gap", violate)
+    out = tmp_path / "gap.csv"
+    assert main(["--out", str(out), "haar-gap", "--d", "2", "--N", "1,2"]) == 2
+    assert capsys.readouterr() == ("", "")
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert [row["error"] for row in rows] == [
+        "bound-violation: negative gap at d=2, N=1",
+        "bound-violation: negative gap at d=2, N=2",
+    ]
+
+
+def test_out_writes_the_line_stdout_would_get(tmp_path, capsys):
+    inst_dir = tmp_path / "inst"
+    assert main(["gen-instance", "--kind", "minus-sign", "--n", "5", "--dir", str(inst_dir)]) == 0
+    capsys.readouterr()
+    printed = _solve_line(capsys, "sample-only", inst_dir)
+    out = tmp_path / "solve.json"
+    assert main(["--out", str(out), "solve", "sample-only", "--instance", str(inst_dir)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert re.sub(r'"elapsed_ns":\d+,', "", out.read_text()) == printed
 
 
 @pytest.mark.parametrize(

@@ -297,7 +297,10 @@ def test_load_checks_implicit_n_against_manifest(tmp_path):
         load_instance(tmp_path / "inst")
 
 
-@pytest.mark.parametrize("descriptor", ["all-plus scale=0.25", "all-plus n=4 scale=x", "all-plus n=4 scale=0.25 colour=red"])
+@pytest.mark.parametrize(
+    "descriptor",
+    ["all-plus scale=0.25", "all-plus n=4 scale=x", "all-plus n=4 scale=0.25 colour=red", "all-plus n=4 scale=0"],
+)
 def test_load_rejects_a_malformed_implicit_descriptor(tmp_path, descriptor):
     dump_instance(gen_minus_sign(4, 2, seed=25), tmp_path / "inst", reveal=True)
     manifest = tmp_path / "inst" / "manifest.txt"

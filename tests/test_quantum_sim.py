@@ -12,7 +12,6 @@ from sqlab.quantum_sim import (
     DensityOperator,
     Statevector,
     discriminate_pure_pair,
-    helstrom_success,
     load_density_operator,
     min_copies_minus_sign,
     minus_sign_product_vectors,
@@ -22,6 +21,7 @@ from sqlab.quantum_sim import (
     save_density_operator,
     schatten1_diff,
     simulate_discrimination,
+    success_from_schatten1,
 )
 
 
@@ -129,21 +129,23 @@ def test_schatten_metric_properties_on_random_triples():
 
 def test_helstrom_success_range_and_extremes():
     rho = random_density_operator(3, np.random.default_rng(7))
-    assert helstrom_success(rho, rho) == 0.5
+    assert success_from_schatten1(schatten1_diff(rho, rho)) == 0.5
     zero, one = _pure([1, 0]), _pure([0, 1])
-    assert helstrom_success(zero, one) == pytest.approx(1.0, abs=1e-12)
+    assert success_from_schatten1(schatten1_diff(zero, one)) == pytest.approx(1.0, abs=1e-12)
     for c in (0.1, 0.5, 0.9):
         a, b = _overlap_pair(c)
-        assert 0.5 <= helstrom_success(a, b) <= 1.0
+        assert 0.5 <= success_from_schatten1(schatten1_diff(a, b)) <= 1.0
 
 
 def test_helstrom_one_iff_orthogonal_supports():
     # block-diagonal states with disjoint supports vs overlapping ones
     disjoint_a = DensityOperator.from_matrix(np.diag([0.5, 0.5, 0.0, 0.0]))
     disjoint_b = DensityOperator.from_matrix(np.diag([0.0, 0.0, 0.7, 0.3]))
-    assert helstrom_success(disjoint_a, disjoint_b) == pytest.approx(1.0, abs=1e-12)
+    assert success_from_schatten1(schatten1_diff(disjoint_a, disjoint_b)) == pytest.approx(
+        1.0, abs=1e-12
+    )
     overlapping = DensityOperator.from_matrix(np.diag([0.4, 0.2, 0.4, 0.0]))
-    assert helstrom_success(disjoint_a, overlapping) < 1.0 - 1e-6
+    assert success_from_schatten1(schatten1_diff(disjoint_a, overlapping)) < 1.0 - 1e-6
 
 
 def test_minus_sign_pair_orthogonal_at_d2():
@@ -151,7 +153,8 @@ def test_minus_sign_pair_orthogonal_at_d2():
     assert ncopy_minus_sign_tracenorm(2, 1) == pytest.approx(2.0)
     plus = np.full(2, 1 / math.sqrt(2))
     minus = plus * np.array([-1, 1])
-    assert helstrom_success(_pure(plus), _pure(minus)) == pytest.approx(1.0, abs=1e-12)
+    success = success_from_schatten1(schatten1_diff(_pure(plus), _pure(minus)))
+    assert success == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ncopy_examples():
@@ -299,7 +302,7 @@ def test_simulate_discrimination_matches_formula():
     for _ in range(5):
         dim = int(rng.integers(2, 17))
         a, b = random_density_operator(dim, rng), random_density_operator(dim, rng)
-        p = helstrom_success(a, b)
+        p = success_from_schatten1(schatten1_diff(a, b))
         rate = simulate_discrimination(a, b, 10_000, rng)
         sigma = math.sqrt(p * (1 - p) / 10_000)
         assert abs(rate - p) <= 3 * sigma + 1e-12
@@ -332,7 +335,7 @@ def test_pure_pair_gram_form_matches_the_dense_density_operators(dim):
         schatten, success, empirical = discriminate_pure_pair(u, v, 10_000, np.random.default_rng(k))
         rho_u, rho_v = DensityOperator.from_pure(u), DensityOperator.from_pure(v)
         assert abs(schatten - schatten1_diff(rho_u, rho_v)) <= 1e-12
-        assert abs(success - helstrom_success(rho_u, rho_v)) <= 1e-12
+        assert abs(success - success_from_schatten1(schatten1_diff(rho_u, rho_v))) <= 1e-12
         # the optimal projector's click probabilities agree far below 1/trials,
         # so the same draws give the same rate
         assert empirical == simulate_discrimination(rho_u, rho_v, 10_000, np.random.default_rng(k))

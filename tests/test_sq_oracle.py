@@ -232,6 +232,8 @@ def test_implicit_and_dense_backings_agree():
     for i in range(1, 17):
         assert implicit.query(i) == dense.query(i)
     assert implicit.query_norm() == pytest.approx(dense.query_norm(), rel=1e-12)
+    with pytest.raises(ValueError, match=rf"^refusing to materialize 2\^{DENSE_BUDGET_N + 1} entries"):
+        materialize(ImplicitVector(kind="all-plus", n=DENSE_BUDGET_N + 1, scale=1.0))
 
     rng = np.random.default_rng(17)
     probs = np.abs(materialize(spec)) ** 2
@@ -335,6 +337,8 @@ def test_content_lines_skip_blank_and_comment_lines():
 def test_refusals_quote_a_bounded_prefix_and_parse_int_refuses_in_its_own_words():
     assert quoted("dim x") == "'dim x'"
     assert quoted("y" * 5000) == repr("y" * 40) + "... (5000 characters)"
+    # past Python's int-to-str digit limit, where str() itself refuses
+    assert quoted(-(10**6000)) == repr("-1" + "0" * 38) + "... (6002 characters)"
     assert parse_int("-12") == -12
     with pytest.raises(ValueError, match=r"^expected an integer, got 'x'$"):
         parse_int("x")
