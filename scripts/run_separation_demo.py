@@ -29,6 +29,8 @@ def _line(label, instance, report):
 
 
 def _report(args) -> list[str]:
+    if args.baseline_trials < 1:  # a zero-trial rate would print as if it were measured
+        raise ValueError(f"--baseline-trials must be >= 1, got {args.baseline_trials}")
     minus = gen_minus_sign(args.n, args.C, args.seed)
     unnorm = gen_unnormalized_minus(args.n, args.C, args.seed)
     real = gen_real_vector_search(min(args.n, 20), args.C, args.seed)

@@ -8,7 +8,8 @@ For a circuit U on n qubits, the (n+1)-qubit state built by conjugating a
 CNOT with U places the probability of measuring 0 on U's first qubit into
 its leading amplitude. Querying that single amplitude through an SQ oracle
 therefore amounts to strong simulation of the circuit, which is why cheap SQ
-access to circuit-generated states cannot exist in general.
+access to circuit-generated states cannot exist in general. By unitarity the
+state's ancilla-1 half is |0> minus its ancilla-0 half, the only one simulated.
 
 Bit order: the first listed qubit (index 0 in circuit files) is the most
 significant bit of the basis index.
@@ -110,11 +111,7 @@ def parse_circuit(text: str) -> Circuit:
 
 
 def _blocks(state: np.ndarray, q: int, n: int) -> np.ndarray:
-    """View of `state` as (outer, bit q, inner) for qubit q of an n-qubit circuit.
-
-    The buffer may hold several 2^n-amplitude blocks side by side; the extra
-    leading qubits fold into the outer axis, so a gate acts on each block.
-    """
+    """View of `state` as (outer, bit q, inner) for qubit q of an n-qubit circuit."""
     return state.reshape(-1, 2, 1 << (n - q - 1))
 
 
@@ -185,28 +182,25 @@ def build_psi_u(circuit: Circuit) -> Statevector:
     leading amplitude of the result equals the probability of outcome 0 when
     measuring the first qubit of U|0^n>.
 
-    U never touches the ancilla, so the half of the vector with the ancilla
-    set stays exactly zero until the CNOT: the first U runs on the leading
-    2^n amplitudes only. U^dag then runs on both halves as one batch.
+    With P0 + P1 = I projecting U's first qubit on 0 and 1, the ancilla-1 half
+    U^dag P1 U|0^n> is |0^n> - U^dag P0 U|0^n> by unitarity: U and U^dag run
+    once each, on the ancilla-0 half, with the other half as their scratch.
     """
     n = circuit.n
     if n + 1 > MAX_QUBITS:
         raise ValueError(f"{quoted(n + 1)} qubits exceed the budget of {MAX_QUBITS}")
     if n == 0:
         raise ValueError("the probe construction needs at least one circuit qubit")
-    m = n + 1
-    # both start zeroed: the first U may end in either, and the CNOT reads its zero upper half
-    full = [np.zeros(1 << m, dtype=np.complex128), np.zeros(1 << m, dtype=np.complex128)]
-    full[0][0] = 1.0
-    half = [buf[: 1 << n] for buf in full]
-    _run_gates(half, circuit.gates, n)
-    if half[0].base is not full[0]:
-        full.reverse()
-    state, scratch = full
-    _apply_cnot(state, scratch, control=1, target=0, n=m)
-    full.reverse()
-    _run_gates(full, circuit.gates, n, dagger=True)
-    return Statevector(amplitudes=full[0], n=m)
+    full = np.zeros(2 << n, dtype=np.complex128)
+    full[0] = 1.0
+    lower, upper = pair = [full[: 1 << n], full[1 << n :]]
+    _run_gates(pair, circuit.gates, n)
+    pair[0][1 << (n - 1) :] = 0.0  # P0: the CNOT moves these amplitudes to the ancilla-1 half
+    # U^dag has as many permutation gates as U, so the state ends back in `lower`
+    _run_gates(pair, circuit.gates, n, dagger=True)
+    np.negative(lower, out=upper)
+    upper[0] += 1.0
+    return Statevector(amplitudes=full, n=n + 1)
 
 
 def p_zero_first_qubit(circuit: Circuit) -> float:

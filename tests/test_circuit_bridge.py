@@ -2,7 +2,9 @@
 
 import decimal
 import functools
+import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -22,6 +24,7 @@ from sqlab.circuit_bridge import (
     run_statevector,
     _run_gates,
 )
+from sqlab.cli import main
 from sqlab.experiments import chi_square_gof
 from sqlab.sq_oracle import ImplicitVector, build_dense, materialize
 
@@ -68,6 +71,10 @@ def _kernel(state, gates, n, dagger=False):
     pair = [state.copy(), np.full_like(state, np.nan)]  # scratch garbage must not leak in
     _run_gates(pair, gates, n, dagger=dagger)
     return pair[0]
+
+
+def _circuit_text(circuit):
+    return f"qubits {circuit.n}\n" + "".join(f"{g.name} {' '.join(map(str, g.qubits))}\n" for g in circuit.gates)
 
 
 def _random_state(n, rng):
@@ -183,16 +190,64 @@ def test_build_psi_u_matches_the_dense_probe(n):
         np.testing.assert_allclose(build_psi_u(circuit).amplitudes, expected, rtol=0, atol=1e-14)
 
 
-def test_probe_identity_at_benchmark_size():
+# per circuit of `random_circuit(16, 200, default_rng(3))`: sha256 of the
+# probe's ancilla-0 half, then float.hex of sharp-p's p_zero, query_re,
+# query_im and abs_diff, recorded with a probe build that ran U^dag on both
+# halves of the state, with numpy 2.4.6 on an x86_64 Xeon with AVX-512 (another
+# numpy build or CPU may round differently: read a mismatch there as a platform
+# change first)
+_PINNED_PROBES = [
+    (
+        "9b2a482413ced67a554dee9e389a6df28f2674aa5c410478d7e6cacde983a988",
+        "0x1.fffffffffffd4p-2", "0x1.fffffffffffd3p-2", "-0x1.0635ddf697c4ap-56", "0x1.0842761be59cbp-54",
+    ),
+    (
+        "ed8ec5ca07d60e44718fdc3514c5749f028c1128a79386ad1b9f792f33122b79",
+        "0x1.fffffffffffd4p-2", "0x1.fffffffffffd5p-2", "-0x1.f03fc45e8b816p-56", "0x1.1c7a3d60aab53p-54",
+    ),
+    (
+        "fbc6ccbc27f7ed1524ce2cf50270cfd220419bb33dc8301af86807f5d6e5b04e",
+        "0x1.fffffffffffb8p-2", "0x1.fffffffffffb7p-2", "-0x1.1fffffffffffbp-57", "0x1.0284d3e2a2305p-54",
+    ),
+]
+
+
+def test_probe_identity_at_benchmark_size(tmp_path, capsys):
     rng = np.random.default_rng(3)
-    for _ in range(3):
+    for sha, *floats in _PINNED_PROBES:
         circuit = random_circuit(16, 200, rng)
         probe = build_psi_u(circuit)
         assert probe.n == 17
         assert abs(build_dense(probe.amplitudes).query(1) - p_zero_first_qubit(circuit)) <= 1e-12
+        assert hashlib.sha256(probe.amplitudes[: 1 << 16].tobytes()).hexdigest() == sha
+        path = tmp_path / "circuit.txt"
+        path.write_text(_circuit_text(circuit))
+        assert main(["sharp-p", "--circuit", str(path)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert [record[k].hex() for k in ("p_zero", "query_re", "query_im", "abs_diff")] == floats
 
 
-def test_build_psi_u_holds_at_most_three_amplitude_vectors():
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ancilla_one_half_is_e0_minus_the_ancilla_zero_half(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(5):
+        amplitudes = build_psi_u(random_circuit(n, 40, rng)).amplitudes
+        expected = -amplitudes[: 1 << n]
+        expected[0] += 1.0
+        np.testing.assert_array_equal(amplitudes[1 << n :], expected)
+
+
+def test_one_qubit_probe_bytes_are_pinned():
+    # a one-amplitude half takes numpy's contiguous complex-multiply loop, whose
+    # rounding leaves -2^-55 in the imaginary part where the strided loop leaves 0.
+    # Which loop numpy picks (SIMD, FMA) depends on its build and the CPU: these
+    # bytes were recorded with numpy 2.4.6 on an x86_64 Xeon with AVX-512, so a
+    # failure on another host reads as a platform change, not a regression.
+    amplitude = build_psi_u(parse_circuit("qubits 1\nH 0\nT 0\nH 0\nS 0\nX 0\n")).amplitudes[0]
+    assert (amplitude.real.hex(), amplitude.imag.hex()) == ("0x1.2bec333018864p-3", "-0x1.0000000000000p-55")
+
+
+def test_build_psi_u_holds_at_most_one_and_a_half_amplitude_vectors():
     circuit = random_circuit(16, 200, np.random.default_rng(4))
     vector_bytes = np.dtype(np.complex128).itemsize << 17
     tracemalloc.start()
@@ -201,7 +256,7 @@ def test_build_psi_u_holds_at_most_three_amplitude_vectors():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * vector_bytes
+    assert peak <= 1.5 * vector_bytes
 
 
 def test_build_psi_u_identity_circuit():
