@@ -8,22 +8,22 @@ fewer than two distinct d with a valid cell, is refused with one `error:` line
 on stderr and exit code 1, before anything is written.
 """
 
-import argparse
 import sys
 from pathlib import Path
 
+from sqlab.cli import _ArgumentParser, _int  # the sqlab command line's rule for flags
 from sqlab.experiments import ConfigError, ExperimentConfig, linear_fit, run_sweep, write_records
 from sqlab.quantum_sim import HELSTROM_SCHATTEN_THRESHOLD
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--d", type=int, nargs="+", default=[64 << k for k in range(7)])
+    parser = _ArgumentParser(description=__doc__)
+    parser.add_argument("--d", type=_int, nargs="+", default=[64 << k for k in range(7)])
     parser.add_argument("--threshold", type=float, default=HELSTROM_SCHATTEN_THRESHOLD)
     parser.add_argument("--out", default="results/copies_scaling.csv")
-    args = parser.parse_args()
 
     try:
+        args = parser.parse_args()
         config = ExperimentConfig(
             subcommand="copies-sweep", d_values=tuple(args.d), threshold=args.threshold
         )

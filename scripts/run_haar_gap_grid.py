@@ -8,24 +8,24 @@ or a grid none of whose cells is served, are refused with one `error:` line on
 stderr and exit code 1, before anything is written.
 """
 
-import argparse
 import sys
 from pathlib import Path
 
+from sqlab.cli import _ArgumentParser, _int  # the sqlab command line's rule for flags
 from sqlab.experiments import ConfigError, ExperimentConfig, run_sweep, write_records
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--d", type=int, nargs="+", default=[2, 4, 8, 16])
-    parser.add_argument("--N", type=int, nargs="+", default=[1, 2, 3, 4])
-    parser.add_argument("--mc-samples", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=4)
+    parser = _ArgumentParser(description=__doc__)
+    parser.add_argument("--d", type=_int, nargs="+", default=[2, 4, 8, 16])
+    parser.add_argument("--N", type=_int, nargs="+", default=[1, 2, 3, 4])
+    parser.add_argument("--mc-samples", type=_int, default=None)
+    parser.add_argument("--seed", type=_int, default=0)
+    parser.add_argument("--threads", type=_int, default=4)
     parser.add_argument("--out", default="results/haar_gap_grid.csv")
-    args = parser.parse_args()
 
     try:
+        args = parser.parse_args()
         config = ExperimentConfig(
             subcommand="haar-gap",
             d_values=tuple(args.d),

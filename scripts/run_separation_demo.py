@@ -8,9 +8,10 @@ no task can serve are refused with one `error:` line on stderr and exit code
 1, before anything is printed.
 """
 
-import argparse
 import sys
 
+from sqlab.cli import _ArgumentParser, _int  # the sqlab command line's rule for flags
+from sqlab.experiments import ConfigError
 from sqlab.instances import gen_minus_sign, gen_real_vector_search, gen_unnormalized_minus
 from sqlab.learners import solve_minus_sign, solve_real_search, solve_sample_only
 from sqlab.quantum_sim import min_copies_minus_sign
@@ -62,17 +63,17 @@ def _report(args) -> list[str]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=12)
-    parser.add_argument("--C", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=10_000)
-    parser.add_argument("--baseline-trials", type=int, default=200)
-    args = parser.parse_args()
+    parser = _ArgumentParser(description=__doc__)
+    parser.add_argument("--n", type=_int, default=12)
+    parser.add_argument("--C", type=_int, default=4)
+    parser.add_argument("--seed", type=_int, default=0)
+    parser.add_argument("--budget", type=_int, default=10_000)
+    parser.add_argument("--baseline-trials", type=_int, default=200)
 
     try:
+        args = parser.parse_args()
         lines = _report(args)
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print("\n".join(lines))

@@ -10,6 +10,9 @@ its leading amplitude. Querying that single amplitude through an SQ oracle
 therefore amounts to strong simulation of the circuit, which is why cheap SQ
 access to circuit-generated states cannot exist in general. By unitarity the
 state's ancilla-1 half is |0> minus its ancilla-0 half, the only one simulated.
+That probability itself is read off the probe's forward run of U, before the
+projection; the dense-unitary tests are the independent check of the forward
+gate kernels.
 
 Bit order: the first listed qubit (index 0 in circuit files) is the most
 significant bit of the basis index.
@@ -33,7 +36,6 @@ __all__ = [
     "amplitude_single_copy_success",
     "build_psi_u",
     "measure_product_encoding",
-    "p_zero_first_qubit",
     "parse_circuit",
     "random_circuit",
     "run_statevector",
@@ -174,13 +176,14 @@ def run_statevector(circuit: Circuit) -> Statevector:
     return Statevector(amplitudes=pair[0], n=circuit.n)
 
 
-def build_psi_u(circuit: Circuit) -> Statevector:
-    """The (n+1)-qubit probe state (I (x) U^dag) CNOT (I (x) U) |0^(n+1)>.
+def build_psi_u(circuit: Circuit) -> tuple[Statevector, float]:
+    """The (n+1)-qubit probe state (I (x) U^dag) CNOT (I (x) U) |0^(n+1)>, and p_zero.
 
     Qubit 0 is the fresh ancilla; U acts on qubits 1..n and the CNOT is
     controlled by qubit 1 (U's first qubit) targeting the ancilla. The
-    leading amplitude of the result equals the probability of outcome 0 when
-    measuring the first qubit of U|0^n>.
+    leading amplitude of the result equals p_zero, the probability of outcome
+    0 when measuring the first qubit of U|0^n>, which is returned alongside:
+    it is read off U|0^n> after the forward run, before the projection.
 
     With P0 + P1 = I projecting U's first qubit on 0 and 1, the ancilla-1 half
     U^dag P1 U|0^n> is |0^n> - U^dag P0 U|0^n> by unitarity: U and U^dag run
@@ -195,21 +198,14 @@ def build_psi_u(circuit: Circuit) -> Statevector:
     full[0] = 1.0
     lower, upper = pair = [full[: 1 << n], full[1 << n :]]
     _run_gates(pair, circuit.gates, n)
+    # U|0^n> sits in pair[0], which is `upper` after an odd number of X/CNOT gates
+    p_zero = float(np.sum(np.abs(pair[0][: 1 << (n - 1)]) ** 2))
     pair[0][1 << (n - 1) :] = 0.0  # P0: the CNOT moves these amplitudes to the ancilla-1 half
     # U^dag has as many permutation gates as U, so the state ends back in `lower`
     _run_gates(pair, circuit.gates, n, dagger=True)
     np.negative(lower, out=upper)
     upper[0] += 1.0
-    return Statevector(amplitudes=full, n=n + 1)
-
-
-def p_zero_first_qubit(circuit: Circuit) -> float:
-    """Probability of outcome 0 when measuring qubit 0 of U|0^n>."""
-    if circuit.n == 0:
-        return 1.0
-    state = run_statevector(circuit).amplitudes
-    half = state.size // 2
-    return float(np.sum(np.abs(state[:half]) ** 2))
+    return Statevector(amplitudes=full, n=n + 1), p_zero
 
 
 def random_circuit(n: int, depth: int, rng: np.random.Generator) -> Circuit:

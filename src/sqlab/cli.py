@@ -297,12 +297,11 @@ def _cmd_sharp_p(args) -> int:
     try:
         circuit = circuit_bridge.parse_circuit(Path(args.circuit).read_text())
         t0 = time.perf_counter_ns()
-        probe = circuit_bridge.build_psi_u(circuit)  # refuses zero qubits and any past the budget
+        probe, p_zero = circuit_bridge.build_psi_u(circuit)  # refuses zero qubits and any past the budget
     except ValueError as exc:
         raise ValueError(f"{args.circuit}: {exc}") from None
     handle = sq_oracle.build_dense(probe.amplitudes)
     amplitude = handle.query(1)
-    p_zero = circuit_bridge.p_zero_first_qubit(circuit)
     deviation = abs(amplitude - p_zero)
     ok = deviation <= args.tolerance
     _emit(

@@ -67,13 +67,17 @@ def haar_unit_vector(d: int, field: str, rng: np.random.Generator) -> np.ndarray
     if field == "real":
         g = rng.standard_normal(d).astype(np.complex128)
     elif field == "complex":
-        g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        # all real parts are drawn before all imaginary parts: the instance bytes depend on it
+        g = np.empty(d, dtype=np.complex128)
+        g.real = rng.standard_normal(d)
+        g.imag = rng.standard_normal(d)
     else:
         raise ValueError(f"unknown field {field!r}")
     nrm = np.linalg.norm(g)
     if nrm == 0.0:  # probability zero, but fail loudly rather than divide
         raise RuntimeError("degenerate Gaussian draw")
-    return g / nrm
+    g /= nrm
+    return g
 
 
 class ProblemInstance:

@@ -14,8 +14,8 @@ from sqlab.circuit_bridge import (
     amplitude_single_copy_success,
     build_psi_u,
     measure_product_encoding,
-    p_zero_first_qubit,
     random_circuit,
+    run_statevector,
 )
 from sqlab.experiments import (
     ExperimentConfig,
@@ -170,8 +170,10 @@ def test_criterion_7_probe_state_amplitude_identity():
         n = int(rng.integers(1, 9))
         depth = int(rng.integers(0, 21))
         circuit = random_circuit(n, depth, rng)
-        handle = build_dense(build_psi_u(circuit).amplitudes)
-        deviation = abs(handle.query(1) - p_zero_first_qubit(circuit))
+        handle = build_dense(build_psi_u(circuit)[0].amplitudes)
+        # p_zero from a separate forward run of U, not the probe's own
+        state = run_statevector(circuit).amplitudes
+        deviation = abs(handle.query(1) - np.sum(np.abs(state[: state.size // 2]) ** 2))
         assert deviation <= 1e-12
     _finish(7, "probe-state amplitude identity", started, 60.0)
 

@@ -17,7 +17,6 @@ from sqlab.circuit_bridge import (
     Gate,
     amplitude_single_copy_success,
     build_psi_u,
-    p_zero_first_qubit,
     measure_product_encoding,
     parse_circuit,
     random_circuit,
@@ -53,6 +52,12 @@ def _dense_gate(gate, n):
     factors = [eye] * n
     factors[gate.qubits[0]] = _DENSE_1Q[gate.name]
     return functools.reduce(np.kron, factors)
+
+
+def _reference_p_zero(circuit):
+    """p_zero from a separate forward run: the squared norm of U|0^n>'s first half."""
+    state = run_statevector(circuit).amplitudes
+    return np.sum(np.abs(state[: state.size // 2]) ** 2)
 
 
 def _dense_circuit(circuit):
@@ -187,7 +192,22 @@ def test_build_psi_u_matches_the_dense_probe(n):
         circuit = random_circuit(n, 25, rng)
         lifted = np.kron(np.eye(2), _dense_circuit(circuit))
         expected = lifted.conj().T @ cnot @ lifted @ zero
-        np.testing.assert_allclose(build_psi_u(circuit).amplitudes, expected, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(build_psi_u(circuit)[0].amplitudes, expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_p_zero_is_the_bits_of_a_separate_forward_run(n):
+    # U|0^n> ends in the upper half of the probe buffer after an odd number of
+    # X/CNOT gates, so both parities are covered: a trailing X flips the parity,
+    # and on qubit 0 it also moves p_zero away from the state before it
+    rng = np.random.default_rng(60 + n)
+    parities = set()
+    for _ in range(3):
+        base = random_circuit(n, 6 * n, rng)
+        for circuit in (base, Circuit(n=n, gates=base.gates + (Gate("X", (0,)),))):
+            parities.add(sum(g.name in ("X", "CNOT") for g in circuit.gates) % 2)
+            assert build_psi_u(circuit)[1].hex() == float(_reference_p_zero(circuit)).hex()
+    assert parities == {0, 1}
 
 
 # per circuit of `random_circuit(16, 200, default_rng(3))`: sha256 of the
@@ -216,9 +236,10 @@ def test_probe_identity_at_benchmark_size(tmp_path, capsys):
     rng = np.random.default_rng(3)
     for sha, *floats in _PINNED_PROBES:
         circuit = random_circuit(16, 200, rng)
-        probe = build_psi_u(circuit)
+        probe, p_zero = build_psi_u(circuit)
         assert probe.n == 17
-        assert abs(build_dense(probe.amplitudes).query(1) - p_zero_first_qubit(circuit)) <= 1e-12
+        assert p_zero == _reference_p_zero(circuit)
+        assert abs(build_dense(probe.amplitudes).query(1) - p_zero) <= 1e-12
         assert hashlib.sha256(probe.amplitudes[: 1 << 16].tobytes()).hexdigest() == sha
         path = tmp_path / "circuit.txt"
         path.write_text(_circuit_text(circuit))
@@ -231,7 +252,7 @@ def test_probe_identity_at_benchmark_size(tmp_path, capsys):
 def test_ancilla_one_half_is_e0_minus_the_ancilla_zero_half(n):
     rng = np.random.default_rng(40 + n)
     for _ in range(5):
-        amplitudes = build_psi_u(random_circuit(n, 40, rng)).amplitudes
+        amplitudes = build_psi_u(random_circuit(n, 40, rng))[0].amplitudes
         expected = -amplitudes[: 1 << n]
         expected[0] += 1.0
         np.testing.assert_array_equal(amplitudes[1 << n :], expected)
@@ -243,7 +264,7 @@ def test_one_qubit_probe_bytes_are_pinned():
     # Which loop numpy picks (SIMD, FMA) depends on its build and the CPU: these
     # bytes were recorded with numpy 2.4.6 on an x86_64 Xeon with AVX-512, so a
     # failure on another host reads as a platform change, not a regression.
-    amplitude = build_psi_u(parse_circuit("qubits 1\nH 0\nT 0\nH 0\nS 0\nX 0\n")).amplitudes[0]
+    amplitude = build_psi_u(parse_circuit("qubits 1\nH 0\nT 0\nH 0\nS 0\nX 0\n"))[0].amplitudes[0]
     assert (amplitude.real.hex(), amplitude.imag.hex()) == ("0x1.2bec333018864p-3", "-0x1.0000000000000p-55")
 
 
@@ -260,23 +281,24 @@ def test_build_psi_u_holds_at_most_one_and_a_half_amplitude_vectors():
 
 
 def test_build_psi_u_identity_circuit():
-    probe = build_psi_u(Circuit(n=3, gates=()))
+    probe, p_zero = build_psi_u(Circuit(n=3, gates=()))
+    assert p_zero == 1.0
     expected = np.zeros(16)
     expected[0] = 1.0
     np.testing.assert_array_equal(probe.amplitudes, expected.astype(complex))
 
 
 def test_build_psi_u_x_and_h():
-    x_probe = build_psi_u(parse_circuit("qubits 1\nX 0\n"))
+    x_probe = build_psi_u(parse_circuit("qubits 1\nX 0\n"))[0]
     assert abs(x_probe.amplitudes[0]) < 1e-15
-    h_probe = build_psi_u(parse_circuit("qubits 1\nH 0\n"))
+    h_probe = build_psi_u(parse_circuit("qubits 1\nH 0\n"))[0]
     assert h_probe.amplitudes[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_p_zero_examples():
-    assert p_zero_first_qubit(Circuit(n=2, gates=())) == 1.0
-    assert p_zero_first_qubit(parse_circuit("qubits 1\nX 0\n")) == pytest.approx(0.0, abs=1e-15)
-    assert p_zero_first_qubit(parse_circuit("qubits 1\nH 0\n")) == pytest.approx(0.5, abs=1e-12)
+    assert build_psi_u(Circuit(n=2, gates=()))[1] == 1.0
+    assert build_psi_u(parse_circuit("qubits 1\nX 0\n"))[1] == pytest.approx(0.0, abs=1e-15)
+    assert build_psi_u(parse_circuit("qubits 1\nH 0\n"))[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_probe_identity_on_random_circuits():
@@ -285,8 +307,8 @@ def test_probe_identity_on_random_circuits():
         n = int(rng.integers(1, 9))
         depth = int(rng.integers(0, 21))
         circuit = random_circuit(n, depth, rng)
-        handle = build_dense(build_psi_u(circuit).amplitudes)
-        deviation = abs(handle.query(1) - p_zero_first_qubit(circuit))
+        handle = build_dense(build_psi_u(circuit)[0].amplitudes)
+        deviation = abs(handle.query(1) - _reference_p_zero(circuit))
         assert deviation <= 1e-12
 
 

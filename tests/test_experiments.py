@@ -601,7 +601,13 @@ def test_cli_sharp_p(tmp_path, capsys, monkeypatch):
     assert payload["identity_ok"] is True
     assert payload["abs_diff"] <= 1e-12
     # a wrong reference probability exercises the violation exit code
-    monkeypatch.setattr(circuit_bridge, "p_zero_first_qubit", lambda c: payload["p_zero"] + 1e-9)
+    build_psi_u = circuit_bridge.build_psi_u
+
+    def shifted(c):
+        probe, p_zero = build_psi_u(c)
+        return probe, p_zero + 1e-9
+
+    monkeypatch.setattr(circuit_bridge, "build_psi_u", shifted)
     assert main(["sharp-p", "--circuit", str(circuit)]) == 2
     assert json.loads(capsys.readouterr().out)["identity_ok"] is False
 

@@ -1,5 +1,6 @@
 """Instance-generator tests: distributions, determinism, dump/load round trips."""
 
+import hashlib
 import math
 import warnings
 
@@ -65,6 +66,37 @@ def test_haar_complex_imag_parts_never_exactly_zero():
     if zeros:
         warnings.warn(f"observed {zeros} exactly-zero imaginary parts in {components} components")
     assert zeros == 0
+
+
+# sha256 of each handle's entries in gen_real_vector_search(16, 4, seed), recorded
+# when the complex draw was still `re + 1j * im`; the real vector is j = 3, 0, 2
+_PINNED_REAL_SEARCH = {
+    0: [
+        "1fefb72b04ee03d2314aadb099bd21063d7f0be143d4ed00e090d0c0d2345e41",
+        "f665bb9171fb3e3b9452e4c2d2072742a67b0926173366ad6afd0a3c05190b79",
+        "0ff3dac12af212209fd90b11c52c015e9b090d1c6f904b62505e40fc6b6e6aee",
+        "94e50a45170584a5d03cff96da221b4f14bef868f5296e859ac760978ba41ce4",
+    ],
+    1: [
+        "100237492cd27ca667bd9faee0d3d0469dfe7da72d0e1ff369642497f0a89335",
+        "a3149c5a7f45a961b21b0e3d03cc444288ac9df7eab59a3cd459db8700f065fa",
+        "a013eb58710e755c47cad7973ec91bb661c29d8b5970cd55a45e925c3a5f9c75",
+        "9098aae551311b8409eb94b70c952507d440d13a722fab977a457d1ec244f858",
+    ],
+    3: [
+        "1e18d2af6fd2e6b2a154e86da0b194468b71c19a0e618d472f5d4ac5bf6f9bd1",
+        "07314eb995ef25bf3579f6257bc3313ddf5b8327ac60cb13416b7c60fadd8858",
+        "74195fba8be97c01e03c1ccd0ea56e3c1632a250ec01f206e09279fc4186d44c",
+        "14c8115b8e835ec505233755b40949f03fbce0f2e128be23b7a70e6074eed7d1",
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_REAL_SEARCH))
+def test_real_search_vector_bytes_are_pinned(seed):
+    handles = gen_real_vector_search(16, 4, seed).handles
+    assert [hashlib.sha256(h.backing.entries.tobytes()).hexdigest() for h in handles] == _PINNED_REAL_SEARCH[seed]
+    assert [bool(np.all(h.backing.entries.imag == 0.0)) for h in handles].count(True) == 1
 
 
 def test_gen_minus_sign_small_case_values():

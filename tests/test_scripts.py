@@ -7,12 +7,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from sqlab import haar_moments
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,9 +33,14 @@ ROOT = Path(__file__).resolve().parents[1]
         ("run_separation_demo.py", ["--n", "1"]),
         ("run_separation_demo.py", ["--baseline-trials", "-1"]),
         ("run_separation_demo.py", ["--baseline-trials", "0"]),
+        ("run_separation_demo.py", ["--n", "x"]),
+        ("run_copies_scaling.py", ["--d", "64", "2.5"]),
+        ("run_haar_gap_grid.py", ["--d", "2.5"]),
+        ("run_haar_gap_grid.py", ["--seed", "1e3"]),
     ],
     ids=["copies-threshold-2", "copies-no-valid-row", "haar-grid-all-over-budget", "demo-n-0", "demo-n-63",
-         "demo-one-vector", "demo-negative-budget", "demo-n-1", "demo-negative-trials", "demo-zero-trials"],
+         "demo-one-vector", "demo-negative-budget", "demo-n-1", "demo-negative-trials", "demo-zero-trials",
+         "demo-n-x", "copies-d-2.5", "haar-grid-d-2.5", "haar-grid-seed-1e3"],
 )
 def test_script_rejects_in_one_line(tmp_path, script, args):
     out = tmp_path / "out.csv"
@@ -49,14 +57,24 @@ def test_script_rejects_in_one_line(tmp_path, script, args):
     assert proc.stdout == "" and not out.exists()
 
 
-def _load_demo():
-    spec = importlib.util.spec_from_file_location("run_separation_demo", ROOT / "scripts" / "run_separation_demo.py")
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-_DEMO = _load_demo()
+_DEMO = _load_script("run_separation_demo")
+_COPIES = _load_script("run_copies_scaling")
+_GRID = _load_script("run_haar_gap_grid")
+
+
+def _run_in_process(module, argv):
+    """(exit code, stdout, stderr) of `module.main()`; an uncaught exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "argv", argv), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = module.main()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=25, deadline=None)
@@ -70,16 +88,61 @@ _DEMO = _load_demo()
 def test_demo_integer_flags_serve_or_reject_in_one_line(n, C, budget, trials):
     argv = ["run_separation_demo.py", "--n", str(n), "--C", str(C), "--budget", str(budget),
             "--baseline-trials", str(trials)]
-    out, err = io.StringIO(), io.StringIO()
-    # in-process, so an uncaught exception (a traceback from the command line) fails the test
-    with mock.patch.object(sys, "argv", argv), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = _DEMO.main()
+    code, out, err = _run_in_process(_DEMO, argv)
     if code == 0:
-        assert err.getvalue() == "" and out.getvalue().startswith(f"n={n} ")
+        assert err == "" and out.startswith(f"n={n} ")
         # a served rate was measured: at least one trial, at most one hit each
-        hits, served = re.search(r"^sample-only baseline: (\d+)/(-?\d+) correct ", out.getvalue(), re.M).groups()
+        hits, served = re.search(r"^sample-only baseline: (\d+)/(-?\d+) correct ", out, re.M).groups()
         assert int(served) == trials >= 1 and 0 <= int(hits) <= trials
     else:
         assert code == 1
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-        assert out.getvalue() == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out == ""
+
+
+def _tokens(ints):
+    """Integer flag values as text; about one in five is a token no integer flag accepts."""
+    bad = st.sampled_from(["x", "2.5", "1e3", "", "0x10", "nan", "4,8"])
+    return st.integers(min_value=0, max_value=4).flatmap(lambda k: bad if k == 4 else ints.map(str))
+
+
+def _assert_report_or_one_line_refusal(code, out, err, path):
+    if code == 0:
+        assert err == "" and out.startswith("wrote ") and path.exists()
+    else:
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out == "" and not path.exists()
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.lists(_tokens(st.integers(min_value=-2, max_value=64)), min_size=1, max_size=3))
+@example(d=["64", "2.5"])
+def test_copies_integer_flags_serve_or_reject_in_one_line(d):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        code, out, err = _run_in_process(_COPIES, ["run_copies_scaling.py", "--d", *d, "--out", str(path)])
+        _assert_report_or_one_line_refusal(code, out, err, path)
+        if code == 0:
+            assert "\nfit: N = " in out
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.lists(_tokens(st.integers(min_value=-2, max_value=64)), min_size=1, max_size=2),
+    N=st.lists(_tokens(st.integers(min_value=0, max_value=3)), min_size=1, max_size=2),
+    mc=st.one_of(st.none(), _tokens(st.integers(min_value=-1, max_value=200))),
+    seed=_tokens(st.integers(min_value=-1, max_value=2**64)),
+)
+@example(d=["4"], N=["2"], mc=None, seed="1e3")
+@example(d=["2.5"], N=["1"], mc="200", seed="0")
+def test_haar_grid_integer_flags_serve_or_reject_in_one_line(d, N, mc, seed):
+    argv = ["run_haar_gap_grid.py", "--d", *d, "--N", *N, "--seed", seed, "--threads", "1"]
+    if mc is not None:
+        argv += ["--mc-samples", mc]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        # a 32 MiB Monte Carlo budget keeps each example small; larger estimates are refused per cell
+        with mock.patch.object(haar_moments, "MC_ESTIMATE_BYTE_BUDGET", 1 << 25):
+            code, out, err = _run_in_process(_GRID, argv + ["--out", str(path)])
+        _assert_report_or_one_line_refusal(code, out, err, path)
