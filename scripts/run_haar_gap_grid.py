@@ -21,7 +21,6 @@ def main() -> int:
     parser.add_argument("--N", type=_int, nargs="+", default=[1, 2, 3, 4])
     parser.add_argument("--mc-samples", type=_int, default=None)
     parser.add_argument("--seed", type=_int, default=0)
-    parser.add_argument("--threads", type=_int, default=4)
     parser.add_argument("--out", default="results/haar_gap_grid.csv")
 
     try:
@@ -32,7 +31,6 @@ def main() -> int:
             copies_values=tuple(args.N),
             mc_samples=args.mc_samples,
             seed=args.seed,
-            threads=args.threads,
         )
         records = run_sweep(config)
     except (ConfigError, ValueError) as exc:

@@ -72,7 +72,6 @@ def _build_parser() -> _ArgumentParser:
     parser.add_argument("--seed", type=_int, default=0, help="global RNG seed")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
     parser.add_argument("--format", dest="fmt", choices=("csv", "json-lines"), default="csv")
-    parser.add_argument("--threads", type=_int, default=1)
     parser.add_argument(
         "--timings",
         action="store_true",
@@ -89,7 +88,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--significance", type=float, default=1e-3)
 
     p = sub.add_parser("gen-instance", help="generate and dump an instance")
-    p.add_argument("--kind", required=True, choices=sorted(instances._GENERATORS))
+    p.add_argument("--kind", required=True, choices=instances.KINDS)
     p.add_argument("--n", type=_int, required=True)
     p.add_argument("--C", dest="num_vectors", type=_int, default=2)
     p.add_argument("--dir", required=True, help="output directory")
@@ -152,8 +151,10 @@ def _cmd_sample_test(args) -> int:
         handle = sq_oracle.build_implicit(spec)
         probs = None  # uniform magnitudes; tested via equal-width buckets
     else:
-        if args.dim is None or args.dim < 1:
+        if args.dim < 1:
             raise ConfigError("--dim must be a positive integer")
+        if args.dim > 1 << sq_oracle.DENSE_BUDGET_N:  # the cap of vector files and instances
+            raise ConfigError(f"--dim must be at most 2^{sq_oracle.DENSE_BUDGET_N}, got {sq_oracle.quoted(args.dim)}")
         values = rng.standard_normal(args.dim) + 1j * rng.standard_normal(args.dim)
         handle = sq_oracle.build_dense(values)
         probs = np.abs(values) ** 2
@@ -193,8 +194,7 @@ def _cmd_sample_test(args) -> int:
 
 
 def _cmd_gen_instance(args) -> int:
-    generator = instances._GENERATORS[args.kind]
-    instance = generator(args.n, args.num_vectors, args.seed)
+    instance = instances.generate(args.kind, args.n, args.num_vectors, args.seed)
     instances.dump_instance(instance, args.dir, reveal=args.reveal)
     _emit(
         {
@@ -281,7 +281,6 @@ def _cmd_sweep(args) -> int:
         threshold=getattr(args, "threshold", quantum_sim.HELSTROM_SCHATTEN_THRESHOLD),
         mc_samples=getattr(args, "mc_samples", None),
         seed=args.seed,
-        threads=args.threads,
     )
     records = run_sweep(config)
     write_records(records, args.fmt, args.out, timings=args.timings)
@@ -325,6 +324,8 @@ def _cmd_sharp_p(args) -> int:
 def _cmd_encoding_demo(args) -> int:
     if args.n < 1 or args.trials < 1 or args.num_vectors < 2:
         raise ConfigError("encoding-demo needs n >= 1, trials >= 1, C >= 2")
+    if args.num_vectors > instances.MAX_VECTORS:
+        raise ConfigError(f"--C must be at most {instances.MAX_VECTORS}, got {sq_oracle.quoted(args.num_vectors)}")
     rng = np.random.default_rng(args.seed)
     # each object is the first factor of its product state: |-> for k*, |+> for the rest
     h = math.sqrt(0.5)

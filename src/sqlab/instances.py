@@ -35,6 +35,8 @@ from .sq_oracle import (
 )
 
 __all__ = [
+    "KINDS",
+    "MAX_VECTORS",
     "MINUS_SIGN",
     "ProblemInstance",
     "REAL_SEARCH",
@@ -43,14 +45,21 @@ __all__ = [
     "gen_minus_sign",
     "gen_real_vector_search",
     "gen_unnormalized_minus",
+    "generate",
     "haar_unit_vector",
     "load_instance",
-    "pairwise_distance_report",
 ]
 
 MINUS_SIGN = "minus-sign"
 REAL_SEARCH = "real-search"
 UNNORMALIZED_MINUS = "unnormalized-minus"
+KINDS = (MINUS_SIGN, REAL_SEARCH, UNNORMALIZED_MINUS)
+
+# At most this many vectors per instance (C), checked before any handle is built.
+MAX_VECTORS = 1 << 16
+# At most 2^_REAL_SEARCH_ENTRIES_N dense entries (C * 2^n) per real-search instance:
+# 1 GiB of complex128, which loading an unrevealed dump holds twice for its tamper check.
+_REAL_SEARCH_ENTRIES_N = 26
 
 _MANIFEST_NAME = "manifest.txt"
 
@@ -86,7 +95,7 @@ class ProblemInstance:
     __slots__ = ("kind", "n", "num_vectors", "seed", "handles", "_k_star")
 
     def __init__(self, kind: str, n: int, seed: int, handles: tuple[SqHandle, ...], k_star: int):
-        if kind not in (MINUS_SIGN, REAL_SEARCH, UNNORMALIZED_MINUS):
+        if kind not in KINDS:
             raise ValueError(f"unknown instance kind {kind!r}")
         if len(handles) < 2:
             raise ValueError("an instance needs at least two vectors")
@@ -117,6 +126,13 @@ def keyed_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
+def _check_num_vectors(num_vectors: int) -> None:
+    if num_vectors < 2:
+        raise ValueError("need at least two vectors")
+    if num_vectors > MAX_VECTORS:
+        raise ValueError(f"C={quoted(num_vectors)} exceeds the vector-count cap ({MAX_VECTORS})")
+
+
 def _draw_k_star(seed: int, num_vectors: int) -> int:
     return int(keyed_stream(seed, 0).integers(1, num_vectors + 1))
 
@@ -125,8 +141,7 @@ def _minus_family(kind: str, n: int, num_vectors: int, seed: int, normalized: bo
     """k* has its first entry negated, the others are all-plus; entries are +-1/sqrt(d) or +-1."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if num_vectors < 2:
-        raise ValueError("need at least two vectors")
+    _check_num_vectors(num_vectors)
     k_star = _draw_k_star(seed, num_vectors)
     scale = 1.0 / math.sqrt(1 << n) if normalized else 1.0
     handles = tuple(
@@ -156,8 +171,11 @@ def gen_real_vector_search(n: int, num_vectors: int, seed: int) -> ProblemInstan
         raise ValueError("n must be at least 1")
     if n > DENSE_BUDGET_N:
         raise ValueError(f"n={quoted(n)} exceeds the dense materialization budget ({DENSE_BUDGET_N})")
-    if num_vectors < 2:
-        raise ValueError("need at least two vectors")
+    _check_num_vectors(num_vectors)
+    if num_vectors << n > 1 << _REAL_SEARCH_ENTRIES_N:
+        raise ValueError(
+            f"C*2^n = {num_vectors << n} entries exceed the real-search cap (2^{_REAL_SEARCH_ENTRIES_N})"
+        )
     k_star = _draw_k_star(seed, num_vectors)
     d = 1 << n
     handles = []
@@ -167,33 +185,15 @@ def gen_real_vector_search(n: int, num_vectors: int, seed: int) -> ProblemInstan
     return ProblemInstance(REAL_SEARCH, n, seed, tuple(handles), k_star)
 
 
-_GENERATORS = {
-    MINUS_SIGN: gen_minus_sign,
-    REAL_SEARCH: gen_real_vector_search,
-    UNNORMALIZED_MINUS: gen_unnormalized_minus,
-}
-
-
-def pairwise_distance_report(instance: ProblemInstance) -> list[float]:
-    """All C(C-1)/2 Euclidean distances between the instance's vectors.
-
-    Requires dense backings; for implicit families the distance has a closed
-    form (only one component differs) and materializing 2^n entries to
-    recompute it would defeat the point of the implicit representation.
-    """
-    vectors = []
-    for handle in instance.handles:
-        if isinstance(handle.backing, ImplicitVector):
-            raise ValueError(
-                "pairwise distances need dense backings; use the closed form "
-                "2*scale for implicit minus-sign pairs"
-            )
-        vectors.append(handle.backing.entries)
-    out = []
-    for a in range(len(vectors)):
-        for b in range(a + 1, len(vectors)):
-            out.append(float(np.linalg.norm(vectors[a] - vectors[b])))
-    return out
+def generate(kind: str, n: int, num_vectors: int, seed: int) -> ProblemInstance:
+    """The instance of `kind` (one of `KINDS`) with 2^n-dimensional vectors, C of them, for `seed`."""
+    if kind == MINUS_SIGN:
+        return gen_minus_sign(n, num_vectors, seed)
+    if kind == REAL_SEARCH:
+        return gen_real_vector_search(n, num_vectors, seed)
+    if kind == UNNORMALIZED_MINUS:
+        return gen_unnormalized_minus(n, num_vectors, seed)
+    raise ValueError(f"unknown instance kind {quoted(kind)}")
 
 
 def _implicit_descriptor(vec: ImplicitVector) -> str:
@@ -317,7 +317,7 @@ def load_instance(directory: str | Path) -> ProblemInstance:
             elif key in numbers or (key == "kind" and kind is not None):
                 raise ValueError(f"{key} given twice")
             elif key == "kind":
-                if values[0] not in _GENERATORS:
+                if values[0] not in KINDS:
                     raise ValueError(f"unknown instance kind {quoted(values[0])}")
                 kind = values[0]
             else:
@@ -360,7 +360,7 @@ def load_instance(directory: str | Path) -> ProblemInstance:
             raise ValueError(f"{manifest}: unknown backing {quoted(backing_kind)}")
 
     if k_star is None:
-        regenerated = _GENERATORS[kind](n, num_vectors, seed)
+        regenerated = generate(kind, n, num_vectors, seed)
         for loaded, regen in zip(handles, regenerated.handles):
             if isinstance(loaded.backing, ImplicitVector):
                 if loaded.backing != regen.backing:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,20 +54,25 @@ def _finish(handles: Sequence[SqHandle], before: list[OracleStats], answer: int,
     return SolveReport(answer=answer, per_handle_stats=deltas, elapsed_ns=elapsed)
 
 
+def _solve_by_first_component(
+    handles: Sequence[SqHandle], distinguished: Callable[[complex], bool], word: str
+) -> SolveReport:
+    """Query component 1 of every handle and return the one handle it marks as `distinguished`."""
+    before = [h.stats() for h in handles]
+    t0 = time.perf_counter_ns()
+    firsts = [h.query(1) for h in handles]
+    marked = [k for k, z in enumerate(firsts, start=1) if distinguished(z)]
+    if len(marked) != 1:
+        raise MalformedInstanceError(f"expected exactly one {word} first component, found {len(marked)}")
+    return _finish(handles, before, marked[0], t0)
+
+
 def solve_minus_sign(handles: Sequence[SqHandle]) -> SolveReport:
     """Find the vector with the negative first component using C Query calls.
 
     The imaginary part is ignored: the minus-sign families are real-valued.
     """
-    before = [h.stats() for h in handles]
-    t0 = time.perf_counter_ns()
-    firsts = [h.query(1) for h in handles]
-    negatives = [k for k, z in enumerate(firsts, start=1) if z.real < 0.0]
-    if len(negatives) != 1:
-        raise MalformedInstanceError(
-            f"expected exactly one negative first component, found {len(negatives)}"
-        )
-    return _finish(handles, before, negatives[0], t0)
+    return _solve_by_first_component(handles, lambda z: z.real < 0.0, "negative")
 
 
 def solve_real_search(handles: Sequence[SqHandle]) -> SolveReport:
@@ -77,15 +82,7 @@ def solve_real_search(handles: Sequence[SqHandle]) -> SolveReport:
     imaginary parts, while complex Gaussian components are never exactly real
     in double precision except with negligible probability.
     """
-    before = [h.stats() for h in handles]
-    t0 = time.perf_counter_ns()
-    firsts = [h.query(1) for h in handles]
-    real_ones = [k for k, z in enumerate(firsts, start=1) if z.imag == 0.0]
-    if len(real_ones) != 1:
-        raise MalformedInstanceError(
-            f"expected exactly one real first component, found {len(real_ones)}"
-        )
-    return _finish(handles, before, real_ones[0], t0)
+    return _solve_by_first_component(handles, lambda z: z.imag == 0.0, "real")
 
 
 def _collision_score(indices: np.ndarray) -> int:

@@ -301,6 +301,8 @@ def _click_success_rate(
     """Success rate of guessing `a` on a click, over `trials` equal-prior draws."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if trials > 1 << DENSE_BUDGET_N:  # about 30 bytes per trial in the arrays below
+        raise ValueError(f"trials must be at most 2^{DENSE_BUDGET_N}, got {quoted(trials)}")
     p_click_a = min(max(p_click_a, 0.0), 1.0)
     p_click_b = min(max(p_click_b, 0.0), 1.0)
     truth_is_a = rng.integers(2, size=trials).astype(bool)

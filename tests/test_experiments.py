@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqlab import circuit_bridge, experiments
+from sqlab import circuit_bridge, experiments, instances
 from sqlab.cli import _SOLVER_NAMES, main
 from sqlab.experiments import (
     ConfigError,
@@ -213,6 +213,24 @@ def test_cli_solve_pipeline(tmp_path, capsys):
     assert payload["correct"] is True
     assert [c["query"] for c in payload["calls"]] == [1, 1, 1]
     assert [c["sample"] for c in payload["calls"]] == [0, 0, 0]
+
+
+def test_cli_generates_real_search_through_the_module_level_generator(tmp_path, capsys, monkeypatch):
+    # a wrapper on the module attribute sees every generation, as tracing tools rely on
+    calls = []
+    original = instances.gen_real_vector_search
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(instances, "gen_real_vector_search", counting)
+    inst_dir = tmp_path / "inst"
+    assert main(["--seed", "3", "gen-instance", "--kind", "real-search", "--n", "4", "--C", "3", "--dir", str(inst_dir)]) == 0
+    assert calls == [(4, 3, 3)]
+    assert main(["solve", "real-search", "--instance", str(inst_dir)]) == 0  # regenerates k* from the seed
+    assert calls == [(4, 3, 3)] * 2
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["correct"] is True
 
 
 def test_cli_haar_gap_refuses_a_monte_carlo_draw_chunk_over_budget(capsys):
@@ -447,6 +465,12 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         (["sharp-p", "--circuit", "{zero_qubits}"], 1),
         (["copies-sweep", "--d", ","], 1),
         (["haar-gap", "--d", "x", "--N", "1"], 1),
+        (["--threads", "2", "haar-gap", "--d", "2", "--N", "1"], 1),
+        (["sample-test", "--dim", "1099511627776"], 1),
+        (["discriminate", "--family", "minus-sign", "--d", "4", "--trials", "1099511627776"], 1),
+        (["encoding-demo", "--n", "3", "--trials", "1", "--C", "1099511627776"], 1),
+        (["gen-instance", "--kind", "minus-sign", "--n", "3", "--C", "100000000", "--dir", "{fresh_dir}"], 1),
+        (["gen-instance", "--kind", "real-search", "--n", "24", "--C", "5", "--dir", "{fresh_dir}"], 1),
     ],
     ids=[
         "sample-test-no-dof",
@@ -486,6 +510,12 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         "sharp-p-zero-qubits",
         "copies-sweep-empty-d-list",
         "haar-gap-non-integer-d",
+        "removed-threads-flag",
+        "sample-test-dim-past-dense-budget",
+        "discriminate-trials-past-dense-budget",
+        "encoding-demo-C-past-vector-cap",
+        "gen-instance-C-past-vector-cap",
+        "gen-instance-real-search-past-entry-cap",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -532,13 +562,14 @@ def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
         paths[name] = tmp_path / name
         paths[name].mkdir()
         (paths[name] / "manifest.txt").write_bytes(text.encode("latin-1"))
+    paths["fresh_dir"] = tmp_path / "fresh"
     assert main([arg.format(**paths) for arg in argv]) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert captured.err.strip().count("\n") == 0
-    if argv[0] == "encoding-demo":
+    if argv[0] == "encoding-demo" and code == 0:
         assert json.loads(captured.out)["amplitude_single_copy_success"] == 0.5
-    if "--family" in argv:
+    if "--family" in argv and "--trials" not in argv:
         assert captured.err.startswith("error: minus-sign pair dimension d^(2N) with d=")
     # a refused density, circuit, vector or manifest file is named; a one-entry vector
     # is a readable file, and what is refused is a test with one outcome
@@ -548,6 +579,8 @@ def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
             assert captured.err.startswith(f"error: {path / 'manifest.txt' if flag == '--instance' else path}:")
     if "{huge_dim}" in argv:
         assert "2*dim^2" in captured.err
+    if argv[0] == "gen-instance":  # refused before anything is written
+        assert not paths["fresh_dir"].exists()
 
 
 @pytest.mark.parametrize(

@@ -10,17 +10,15 @@ import pytest
 from sqlab.instances import (
     MINUS_SIGN,
     ProblemInstance,
-    REAL_SEARCH,
     dump_instance,
     gen_minus_sign,
     gen_real_vector_search,
     gen_unnormalized_minus,
     haar_unit_vector,
     load_instance,
-    pairwise_distance_report,
 )
 from sqlab.learners import solve_real_search
-from sqlab.sq_oracle import ImplicitVector, build_dense, materialize
+from sqlab.sq_oracle import ImplicitVector
 from test_sq_oracle import write_legacy_dense_vector
 
 
@@ -156,43 +154,24 @@ def test_generation_is_deterministic():
     assert [h.backing for h in c.handles] == [h.backing for h in d.handles]
 
 
+def _pairwise_distances(instance):
+    vectors = [h.backing.entries for h in instance.handles]
+    return [float(np.linalg.norm(a - b)) for i, a in enumerate(vectors) for b in vectors[i + 1 :]]
+
+
 def test_real_search_pairwise_distances_concentrate():
     # E||x - y||^2 = 2 for independent unit vectors; 0.5 is a safe floor at d=1024
     seeds = range(100)
     minimum = math.inf
     for seed in seeds:
         instance = gen_real_vector_search(10, 4, seed=seed)
-        minimum = min(minimum, min(pairwise_distance_report(instance)))
+        minimum = min(minimum, min(_pairwise_distances(instance)))
     assert minimum >= 0.5
 
 
 def test_real_search_distances_near_sqrt_two():
-    distances = pairwise_distance_report(gen_real_vector_search(10, 4, seed=11))
-    assert all(abs(dist - math.sqrt(2)) < 0.2 for dist in distances)
-
-
-def test_pairwise_distance_identical_and_minus_pair():
-    vec = haar_unit_vector(8, "complex", np.random.default_rng(12))
-    twin = ProblemInstance(REAL_SEARCH, 3, 0, (build_dense(vec), build_dense(vec)), 1)
-    assert pairwise_distance_report(twin) == [0.0]
-
-    # dense small materialization of the sign-flip pair at d=4: distance 2/sqrt(d) = 1
-    dense_pair = ProblemInstance(
-        MINUS_SIGN,
-        2,
-        0,
-        (
-            build_dense(materialize(ImplicitVector(kind="minus-at-index", n=2, scale=0.5, minus_index=1))),
-            build_dense(materialize(ImplicitVector(kind="all-plus", n=2, scale=0.5))),
-        ),
-        1,
-    )
-    assert pairwise_distance_report(dense_pair) == pytest.approx([1.0])
-
-
-def test_pairwise_distance_rejects_implicit():
-    with pytest.raises(ValueError, match="closed form"):
-        pairwise_distance_report(gen_minus_sign(5, 2, seed=13))
+    distances = _pairwise_distances(gen_real_vector_search(10, 4, seed=11))
+    assert len(distances) == 6 and all(abs(dist - math.sqrt(2)) < 0.2 for dist in distances)
 
 
 def test_verify_answer_bounds_and_purity():

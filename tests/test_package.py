@@ -1,17 +1,49 @@
-"""Package surface: every name a module lists in `__all__` exists.
+"""Package surface: every name a module lists in `__all__` exists and is reachable.
 
 Tracing tools wrap the functions listed there by looking each name up, so a
-stale entry breaks them even when no import in the package fails.
+stale entry breaks them even when no import in the package fails. A listed
+name that no program file uses is a public wrapper that nothing calls.
 """
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import sqlab
 
+ROOT = Path(__file__).resolve().parents[1]
 _MODULES = sorted(info.name for info in pkgutil.iter_modules(sqlab.__path__))
+
+# Listed names that only the tests use, each with what it is kept for.
+_TEST_ONLY = {
+    "real_monomial_moment": "the reference that `real_moment` is compared against",
+    "random_circuit": "generates the pinned probe circuits",
+    "random_density_operator": "a test fixture",
+    "run_statevector": "the simulator's plain entry point, the tests' reference for the forward gate runs",
+    "save_density_operator": "writes the format that `discriminate --a/--b` reads",
+}
+
+
+def _used_names() -> set[str]:
+    """Every name read, imported or reached as an attribute in src/, scripts/ and perfbench/.
+
+    Definitions (`def`, `class`, assignment targets) and the strings of
+    `__all__` are not uses.
+    """
+    used = set()
+    for folder in ("src", "scripts", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    used.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    used.update(alias.name for alias in node.names)
+    return used
 
 
 def test_every_module_is_found():
@@ -22,3 +54,11 @@ def test_every_module_is_found():
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"sqlab.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_every_exported_name_is_used_outside_its_definition():
+    used = _used_names()
+    exported = {n for m in _MODULES for n in importlib.import_module(f"sqlab.{m}").__all__}
+    assert sorted(exported - used - set(_TEST_ONLY)) == []
+    assert sorted(set(_TEST_ONLY) - exported) == []  # the allowlist names only listed names
+    assert sorted(set(_TEST_ONLY) & used) == []  # and only names that no program file uses

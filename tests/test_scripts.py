@@ -37,10 +37,12 @@ ROOT = Path(__file__).resolve().parents[1]
         ("run_copies_scaling.py", ["--d", "64", "2.5"]),
         ("run_haar_gap_grid.py", ["--d", "2.5"]),
         ("run_haar_gap_grid.py", ["--seed", "1e3"]),
+        ("run_haar_gap_grid.py", ["--threads", "2"]),
     ],
     ids=["copies-threshold-2", "copies-no-valid-row", "haar-grid-all-over-budget", "demo-n-0", "demo-n-63",
          "demo-one-vector", "demo-negative-budget", "demo-n-1", "demo-negative-trials", "demo-zero-trials",
-         "demo-n-x", "copies-d-2.5", "haar-grid-d-2.5", "haar-grid-seed-1e3"],
+         "demo-n-x", "copies-d-2.5", "haar-grid-d-2.5", "haar-grid-seed-1e3",
+         "haar-grid-removed-threads-flag"],
 )
 def test_script_rejects_in_one_line(tmp_path, script, args):
     out = tmp_path / "out.csv"
@@ -127,6 +129,30 @@ def test_copies_integer_flags_serve_or_reject_in_one_line(d):
             assert "\nfit: N = " in out
 
 
+# threshold values as text: specials, values inside and outside (0, 2), and non-numbers
+_THRESHOLD_TOKENS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-0", "0", "2", "1e400", "1e-400", "x", "", "1.6.0", "0x1p0"]),
+    st.floats(min_value=-1.0, max_value=3.0).map(repr),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.lists(st.integers(min_value=-2, max_value=4096).map(str), min_size=1, max_size=3),
+    threshold=_THRESHOLD_TOKENS,
+)
+@example(d=["64", "128"], threshold="nan")
+@example(d=["64", "128"], threshold="1e400")
+def test_copies_threshold_serves_or_rejects_in_one_line(d, threshold):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        argv = ["run_copies_scaling.py", "--d", *d, "--threshold", threshold, "--out", str(path)]
+        code, out, err = _run_in_process(_COPIES, argv)
+        _assert_report_or_one_line_refusal(code, out, err, path)
+        if code == 0:  # only a threshold some pair of states can reach, and not every pair does
+            assert 0.0 < float(threshold) < 2.0 and "\nfit: N = " in out
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     d=st.lists(_tokens(st.integers(min_value=-2, max_value=64)), min_size=1, max_size=2),
@@ -137,7 +163,7 @@ def test_copies_integer_flags_serve_or_reject_in_one_line(d):
 @example(d=["4"], N=["2"], mc=None, seed="1e3")
 @example(d=["2.5"], N=["1"], mc="200", seed="0")
 def test_haar_grid_integer_flags_serve_or_reject_in_one_line(d, N, mc, seed):
-    argv = ["run_haar_gap_grid.py", "--d", *d, "--N", *N, "--seed", seed, "--threads", "1"]
+    argv = ["run_haar_gap_grid.py", "--d", *d, "--N", *N, "--seed", seed]
     if mc is not None:
         argv += ["--mc-samples", mc]
     with tempfile.TemporaryDirectory() as tmp:
