@@ -3,16 +3,16 @@
 
 The closed-form trace norm forces N to grow linearly in d = 2^n, i.e.
 exponentially in the qubit count; this script sweeps d, fits N = alpha*d +
-beta, and prints the fit alongside the per-d values. An invalid threshold, or
-fewer than two distinct d with a valid cell, is refused with one `error:` line
-on stderr and exit code 1, before anything is written.
+beta, and prints the fit alongside the per-d values. An invalid threshold,
+fewer than two distinct d with a valid cell, or an --out that cannot be
+written is refused with one `error:` line on stderr and exit code 1.
 """
 
 import sys
 from pathlib import Path
 
 from sqlab.cli import _ArgumentParser, _int  # the sqlab command line's rule for flags
-from sqlab.experiments import ConfigError, ExperimentConfig, linear_fit, run_sweep, write_records
+from sqlab.experiments import ExperimentConfig, linear_fit, run_sweep, write_records
 from sqlab.quantum_sim import HELSTROM_SCHATTEN_THRESHOLD
 
 
@@ -28,19 +28,16 @@ def main() -> int:
             subcommand="copies-sweep", d_values=tuple(args.d), threshold=args.threshold
         )
         records = run_sweep(config)
-    except (ConfigError, ValueError) as exc:
+        good = [r for r in records if r.error is None]
+        dims = [r.params["d"] for r in good]
+        copies = [r.values["min_copies"] for r in good]
+        if len(set(dims)) < 2:
+            raise ValueError(f"a line fit needs valid cells at two distinct d, got {len(set(dims))}")
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        write_records(records, "csv", args.out)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    good = [r for r in records if r.error is None]
-    dims = [r.params["d"] for r in good]
-    copies = [r.values["min_copies"] for r in good]
-    if len(set(dims)) < 2:
-        print(f"error: a line fit needs valid cells at two distinct d, got {len(set(dims))}",
-              file=sys.stderr)
-        return 1
-
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    write_records(records, "csv", args.out)
     slope, intercept, r_squared = linear_fit(dims, copies)
     print(f"wrote {len(records)} rows to {args.out}")
     for d, n_min in zip(dims, copies):

@@ -4,15 +4,15 @@
 Writes a CSV (default results/haar_gap_grid.csv) with the gap, both bounds,
 and the minimum eigenvalue of the scalar-subtracted remainder per cell, plus
 a Monte Carlo deviation column when --mc-samples is given. Invalid options,
-or a grid none of whose cells is served, are refused with one `error:` line on
-stderr and exit code 1, before anything is written.
+a grid none of whose cells is served, or an --out that cannot be written are
+refused with one `error:` line on stderr and exit code 1.
 """
 
 import sys
 from pathlib import Path
 
 from sqlab.cli import _ArgumentParser, _int  # the sqlab command line's rule for flags
-from sqlab.experiments import ConfigError, ExperimentConfig, run_sweep, write_records
+from sqlab.experiments import ExperimentConfig, run_sweep, write_records
 
 
 def main() -> int:
@@ -33,17 +33,15 @@ def main() -> int:
             seed=args.seed,
         )
         records = run_sweep(config)
-    except (ConfigError, ValueError) as exc:
+        failures = [r for r in records if r.error]
+        if len(failures) == len(records):
+            raise ValueError(f"no cell was served; d={records[0].params['d']} N={records[0].params['N']}: "
+                             f"{records[0].error}")
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        write_records(records, "csv", args.out)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    failures = [r for r in records if r.error]
-    if len(failures) == len(records):
-        print(f"error: no cell was served; d={records[0].params['d']} N={records[0].params['N']}: "
-              f"{records[0].error}", file=sys.stderr)
-        return 1
-
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    write_records(records, "csv", args.out)
     worst_slack = min(
         r.values["bound_two_term"] - r.values["gap"] for r in records if r.error is None
     )

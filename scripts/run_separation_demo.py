@@ -11,7 +11,6 @@ no task can serve are refused with one `error:` line on stderr and exit code
 import sys
 
 from sqlab.cli import _ArgumentParser, _int  # the sqlab command line's rule for flags
-from sqlab.experiments import ConfigError
 from sqlab.instances import gen_minus_sign, gen_real_vector_search, gen_unnormalized_minus
 from sqlab.learners import solve_minus_sign, solve_real_search, solve_sample_only
 from sqlab.quantum_sim import min_copies_minus_sign
@@ -73,7 +72,7 @@ def main() -> int:
     try:
         args = parser.parse_args()
         lines = _report(args)
-    except (ConfigError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print("\n".join(lines))

@@ -10,8 +10,9 @@ Subcommands:
   sharp-p         verify the probe-state amplitude identity for a circuit file
   encoding-demo   product versus amplitude encoding of a sign vector
 
-Exit codes: 0 on success, 1 on configuration errors, 2 when a sweep cell
-records a bound violation, a sample-test fails or a sharp-p identity fails.
+Exit codes: 0 on success, 1 on any refused input (a ValueError or an
+OSError, reported in one `error:` line), 2 when a sweep cell records a bound
+violation, a sample-test fails or a sharp-p identity fails.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 from . import circuit_bridge, instances, learners, quantum_sim, sq_oracle
 from .experiments import (
     MIN_EXPECTED_COUNT,
-    ConfigError,
     ExperimentConfig,
     chi_square_gof,
     run_sweep,
@@ -41,10 +41,10 @@ _SOLVER_NAMES = ("minus-sign", "real-search", "sample-only")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse that reports usage problems as ConfigError (exit code 1)."""
+    """argparse that reports usage problems as ValueError (exit code 1)."""
 
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _int(text: str) -> int:
@@ -103,8 +103,8 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--a", help="density operator file for the first state")
     p.add_argument("--b", help="density operator file for the second state")
     p.add_argument("--family", choices=("minus-sign",), help="construct a named pair instead")
-    p.add_argument("--d", type=_int, default=4, help="vector dimension for --family")
-    p.add_argument("--copies", type=_int, default=1, help="copies per state for --family")
+    p.add_argument("--d", type=_int, help="vector dimension for --family (default 4)")
+    p.add_argument("--copies", type=_int, help="copies per state for --family (default 1)")
     p.add_argument("--trials", type=_int, default=10_000)
 
     p = sub.add_parser("haar-gap", help="moment-gap sweep over (d, N)")
@@ -136,7 +136,7 @@ def _build_parser() -> _ArgumentParser:
 def _cmd_sample_test(args) -> int:
     # at 0 the test passes every sampler, at 1 or above it fails every one
     if not 0.0 < args.significance < 1.0:
-        raise ConfigError(f"--significance must lie in (0, 1), got {args.significance}")
+        raise ValueError(f"--significance must lie in (0, 1), got {args.significance}")
     rng = np.random.default_rng(args.seed)
     if args.vector is not None:
         values = sq_oracle.load_dense_vector(args.vector)
@@ -152,9 +152,9 @@ def _cmd_sample_test(args) -> int:
         probs = None  # uniform magnitudes; tested via equal-width buckets
     else:
         if args.dim < 1:
-            raise ConfigError("--dim must be a positive integer")
+            raise ValueError("--dim must be a positive integer")
         if args.dim > 1 << sq_oracle.DENSE_BUDGET_N:  # the cap of vector files and instances
-            raise ConfigError(f"--dim must be at most 2^{sq_oracle.DENSE_BUDGET_N}, got {sq_oracle.quoted(args.dim)}")
+            raise ValueError(f"--dim must be at most 2^{sq_oracle.DENSE_BUDGET_N}, got {sq_oracle.quoted(args.dim)}")
         values = rng.standard_normal(args.dim) + 1j * rng.standard_normal(args.dim)
         handle = sq_oracle.build_dense(values)
         probs = np.abs(values) ** 2
@@ -169,9 +169,9 @@ def _cmd_sample_test(args) -> int:
         # two cells need MIN_EXPECTED_COUNT each: the likeliest outcome and the rest
         p_max = float(np.max(probs) / np.sum(probs))
         if p_max >= 1.0:
-            raise ConfigError("the sampling distribution has one outcome; there is nothing to test")
+            raise ValueError("the sampling distribution has one outcome; there is nothing to test")
         needed = math.ceil(MIN_EXPECTED_COUNT / min(p_max, 1.0 - p_max))
-        raise ConfigError(
+        raise ValueError(
             f"{args.draws} draws leave the chi-square test no degrees of freedom;"
             f" use at least {needed} draws"
         )
@@ -243,11 +243,17 @@ def _cmd_solve(args) -> int:
 def _cmd_discriminate(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.family is not None:
-        u, v = quantum_sim.minus_sign_product_vectors(args.d, args.copies)
+        if args.a is not None or args.b is not None:
+            raise ValueError("--family excludes --a and --b")
+        d = 4 if args.d is None else args.d
+        copies = 1 if args.copies is None else args.copies
+        u, v = quantum_sim.minus_sign_product_vectors(d, copies)
         dim = u.size
         schatten, success, empirical = quantum_sim.discriminate_pure_pair(u, v, args.trials, rng)
-        source = f"family:{args.family}(d={args.d},copies={args.copies})"
+        source = f"family:{args.family}(d={d},copies={copies})"
     elif args.a and args.b:
+        if args.d is not None or args.copies is not None:
+            raise ValueError("--d and --copies apply only to --family")
         rho_a = quantum_sim.load_density_operator(args.a)
         rho_b = quantum_sim.load_density_operator(args.b)
         dim = rho_a.dim
@@ -256,7 +262,7 @@ def _cmd_discriminate(args) -> int:
         empirical = quantum_sim.simulate_discrimination(rho_a, rho_b, args.trials, rng)
         source = "files"
     else:
-        raise ConfigError("discriminate needs either --a and --b or --family")
+        raise ValueError("discriminate needs either --a and --b or --family")
     _emit(
         {
             "experiment": "discriminate",
@@ -292,7 +298,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_sharp_p(args) -> int:
     # a negative tolerance fails every circuit, an infinite one passes every one
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
-        raise ConfigError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
+        raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     try:
         circuit = circuit_bridge.parse_circuit(Path(args.circuit).read_text())
         t0 = time.perf_counter_ns()
@@ -323,9 +329,9 @@ def _cmd_sharp_p(args) -> int:
 
 def _cmd_encoding_demo(args) -> int:
     if args.n < 1 or args.trials < 1 or args.num_vectors < 2:
-        raise ConfigError("encoding-demo needs n >= 1, trials >= 1, C >= 2")
+        raise ValueError("encoding-demo needs n >= 1, trials >= 1, C >= 2")
     if args.num_vectors > instances.MAX_VECTORS:
-        raise ConfigError(f"--C must be at most {instances.MAX_VECTORS}, got {sq_oracle.quoted(args.num_vectors)}")
+        raise ValueError(f"--C must be at most {instances.MAX_VECTORS}, got {sq_oracle.quoted(args.num_vectors)}")
     rng = np.random.default_rng(args.seed)
     # each object is the first factor of its product state: |-> for k*, |+> for the rest
     h = math.sqrt(0.5)
@@ -371,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.subcommand](args)
-    except (ConfigError, OSError, ValueError, learners.MalformedInstanceError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

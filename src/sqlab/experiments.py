@@ -30,7 +30,6 @@ from .quantum_sim import (
 )
 
 __all__ = [
-    "ConfigError",
     "ExperimentConfig",
     "MIN_EXPECTED_COUNT",
     "ResultRecord",
@@ -44,10 +43,6 @@ __all__ = [
 
 # Bins expected to hold fewer draws than this are pooled before a chi-square test.
 MIN_EXPECTED_COUNT = 5.0
-
-
-class ConfigError(Exception):
-    """Invalid experiment configuration or command-line usage."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +59,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
+            raise ValueError("threads must be at least 1")
         check_schatten_threshold(self.threshold)  # else every copies-sweep cell is invalid
 
 
@@ -141,16 +136,16 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
     """
     if config.subcommand == "haar-gap":
         if not config.d_values or not config.copies_values:
-            raise ConfigError("haar-gap needs nonempty --d and --N lists")
+            raise ValueError("haar-gap needs nonempty --d and --N lists")
         cells = sorted((d, n) for d in config.d_values for n in config.copies_values)
         runner = lambda cell: _haar_gap_cell(config, *cell)
     elif config.subcommand == "copies-sweep":
         if not config.d_values:
-            raise ConfigError("copies-sweep needs a nonempty --d list")
+            raise ValueError("copies-sweep needs a nonempty --d list")
         cells = sorted(config.d_values)
         runner = lambda d: _copies_cell(config, d)
     else:
-        raise ConfigError(f"unknown sweep {config.subcommand!r}")
+        raise ValueError(f"unknown sweep {config.subcommand!r}")
 
     if config.threads == 1:
         return [runner(cell) for cell in cells]
@@ -203,7 +198,7 @@ def render_records(records: list[ResultRecord], fmt: str, timings: bool = False)
             items = row_items(rec)
             lines.append(json.dumps({c: items.get(c) for c in columns}, separators=(",", ":")))
         return "\n".join(lines) + "\n"
-    raise ConfigError(f"unknown output format {fmt!r}")
+    raise ValueError(f"unknown output format {fmt!r}")
 
 
 def write_records(

@@ -28,7 +28,6 @@ from .sq_oracle import (
     build_dense,
     build_implicit,
     content_lines,
-    load_dense_vector,
     materialize,
     parse_int,
     quoted,
@@ -285,8 +284,7 @@ def dump_instance(instance: ProblemInstance, directory: str | Path, reveal: bool
 def load_instance(directory: str | Path) -> ProblemInstance:
     """Rebuild an instance from a dumped directory.
 
-    Dense vectors are read from `npy` lines (`.npy` files) or from legacy
-    `dense` lines (text files in the `load_dense_vector` format). Every vector
+    Dense vectors are read from `npy` lines (`.npy` files). Every vector
     must have dimension 2^n for the manifest's n. When the manifest does not
     reveal k*, the instance is regenerated from its (kind, n, C, seed) record
     to recover the answer, and the dumped data is checked against the
@@ -344,10 +342,10 @@ def load_instance(directory: str | Path) -> ProblemInstance:
             if spec.n != n:
                 raise ValueError(f"{manifest}: vector {j} has n={spec.n}, the manifest n={n}")
             handles.append(build_implicit(spec))
-        elif backing_kind in ("npy", "dense"):  # `dense` is the legacy text format
+        elif backing_kind == "npy":
             path = directory / rest[0]
             try:
-                entries = _load_npy_vector(path) if backing_kind == "npy" else load_dense_vector(path)
+                entries = _load_npy_vector(path)
             except OSError as exc:  # its message repeats the file name, which may be any length
                 raise ValueError(f"{manifest}: vector {j}: {quoted(rest[0])}: {exc.strerror}") from None
             if entries.size != 1 << n:

@@ -20,15 +20,11 @@ import numpy as np
 from .sq_oracle import Capability, OracleStats, SqHandle
 
 __all__ = [
-    "MalformedInstanceError",
     "SolveReport",
     "solve_minus_sign",
     "solve_real_search",
     "solve_sample_only",
 ]
-
-class MalformedInstanceError(Exception):
-    """The handles do not contain exactly one distinguished vector."""
 
 
 @dataclass
@@ -63,7 +59,7 @@ def _solve_by_first_component(
     firsts = [h.query(1) for h in handles]
     marked = [k for k, z in enumerate(firsts, start=1) if distinguished(z)]
     if len(marked) != 1:
-        raise MalformedInstanceError(f"expected exactly one {word} first component, found {len(marked)}")
+        raise ValueError(f"expected exactly one {word} first component, found {len(marked)}")
     return _finish(handles, before, marked[0], t0)
 
 

@@ -16,7 +16,6 @@ import pytest
 from sqlab import circuit_bridge, experiments, instances
 from sqlab.cli import _SOLVER_NAMES, main
 from sqlab.experiments import (
-    ConfigError,
     ExperimentConfig,
     ResultRecord,
     chi_square_gof,
@@ -27,7 +26,6 @@ from sqlab.experiments import (
 from sqlab.haar_moments import BoundViolationError
 from sqlab.quantum_sim import ncopy_minus_sign_tracenorm
 from sqlab.sq_oracle import DENSE_BUDGET_N
-from test_instances import copy_as_legacy_directory
 
 
 def _gap_config(**overrides):
@@ -37,13 +35,13 @@ def _gap_config(**overrides):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError, match="format"):
+    with pytest.raises(ValueError, match="format"):
         render_records(run_sweep(_gap_config(copies_values=(1,))), "xml")
-    with pytest.raises(ConfigError, match="threads"):
+    with pytest.raises(ValueError, match="threads"):
         ExperimentConfig(subcommand="haar-gap", threads=0)
-    with pytest.raises(ConfigError, match="nonempty"):
+    with pytest.raises(ValueError, match="nonempty"):
         run_sweep(ExperimentConfig(subcommand="haar-gap", d_values=(), copies_values=(1,)))
-    with pytest.raises(ConfigError, match="unknown sweep"):
+    with pytest.raises(ValueError, match="unknown sweep"):
         run_sweep(ExperimentConfig(subcommand="teleport", d_values=(2,)))
 
 
@@ -247,17 +245,6 @@ def test_cli_haar_gap_refuses_a_monte_carlo_draw_chunk_over_budget(capsys):
 def _solve_line(capsys, solver, directory):
     assert main(["solve", solver, "--instance", str(directory)]) == 0
     return re.sub(r'"elapsed_ns":\d+,', "", capsys.readouterr().out)
-
-
-def test_cli_solve_report_is_the_same_for_npy_and_legacy_text(tmp_path, capsys):
-    inst_dir = tmp_path / "inst"
-    assert main(["--seed", "26", "gen-instance", "--kind", "real-search", "--n", "10", "--C", "4", "--dir", str(inst_dir)]) == 0
-    capsys.readouterr()
-    assert sorted(p.name for p in inst_dir.iterdir()) == ["manifest.txt"] + [f"vector_{j}.npy" for j in range(1, 5)]
-    copy_as_legacy_directory(inst_dir, tmp_path / "legacy")
-    npy_line = _solve_line(capsys, "real-search", inst_dir)
-    assert '"correct":true' in npy_line and "elapsed_ns" not in npy_line
-    assert _solve_line(capsys, "real-search", tmp_path / "legacy") == npy_line
 
 
 def _pickled_object_array(path):
@@ -471,6 +458,12 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         (["encoding-demo", "--n", "3", "--trials", "1", "--C", "1099511627776"], 1),
         (["gen-instance", "--kind", "minus-sign", "--n", "3", "--C", "100000000", "--dir", "{fresh_dir}"], 1),
         (["gen-instance", "--kind", "real-search", "--n", "24", "--C", "5", "--dir", "{fresh_dir}"], 1),
+        (["discriminate", "--family", "minus-sign", "--a", "{missing}", "--b", "{missing}"], 1),
+        (["discriminate", "--family", "minus-sign", "--a", "{one_density}", "--b", "{one_density}"], 1),
+        (["discriminate", "--family", "minus-sign", "--b", "{one_density}"], 1),
+        (["discriminate", "--a", "{one_density}", "--b", "{one_density}", "--d", "4"], 1),
+        (["discriminate", "--a", "{one_density}", "--b", "{one_density}", "--copies", "1"], 1),
+        (["--out", "{one_entry}/gap.csv", "haar-gap", "--d", "4", "--N", "1"], 1),
     ],
     ids=[
         "sample-test-no-dof",
@@ -516,6 +509,12 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         "encoding-demo-C-past-vector-cap",
         "gen-instance-C-past-vector-cap",
         "gen-instance-real-search-past-entry-cap",
+        "discriminate-family-with-missing-files",
+        "discriminate-family-with-files",
+        "discriminate-family-with-one-file",
+        "discriminate-files-with-d",
+        "discriminate-files-with-copies",
+        "haar-gap-out-under-a-file",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -551,8 +550,8 @@ def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
         "unknown_key": head + "seed 0\ncolour red\n",
         "no_seed": head + f"vector 1 {plus}\nvector 2 {plus}\n",
         "n_zero": "kind minus-sign\nn 0\nC 2\nseed 0\n",
-        "huge_n": "kind real-search\nn 1000000000000\nC 2\nseed 0\nvector 1 dense ../one_entry.txt\n"
-        "vector 2 dense ../one_entry.txt\n",
+        "huge_n": "kind real-search\nn 1000000000000\nC 2\nseed 0\nvector 1 npy vector_1.npy\n"
+        "vector 2 npy vector_2.npy\n",
         "huge_C": "kind minus-sign\nn 2\nC 1000000000000\nseed 0\n",
         "missing_vector": head + f"seed 0\nvector 1 {plus}\n",
         "unknown_backing": head + f"seed 0\nvector 1 {plus}\nvector 2 zip vector_2.zip\n",
@@ -563,18 +562,24 @@ def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
         paths[name].mkdir()
         (paths[name] / "manifest.txt").write_bytes(text.encode("latin-1"))
     paths["fresh_dir"] = tmp_path / "fresh"
+    paths["missing"] = tmp_path / "missing.txt"
     assert main([arg.format(**paths) for arg in argv]) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert captured.err.strip().count("\n") == 0
     if argv[0] == "encoding-demo" and code == 0:
         assert json.loads(captured.out)["amplitude_single_copy_success"] == 0.5
-    if "--family" in argv and "--trials" not in argv:
+    # --family and the file pair exclude each other, and are refused before a file is opened
+    mixed = "--b" in argv and any(flag in argv for flag in ("--family", "--d", "--copies"))
+    if mixed:
+        assert captured.err.startswith(("error: --family excludes --a and --b\n",
+                                        "error: --d and --copies apply only to --family\n"))
+    elif "--family" in argv and "--trials" not in argv:
         assert captured.err.startswith("error: minus-sign pair dimension d^(2N) with d=")
     # a refused density, circuit, vector or manifest file is named; a one-entry vector
     # is a readable file, and what is refused is a test with one outcome
     for flag in ("--a", "--circuit", "--vector", "--instance"):
-        if flag in argv and "{one_entry}" not in argv:
+        if flag in argv and "{one_entry}" not in argv and not mixed:
             path = Path(argv[argv.index(flag) + 1].format(**paths))
             assert captured.err.startswith(f"error: {path / 'manifest.txt' if flag == '--instance' else path}:")
     if "{huge_dim}" in argv:

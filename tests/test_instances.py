@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,9 +18,7 @@ from sqlab.instances import (
     haar_unit_vector,
     load_instance,
 )
-from sqlab.learners import solve_real_search
 from sqlab.sq_oracle import ImplicitVector
-from test_sq_oracle import write_legacy_dense_vector
 
 
 def test_haar_real_d1_is_sign():
@@ -243,61 +242,36 @@ def test_load_detects_tampering(tmp_path):
         load_instance(tmp_path / "inst")
 
 
-def copy_as_legacy_directory(src, dst):
-    """Copy an instance directory, rewriting each `npy` vector as a legacy `dense` text file."""
-    dst.mkdir()
-    lines = []
-    for line in (src / "manifest.txt").read_text().splitlines():
-        tokens = line.split()
-        if tokens[0] == "vector" and tokens[2] == "npy":
-            name = tokens[3].replace(".npy", ".txt")
-            write_legacy_dense_vector(dst / name, np.load(src / tokens[3]))
-            line = f"vector {tokens[1]} dense {name}"
-        lines.append(line)
-    (dst / "manifest.txt").write_text("\n".join(lines) + "\n")
-
-
-def test_legacy_dense_manifest_loads_and_solves_the_same(tmp_path):
-    instance = gen_real_vector_search(6, 3, seed=23)
-    dump_instance(instance, tmp_path / "npy")
-    copy_as_legacy_directory(tmp_path / "npy", tmp_path / "legacy")
-    assert "vector 1 dense vector_1.txt" in (tmp_path / "legacy" / "manifest.txt").read_text()
-    reports = []
-    for name in ("npy", "legacy"):
-        loaded = load_instance(tmp_path / name)  # regenerates from the seed, so also checks the data
-        assert loaded._k_star == instance._k_star
-        for a, b in zip(loaded.handles, instance.handles):
-            assert a.backing.entries.tobytes() == b.backing.entries.tobytes()
-        reports.append(solve_real_search(loaded.handles))
-    assert reports[0].answer == reports[1].answer == instance._k_star
-    assert reports[0].per_handle_stats == reports[1].per_handle_stats
-
-
-@pytest.mark.parametrize("legacy", [False, True])
-def test_load_checks_vector_length_against_manifest(tmp_path, legacy):
+def test_load_checks_vector_length_against_manifest(tmp_path):
     # revealed, so no regeneration would catch the short vectors
     dump_instance(gen_real_vector_search(4, 2, seed=24), tmp_path / "inst", reveal=True)
     short = np.array([0.6, 0.8j])
     for j in (1, 2):
         np.save(tmp_path / "inst" / f"vector_{j}.npy", short)
-    directory = tmp_path / "inst"
-    if legacy:
-        copy_as_legacy_directory(tmp_path / "inst", tmp_path / "legacy")
-        directory = tmp_path / "legacy"
-    with pytest.raises(ValueError, match=r"vector_1\.(npy|txt): 2 entries, the manifest's n=4 needs 16"):
-        load_instance(directory)
+    with pytest.raises(ValueError, match=r"vector_1\.npy: 2 entries, the manifest's n=4 needs 16"):
+        load_instance(tmp_path / "inst")
 
 
-@pytest.mark.parametrize("legacy", [False, True])
-def test_load_names_the_vector_file_it_refuses(tmp_path, legacy):
+def test_load_names_the_vector_file_it_refuses(tmp_path):
     dump_instance(gen_real_vector_search(4, 2, seed=24), tmp_path / "inst", reveal=True)
     np.save(tmp_path / "inst" / "vector_1.npy", np.full(16, np.nan))
-    directory = tmp_path / "inst"
-    if legacy:
-        copy_as_legacy_directory(tmp_path / "inst", tmp_path / "legacy")
-        directory = tmp_path / "legacy"
-    with pytest.raises(ValueError, match=r"vector_1\.(npy|txt): squared norm nan is not finite"):
-        load_instance(directory)
+    with pytest.raises(ValueError, match=r"vector_1\.npy: squared norm nan is not finite"):
+        load_instance(tmp_path / "inst")
+
+
+def test_load_refuses_a_text_vector_line(tmp_path):
+    # dense vectors are read from `.npy` files only; `dense` is an unknown backing
+    instance = gen_real_vector_search(4, 2, seed=23)
+    dump_instance(instance, tmp_path / "inst")
+    assert sorted(p.name for p in (tmp_path / "inst").iterdir()) == ["manifest.txt", "vector_1.npy", "vector_2.npy"]
+    manifest = tmp_path / "inst" / "manifest.txt"
+    assert "vector 1 npy vector_1.npy\n" in manifest.read_text()
+    (tmp_path / "inst" / "vector_1.txt").write_text(
+        "".join(f"{z.real!r} {z.imag!r}\n" for z in instance.handles[0].backing.entries)
+    )
+    manifest.write_text(manifest.read_text().replace("vector 1 npy vector_1.npy", "vector 1 dense vector_1.txt"))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(manifest))}: unknown backing 'dense'$"):
+        load_instance(tmp_path / "inst")
 
 
 def test_load_checks_implicit_n_against_manifest(tmp_path):

@@ -11,7 +11,6 @@ from sqlab.instances import (
     load_instance,
 )
 from sqlab.learners import (
-    MalformedInstanceError,
     solve_minus_sign,
     solve_real_search,
     solve_sample_only,
@@ -49,13 +48,13 @@ def test_solve_minus_sign_rejects_malformed():
     all_plus = [
         build_implicit(ImplicitVector(kind="all-plus", n=3, scale=1.0)) for _ in range(3)
     ]
-    with pytest.raises(MalformedInstanceError, match="found 0"):
+    with pytest.raises(ValueError, match="found 0"):
         solve_minus_sign(all_plus)
     two_minus = [
         build_implicit(ImplicitVector(kind="minus-at-index", n=3, scale=1.0, minus_index=1))
         for _ in range(2)
     ]
-    with pytest.raises(MalformedInstanceError, match="found 2"):
+    with pytest.raises(ValueError, match="found 2"):
         solve_minus_sign(two_minus)
 
 
@@ -91,7 +90,7 @@ def test_solve_real_search_tolerance_variant():
     handles = [
         build_dense(v / np.linalg.norm(v)) for v in (complex_one, real_with_dust)
     ]
-    with pytest.raises(MalformedInstanceError):
+    with pytest.raises(ValueError):
         solve_real_search(handles)  # exact test sees no exactly-real component
 
 

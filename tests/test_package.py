@@ -3,6 +3,9 @@
 Tracing tools wrap the functions listed there by looking each name up, so a
 stale entry breaks them even when no import in the package fails. A listed
 name that no program file uses is a public wrapper that nothing calls.
+
+The entry points (`sqlab.cli.main` and each script's `main`) share one
+refusal rule: a `ValueError` or an `OSError` is one `error:` line and exit 1.
 """
 
 import ast
@@ -62,3 +65,42 @@ def test_every_exported_name_is_used_outside_its_definition():
     assert sorted(exported - used - set(_TEST_ONLY)) == []
     assert sorted(set(_TEST_ONLY) - exported) == []  # the allowlist names only listed names
     assert sorted(set(_TEST_ONLY) & used) == []  # and only names that no program file uses
+
+
+_ENTRY_POINTS = ["src/sqlab/cli.py", *sorted(f"scripts/{p.name}" for p in (ROOT / "scripts").glob("*.py"))]
+
+
+@pytest.mark.parametrize("path", _ENTRY_POINTS)
+def test_every_entry_point_refuses_exactly_oserror_and_valueerror(path):
+    tree = ast.parse((ROOT / path).read_text())
+    (main,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    handlers = [n for n in ast.walk(main) if isinstance(n, ast.ExceptHandler)]
+    assert handlers, "main catches nothing"
+    for handler in handlers:
+        caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        assert sorted(ast.unparse(t) for t in caught) == ["OSError", "ValueError"]
+    # parsing and writing happen inside the try, so their refusals reach the handler
+    guarded = {id(n) for t in ast.walk(main) if isinstance(t, ast.Try) for s in t.body for n in ast.walk(s)}
+    for node in ast.walk(main):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("parse_args", "mkdir", "write_records"):
+            assert id(node) in guarded, f"{ast.unparse(node)} is outside the try"
+
+
+# Exception classes that are not ValueError, each with why no entry point refuses it as input.
+_NOT_REFUSALS = {
+    "CapabilityError": "no CLI path can raise it: every restricted handle is used only within its capabilities",
+    "BudgetExceededError": "becomes a per-cell `budget-exceeded` record",
+    "BoundViolationError": "becomes a `bound-violation` record and exit 2",
+}
+
+
+def test_every_exception_class_is_a_valueerror_or_says_why_not():
+    found = {}
+    for name in _MODULES:
+        module = importlib.import_module(f"sqlab.{name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__:
+                found[obj.__name__] = obj
+    others = {n for n, cls in found.items() if not issubclass(cls, ValueError)}
+    assert sorted(others - set(_NOT_REFUSALS)) == []
+    assert sorted(set(_NOT_REFUSALS) - others) == []  # the allowlist names only such classes

@@ -59,6 +59,25 @@ def test_script_rejects_in_one_line(tmp_path, script, args):
     assert proc.stdout == "" and not out.exists()
 
 
+
+@pytest.mark.parametrize(
+    "script,args",
+    [("run_copies_scaling.py", ["--d", "64", "128"]), ("run_haar_gap_grid.py", ["--d", "4", "8"])],
+    ids=["copies", "haar-grid"],
+)
+def test_sweep_script_refuses_an_out_path_under_a_file_in_one_line(tmp_path, script, args):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args, "--out", str(blocker / "x.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == "" and blocker.read_text() == ""
+
 def _load_script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

@@ -297,8 +297,8 @@ def test_sampling_time_scales_gently():
 def write_legacy_dense_vector(path, values):
     """Write a vector in the text format `load_dense_vector` reads: one `%.17g` pair per line.
 
-    Instance directories used to hold their dense vectors in this format;
-    tests use it to build legacy directories.
+    This is the format of `sample-test --vector` files, the one input that
+    still reads vectors as text; instance directories hold `.npy` files.
     """
     arr = np.asarray(values, dtype=np.complex128)
     with open(path, "w") as fh:
