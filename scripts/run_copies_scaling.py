@@ -11,8 +11,8 @@ written is refused with one `error:` line on stderr and exit code 1.
 import sys
 from pathlib import Path
 
-from sqlab.cli import _ArgumentParser, _int  # the sqlab command line's rule for flags
-from sqlab.experiments import ExperimentConfig, linear_fit, run_sweep, write_records
+from sqlab.cli import _ArgumentParser, _check_out, _int, _write_out  # the sqlab command line's rules
+from sqlab.experiments import ExperimentConfig, linear_fit, render_records, run_sweep
 from sqlab.quantum_sim import HELSTROM_SCHATTEN_THRESHOLD
 
 
@@ -27,14 +27,15 @@ def main() -> int:
         config = ExperimentConfig(
             subcommand="copies-sweep", d_values=tuple(args.d), threshold=args.threshold
         )
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        _check_out(args.out)
         records = run_sweep(config)
         good = [r for r in records if r.error is None]
         dims = [r.params["d"] for r in good]
         copies = [r.values["min_copies"] for r in good]
         if len(set(dims)) < 2:
             raise ValueError(f"a line fit needs valid cells at two distinct d, got {len(set(dims))}")
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        write_records(records, "csv", args.out)
+        _write_out(render_records(records, "csv"), args.out)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,8 +11,8 @@ refused with one `error:` line on stderr and exit code 1.
 import sys
 from pathlib import Path
 
-from sqlab.cli import _ArgumentParser, _int  # the sqlab command line's rule for flags
-from sqlab.experiments import ExperimentConfig, run_sweep, write_records
+from sqlab.cli import _ArgumentParser, _check_out, _int, _write_out  # the sqlab command line's rules
+from sqlab.experiments import ExperimentConfig, render_records, run_sweep
 
 
 def main() -> int:
@@ -32,13 +32,14 @@ def main() -> int:
             mc_samples=args.mc_samples,
             seed=args.seed,
         )
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        _check_out(args.out)
         records = run_sweep(config)
         failures = [r for r in records if r.error]
         if len(failures) == len(records):
             raise ValueError(f"no cell was served; d={records[0].params['d']} N={records[0].params['N']}: "
                              f"{records[0].error}")
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        write_records(records, "csv", args.out)
+        _write_out(render_records(records, "csv"), args.out)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

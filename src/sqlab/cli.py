@@ -10,6 +10,10 @@ Subcommands:
   sharp-p         verify the probe-state amplitude identity for a circuit file
   encoding-demo   product versus amplitude encoding of a sign vector
 
+Each handler returns its result and exit code. `main` checks `--out` before any
+work, then writes the result (one JSON line, or a sweep's rows in `--format`) to
+`--out` or stdout. `--format` and `--timings` apply to the sweeps only.
+
 Exit codes: 0 on success, 1 on any refused input (a ValueError or an
 OSError, reported in one `error:` line), 2 when a sweep cell records a bound
 violation, a sample-test fails or a sharp-p identity fails.
@@ -18,8 +22,10 @@ violation, a sample-test fails or a sharp-p identity fails.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -30,9 +36,10 @@ from . import circuit_bridge, instances, learners, quantum_sim, sq_oracle
 from .experiments import (
     MIN_EXPECTED_COUNT,
     ExperimentConfig,
+    ResultRecord,
     chi_square_gof,
+    render_records,
     run_sweep,
-    write_records,
 )
 
 __all__ = ["main"]
@@ -59,19 +66,31 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(_int(tok) for tok in text.split(",") if tok)
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    line = json.dumps(payload, separators=(",", ":"))
+def _check_out(out: str | None) -> None:
+    """Before any work, refuse an `out` that cannot be written with the error that writing it would
+    raise. Nothing is created, truncated or replaced, so a refused run leaves `out` as it was."""
     if out is None:
-        print(line)
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if not Path(os.path.realpath(path)).parent.is_dir():  # a symlink is checked at its target
+        os.stat(path)  # raises what opening it would: no such file, or not a directory
+
+
+def _write_out(text: str, out: str | None) -> None:
+    """Write a result to `out`, or to stdout when `out` is None; the one writer of results."""
+    if out is None:
+        print(text, end="")
     else:
-        Path(out).write_text(line + "\n")
+        Path(out).write_text(text)
 
 
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="sqlab")
     parser.add_argument("--seed", type=_int, default=0, help="global RNG seed")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json-lines"), default="csv")
+    parser.add_argument("--format", dest="fmt", choices=("csv", "json-lines"), help="sweeps only (default: csv)")
     parser.add_argument(
         "--timings",
         action="store_true",
@@ -133,7 +152,7 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _cmd_sample_test(args) -> int:
+def _cmd_sample_test(args) -> tuple[dict, int]:
     # at 0 the test passes every sampler, at 1 or above it fails every one
     if not 0.0 < args.significance < 1.0:
         raise ValueError(f"--significance must lie in (0, 1), got {args.significance}")
@@ -176,42 +195,34 @@ def _cmd_sample_test(args) -> int:
             f" use at least {needed} draws"
         )
     passed = p_value >= args.significance
-    _emit(
-        {
-            "experiment": "sample-test",
-            "dim": handle.dim,
-            "draws": int(args.draws),
-            "chi_square": statistic,
-            "dof": dof,
-            "p_value": p_value,
-            "significance": args.significance,
-            "pass": passed,
-            "seed": args.seed,
-        },
-        args.out,
-    )
-    return 0 if passed else 2
+    return {
+        "experiment": "sample-test",
+        "dim": handle.dim,
+        "draws": int(args.draws),
+        "chi_square": statistic,
+        "dof": dof,
+        "p_value": p_value,
+        "significance": args.significance,
+        "pass": passed,
+        "seed": args.seed,
+    }, 0 if passed else 2
 
 
-def _cmd_gen_instance(args) -> int:
+def _cmd_gen_instance(args) -> tuple[dict, int]:
     instance = instances.generate(args.kind, args.n, args.num_vectors, args.seed)
     instances.dump_instance(instance, args.dir, reveal=args.reveal)
-    _emit(
-        {
-            "experiment": "gen-instance",
-            "kind": args.kind,
-            "n": args.n,
-            "C": args.num_vectors,
-            "seed": args.seed,
-            "dir": args.dir,
-            "revealed": bool(args.reveal),
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "experiment": "gen-instance",
+        "kind": args.kind,
+        "n": args.n,
+        "C": args.num_vectors,
+        "seed": args.seed,
+        "dir": args.dir,
+        "revealed": bool(args.reveal),
+    }, 0
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple[dict, int]:
     instance = instances.load_instance(args.instance)
     rng = np.random.default_rng(args.seed)
     if args.solver == "minus-sign":
@@ -221,26 +232,22 @@ def _cmd_solve(args) -> int:
     else:
         restricted = [h.restrict({sq_oracle.Capability.SAMPLE}) for h in instance.handles]
         report = learners.solve_sample_only(restricted, args.budget, rng)
-    _emit(
-        {
-            "experiment": "solve",
-            "solver": args.solver,
-            "kind": instance.kind,
-            "answer": report.answer,
-            "correct": instance.verify_answer(report.answer),
-            "calls": [
-                {"sample": s.sample_calls, "query": s.query_calls, "query_norm": s.norm_calls}
-                for s in report.per_handle_stats
-            ],
-            "elapsed_ns": report.elapsed_ns,
-            "seed": args.seed,
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "experiment": "solve",
+        "solver": args.solver,
+        "kind": instance.kind,
+        "answer": report.answer,
+        "correct": instance.verify_answer(report.answer),
+        "calls": [
+            {"sample": s.sample_calls, "query": s.query_calls, "query_norm": s.norm_calls}
+            for s in report.per_handle_stats
+        ],
+        "elapsed_ns": report.elapsed_ns,
+        "seed": args.seed,
+    }, 0
 
 
-def _cmd_discriminate(args) -> int:
+def _cmd_discriminate(args) -> tuple[dict, int]:
     rng = np.random.default_rng(args.seed)
     if args.family is not None:
         if args.a is not None or args.b is not None:
@@ -263,23 +270,19 @@ def _cmd_discriminate(args) -> int:
         source = "files"
     else:
         raise ValueError("discriminate needs either --a and --b or --family")
-    _emit(
-        {
-            "experiment": "discriminate",
-            "source": source,
-            "dim": dim,
-            "schatten1_diff": schatten,
-            "optimal_success": success,
-            "empirical_success": empirical,
-            "trials": args.trials,
-            "seed": args.seed,
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "experiment": "discriminate",
+        "source": source,
+        "dim": dim,
+        "schatten1_diff": schatten,
+        "optimal_success": success,
+        "empirical_success": empirical,
+        "trials": args.trials,
+        "seed": args.seed,
+    }, 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[list[ResultRecord], int]:
     config = ExperimentConfig(
         subcommand=args.subcommand,
         d_values=args.d,
@@ -289,13 +292,11 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
     )
     records = run_sweep(config)
-    write_records(records, args.fmt, args.out, timings=args.timings)
-    if any(r.error and r.error.startswith("bound-violation") for r in records):
-        return 2
-    return 0
+    violated = any(r.error and r.error.startswith("bound-violation") for r in records)
+    return records, 2 if violated else 0
 
 
-def _cmd_sharp_p(args) -> int:
+def _cmd_sharp_p(args) -> tuple[dict, int]:
     # a negative tolerance fails every circuit, an infinite one passes every one
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
         raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
@@ -309,25 +310,21 @@ def _cmd_sharp_p(args) -> int:
     amplitude = handle.query(1)
     deviation = abs(amplitude - p_zero)
     ok = deviation <= args.tolerance
-    _emit(
-        {
-            "experiment": "sharp-p",
-            "qubits": circuit.n,
-            "gates": len(circuit.gates),
-            "p_zero": p_zero,
-            "query_re": amplitude.real,
-            "query_im": amplitude.imag,
-            "abs_diff": deviation,
-            "identity_ok": ok,
-            "elapsed_ns": time.perf_counter_ns() - t0,
-            "seed": args.seed,
-        },
-        args.out,
-    )
-    return 0 if ok else 2
+    return {
+        "experiment": "sharp-p",
+        "qubits": circuit.n,
+        "gates": len(circuit.gates),
+        "p_zero": p_zero,
+        "query_re": amplitude.real,
+        "query_im": amplitude.imag,
+        "abs_diff": deviation,
+        "identity_ok": ok,
+        "elapsed_ns": time.perf_counter_ns() - t0,
+        "seed": args.seed,
+    }, 0 if ok else 2
 
 
-def _cmd_encoding_demo(args) -> int:
+def _cmd_encoding_demo(args) -> tuple[dict, int]:
     if args.n < 1 or args.trials < 1 or args.num_vectors < 2:
         raise ValueError("encoding-demo needs n >= 1, trials >= 1, C >= 2")
     if args.num_vectors > instances.MAX_VECTORS:
@@ -343,21 +340,17 @@ def _cmd_encoding_demo(args) -> int:
         first_qubits[k_star - 1] = minus
         if circuit_bridge.measure_product_encoding(first_qubits) == k_star:
             successes += 1
-    _emit(
-        {
-            "experiment": "encoding-demo",
-            "n": args.n,
-            "C": args.num_vectors,
-            "trials": args.trials,
-            "product_successes": successes,
-            "product_success_rate": successes / args.trials,
-            "measurements_per_object": 1,
-            "amplitude_single_copy_success": circuit_bridge.amplitude_single_copy_success(args.n),
-            "seed": args.seed,
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "experiment": "encoding-demo",
+        "n": args.n,
+        "C": args.num_vectors,
+        "trials": args.trials,
+        "product_successes": successes,
+        "product_success_rate": successes / args.trials,
+        "measurements_per_object": 1,
+        "amplitude_single_copy_success": circuit_bridge.amplitude_single_copy_success(args.n),
+        "seed": args.seed,
+    }, 0
 
 
 _HANDLERS = {
@@ -376,10 +369,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.subcommand](args)
+        handler = _HANDLERS[args.subcommand]
+        sweep = handler is _cmd_sweep
+        if not sweep and (args.fmt is not None or args.timings):
+            raise ValueError("--format and --timings apply only to haar-gap and copies-sweep")
+        _check_out(args.out)
+        result, code = handler(args)
+        if sweep:
+            text = render_records(result, args.fmt or "csv", args.timings)
+        else:
+            text = json.dumps(result, separators=(",", ":")) + "\n"
+        _write_out(text, args.out)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
-"""Experiment configs, sweep execution, and deterministic record emission.
+"""Experiment configs, sweep execution, and deterministic record rendering.
 
 Sweeps run one cell per parameter combination, each with a seed derived from
-(global seed, cell coordinates), so thread count and completion order never
-change the output. Rendered output is byte-identical across reruns with the
-same seed; wall-clock columns are therefore opt-in (`render_records(...,
-timings=True)`) because they are the one field that honest reruns cannot
-reproduce.
+(global seed, cell coordinates). By default cells run one at a time; only
+`threads > 1` runs them in a thread pool, and neither thread count nor
+completion order changes the output. Rendered output is byte-identical across
+reruns with the same seed; wall-clock columns are therefore opt-in
+(`render_records(..., timings=True)`) because they are the one field that
+honest reruns cannot reproduce.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "linear_fit",
     "render_records",
     "run_sweep",
-    "write_records",
 ]
 
 
@@ -131,8 +130,9 @@ def _copies_cell(config: ExperimentConfig, d: int) -> ResultRecord:
 def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
     """Run every cell of the sweep; per-cell failures become error records.
 
-    Cells execute in a thread pool but results are emitted in sorted cell
-    order, so outputs are deterministic for a given seed.
+    Cells run serially, or in a thread pool of `config.threads` when that is
+    above 1; either way results come back in sorted cell order, so outputs
+    are deterministic for a given seed.
     """
     if config.subcommand == "haar-gap":
         if not config.d_values or not config.copies_values:
@@ -199,18 +199,6 @@ def render_records(records: list[ResultRecord], fmt: str, timings: bool = False)
             lines.append(json.dumps({c: items.get(c) for c in columns}, separators=(",", ":")))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown output format {fmt!r}")
-
-
-def write_records(
-    records: list[ResultRecord], fmt: str, path: str | Path | None, timings: bool = False
-) -> str:
-    """Render and write records; returns the rendered text (stdout when path is None)."""
-    text = render_records(records, fmt, timings)
-    if path is None:
-        print(text, end="")
-    else:
-        Path(path).write_text(text)
-    return text
 
 
 def chi_square_gof(indices: np.ndarray, probabilities: np.ndarray) -> tuple[float, int, float]:

@@ -406,10 +406,10 @@ def trace_norm_gap(
     """Gap ||E_complex - E_real||_1 with every inequality of its bound chain checked.
 
     Verifies 0 <= gap <= 2(1 - (1+2N/d)^-N) <= 4N^2/d and that the remainder
-    E_real - (N!/(d(d+2)...(d+2N-2))) * I is PSD. The middle quantity
-    1 - (d+N-1)!(d/2-1)!/(2^N (d/2+N-1)!(d-1)!), which is exactly 1 - size
-    times that scalar, is reported for inspection but not asserted against on
-    its own. At tiny sizes the swapped 2N-copy pair is materialized densely
+    E_real - (N!/(d(d+2)...(d+2N-2))) * I is PSD. The middle term
+    1 - (d+N-1)!(d/2-1)!/(2^N (d/2+N-1)!(d-1)!), exactly 1 - size times that
+    scalar, is the remainder's trace, so gap <= 2 * middle term is checked
+    too. At tiny sizes the swapped 2N-copy pair is materialized densely
     and its distance checked against 2 * gap.
     Violations raise BoundViolationError: they indicate a bug, not bad luck.
     A Monte Carlo stage over its byte budget raises BudgetExceededError with
@@ -431,6 +431,10 @@ def trace_norm_gap(
     bound_final = 4.0 * copies**2 / d
 
     _check(gap >= -BOUND_SLACK, f"negative gap {gap} at d={d}, N={copies}")
+    _check(
+        gap <= 2.0 * middle_term + BOUND_SLACK,
+        f"gap {gap} exceeds 2*middle term {2.0 * middle_term} at d={d}, N={copies}",
+    )
     _check(
         gap <= bound_two_term + BOUND_SLACK,
         f"gap {gap} exceeds two-term bound {bound_two_term} at d={d}, N={copies}",

@@ -8,12 +8,13 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sqlab import circuit_bridge, experiments, instances
+from sqlab import circuit_bridge, experiments, haar_moments, instances
 from sqlab.cli import _SOLVER_NAMES, main
 from sqlab.experiments import (
     ExperimentConfig,
@@ -23,7 +24,7 @@ from sqlab.experiments import (
     render_records,
     run_sweep,
 )
-from sqlab.haar_moments import BoundViolationError
+from sqlab.haar_moments import BoundViolationError, trace_norm_gap
 from sqlab.quantum_sim import ncopy_minus_sign_tracenorm
 from sqlab.sq_oracle import DENSE_BUDGET_N
 
@@ -775,6 +776,69 @@ def test_a_bound_violation_is_a_record_and_exit_2(tmp_path, capsys, monkeypatch)
         "bound-violation: negative gap at d=2, N=1",
         "bound-violation: negative gap at d=2, N=2",
     ]
+
+
+def test_a_middle_term_below_half_the_gap_is_a_bound_violation(tmp_path, capsys, monkeypatch):
+    honest = trace_norm_gap(4, 2)
+    shifted = honest.gap / 2 - 1e-6  # breaks gap <= 2 * middle_term by far more than BOUND_SLACK
+    # trace_norm_gap builds its scalar as a Fraction and takes middle_term = 1 - sym_dim * scalar
+    monkeypatch.setattr(haar_moments, "Fraction", lambda num, den: (1 - Fraction(shifted)) / honest.sym_dim)
+    out = tmp_path / "gap.csv"
+    assert main(["--out", str(out), "haar-gap", "--d", "4", "--N", "2"]) == 2
+    assert capsys.readouterr() == ("", "")
+    (row,) = csv.DictReader(io.StringIO(out.read_text()))
+    assert row["error"].startswith(f"bound-violation: gap {honest.gap!r} exceeds 2*middle term ")
+    assert row["error"].endswith(" at d=4, N=2")
+
+
+_HAAR_ARGV = ["--seed", "2", "haar-gap", "--d", "2,4", "--N", "1,2", "--mc-samples", "300"]
+
+
+def test_cli_json_lines_carry_the_csv_values(capsys):
+    assert main(_HAAR_ARGV) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert main(["--format", "json-lines", *_HAAR_ARGV]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [list(line) for line in lines] == [list(row) for row in rows]  # same columns in the same order
+    for row, line in zip(rows, lines):
+        for column, value in line.items():
+            if value is None:
+                assert row[column] == ""
+            elif isinstance(value, float):
+                assert float(row[column]) == value
+            else:
+                assert row[column] == str(value)
+
+
+def test_cli_timings_add_exactly_the_seconds_column(capsys):
+    assert main(_HAAR_ARGV) == 0
+    plain = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert main(["--timings", *_HAAR_ARGV]) == 0
+    timed = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert list(timed[0]) == [*plain[0], "seconds"]
+    assert [{k: v for k, v in row.items() if k != "seconds"} for row in timed] == plain
+    assert all(float(row["seconds"]) >= 0.0 for row in timed)
+
+
+@pytest.mark.parametrize(
+    "flag", [["--format", "csv"], ["--format", "json-lines"], ["--timings"]], ids=["csv", "json-lines", "timings"]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample-test", "--dim", "8"],
+        ["gen-instance", "--kind", "minus-sign", "--n", "3", "--dir", "{dir}/inst"],
+        ["solve", "minus-sign", "--instance", "{dir}/inst"],
+        ["discriminate", "--family", "minus-sign"],
+        ["sharp-p", "--circuit", "{dir}/c.txt"],
+        ["encoding-demo", "--n", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_sweep_output_flags_are_refused_outside_the_sweeps(tmp_path, capsys, flag, argv):
+    assert main([*flag, *(arg.format(dir=tmp_path) for arg in argv)]) == 1
+    assert capsys.readouterr() == ("", "error: --format and --timings apply only to haar-gap and copies-sweep\n")
+    assert not (tmp_path / "inst").exists()
 
 
 def test_out_writes_the_line_stdout_would_get(tmp_path, capsys):

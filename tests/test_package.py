@@ -79,10 +79,12 @@ def test_every_entry_point_refuses_exactly_oserror_and_valueerror(path):
     for handler in handlers:
         caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
         assert sorted(ast.unparse(t) for t in caught) == ["OSError", "ValueError"]
-    # parsing and writing happen inside the try, so their refusals reach the handler
+    # parsing, checking --out and writing happen inside the try, so their refusals reach the handler
     guarded = {id(n) for t in ast.walk(main) if isinstance(t, ast.Try) for s in t.body for n in ast.walk(s)}
     for node in ast.walk(main):
-        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("parse_args", "mkdir", "write_records"):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in (
+            "parse_args", "mkdir", "_check_out", "_write_out"
+        ):
             assert id(node) in guarded, f"{ast.unparse(node)} is outside the try"
 
 

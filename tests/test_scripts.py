@@ -1,4 +1,4 @@
-"""Experiment scripts: inputs they cannot serve end in one `error:` line and exit 1."""
+"""Experiment scripts and `sqlab`: inputs they cannot serve end in one `error:` line and exit 1."""
 
 import contextlib
 import importlib.util
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqlab import haar_moments
+from sqlab import cli, haar_moments
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -96,6 +96,46 @@ def _run_in_process(module, argv):
     with mock.patch.object(sys, "argv", argv), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = module.main()
     return code, out.getvalue(), err.getvalue()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the work started before --out was checked")
+
+
+_SQLAB_COMMANDS = [
+    ["sample-test", "--dim", "8"],
+    ["gen-instance", "--kind", "minus-sign", "--n", "3", "--dir", "{tmp}/inst"],
+    ["solve", "minus-sign", "--instance", "{tmp}/inst"],
+    ["discriminate", "--family", "minus-sign"],
+    ["haar-gap", "--d", "2", "--N", "1"],
+    ["copies-sweep", "--d", "64"],
+    ["sharp-p", "--circuit", "{tmp}/c.txt"],
+    ["encoding-demo", "--n", "3"],
+]
+_SCRIPTS = [(_GRID, ["run_haar_gap_grid.py", "--mc-samples", "5000"]), (_COPIES, ["run_copies_scaling.py"])]
+
+
+@pytest.mark.parametrize(
+    "entry,argv,refusal",
+    [(cli, ["sqlab", "--out", "{blocker}/x.csv", *command], "[Errno 20] Not a directory: '{blocker}/x.csv'")
+     for command in _SQLAB_COMMANDS]
+    # a script first makes the parent directory of --out, which refuses a path under a file
+    + [(script, [*argv, "--out", "{blocker}/x.csv"], "[Errno 17] File exists: '{blocker}'") for script, argv in _SCRIPTS]
+    + [(script, [*argv, "--out", "{tmp}"], "[Errno 21] Is a directory: '{tmp}'") for script, argv in _SCRIPTS],
+    ids=[f"sqlab-{command[0]}" for command in _SQLAB_COMMANDS]
+    + ["haar-grid-under-a-file", "copies-under-a-file", "haar-grid-directory", "copies-directory"],
+)
+def test_every_entry_point_refuses_an_unwritable_out_before_any_work(tmp_path, monkeypatch, entry, argv, refusal):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    for name in cli._HANDLERS:
+        monkeypatch.setitem(cli._HANDLERS, name, _no_work)
+    for script, _ in _SCRIPTS:
+        monkeypatch.setattr(script, "run_sweep", _no_work)
+    code, out, err = _run_in_process(entry, [arg.format(tmp=tmp_path, blocker=blocker) for arg in argv])
+    assert (code, out) == (1, "")
+    assert err == "error: " + refusal.format(tmp=tmp_path, blocker=blocker) + "\n"
+    assert blocker.read_text() == ""
 
 
 @settings(max_examples=25, deadline=None)
