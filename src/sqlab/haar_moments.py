@@ -14,10 +14,11 @@ nothing in it grows with d beyond the row count.
 The real moment is block diagonal over the sets of indices that occur an odd
 number of times, and a `MomentOperator` holds only those blocks. Index
 permutations map one such set onto any other of the same size s and commute
-with the moment, so every block of one s has the same shape: the blocks are
-built and eigensolved as one (classes, k, k) stack per s, at most N/2 + 1
-stacks in all. The dense matrix is assembled on request, for tests and
-tiny-cell cross-checks.
+with the moment, so every block of one s is an exact row and column
+permutation of any other: one representative block per s is assembled and
+permuted into the rest, and each s is eigensolved as one (classes, k, k)
+stack, at most N/2 + 1 stacks in all. The dense matrix is assembled on
+request, for tests and tiny-cell cross-checks.
 
 `trace_norm_gap` computes the Schatten-1 distance between the two moments
 and checks it against the two-term and 4N^2/d bounds, along with positivity
@@ -31,11 +32,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -53,7 +52,6 @@ __all__ = [
     "SymBasis",
     "mc_moment",
     "real_moment",
-    "real_monomial_moment",
     "sym_basis",
     "symmetric_embedding",
     "trace_norm_gap",
@@ -121,16 +119,23 @@ def _run_positions(indices: np.ndarray) -> np.ndarray:
 
 
 def sym_basis(d: int, copies: int) -> SymBasis:
-    """Enumerate the index-tuple basis; errors out above the dimension budget."""
+    """Enumerate the index-tuple basis; errors out above the copy cap or the dimension budget."""
+    if copies > MAX_MOMENT_COPIES:  # keeps N! and so every multinomial exact in int64
+        raise BudgetExceededError(f"N={quoted(copies)} exceeds the cap {MAX_MOMENT_COPIES}")
     if d < 1 or copies < 1:
         raise ValueError("d and N must be at least 1")
     size = math.comb(d + copies - 1, copies)
     if size > SYM_DIM_BUDGET:
         raise BudgetExceededError(f"symmetric dimension {quoted(size)} exceeds budget {SYM_DIM_BUDGET}")
-    indices = np.array(list(itertools.combinations_with_replacement(range(d), copies)), dtype=np.int64)
-    # Python ints keep N!/prod_j m_j! exact for every N before one correct rounding.
-    denom = np.prod(_run_positions(indices), axis=1, dtype=object)
-    norm = np.sqrt((math.factorial(copies) / denom).astype(np.float64))
+    # Lexicographic order: row (..., v) is followed by its d - v extensions (..., v, v), ..., (..., v, d-1).
+    indices = np.arange(d, dtype=np.int64)[:, None]
+    for _ in range(1, copies):
+        reps = d - indices[:, -1]
+        ends = reps.cumsum()
+        nxt = np.arange(ends[-1]) - (ends - d).repeat(reps)
+        indices = np.concatenate((indices.repeat(reps, axis=0), nxt[:, None]), axis=1)
+    # N!/prod_j m_j! is an integer below 8!, so it converts to float64 exactly.
+    norm = np.sqrt((math.factorial(copies) // _run_positions(indices).prod(axis=1)).astype(np.float64))
     return SymBasis(d=d, N=copies, indices=indices, norm_factors=norm)
 
 
@@ -154,24 +159,6 @@ def _sphere_moment_denominator(d: int, copies: int) -> int:
     return denom
 
 
-def real_monomial_moment(indices: Sequence[int], d: int) -> Fraction:
-    """E[x_{a_1} ... x_{a_2N}] for x uniform on the real unit sphere in R^d.
-
-    Equals the number of perfect matchings of the positions whose paired
-    indices agree, divided by d(d+2)...(d+2N-2). The count factorizes as a
-    product of double factorials over index multiplicities.
-    """
-    for a in indices:
-        if not 1 <= a <= d:
-            raise ValueError(f"index {a} out of range [1, {d}]")
-    count = 1
-    for m in Counter(int(a) for a in indices).values():
-        if m % 2:
-            return Fraction(0)  # an odd power admits no equal-index matching
-        count *= _double_factorial(m - 1)
-    return Fraction(count, _sphere_moment_denominator(d, len(indices) // 2))
-
-
 @dataclass(frozen=True)
 class MomentOperator:
     """Expected N-fold tensor power of a real random rank-one projector, in SymBasis.
@@ -179,11 +166,14 @@ class MomentOperator:
     Held as symmetric diagonal blocks, one per parity class, stacked by odd-set
     size s (the number of indices a row holds an odd number of times): each
     entry of `blocks` pairs a (classes, k) array, whose c-th row lists the
-    basis rows of class c, with the (classes, k, k) stack of their blocks. The
-    rows of all stacks partition the basis. `eigenvalues` (ascending) are
-    computed from the stacks on construction. The dense `matrix` is built only
-    when the property is read, by tests and by the tiny-cell cross-check of
-    `trace_norm_gap`.
+    basis rows of class c in ascending order, with the (classes, k, k) stack
+    of their blocks. `real_moment` assembles one representative block per s
+    and fills the rest of its stack with that block's exact row and column
+    permutations. Construction checks that the rows of all stacks partition
+    the basis and that the operator is symmetric, of unit trace and PSD, and
+    computes `eigenvalues` (ascending) from the stacks. The dense `matrix` is
+    built only when the property is read, by tests and by the tiny-cell
+    cross-check of `trace_norm_gap`.
     """
 
     d: int
@@ -230,11 +220,40 @@ def _class_rows(members: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """
     order = np.lexsort(keys.T[::-1])  # stable, primary key first column
     sorted_keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)])
-    sizes = np.diff(np.r_[starts, len(order)])
+    starts = np.flatnonzero(np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)) + 1
+    bounds = np.concatenate(([0], starts, [len(order)]))
+    sizes = bounds[1:] - bounds[:-1]
     if np.any(sizes != sizes[0]):
         raise ValueError(f"classes of one group differ in size ({sizes.min()} to {sizes.max()} rows)")
-    return members[order].reshape(len(starts), sizes[0])
+    return members[order].reshape(len(sizes), sizes[0])
+
+
+def _class_permutations(indices: np.ndarray, odd: np.ndarray, d: int) -> np.ndarray:
+    """For the classes of one odd-set size, pi[c, a] is the row of class 0 that matches row a of class c.
+
+    `indices` (classes, k, N) holds each class's rows, `odd` (classes, N) its
+    odd set padded with d. Relabelling a class's odd set S to 0..s-1 and the
+    rest of [d] to s..d-1, both in order, takes its rows to one common set of
+    index multisets; sorting each class's relabelled rows matches them up.
+    Ranks come from each row's own N indices, so nothing here is d wide.
+    """
+    s = np.sum(odd[0] < d)
+    below = np.sum(odd[:, None, None, :] < indices[..., None], axis=3)
+    in_odd = np.any(odd[:, None, None, :] == indices[..., None], axis=3)
+    relabelled = np.sort(np.where(in_odd, below, s + indices - below), axis=2)
+    order = np.lexsort(relabelled.transpose(2, 0, 1)[::-1])  # per class, first entry primary
+    pi = np.empty_like(order)
+    pi[np.arange(len(order))[:, None], order] = order[0]
+    return pi
+
+
+def _matching_counts(o: np.ndarray, matchings: np.ndarray) -> np.ndarray:
+    """count[a, b] = prod_j matchings[o[a, j] + o[b, j]], gathered in row chunks of at most `_GATHER_CAP` elements."""
+    count = np.empty((len(o), len(o)), dtype=np.int64)
+    step = max(1, _GATHER_CAP // o.size)
+    for a in range(0, len(o), step):
+        np.multiply.reduce(matchings[o[a : a + step, None] + o], axis=2, dtype=np.int64, out=count[a : a + step])
+    return count
 
 
 def real_moment(d: int, copies: int) -> MomentOperator:
@@ -244,12 +263,14 @@ def real_moment(d: int, copies: int) -> MomentOperator:
     moment of the combined occupation m + m', which vanishes unless m and m'
     hold the same set S of indices an odd number of times. The operator is
     therefore block diagonal over these parity classes. A row of class S is S
-    plus (N - |S|)/2 pairs on any indices, so the moment's invariance under
-    index permutations gives every class of one odd-set size s the same row
-    count; the blocks of one s are assembled and eigensolved as one stack.
+    plus (N - |S|)/2 pairs on any indices. The order-preserving relabelling
+    that takes S to another set S' of the same size s, and the rest of [d] to
+    the rest, maps the rows of S one-to-one onto those of S' and keeps every
+    occupation multiset, so norm factors and matching counts agree entry for
+    entry. Only one representative block per s is therefore assembled; every
+    other block of that s is its exact row and column permutation, with each
+    class's rows kept ascending, and each s is eigensolved as one stack.
     """
-    if copies > MAX_MOMENT_COPIES:
-        raise BudgetExceededError(f"N={quoted(copies)} exceeds the cap {MAX_MOMENT_COPIES}")
     basis = sym_basis(d, copies)
     nf = basis.norm_factors
     denom = _sphere_moment_denominator(d, copies)
@@ -257,33 +278,28 @@ def real_moment(d: int, copies: int) -> MomentOperator:
     # Each entry is at most 15!!, so it is gathered as int32 and multiplied as int64.
     matchings = np.array([_double_factorial(a - 1) for a in range(2 * copies + 1)], dtype=np.int32)
     # each row's odd set, ascending and padded with d to N entries
-    run_end = np.diff(basis.indices, axis=1, append=d) != 0
+    run_end = np.ones(basis.indices.shape, dtype=bool)
+    run_end[:, :-1] = basis.indices[:, 1:] != basis.indices[:, :-1]
     odd = np.sort(np.where(run_end & (_run_positions(basis.indices) % 2 == 1), basis.indices, d), axis=1)
     odd_size = np.sum(odd < d, axis=1)
     blocks = []
-    for s in np.unique(odd_size):  # s = N mod 2, N mod 2 + 2, ..., at most N
+    for s in np.flatnonzero(np.bincount(odd_size)):  # s = N mod 2, N mod 2 + 2, ..., at most N
         members = np.flatnonzero(odd_size == s)
         rows = _class_rows(members, odd[members])
         classes, k = rows.shape
-        # occupations as uint8 (at most N <= 8), so that the gather's index
-        # temporary takes one byte per element
-        if s < copies:  # pairs may sit on any index, so each class uses all d
-            o = (basis.indices[rows][..., None] == np.arange(d)).sum(axis=2, dtype=np.uint8)
-        else:  # each class is one row holding its N indices once
-            o = np.ones((classes, 1, copies), dtype=np.uint8)
-        # prod_j matchings[o_a[j] + o_b[j]], in chunks of at most _GATHER_CAP
-        # gathered elements: whole classes, or row chunks of one class
-        count = np.empty((classes, k, k), dtype=np.int64)
-        step = max(1, _GATHER_CAP // (k * o.shape[2]))
-        per, r = max(1, step // k), min(step, k)
-        for c in range(0, classes, per):
-            for a in range(0, k, r):
-                gathered = matchings[o[c : c + per, a : a + r, None] + o[c : c + per, None]]
-                np.multiply.reduce(gathered, axis=3, dtype=np.int64, out=count[c : c + per, a : a + r])
+        # occupations of the representative's rows as uint8 (at most N <= 8),
+        # so that the gather's index temporary takes one byte per element
+        rep = basis.indices[rows[0]]
+        count = _matching_counts((rep[:, :, None] == np.arange(d)).sum(axis=1, dtype=np.uint8), matchings)
         # count and denom stay below 2^53 for every cell whose basis fits in
         # memory, so the quotient is the correctly rounded one, as float(Fraction).
-        nf_rows = nf[rows]
-        blocks.append((rows, (nf_rows[:, :, None] * nf_rows[:, None, :]) * (count / denom)))
+        e0 = np.multiply.outer(nf[rows[0]], nf[rows[0]]) * (count / denom)
+        if classes == 1 or k == 1:  # nothing to permute: one class, or equal 1 x 1 blocks
+            stack = np.repeat(e0[None], classes, axis=0)
+        else:
+            pi = _class_permutations(basis.indices[rows], odd[rows[:, 0]], d)
+            stack = e0[pi[:, :, None], pi[:, None, :]]
+        blocks.append((rows, stack))
     return MomentOperator(d=d, N=copies, blocks=tuple(blocks))
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from sqlab.haar_moments import (
     MomentOperator,
     mc_moment,
     real_moment,
-    real_monomial_moment,
     sym_basis,
     symmetric_embedding,
     trace_norm_gap,
@@ -41,6 +41,35 @@ def test_sym_basis_counts_and_budget():
         sym_basis(32, 4)  # C(35,4) = 52360 > default budget
     with pytest.raises(ValueError):
         sym_basis(0, 1)
+    with pytest.raises(BudgetExceededError, match="exceeds the cap"):
+        sym_basis(2, MAX_MOMENT_COPIES + 1)
+
+
+def _sym_basis_by_itertools(d, copies):
+    """Reference: the rows as `combinations_with_replacement` yields them, and
+    each norm factor from Python's exact integers, rounded once."""
+    rows = list(itertools.combinations_with_replacement(range(d), copies))
+    norm = [
+        math.sqrt(math.factorial(copies) / math.prod(math.factorial(m) for m in Counter(row).values()))
+        for row in rows
+    ]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), copies), np.array(norm)
+
+
+_ADMITTED_SMALL_CELLS = [
+    (d, copies)
+    for d in range(1, 41)
+    for copies in range(1, MAX_MOMENT_COPIES + 1)
+    if math.comb(d + copies - 1, copies) <= haar_moments.SYM_DIM_BUDGET
+]
+
+
+def test_sym_basis_matches_the_itertools_enumeration():
+    for d, copies in _ADMITTED_SMALL_CELLS + [(20000, 1)]:
+        basis = sym_basis(d, copies)
+        indices, norm = _sym_basis_by_itertools(d, copies)
+        assert np.array_equal(basis.indices, indices), (d, copies)
+        assert basis.norm_factors.tobytes() == norm.tobytes(), (d, copies)
 
 
 MAX_PAIRING_POINTS = 2 * MAX_MOMENT_COPIES
@@ -84,6 +113,25 @@ def enumerate_pairings(num_points: int) -> list[Pairing]:
         return out
 
     return [Pairing(tuple(p)) for p in rec(list(range(1, num_points + 1)))]
+
+
+def real_monomial_moment(indices, d) -> Fraction:
+    """E[x_{a_1} ... x_{a_2N}] for x uniform on the real unit sphere in R^d.
+
+    Equals the number of perfect matchings of the positions whose paired
+    indices agree, divided by d(d+2)...(d+2N-2). The count factorizes as a
+    product of double factorials over index multiplicities. The reference
+    that `real_moment`'s assembly is compared against.
+    """
+    for a in indices:
+        if not 1 <= a <= d:
+            raise ValueError(f"index {a} out of range [1, {d}]")
+    count = 1
+    for m in Counter(int(a) for a in indices).values():
+        if m % 2:
+            return Fraction(0)  # an odd power admits no equal-index matching
+        count *= haar_moments._double_factorial(m - 1)
+    return Fraction(count, haar_moments._sphere_moment_denominator(d, len(indices) // 2))
 
 
 def test_enumerate_pairings_counts():
@@ -285,7 +333,9 @@ def _real_moment_per_class(d, copies):
     return blocks, np.sort(np.concatenate(eigenvalues))
 
 
-@pytest.mark.parametrize("d,copies", [(5, 3), (12, 4), (16, 4), (8, 6), (6, 8), (40, 3), (199, 2)])
+@pytest.mark.parametrize(
+    "d,copies", [cell for cell in _ADMITTED_SMALL_CELLS if cell[0] <= 16] + [(40, 3), (199, 2)]
+)
 def test_stacked_moment_is_byte_identical_to_the_per_class_assembly(d, copies):
     op = real_moment(d, copies)
     blocks, eigenvalues = _real_moment_per_class(d, copies)
@@ -316,6 +366,21 @@ def test_real_moment_makes_one_eigensolve_per_odd_set_size(monkeypatch, d, copie
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     real_moment(d, copies)
     assert len(calls) <= copies // 2 + 1
+
+
+@pytest.mark.parametrize("d,copies", [(5, 3), (12, 4), (16, 4), (8, 6), (6, 8), (40, 3), (199, 2), (300, 1)])
+def test_real_moment_gathers_matching_counts_for_one_class_per_odd_set_size(monkeypatch, d, copies):
+    gathered = []
+    matching_counts = haar_moments._matching_counts
+
+    def counting(o, matchings):
+        gathered.append(len(o))
+        return matching_counts(o, matchings)
+
+    monkeypatch.setattr(haar_moments, "_matching_counts", counting)
+    op = real_moment(d, copies)
+    assert len(gathered) <= copies // 2 + 1
+    assert gathered == [rows.shape[1] for rows, _ in op.blocks]  # one class's k rows per stack
 
 
 # gap and o_rest_min_eig of the per-class assembly, as float.hex()
@@ -375,13 +440,15 @@ def test_chunked_block_gather_is_bit_identical(monkeypatch, d, copies):
     for cap in (7, 5000):
         monkeypatch.setattr(haar_moments, "_GATHER_CAP", cap)
         chunked = real_moment(d, copies)
-        if (d, copies, cap) == (12, 4, 5000):
-            # both chunking regimes: several whole classes per chunk (the 66
-            # classes of 12 rows over 12 indices), and row chunks of one class
-            # (the 78 x 78 block)
-            steps = {rows.shape: max(1, cap // (rows.shape[1] * d)) for rows, _ in chunked.blocks}
-            assert 2 <= steps[(66, 12)] // 12 < 66
-            assert steps[(1, 78)] < 78
+        # rows of each representative's gather per chunk (its k rows over d indices)
+        steps = {rows.shape: max(1, cap // (rows.shape[1] * d)) for rows, _ in chunked.blocks}
+        if cap == 7:  # every representative one row at a time
+            assert set(steps.values()) == {1}
+        elif (d, copies) == (12, 4):
+            # row chunks of the 78-row representative, and the 12-row
+            # representative of the 66 classes whole
+            assert 1 < steps[(1, 78)] < 78
+            assert steps[(66, 12)] >= 12
         assert len(chunked.blocks) == len(whole.blocks)
         for (rows_a, block_a), (rows_b, block_b) in zip(whole.blocks, chunked.blocks):
             assert np.array_equal(rows_a, rows_b)

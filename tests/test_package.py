@@ -22,7 +22,6 @@ _MODULES = sorted(info.name for info in pkgutil.iter_modules(sqlab.__path__))
 
 # Listed names that only the tests use, each with what it is kept for.
 _TEST_ONLY = {
-    "real_monomial_moment": "the reference that `real_moment` is compared against",
     "random_circuit": "generates the pinned probe circuits",
     "random_density_operator": "a test fixture",
     "run_statevector": "the simulator's plain entry point, the tests' reference for the forward gate runs",
