@@ -12,7 +12,8 @@ access to circuit-generated states cannot exist in general. By unitarity the
 state's ancilla-1 half is |0> minus its ancilla-0 half, the only one simulated.
 That probability itself is read off the probe's forward run of U, before the
 projection; the dense-unitary tests are the independent check of the forward
-gate kernels.
+gate kernels. `build_psi_u` is the only simulation entry point, and its probe
+is a plain complex128 amplitude array, as every pure state in sqlab is.
 
 Bit order: the first listed qubit (index 0 in circuit files) is the most
 significant bit of the basis index.
@@ -26,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantum_sim import Statevector, _minus_sign_schatten1, success_from_schatten1
+from .quantum_sim import _minus_sign_schatten1, _unit_norm_sq, success_from_schatten1
 from .sq_oracle import content_lines, parse_int, quoted
 
 __all__ = [
@@ -37,8 +38,6 @@ __all__ = [
     "build_psi_u",
     "measure_product_encoding",
     "parse_circuit",
-    "random_circuit",
-    "run_statevector",
 ]
 
 MAX_QUBITS = 20
@@ -166,24 +165,15 @@ def _run_gates(pair: list[np.ndarray], gates, n: int, dagger: bool = False) -> N
             pair.reverse()
 
 
-def run_statevector(circuit: Circuit) -> Statevector:
-    """U applied to the all-zeros state, to double precision."""
-    if circuit.n > MAX_QUBITS:
-        raise ValueError(f"{quoted(circuit.n)} qubits exceed the budget of {MAX_QUBITS}")
-    pair = [np.zeros(1 << circuit.n, dtype=np.complex128), np.empty(1 << circuit.n, dtype=np.complex128)]
-    pair[0][0] = 1.0
-    _run_gates(pair, circuit.gates, circuit.n)
-    return Statevector(amplitudes=pair[0], n=circuit.n)
-
-
-def build_psi_u(circuit: Circuit) -> tuple[Statevector, float]:
+def build_psi_u(circuit: Circuit) -> tuple[np.ndarray, float]:
     """The (n+1)-qubit probe state (I (x) U^dag) CNOT (I (x) U) |0^(n+1)>, and p_zero.
 
     Qubit 0 is the fresh ancilla; U acts on qubits 1..n and the CNOT is
     controlled by qubit 1 (U's first qubit) targeting the ancilla. The
     leading amplitude of the result equals p_zero, the probability of outcome
     0 when measuring the first qubit of U|0^n>, which is returned alongside:
-    it is read off U|0^n> after the forward run, before the projection.
+    it is read off U|0^n> after the forward run, before the projection. The
+    probe is returned as its 2^(n+1) complex128 amplitudes.
 
     With P0 + P1 = I projecting U's first qubit on 0 and 1, the ancilla-1 half
     U^dag P1 U|0^n> is |0^n> - U^dag P0 U|0^n> by unitarity: U and U^dag run
@@ -205,28 +195,8 @@ def build_psi_u(circuit: Circuit) -> tuple[Statevector, float]:
     _run_gates(pair, circuit.gates, n, dagger=True)
     np.negative(lower, out=upper)
     upper[0] += 1.0
-    return Statevector(amplitudes=full, n=n + 1), p_zero
-
-
-def random_circuit(n: int, depth: int, rng: np.random.Generator) -> Circuit:
-    """Uniformly random gate sequence, for identity-check sweeps."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    gates = []
-    for _ in range(depth):
-        name = GATE_NAMES[int(rng.integers(len(GATE_NAMES)))]
-        if name == "CNOT":
-            if n < 2:
-                name = "X"
-            else:
-                control = int(rng.integers(n))
-                target = int(rng.integers(n - 1))
-                if target >= control:
-                    target += 1
-                gates.append(Gate("CNOT", (control, target)))
-                continue
-        gates.append(Gate(name, (int(rng.integers(n)),)))
-    return Circuit(n=n, gates=tuple(gates))
+    _unit_norm_sq(full)  # U and U^dag keep the norm, so a kernel fault shows here
+    return full, p_zero
 
 
 def measure_product_encoding(first_qubits: Sequence[tuple[complex, complex]]) -> int:

@@ -306,7 +306,7 @@ def _cmd_sharp_p(args) -> tuple[dict, int]:
         probe, p_zero = circuit_bridge.build_psi_u(circuit)  # refuses zero qubits and any past the budget
     except ValueError as exc:
         raise ValueError(f"{args.circuit}: {exc}") from None
-    handle = sq_oracle.build_dense(probe.amplitudes)
+    handle = sq_oracle.build_dense(probe)
     amplitude = handle.query(1)
     deviation = abs(amplitude - p_zero)
     ok = deviation <= args.tolerance

@@ -28,6 +28,7 @@ from .quantum_sim import (
     min_copies_minus_sign,
     ncopy_minus_sign_tracenorm,
 )
+from .sq_oracle import DENSE_BUDGET_N, quoted
 
 __all__ = [
     "ExperimentConfig",
@@ -60,6 +61,9 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
         check_schatten_threshold(self.threshold)  # else every copies-sweep cell is invalid
+        # refused before any cell runs: a count past the cap would draw for hours
+        if self.mc_samples is not None and not 1 <= self.mc_samples <= 1 << DENSE_BUDGET_N:
+            raise ValueError(f"mc_samples must lie in [1, 2^{DENSE_BUDGET_N}], got {quoted(self.mc_samples)}")
 
 
 @dataclass

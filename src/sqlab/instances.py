@@ -164,17 +164,25 @@ def gen_unnormalized_minus(n: int, num_vectors: int, seed: int) -> ProblemInstan
     return _minus_family(UNNORMALIZED_MINUS, n, num_vectors, seed, normalized=False)
 
 
+def _check_dense_caps(n: int, num_dense: int) -> None:
+    """Refuse `num_dense` dense vectors of 2^n entries past the dense budget or the entry cap.
+
+    The generator and the loader both check this before any vector exists.
+    """
+    if n > DENSE_BUDGET_N:
+        raise ValueError(f"n={quoted(n)} exceeds the dense materialization budget ({DENSE_BUDGET_N})")
+    if num_dense << n > 1 << _REAL_SEARCH_ENTRIES_N:
+        raise ValueError(
+            f"C*2^n = {num_dense << n} entries exceed the real-search cap (2^{_REAL_SEARCH_ENTRIES_N})"
+        )
+
+
 def gen_real_vector_search(n: int, num_vectors: int, seed: int) -> ProblemInstance:
     """Haar instance: vector k* uniform on the real sphere, the rest complex."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > DENSE_BUDGET_N:
-        raise ValueError(f"n={quoted(n)} exceeds the dense materialization budget ({DENSE_BUDGET_N})")
     _check_num_vectors(num_vectors)
-    if num_vectors << n > 1 << _REAL_SEARCH_ENTRIES_N:
-        raise ValueError(
-            f"C*2^n = {num_vectors << n} entries exceed the real-search cap (2^{_REAL_SEARCH_ENTRIES_N})"
-        )
+    _check_dense_caps(n, num_vectors)
     k_star = _draw_k_star(seed, num_vectors)
     d = 1 << n
     handles = []
@@ -328,6 +336,13 @@ def load_instance(directory: str | Path) -> ProblemInstance:
     k_star = numbers.get("k_star")
     if not 1 <= n <= MAX_IMPLICIT_N:
         raise ValueError(f"{manifest}: n must be in [1, {MAX_IMPLICIT_N}], got {quoted(n)}")
+    num_dense = sum(backing == "npy" for backing, _ in vector_specs.values())
+    try:
+        _check_num_vectors(num_vectors)
+        if num_dense:
+            _check_dense_caps(n, num_dense)
+    except ValueError as exc:
+        raise ValueError(f"{manifest}: {exc}") from None
     if len(vector_specs) != num_vectors or sorted(vector_specs) != list(range(1, num_vectors + 1)):
         raise ValueError(f"{manifest}: expected vectors 1..{quoted(num_vectors)}")
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .sq_oracle import DENSE_BUDGET_N, content_lines, parse_int, quoted
 __all__ = [
     "DensityOperator",
     "HELSTROM_SCHATTEN_THRESHOLD",
-    "Statevector",
     "check_schatten_threshold",
     "discriminate_pure_pair",
     "load_density_operator",
@@ -35,8 +33,6 @@ __all__ = [
     "minus_sign_product_vectors",
     "ncopy_minus_sign_tracenorm",
     "ncopy_minus_sign_tracenorm_dense",
-    "random_density_operator",
-    "save_density_operator",
     "schatten1_diff",
     "simulate_discrimination",
     "success_from_schatten1",
@@ -52,21 +48,6 @@ HELSTROM_SCHATTEN_THRESHOLD = 1.6
 
 # Relative eigenvalue floor: |lambda| below this times dimension counts as zero.
 _EIG_ZERO_REL = 1e-12
-
-
-@dataclass(frozen=True)
-class Statevector:
-    """Unit-norm amplitude vector on n qubits."""
-
-    amplitudes: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.amplitudes, dtype=np.complex128)
-        object.__setattr__(self, "amplitudes", arr)
-        if arr.ndim != 1 or arr.size != 1 << self.n:
-            raise ValueError(f"expected 2^{self.n} amplitudes, got shape {arr.shape}")
-        _unit_norm_sq(arr)
 
 
 def _unit_norm_sq(vec: np.ndarray) -> float:
@@ -118,8 +99,8 @@ class DensityOperator:
         return cls(matrix)
 
     @classmethod
-    def from_pure(cls, state: Statevector | np.ndarray | Sequence[complex]) -> "DensityOperator":
-        vec = state.amplitudes if isinstance(state, Statevector) else np.asarray(state, dtype=np.complex128)
+    def from_pure(cls, state: np.ndarray) -> "DensityOperator":
+        vec = np.asarray(state, dtype=np.complex128)
         _unit_norm_sq(vec)
         return cls(np.outer(vec, vec.conj()))
 
@@ -310,21 +291,6 @@ def _click_success_rate(
     clicked = rng.random(trials) < click_prob
     successes = np.sum(clicked == truth_is_a)
     return float(successes) / trials
-
-
-def random_density_operator(dim: int, rng: np.random.Generator) -> DensityOperator:
-    """Random full-rank density operator from a square Ginibre factor."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    return DensityOperator.from_matrix(m / np.trace(m).real)
-
-
-def save_density_operator(path: str | Path, rho: DensityOperator) -> None:
-    """Write `dim <k>` header then row-major `<re> <im>` pairs, one row per line."""
-    with open(path, "w") as fh:
-        fh.write(f"dim {rho.dim}\n")
-        for row in rho.matrix:
-            fh.write(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) + "\n")
 
 
 def load_density_operator(path: str | Path) -> DensityOperator:

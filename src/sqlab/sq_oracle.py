@@ -374,13 +374,16 @@ def parse_int(token: str) -> int:
 def load_dense_vector(path: str | Path) -> np.ndarray:
     """Parse the dense vector text format: one `<re> <im>` pair per content line.
 
-    Every refusal is a ValueError naming the file. The values are not checked
-    as a vector; `build_dense` does that.
+    Every refusal is a ValueError naming the file. A file is refused as soon
+    as it holds more than 2^DENSE_BUDGET_N components. The values are not
+    checked as a vector; `build_dense` does that.
     """
-    values = []
+    values, cap = [], 1 << DENSE_BUDGET_N
     try:
         with open(path) as fh:
             for lineno, tokens in content_lines(fh):
+                if len(values) == cap:
+                    raise ValueError(f"line {lineno}: more than 2^{DENSE_BUDGET_N} components")
                 try:
                     re_part, im_part = map(float, tokens)  # a wrong count is a ValueError too
                 except ValueError:

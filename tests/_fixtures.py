@@ -1,0 +1,65 @@
+"""Generators and writers that only the tests use, and the tests' reference forward run.
+
+Imported as `from _fixtures import ...`: pytest puts this directory on the
+import path. The pinned probe circuits are drawn by `random_circuit`, so its
+stream of draws must not change.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+from sqlab.circuit_bridge import GATE_NAMES, Circuit, Gate, _run_gates
+from sqlab.quantum_sim import DensityOperator
+
+
+def random_circuit(n: int, depth: int, rng: np.random.Generator) -> Circuit:
+    """Uniformly random gate sequence, for identity-check sweeps."""
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    gates = []
+    for _ in range(depth):
+        name = GATE_NAMES[int(rng.integers(len(GATE_NAMES)))]
+        if name == "CNOT":
+            if n < 2:
+                name = "X"
+            else:
+                control = int(rng.integers(n))
+                target = int(rng.integers(n - 1))
+                if target >= control:
+                    target += 1
+                gates.append(Gate("CNOT", (control, target)))
+                continue
+        gates.append(Gate(name, (int(rng.integers(n)),)))
+    return Circuit(n=n, gates=tuple(gates))
+
+
+def random_density_operator(dim: int, rng: np.random.Generator) -> DensityOperator:
+    """Random full-rank density operator from a square Ginibre factor."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = g @ g.conj().T
+    return DensityOperator.from_matrix(m / np.trace(m).real)
+
+
+def save_density_operator(path: str | Path, rho: DensityOperator) -> None:
+    """Write `dim <k>` header then row-major `<re> <im>` pairs, one row per line."""
+    with open(path, "w") as fh:
+        fh.write(f"dim {rho.dim}\n")
+        for row in rho.matrix:
+            fh.write(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) + "\n")
+
+
+def kernel(state: np.ndarray, gates, n: int, dagger: bool = False) -> np.ndarray:
+    """The gate kernels' run of `gates` (or their inverse) on a copy of `state`."""
+    pair = [state.copy(), np.full_like(state, np.nan)]  # scratch garbage must not leak in
+    _run_gates(pair, gates, n, dagger=dagger)
+    return pair[0]
+
+
+def forward_run(circuit: Circuit) -> np.ndarray:
+    """U|0^n>: the kernels' run of the circuit from e_0, apart from the probe's own."""
+    zero = np.zeros(1 << circuit.n, dtype=np.complex128)
+    zero[0] = 1.0
+    return kernel(zero, circuit.gates, circuit.n)

@@ -14,8 +14,6 @@ from sqlab.circuit_bridge import (
     amplitude_single_copy_success,
     build_psi_u,
     measure_product_encoding,
-    random_circuit,
-    run_statevector,
 )
 from sqlab.experiments import (
     ExperimentConfig,
@@ -31,12 +29,13 @@ from sqlab.quantum_sim import (
     min_copies_minus_sign,
     ncopy_minus_sign_tracenorm,
     ncopy_minus_sign_tracenorm_dense,
-    random_density_operator,
     schatten1_diff,
     simulate_discrimination,
     success_from_schatten1,
 )
 from sqlab.sq_oracle import Capability, OracleStats, build_dense
+
+from _fixtures import forward_run, random_circuit, random_density_operator
 
 
 def _finish(num: int, name: str, started: float, budget: float) -> None:
@@ -170,9 +169,9 @@ def test_criterion_7_probe_state_amplitude_identity():
         n = int(rng.integers(1, 9))
         depth = int(rng.integers(0, 21))
         circuit = random_circuit(n, depth, rng)
-        handle = build_dense(build_psi_u(circuit)[0].amplitudes)
+        handle = build_dense(build_psi_u(circuit)[0])
         # p_zero from a separate forward run of U, not the probe's own
-        state = run_statevector(circuit).amplitudes
+        state = forward_run(circuit)
         deviation = abs(handle.query(1) - np.sum(np.abs(state[: state.size // 2]) ** 2))
         assert deviation <= 1e-12
     _finish(7, "probe-state amplitude identity", started, 60.0)

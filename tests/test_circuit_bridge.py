@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sqlab import circuit_bridge
 from sqlab.circuit_bridge import (
     GATE_NAMES,
     Circuit,
@@ -19,13 +20,12 @@ from sqlab.circuit_bridge import (
     build_psi_u,
     measure_product_encoding,
     parse_circuit,
-    random_circuit,
-    run_statevector,
-    _run_gates,
 )
 from sqlab.cli import main
 from sqlab.experiments import chi_square_gof
 from sqlab.sq_oracle import ImplicitVector, build_dense, materialize
+
+from _fixtures import forward_run, kernel, random_circuit
 
 SQRT_HALF = 1 / math.sqrt(2)
 
@@ -56,7 +56,7 @@ def _dense_gate(gate, n):
 
 def _reference_p_zero(circuit):
     """p_zero from a separate forward run: the squared norm of U|0^n>'s first half."""
-    state = run_statevector(circuit).amplitudes
+    state = forward_run(circuit)
     return np.sum(np.abs(state[: state.size // 2]) ** 2)
 
 
@@ -70,12 +70,6 @@ def _dense_circuit(circuit):
 def _all_gates(n):
     singles = [Gate(name, (q,)) for name in GATE_NAMES if name != "CNOT" for q in range(n)]
     return singles + [Gate("CNOT", pair) for pair in itertools.permutations(range(n), 2)]
-
-
-def _kernel(state, gates, n, dagger=False):
-    pair = [state.copy(), np.full_like(state, np.nan)]  # scratch garbage must not leak in
-    _run_gates(pair, gates, n, dagger=dagger)
-    return pair[0]
 
 
 def _circuit_text(circuit):
@@ -101,7 +95,7 @@ def test_parse_comments_and_blanks():
 def test_parse_empty_is_identity():
     circuit = parse_circuit("")
     assert circuit.n == 0 and circuit.gates == ()
-    assert run_statevector(circuit).amplitudes.tolist() == [1.0 + 0j]
+    assert forward_run(circuit).tolist() == [1.0 + 0j]
 
 
 def test_parse_errors_carry_line_numbers():
@@ -124,34 +118,32 @@ def test_circuit_constructor_checks_gate_arity():
         Circuit(2, (Gate("H", (0, 1)),))
 
 
-def test_run_statevector_single_gates():
-    h = run_statevector(parse_circuit("qubits 1\nH 0\n"))
-    np.testing.assert_allclose(h.amplitudes, [SQRT_HALF, SQRT_HALF], atol=1e-15)
-    t = run_statevector(parse_circuit("qubits 1\nT 0\n"))
-    np.testing.assert_allclose(t.amplitudes, [1.0, 0.0], atol=1e-15)
+def test_forward_run_single_gates():
+    h = forward_run(parse_circuit("qubits 1\nH 0\n"))
+    np.testing.assert_allclose(h, [SQRT_HALF, SQRT_HALF], atol=1e-15)
+    t = forward_run(parse_circuit("qubits 1\nT 0\n"))
+    np.testing.assert_allclose(t, [1.0, 0.0], atol=1e-15)
 
 
-def test_run_statevector_bell_pair():
-    state = run_statevector(parse_circuit("qubits 2\nH 0\nCNOT 0 1\n"))
-    np.testing.assert_allclose(
-        state.amplitudes, [SQRT_HALF, 0.0, 0.0, SQRT_HALF], atol=1e-15
-    )
-    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
+def test_forward_run_bell_pair():
+    state = forward_run(parse_circuit("qubits 2\nH 0\nCNOT 0 1\n"))
+    np.testing.assert_allclose(state, [SQRT_HALF, 0.0, 0.0, SQRT_HALF], atol=1e-15)
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_norm_preserved_over_long_random_circuits():
     rng = np.random.default_rng(0)
     for _ in range(5):
         circuit = random_circuit(5, 100, rng)
-        state = run_statevector(circuit)
-        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
+        state = forward_run(circuit)
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-10
 
 
 def test_qubit_zero_is_most_significant():
-    state = run_statevector(parse_circuit("qubits 2\nX 0\n"))
-    assert state.amplitudes[2] == 1.0  # |10> at index 2
-    state = run_statevector(parse_circuit("qubits 2\nX 1\n"))
-    assert state.amplitudes[1] == 1.0  # |01> at index 1
+    state = forward_run(parse_circuit("qubits 2\nX 0\n"))
+    assert state[2] == 1.0  # |10> at index 2
+    state = forward_run(parse_circuit("qubits 2\nX 1\n"))
+    assert state[1] == 1.0  # |01> at index 1
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -162,9 +154,9 @@ def test_every_gate_kernel_matches_its_dense_unitary(n):
     for gate in gates:
         state = _random_state(n, rng)
         unitary = _dense_gate(gate, n)
-        np.testing.assert_allclose(_kernel(state, (gate,), n), unitary @ state, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(kernel(state, (gate,), n), unitary @ state, rtol=0, atol=1e-14)
         np.testing.assert_allclose(
-            _kernel(state, (gate,), n, dagger=True), unitary.conj().T @ state, rtol=0, atol=1e-14
+            kernel(state, (gate,), n, dagger=True), unitary.conj().T @ state, rtol=0, atol=1e-14
         )
 
 
@@ -175,11 +167,11 @@ def test_gate_sequences_match_the_dense_circuit_unitary(n):
         circuit = random_circuit(n, 30, rng)
         unitary = _dense_circuit(circuit)
         state = _random_state(n, rng)
-        np.testing.assert_allclose(_kernel(state, circuit.gates, n), unitary @ state, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(kernel(state, circuit.gates, n), unitary @ state, rtol=0, atol=1e-14)
         np.testing.assert_allclose(
-            _kernel(state, circuit.gates, n, dagger=True), unitary.conj().T @ state, rtol=0, atol=1e-14
+            kernel(state, circuit.gates, n, dagger=True), unitary.conj().T @ state, rtol=0, atol=1e-14
         )
-        np.testing.assert_allclose(run_statevector(circuit).amplitudes, unitary[:, 0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(forward_run(circuit), unitary[:, 0], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -192,7 +184,7 @@ def test_build_psi_u_matches_the_dense_probe(n):
         circuit = random_circuit(n, 25, rng)
         lifted = np.kron(np.eye(2), _dense_circuit(circuit))
         expected = lifted.conj().T @ cnot @ lifted @ zero
-        np.testing.assert_allclose(build_psi_u(circuit)[0].amplitudes, expected, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(build_psi_u(circuit)[0], expected, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -237,10 +229,10 @@ def test_probe_identity_at_benchmark_size(tmp_path, capsys):
     for sha, *floats in _PINNED_PROBES:
         circuit = random_circuit(16, 200, rng)
         probe, p_zero = build_psi_u(circuit)
-        assert probe.n == 17
+        assert probe.size == 1 << 17
         assert p_zero == _reference_p_zero(circuit)
-        assert abs(build_dense(probe.amplitudes).query(1) - p_zero) <= 1e-12
-        assert hashlib.sha256(probe.amplitudes[: 1 << 16].tobytes()).hexdigest() == sha
+        assert abs(build_dense(probe).query(1) - p_zero) <= 1e-12
+        assert hashlib.sha256(probe[: 1 << 16].tobytes()).hexdigest() == sha
         path = tmp_path / "circuit.txt"
         path.write_text(_circuit_text(circuit))
         assert main(["sharp-p", "--circuit", str(path)]) == 0
@@ -252,7 +244,7 @@ def test_probe_identity_at_benchmark_size(tmp_path, capsys):
 def test_ancilla_one_half_is_e0_minus_the_ancilla_zero_half(n):
     rng = np.random.default_rng(40 + n)
     for _ in range(5):
-        amplitudes = build_psi_u(random_circuit(n, 40, rng))[0].amplitudes
+        amplitudes = build_psi_u(random_circuit(n, 40, rng))[0]
         expected = -amplitudes[: 1 << n]
         expected[0] += 1.0
         np.testing.assert_array_equal(amplitudes[1 << n :], expected)
@@ -264,7 +256,7 @@ def test_one_qubit_probe_bytes_are_pinned():
     # Which loop numpy picks (SIMD, FMA) depends on its build and the CPU: these
     # bytes were recorded with numpy 2.4.6 on an x86_64 Xeon with AVX-512, so a
     # failure on another host reads as a platform change, not a regression.
-    amplitude = build_psi_u(parse_circuit("qubits 1\nH 0\nT 0\nH 0\nS 0\nX 0\n"))[0].amplitudes[0]
+    amplitude = build_psi_u(parse_circuit("qubits 1\nH 0\nT 0\nH 0\nS 0\nX 0\n"))[0][0]
     assert (amplitude.real.hex(), amplitude.imag.hex()) == ("0x1.2bec333018864p-3", "-0x1.0000000000000p-55")
 
 
@@ -280,19 +272,26 @@ def test_build_psi_u_holds_at_most_one_and_a_half_amplitude_vectors():
     assert peak <= 1.5 * vector_bytes
 
 
+def test_build_psi_u_refuses_a_probe_that_lost_its_unit_norm(monkeypatch):
+    # a U^dag kernel that is not unitary leaves a probe of squared norm about 2.7
+    monkeypatch.setitem(circuit_bridge._DAGGER_PHASES, "T", 2.0)
+    with pytest.raises(ValueError, match="state norm"):
+        build_psi_u(parse_circuit("qubits 1\nH 0\nT 0\nH 0\n"))
+
+
 def test_build_psi_u_identity_circuit():
     probe, p_zero = build_psi_u(Circuit(n=3, gates=()))
     assert p_zero == 1.0
     expected = np.zeros(16)
     expected[0] = 1.0
-    np.testing.assert_array_equal(probe.amplitudes, expected.astype(complex))
+    np.testing.assert_array_equal(probe, expected.astype(complex))
 
 
 def test_build_psi_u_x_and_h():
     x_probe = build_psi_u(parse_circuit("qubits 1\nX 0\n"))[0]
-    assert abs(x_probe.amplitudes[0]) < 1e-15
+    assert abs(x_probe[0]) < 1e-15
     h_probe = build_psi_u(parse_circuit("qubits 1\nH 0\n"))[0]
-    assert h_probe.amplitudes[0] == pytest.approx(0.5, abs=1e-12)
+    assert h_probe[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_p_zero_examples():
@@ -307,24 +306,22 @@ def test_probe_identity_on_random_circuits():
         n = int(rng.integers(1, 9))
         depth = int(rng.integers(0, 21))
         circuit = random_circuit(n, depth, rng)
-        handle = build_dense(build_psi_u(circuit)[0].amplitudes)
+        handle = build_dense(build_psi_u(circuit)[0])
         deviation = abs(handle.query(1) - _reference_p_zero(circuit))
         assert deviation <= 1e-12
 
 
 def test_state_handle_norm_and_distribution():
-    state = run_statevector(parse_circuit("qubits 2\nH 0\nH 1\nCNOT 0 1\nS 1\n"))
-    handle = build_dense(state.amplitudes)
+    state = forward_run(parse_circuit("qubits 2\nH 0\nH 1\nCNOT 0 1\nS 1\n"))
+    handle = build_dense(state)
     assert handle.query_norm() == pytest.approx(1.0, abs=1e-10)
     rng = np.random.default_rng(2)
     draws = handle.sample_many(40_000, rng)
-    _, _, p_value = chi_square_gof(draws, np.abs(state.amplitudes) ** 2)
+    _, _, p_value = chi_square_gof(draws, np.abs(state) ** 2)
     assert p_value >= 1e-3
 
 
 def test_budget_checks():
-    with pytest.raises(ValueError, match="budget"):
-        run_statevector(Circuit(n=21, gates=()))
     with pytest.raises(ValueError, match="budget"):
         build_psi_u(Circuit(n=20, gates=()))
     with pytest.raises(ValueError, match="at least one"):

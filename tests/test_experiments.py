@@ -46,6 +46,19 @@ def test_config_validation():
         run_sweep(ExperimentConfig(subcommand="teleport", d_values=(2,)))
 
 
+@pytest.mark.parametrize("mc_samples", ["0", "-1", str((1 << DENSE_BUDGET_N) + 1), "99999999999999999999"])
+def test_cli_haar_gap_refuses_mc_samples_outside_the_cap_before_any_cell(capsys, monkeypatch, mc_samples):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(experiments, "trace_norm_gap", no_cell)
+    assert main(["haar-gap", "--d", "2", "--N", "2", "--mc-samples", mc_samples]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: mc_samples must lie in [1, 2^{DENSE_BUDGET_N}], got {mc_samples}\n"
+    assert _gap_config(mc_samples=1 << DENSE_BUDGET_N).mc_samples == 1 << DENSE_BUDGET_N
+
+
 def test_haar_gap_sweep_produces_ordered_records():
     records = run_sweep(_gap_config())
     assert [r.params for r in records] == [
@@ -391,7 +404,7 @@ def test_cli_discriminate_family_refuses_past_the_dense_vector_budget(capsys):
 
 
 def test_cli_discriminate_files(tmp_path, capsys):
-    from sqlab.quantum_sim import random_density_operator, save_density_operator
+    from _fixtures import random_density_operator, save_density_operator
 
     rng = np.random.default_rng(9)
     for name in ("a", "b"):

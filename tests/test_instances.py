@@ -274,6 +274,24 @@ def test_load_refuses_a_text_vector_line(tmp_path):
         load_instance(tmp_path / "inst")
 
 
+@pytest.mark.parametrize(
+    "n,num_vectors,refusal",
+    [
+        (20, 80, r"C\*2\^n = 83886080 entries exceed the real-search cap \(2\^26\)"),
+        (25, 2, r"n=25 exceeds the dense materialization budget \(24\)"),
+        (4, 65537, r"C=65537 exceeds the vector-count cap \(65536\)"),
+    ],
+    ids=["entries", "n", "vector-count"],
+)
+def test_load_applies_the_dense_caps_before_opening_any_vector_file(tmp_path, n, num_vectors, refusal):
+    # every vector line names one file, which does not exist: a cap must refuse first
+    lines = ["kind real-search", f"n {n}", f"C {num_vectors}", "seed 0", "k_star 1"]
+    lines += [f"vector {j} npy missing.npy" for j in range(1, num_vectors + 1)]
+    (tmp_path / "manifest.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(tmp_path / 'manifest.txt'))}: {refusal}$"):
+        load_instance(tmp_path)
+
+
 def test_load_checks_implicit_n_against_manifest(tmp_path):
     dump_instance(gen_minus_sign(4, 2, seed=25), tmp_path / "inst", reveal=True)
     manifest = tmp_path / "inst" / "manifest.txt"

@@ -2,7 +2,8 @@
 
 Tracing tools wrap the functions listed there by looking each name up, so a
 stale entry breaks them even when no import in the package fails. A listed
-name that no program file uses is a public wrapper that nothing calls.
+name, function, class or method that no program file uses is code that
+nothing runs but the tests.
 
 The entry points (`sqlab.cli.main` and each script's `main`) share one
 refusal rule: a `ValueError` or an `OSError` is one `error:` line and exit 1.
@@ -20,12 +21,10 @@ import sqlab
 ROOT = Path(__file__).resolve().parents[1]
 _MODULES = sorted(info.name for info in pkgutil.iter_modules(sqlab.__path__))
 
-# Listed names that only the tests use, each with what it is kept for.
-_TEST_ONLY = {
-    "random_circuit": "generates the pinned probe circuits",
-    "random_density_operator": "a test fixture",
-    "run_statevector": "the simulator's plain entry point, the tests' reference for the forward gate runs",
-    "save_density_operator": "writes the format that `discriminate --a/--b` reads",
+# Definitions in src/ that no program file uses by name, each with why it stays.
+_UNUSED = {
+    "quantum_sim.DensityOperator.from_pure": "only the tests call it, and perfbench's tracer patches it by name",
+    "sq_oracle.SqHandle.query_norm": "the QueryN operation of the SQ access model",
 }
 
 
@@ -58,12 +57,33 @@ def test_every_exported_name_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+def _definitions() -> dict[str, str]:
+    """Each top-level function and class and each non-dunder method in src/sqlab/, by qualified name.
+
+    The value is the bare name that a use reads.
+    """
+    found = {}
+    for path in sorted((ROOT / "src" / "sqlab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found[f"{path.stem}.{node.name}"] = node.name
+            for method in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
+                    found[f"{path.stem}.{node.name}.{method.name}"] = method.name
+    return found
+
+
 def test_every_exported_name_is_used_outside_its_definition():
     used = _used_names()
     exported = {n for m in _MODULES for n in importlib.import_module(f"sqlab.{m}").__all__}
-    assert sorted(exported - used - set(_TEST_ONLY)) == []
-    assert sorted(set(_TEST_ONLY) - exported) == []  # the allowlist names only listed names
-    assert sorted(set(_TEST_ONLY) & used) == []  # and only names that no program file uses
+    assert sorted(exported - used) == []
+
+
+def test_every_function_class_and_method_is_used_outside_its_definition():
+    used = _used_names()
+    unused = {qualname for qualname, name in _definitions().items() if name not in used}
+    assert sorted(unused - set(_UNUSED)) == []
+    assert sorted(set(_UNUSED) - unused) == []  # the allowlist names only unused definitions
 
 
 _ENTRY_POINTS = ["src/sqlab/cli.py", *sorted(f"scripts/{p.name}" for p in (ROOT / "scripts").glob("*.py"))]

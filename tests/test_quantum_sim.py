@@ -10,19 +10,18 @@ import pytest
 
 from sqlab.quantum_sim import (
     DensityOperator,
-    Statevector,
     discriminate_pure_pair,
     load_density_operator,
     min_copies_minus_sign,
     minus_sign_product_vectors,
     ncopy_minus_sign_tracenorm,
     ncopy_minus_sign_tracenorm_dense,
-    random_density_operator,
-    save_density_operator,
     schatten1_diff,
     simulate_discrimination,
     success_from_schatten1,
 )
+
+from _fixtures import random_density_operator, save_density_operator
 
 
 def _pure(vec) -> DensityOperator:
@@ -37,18 +36,8 @@ def _overlap_pair(c: float) -> tuple[DensityOperator, DensityOperator]:
     return _pure(a), _pure(b)
 
 
-def test_statevector_validation():
-    Statevector(np.array([1.0, 0.0]), n=1)
-    with pytest.raises(ValueError, match="amplitudes"):
-        Statevector(np.array([1.0, 0.0, 0.0]), n=1)
-    with pytest.raises(ValueError, match="norm"):
-        Statevector(np.array([1.0, 1.0]), n=1)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_states_refuse_nan_and_infinite_entries(bad):
-    with pytest.raises(ValueError, match="norm"):
-        Statevector(np.array([bad, 0.0]), 1)
     with pytest.raises(ValueError, match="norm"):
         DensityOperator.from_pure(np.array([bad, 0.0]))
     for entry in [(0, 0), (0, 1)]:

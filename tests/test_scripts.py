@@ -38,11 +38,12 @@ ROOT = Path(__file__).resolve().parents[1]
         ("run_haar_gap_grid.py", ["--d", "2.5"]),
         ("run_haar_gap_grid.py", ["--seed", "1e3"]),
         ("run_haar_gap_grid.py", ["--threads", "2"]),
+        ("run_haar_gap_grid.py", ["--mc-samples", "99999999999999999999"]),
     ],
     ids=["copies-threshold-2", "copies-no-valid-row", "haar-grid-all-over-budget", "demo-n-0", "demo-n-63",
          "demo-one-vector", "demo-negative-budget", "demo-n-1", "demo-negative-trials", "demo-zero-trials",
          "demo-n-x", "copies-d-2.5", "haar-grid-d-2.5", "haar-grid-seed-1e3",
-         "haar-grid-removed-threads-flag"],
+         "haar-grid-removed-threads-flag", "haar-grid-mc-samples-past-the-cap"],
 )
 def test_script_rejects_in_one_line(tmp_path, script, args):
     out = tmp_path / "out.csv"

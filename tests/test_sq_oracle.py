@@ -7,6 +7,7 @@ with probability around 1e-3 (chi-square tests run at that significance).
 
 import hashlib
 import math
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqlab import sq_oracle
 from sqlab.experiments import chi_square_gof
 from sqlab.instances import haar_unit_vector
 from sqlab.sq_oracle import (
@@ -327,6 +329,16 @@ def test_dense_vector_file_parsing(tmp_path):
     bad.write_text("1.5\n")
     with pytest.raises(ValueError, match="expected"):
         load_dense_vector(bad)
+
+
+def test_dense_vector_file_is_refused_past_the_component_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(sq_oracle, "DENSE_BUDGET_N", 2)
+    path = tmp_path / "vec.txt"
+    path.write_text("# four components fit\n1 0\n0 1\n1 0\n0 1\n")
+    assert load_dense_vector(path).size == 4
+    path.write_text(path.read_text() + "1 0\n0 1\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 6: more than 2\^2 components$"):
+        load_dense_vector(path)
 
 
 def test_content_lines_skip_blank_and_comment_lines():
