@@ -100,7 +100,7 @@ def _build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("sample-test", help="chi-square test of the sampler")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--vector", help="dense vector file")
+    src.add_argument("--vector", help="dense vector: a 1-d numeric .npy array")
     src.add_argument("--dim", type=_int, help="random complex vector of this dimension")
     src.add_argument("--n", type=_int, help="implicit vector of dimension 2^n")
     p.add_argument("--draws", type=_int, default=100_000)
@@ -119,8 +119,8 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--budget", type=_int, default=10_000, help="samples per handle (sample-only)")
 
     p = sub.add_parser("discriminate", help="two-state discrimination report")
-    p.add_argument("--a", help="density operator file for the first state")
-    p.add_argument("--b", help="density operator file for the second state")
+    p.add_argument("--a", help="first state's density operator: a square 2-d numeric .npy array")
+    p.add_argument("--b", help="second state's density operator: a square 2-d numeric .npy array")
     p.add_argument("--family", choices=("minus-sign",), help="construct a named pair instead")
     p.add_argument("--d", type=_int, help="vector dimension for --family (default 4)")
     p.add_argument("--copies", type=_int, help="copies per state for --family (default 1)")
@@ -158,7 +158,7 @@ def _cmd_sample_test(args) -> tuple[dict, int]:
         raise ValueError(f"--significance must lie in (0, 1), got {args.significance}")
     rng = np.random.default_rng(args.seed)
     if args.vector is not None:
-        values = sq_oracle.load_dense_vector(args.vector)
+        values = sq_oracle.load_npy(args.vector, 1, 1 << sq_oracle.DENSE_BUDGET_N)
         try:
             handle = sq_oracle.build_dense(values)
         except ValueError as exc:
@@ -327,6 +327,8 @@ def _cmd_sharp_p(args) -> tuple[dict, int]:
 def _cmd_encoding_demo(args) -> tuple[dict, int]:
     if args.n < 1 or args.trials < 1 or args.num_vectors < 2:
         raise ValueError("encoding-demo needs n >= 1, trials >= 1, C >= 2")
+    if args.trials > 1 << sq_oracle.DENSE_BUDGET_N:  # about 4 us per trial
+        raise ValueError(f"trials must be at most 2^{sq_oracle.DENSE_BUDGET_N}, got {sq_oracle.quoted(args.trials)}")
     if args.num_vectors > instances.MAX_VECTORS:
         raise ValueError(f"--C must be at most {instances.MAX_VECTORS}, got {sq_oracle.quoted(args.num_vectors)}")
     rng = np.random.default_rng(args.seed)

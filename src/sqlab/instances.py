@@ -28,6 +28,7 @@ from .sq_oracle import (
     build_dense,
     build_implicit,
     content_lines,
+    load_npy,
     materialize,
     parse_int,
     quoted,
@@ -229,25 +230,6 @@ def _parse_implicit_descriptor(tokens: list[str]) -> ImplicitVector:
     return ImplicitVector(kind=kind, **kwargs)
 
 
-def _load_npy_vector(path: Path) -> np.ndarray:
-    """One dense vector from a `.npy` file; every malformed file is a ValueError naming it.
-
-    A file that cannot be opened raises the OSError. The file is
-    memory-mapped, so a header that claims more entries than the file holds is
-    refused before anything of that size is allocated.
-    """
-    try:
-        arr = np.load(path, mmap_mode="r", allow_pickle=False)
-    except (EOFError, ValueError) as exc:
-        raise ValueError(f"{path}: not a readable .npy array ({exc})") from exc
-    if not isinstance(arr, np.ndarray):  # an .npz archive
-        arr.close()
-        raise ValueError(f"{path}: expected a single .npy array, got an archive")
-    if arr.ndim != 1 or arr.dtype.kind not in "iufc":
-        raise ValueError(f"{path}: expected a 1-d numeric array, got shape {arr.shape} of {arr.dtype}")
-    return np.array(arr, dtype=np.complex128)
-
-
 def _fresh(path: Path) -> Path:
     """`path` with any file there removed, so that writing it creates a new file.
 
@@ -293,9 +275,10 @@ def load_instance(directory: str | Path) -> ProblemInstance:
     """Rebuild an instance from a dumped directory.
 
     Dense vectors are read from `npy` lines (`.npy` files). Every vector
-    must have dimension 2^n for the manifest's n. When the manifest does not
-    reveal k*, the instance is regenerated from its (kind, n, C, seed) record
-    to recover the answer, and the dumped data is checked against the
+    must have dimension 2^n for the manifest's n; a longer one is refused
+    from its file's header, before any entry is read. When the manifest does
+    not reveal k*, the instance is regenerated from its (kind, n, C, seed)
+    record to recover the answer, and the dumped data is checked against the
     regeneration so tampered dumps are rejected.
     """
     directory = Path(directory)
@@ -360,7 +343,7 @@ def load_instance(directory: str | Path) -> ProblemInstance:
         elif backing_kind == "npy":
             path = directory / rest[0]
             try:
-                entries = _load_npy_vector(path)
+                entries = load_npy(path, 1, 1 << n)
             except OSError as exc:  # its message repeats the file name, which may be any length
                 raise ValueError(f"{manifest}: vector {j}: {quoted(rest[0])}: {exc.strerror}") from None
             if entries.size != 1 << n:

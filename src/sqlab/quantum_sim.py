@@ -3,7 +3,7 @@ and the closed forms for the minus-sign (sign-flip) pair.
 
 A pair of pure states is reported from its overlap alone
 (`discriminate_pure_pair`); dense density operators serve mixed states read
-from files and the test-only cross-check of that Gram form.
+from `.npy` files and the test-only cross-check of that Gram form.
 
 Convention: ||M||_1 is the Schatten-1 norm (sum of singular values), so two
 orthogonal pure states differ by norm 2 and the optimal success probability
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sq_oracle import DENSE_BUDGET_N, content_lines, parse_int, quoted
+from .sq_oracle import DENSE_BUDGET_N, load_npy, quoted
 
 __all__ = [
     "DensityOperator",
@@ -294,30 +294,14 @@ def _click_success_rate(
 
 
 def load_density_operator(path: str | Path) -> DensityOperator:
-    """Parse the density-operator text format; every refusal is a ValueError naming the file."""
-    dim, values = None, []
+    """The density operator in the `.npy` file at `path`: a square 2-d numeric array.
+
+    At most 2^DENSE_BUDGET_N entries (dim <= 4096), checked from the file's
+    header before any entry is read. A file that cannot be opened raises the
+    OSError; every other refusal is a ValueError naming the file.
+    """
+    matrix = load_npy(path, 2, 1 << DENSE_BUDGET_N)
     try:
-        with open(path) as fh:
-            for lineno, tokens in content_lines(fh):
-                header = dim is None
-                try:
-                    if not header:
-                        values.extend(map(float, tokens))
-                    elif tokens[0] != "dim" or len(tokens) != 2:
-                        raise ValueError("expected `dim <k>` header")
-                    elif (dim := parse_int(tokens[1])) < 1:
-                        raise ValueError("dimension must be at least 1")
-                except ValueError as exc:
-                    reason = exc if header else "expected numbers"  # float()'s message quotes the whole token
-                    raise ValueError(f"line {lineno}: {reason} in {quoted(' '.join(tokens))}") from None
-        if dim is None:
-            raise ValueError("missing `dim <k>` header")
-        if len(values) != 2 * dim * dim:
-            # 2*dim^2 is not formatted: at thousands of digits it passes Python's int-to-str limit
-            raise ValueError(f"found {len(values)} numbers, not the 2*dim^2 that `dim` needs")
-        flat = np.asarray(values, dtype=np.float64)
-        with np.errstate(invalid="ignore"):  # 1j * inf; DensityOperator refuses the entry
-            matrix = (flat[0::2] + 1j * flat[1::2]).reshape(dim, dim)
         return DensityOperator.from_matrix(matrix)
-    except ValueError as exc:  # also bytes that do not decode as text
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

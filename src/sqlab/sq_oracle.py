@@ -43,7 +43,6 @@ __all__ = [
     "SqHandle",
     "build_dense",
     "build_implicit",
-    "load_dense_vector",
     "materialize",
 ]
 
@@ -163,8 +162,10 @@ class ImplicitVector:
             raise ValueError(f"unsupported implicit kind {quoted(self.kind)}")
         if not 1 <= self.n <= MAX_IMPLICIT_N:
             raise ValueError(f"n must be in [1, {MAX_IMPLICIT_N}], got {quoted(self.n)}")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
+        if math.isinf(self.norm()):
+            raise ValueError(f"the norm scale*sqrt(2^n) overflows at scale={self.scale!r}, n={self.n}")
         if self.kind == KIND_MINUS_AT_INDEX:
             if self.minus_index is None or not 1 <= self.minus_index <= self.dim:
                 raise ValueError("minus-at-index requires a valid 1-based index")
@@ -371,26 +372,26 @@ def parse_int(token: str) -> int:
         raise ValueError(f"expected an integer, got {quoted(token)}") from None
 
 
-def load_dense_vector(path: str | Path) -> np.ndarray:
-    """Parse the dense vector text format: one `<re> <im>` pair per content line.
+def load_npy(path: str | Path, ndim: int, max_entries: int) -> np.ndarray:
+    """The `ndim`-d numeric array in the `.npy` file at `path`, copied as complex128.
 
-    Every refusal is a ValueError naming the file. A file is refused as soon
-    as it holds more than 2^DENSE_BUDGET_N components. The values are not
-    checked as a vector; `build_dense` does that.
+    A file that does not begin with the `.npy` magic string (text, a pickle or
+    an `.npz` archive) is refused before numpy reads it. The array is
+    memory-mapped, so its shape, dtype and size are checked from its header
+    before any entry is read, and one of more than `max_entries` entries is
+    never copied. A file that cannot be opened raises the OSError; every other
+    refusal is a ValueError naming the file.
     """
-    values, cap = [], 1 << DENSE_BUDGET_N
+    with open(path, "rb") as fh:
+        if fh.read(len(np.lib.format.MAGIC_PREFIX)) != np.lib.format.MAGIC_PREFIX:
+            raise ValueError(f"{path}: not a .npy file (it does not begin with the .npy magic string)")
     try:
-        with open(path) as fh:
-            for lineno, tokens in content_lines(fh):
-                if len(values) == cap:
-                    raise ValueError(f"line {lineno}: more than 2^{DENSE_BUDGET_N} components")
-                try:
-                    re_part, im_part = map(float, tokens)  # a wrong count is a ValueError too
-                except ValueError:
-                    raise ValueError(f"line {lineno}: expected `<re> <im>`, got {quoted(' '.join(tokens))}") from None
-                values.append(complex(re_part, im_part))
-        if not values:
-            raise ValueError("no components found")
-        return np.asarray(values, dtype=np.complex128)
-    except ValueError as exc:  # also bytes that do not decode as text
-        raise ValueError(f"{path}: {exc}") from None
+        with np.errstate(over="ignore"):  # a shape whose product overflows is refused as a ValueError
+            arr = np.load(path, mmap_mode="r", allow_pickle=False)
+    except (EOFError, OverflowError, ValueError) as exc:
+        raise ValueError(f"{path}: not a readable .npy array ({exc})") from exc
+    if arr.ndim != ndim or arr.dtype.kind not in "iufc":
+        raise ValueError(f"{path}: expected a {ndim}-d numeric array, got shape {arr.shape} of {arr.dtype}")
+    if arr.size > max_entries:
+        raise ValueError(f"{path}: {arr.size} entries exceed the cap of {max_entries}")
+    return np.array(arr, dtype=np.complex128)

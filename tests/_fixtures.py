@@ -1,4 +1,4 @@
-"""Generators and writers that only the tests use, and the tests' reference forward run.
+"""Generators and file writers that only the tests use, and the tests' reference forward run.
 
 Imported as `from _fixtures import ...`: pytest puts this directory on the
 import path. The pinned probe circuits are drawn by `random_circuit`, so its
@@ -43,12 +43,13 @@ def random_density_operator(dim: int, rng: np.random.Generator) -> DensityOperat
     return DensityOperator.from_matrix(m / np.trace(m).real)
 
 
-def save_density_operator(path: str | Path, rho: DensityOperator) -> None:
-    """Write `dim <k>` header then row-major `<re> <im>` pairs, one row per line."""
-    with open(path, "w") as fh:
-        fh.write(f"dim {rho.dim}\n")
-        for row in rho.matrix:
-            fh.write(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) + "\n")
+def sparse_npy(path: str | Path, shape: tuple[int, ...], dtype) -> None:
+    """A `.npy` file of zeros of this shape, written as one header and one last byte.
+
+    `open_memmap` seeks past the data to write its last byte, so the file
+    system holds the zeros sparsely: a file past any size cap costs no disk.
+    """
+    np.lib.format.open_memmap(path, mode="w+", dtype=dtype, shape=shape)  # the map is dropped at once
 
 
 def kernel(state: np.ndarray, gates, n: int, dagger: bool = False) -> np.ndarray:

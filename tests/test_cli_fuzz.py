@@ -1,14 +1,15 @@
-"""CLI fuzzing over the numeric flags: every input is served or rejected cleanly.
+"""CLI fuzzing over the numeric flags and array files: every input is served or rejected cleanly.
 
 Each example runs `sqlab.cli.main` in-process on an argv with arbitrary
-numbers, including negatives, zeros, NaN and infinities, and checks that the
+numbers, including negatives, zeros, NaN and infinities, or on `.npy` files
+of any shape and of int, float, complex or bool entries, and checks that the
 exit code is 0, 1 or 2, that nothing escapes as a traceback or a numpy
 warning, that stderr holds at most one line, and that stdout is strict JSON
 or CSV with no NaN or Infinity token. Sizes stay small (dense
 dimensions up to 2^10, or 2^12 for instances, pure pairs up to 2^16, density
-operators up to 3x3, at most 8 vectors, at most 1000 trials, Haar moments up to
-d=8, N=4 with at most 2000 Monte Carlo samples), so the whole module runs in a
-few seconds; implicit vectors, the closed-form sweep and the refusal of a pure
+operators up to 3x3, vector files up to 64 entries, at most 8 vectors, at
+most 1000 trials, Haar moments up to d=8, N=4 with at most 2000 Monte Carlo
+samples), so the whole module runs in a few seconds; implicit vectors, the closed-form sweep and the refusal of a pure
 pair past the dense budget cost the same at any size, so n, d and copies range
 past the sizes they accept.
 """
@@ -17,13 +18,14 @@ import contextlib
 import csv
 import io
 import json
-import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from sqlab.cli import main
 
@@ -56,7 +58,7 @@ def _check(argv):
     assert "Traceback" not in err, (argv, err)
     assert len(err.splitlines()) <= 1, (argv, err)
     if not out:
-        return
+        return code, err
     if argv[argv.index("--seed") + 2] in ("copies-sweep", "haar-gap"):
         rows = list(csv.reader(io.StringIO(out)))
         assert rows and all(len(row) == len(rows[0]) for row in rows), (argv, out)
@@ -65,6 +67,7 @@ def _check(argv):
     else:
         for line in out.splitlines():
             json.loads(line, parse_constant=_reject_constant)
+    return code, err
 
 
 @pytest.fixture(scope="module")
@@ -112,36 +115,79 @@ def test_fuzz_discriminate(seed, d, copies, trials):
     )
 
 
-def _density_file(k, entries):
-    rows = [" ".join(entries[2 * k * r : 2 * k * (r + 1)]) for r in range(k)]
-    return "\n".join([f"dim {k}", *rows]) + "\n"
+# finite values near the float range, whose sums and products overflow
+_NEAR_OVERFLOW = st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 1e308, -1e308, 1e154])
+_ELEMENTS = {
+    "int": st.integers(-(2**63), 2**63 - 1),
+    "float": st.one_of(st.floats(-2.0, 2.0), st.floats(allow_nan=True, allow_infinity=True), _NEAR_OVERFLOW),
+    "complex": st.one_of(
+        st.complex_numbers(max_magnitude=2.0), st.complex_numbers(allow_nan=True, allow_infinity=True),
+        st.builds(complex, _NEAR_OVERFLOW, _NEAR_OVERFLOW),
+    ),
+    "bool": st.booleans(),
+}
+_DTYPES = {"int": np.int64, "float": np.float64, "complex": np.complex128, "bool": np.bool_}
+
+
+def _npy_arrays(shapes):
+    """Arrays of any of these shapes with int, float, complex or bool entries."""
+    return st.tuples(shapes, st.sampled_from(sorted(_ELEMENTS))).flatmap(
+        lambda sk: npst.arrays(_DTYPES[sk[1]], sk[0], elements=_ELEMENTS[sk[1]])
+    )
+
+
+def _check_npy_files(argv, flags, arrays):
+    """`_check` on argv with each flag naming a `.npy` file of its array, returning the exit code.
+
+    A refusal is one `error:` line, and an array with a non-finite entry is refused.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        for flag, values in zip(flags, arrays):
+            path = Path(tmp) / f"{flag[2:]}.npy"
+            np.save(path, values)
+            argv = argv + [flag, str(path)]
+        code, err = _check(argv)
+    assert (code == 1) == err.startswith("error: "), (argv, code, err)
+    if not all(np.isfinite(values).all() for values in arrays):
+        assert code == 1, argv
+    return code
+
+
+# 1-d, 2-d non-square and 2-d square arrays; a square one is sometimes the maximally mixed state
+_density_arrays = st.one_of(
+    _npy_arrays(
+        st.one_of(
+            st.tuples(st.integers(0, 9)),
+            st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(lambda shape: shape[0] != shape[1]),
+            st.integers(1, 3).map(lambda k: (k, k)),
+        )
+    ),
+    st.integers(1, 3).map(lambda k: np.eye(k) / k),
+)
+
+
+@fuzz_settings
+@given(seed=seeds, pair=st.tuples(_density_arrays, _density_arrays), trials=st.integers(-2, 1000))
+# finite entries whose Hermitian part overflows: refused in one line, with no numpy warning
+@example(seed=0, pair=(np.array([[0.5, 1e308], [1e308, 0.5]]), np.eye(1)), trials=10)
+def test_fuzz_discriminate_files(seed, pair, trials):
+    code = _check_npy_files(["--seed", str(seed), "discriminate", "--trials", str(trials)], ("--a", "--b"), pair)
+    assert code in (0, 1)
 
 
 @fuzz_settings
 @given(
     seed=seeds,
-    files=st.lists(
-        st.integers(1, 3).flatmap(
-            lambda k: st.tuples(st.just(k), st.lists(numbers, min_size=2 * k * k, max_size=2 * k * k))
-        ),
-        min_size=2,
-        max_size=2,
+    values=st.one_of(
+        _npy_arrays(st.tuples(st.sampled_from([0, 1, 3, 8, 64]))),
+        _npy_arrays(st.just((2, 2))),
+        st.sampled_from([2, 8, 64]).map(np.ones),
     ),
-    trials=st.integers(-2, 1000),
+    draws=st.integers(-2, 5000),
 )
-# finite entries whose Hermitian part overflows: refused in one line, with no numpy warning
-@example(seed=0, files=[(2, ["0.5", "0", "1e308", "0", "1e308", "0", "0.5", "0"]), (1, ["1.0", "0"])], trials=10)
-def test_fuzz_discriminate_files(seed, files, trials):
-    with tempfile.TemporaryDirectory() as tmp:
-        argv = ["--seed", str(seed), "discriminate", "--trials", str(trials)]
-        for flag, (k, entries) in zip(("--a", "--b"), files):
-            path = Path(tmp) / f"{flag[2:]}.txt"
-            path.write_text(_density_file(k, entries))
-            argv += [flag, str(path)]
-        if all(math.isfinite(float(x)) for _, entries in files for x in entries):
-            _check(argv)
-        else:
-            assert _run(argv)[0] == 1, argv
+def test_fuzz_sample_test_vector_files(seed, values, draws):
+    # a length that is not a power of two, and a 2-d array, are refused like non-finite entries
+    _check_npy_files(["--seed", str(seed), "sample-test", "--draws", str(draws)], ("--vector",), (values,))
 
 
 @fuzz_settings

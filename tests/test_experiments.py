@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -27,6 +28,8 @@ from sqlab.experiments import (
 from sqlab.haar_moments import BoundViolationError, trace_norm_gap
 from sqlab.quantum_sim import ncopy_minus_sign_tracenorm
 from sqlab.sq_oracle import DENSE_BUDGET_N
+
+from _fixtures import random_density_operator, sparse_npy
 
 
 def _gap_config(**overrides):
@@ -276,6 +279,19 @@ def _npy_bytes(values):
     return buffer.getvalue()
 
 
+def _npy_header_only(path, shape):
+    """A `.npy` file holding only a version-1.0 complex128 header with this `shape`, or with none.
+
+    The header is written by hand, as numpy's writer needs a shape and one it accepts.
+    """
+    header = {"descr": "<c16", "fortran_order": False}
+    if shape is not None:
+        header["shape"] = shape
+    text = repr(header).encode("latin-1")
+    pad = -(10 + len(text) + 1) % 64  # magic, version and length take 10 bytes; the header ends in \n
+    path.write_bytes(b"\x93NUMPY\x01\x00" + (len(text) + pad + 1).to_bytes(2, "little") + text + b" " * pad + b"\n")
+
+
 _VALID = _npy_bytes(np.full(4, 0.5 + 0j))
 _MALFORMED_NPY = {
     "empty": lambda p: p.write_bytes(b""),
@@ -404,14 +420,49 @@ def test_cli_discriminate_family_refuses_past_the_dense_vector_budget(capsys):
 
 
 def test_cli_discriminate_files(tmp_path, capsys):
-    from _fixtures import random_density_operator, save_density_operator
-
     rng = np.random.default_rng(9)
     for name in ("a", "b"):
-        save_density_operator(tmp_path / f"{name}.txt", random_density_operator(4, rng))
-    assert main(["discriminate", "--a", str(tmp_path / "a.txt"), "--b", str(tmp_path / "b.txt"), "--trials", "1000"]) == 0
+        np.save(tmp_path / f"{name}.npy", random_density_operator(4, rng).matrix)
+    assert main(["discriminate", "--a", str(tmp_path / "a.npy"), "--b", str(tmp_path / "b.npy"), "--trials", "1000"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert 0.5 <= payload["optimal_success"] <= 1.0
+
+
+def test_cli_file_reports_are_pinned(tmp_path, capsys):
+    # the bytes the text formats gave for these arrays, written with `%.17g` and read back exactly
+    rng = np.random.default_rng(2024)
+    rho_a, rho_b = random_density_operator(5, rng), random_density_operator(5, rng)
+    vector = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    for name, values in {"a": rho_a.matrix, "b": rho_b.matrix, "v": vector}.items():
+        np.save(tmp_path / f"{name}.npy", values)
+    assert main(["--seed", "3", "discriminate", "--a", str(tmp_path / "a.npy"), "--b", str(tmp_path / "b.npy"), "--trials", "1000"]) == 0
+    assert capsys.readouterr().out == (
+        '{"experiment":"discriminate","source":"files","dim":5,"schatten1_diff":1.1182197760921966,'
+        '"optimal_success":0.7795549440230491,"empirical_success":0.775,"trials":1000,"seed":3}\n'
+    )
+    assert main(["--seed", "3", "sample-test", "--vector", str(tmp_path / "v.npy"), "--draws", "4000"]) == 0
+    assert capsys.readouterr().out == (
+        '{"experiment":"sample-test","dim":64,"draws":4000,"chi_square":44.3770149024154,"dof":56,'
+        '"p_value":0.8688179563590457,"significance":0.001,"pass":true,"seed":3}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,shape",
+    [(["sample-test", "--vector", "{path}"], ((1 << 24) + 1,)), (["discriminate", "--a", "{path}", "--b", "{path}"], (8192, 4096))],
+    ids=["vector", "density"],
+)
+def test_a_file_past_the_cap_is_refused_from_its_header(tmp_path, capsys, argv, shape):
+    path = tmp_path / "big.npy"
+    sparse_npy(path, shape, np.int8)
+    tracemalloc.start()
+    try:
+        assert main([arg.format(path=path) for arg in argv]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == f"error: {path}: {math.prod(shape)} entries exceed the cap of {1 << 24}\n"
+    assert peak < 2 << 20  # the file holds 16 MB or more
 
 
 def test_cli_discriminate_needs_a_source(capsys):
@@ -458,7 +509,7 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         (["solve", "minus-sign", "--instance", "{not_its_seed}"], 1),
         (["discriminate", "--a", "{no_dim}", "--b", "{one_density}"], 1),
         (["discriminate", "--a", "{no_content}", "--b", "{one_density}"], 1),
-        (["sample-test", "--vector", "{comments_only}"], 1),
+        (["sample-test", "--vector", "{empty_vector}"], 1),
         (["sample-test", "--vector", "{subnormal_vector}"], 1),
         (["sample-test", "--n", "0"], 1),
         (["sample-test", "--dim", "0"], 1),
@@ -469,6 +520,7 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         (["--threads", "2", "haar-gap", "--d", "2", "--N", "1"], 1),
         (["sample-test", "--dim", "1099511627776"], 1),
         (["discriminate", "--family", "minus-sign", "--d", "4", "--trials", "1099511627776"], 1),
+        (["encoding-demo", "--n", "3", "--trials", "99999999999999999999"], 1),
         (["encoding-demo", "--n", "3", "--trials", "1", "--C", "1099511627776"], 1),
         (["gen-instance", "--kind", "minus-sign", "--n", "3", "--C", "100000000", "--dir", "{fresh_dir}"], 1),
         (["gen-instance", "--kind", "real-search", "--n", "24", "--C", "5", "--dir", "{fresh_dir}"], 1),
@@ -478,6 +530,11 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         (["discriminate", "--a", "{one_density}", "--b", "{one_density}", "--d", "4"], 1),
         (["discriminate", "--a", "{one_density}", "--b", "{one_density}", "--copies", "1"], 1),
         (["--out", "{one_entry}/gap.csv", "haar-gap", "--d", "4", "--N", "1"], 1),
+        (["sample-test", "--vector", "{archive}"], 1),
+        (["discriminate", "--a", "{archive}", "--b", "{one_density}"], 1),
+        (["discriminate", "--a", "{text_density}", "--b", "{one_density}"], 1),
+        (["solve", "minus-sign", "--instance", "{infinite_scale}"], 1),
+        (["solve", "sample-only", "--instance", "{infinite_scale}"], 1),
     ],
     ids=[
         "sample-test-no-dof",
@@ -509,7 +566,7 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         "solve-implicit-vector-not-its-seed",
         "discriminate-density-without-dim",
         "discriminate-density-without-content",
-        "sample-test-comments-only-vector",
+        "sample-test-empty-vector",
         "sample-test-subnormal-norm-vector",
         "sample-test-n-zero",
         "sample-test-dim-zero",
@@ -520,6 +577,7 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         "removed-threads-flag",
         "sample-test-dim-past-dense-budget",
         "discriminate-trials-past-dense-budget",
+        "encoding-demo-trials-past-dense-budget",
         "encoding-demo-C-past-vector-cap",
         "gen-instance-C-past-vector-cap",
         "gen-instance-real-search-past-entry-cap",
@@ -529,35 +587,50 @@ def test_cli_discriminate_rejects_nonpositive_copies(capsys, copies):
         "discriminate-files-with-d",
         "discriminate-files-with-copies",
         "haar-gap-out-under-a-file",
+        "sample-test-archive-vector",
+        "discriminate-archive-density",
+        "discriminate-text-density",
+        "solve-revealed-infinite-scale",
+        "solve-sample-only-revealed-infinite-scale",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
-    files = {
-        "nan_file": "nan 0\n1 0\n",
-        "nan_density": "dim 2\nnan 0 0 0\n0 0 1 0\n",
-        "one_density": "dim 2\n1 0 0 0\n0 0 0 0\n",
-        # finite entries whose Hermitian part or trace overflows
-        "overflow_offdiagonal": "dim 2\n0.5 0 1e308 0\n1e308 0 0.5 0\n",
-        "overflow_trace": "dim 2\n1e308 0 0 0\n0 0 -1e308 0\n",
-        "word_dim": "dim abc\n",
-        "negative_dim": "dim -1\n1 0\n",
-        "word_entry": "dim 1\n1 x\n",
+    texts = {
         "bad_circuit": "qubits 2\nH x\n",
-        "undecodable": "dim 1\n\xff 0\n",  # byte 0xff, which is not UTF-8
-        "undecodable_vector": "\xff 0\n1 0\n",
-        "huge_dim": "dim " + "9" * 4000 + "\n1 0\n",
-        "no_dim": "1 0\n",
-        "no_content": "# a comment, and no `dim` line\n\n",
-        "comments_only": "# no components\n\n",
-        # squared norm 2.09e-320, a subnormal
-        "subnormal_vector": "1e-160 0\n3e-161 0\n0 0\n1e-160 0\n",
-        "one_entry": "1 0\n",
         "zero_qubits": "qubits 0\n",
+        # files that are not .npy: the former text formats, one with a byte 0xff that is not UTF-8
+        "undecodable": "dim 1\n\xff 0\n",
+        "undecodable_vector": "\xff 0\n1 0\n",
+        "text_density": "dim 1\n1 0\n",
     }
-    for name, text in files.items():
-        (tmp_path / f"{name}.txt").write_bytes(text.encode("latin-1"))
-    paths = {name: tmp_path / f"{name}.txt" for name in files}
+    paths = {name: tmp_path / f"{name}.txt" for name in texts}
+    for name, text in texts.items():
+        paths[name].write_bytes(text.encode("latin-1"))
+    arrays = {
+        "nan_file": np.array([np.nan, 1.0]),
+        "nan_density": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        "one_density": np.array([[1.0, 0.0], [0.0, 0.0]]),
+        # finite entries whose Hermitian part or trace overflows
+        "overflow_offdiagonal": np.array([[0.5, 1e308], [1e308, 0.5]]),
+        "overflow_trace": np.array([[1e308, 0.0], [0.0, -1e308]]),
+        "word_entry": np.array([["1", "0"], ["0", "0"]]),
+        "no_content": np.zeros((0, 0)),
+        "empty_vector": np.zeros(0, dtype=np.complex128),
+        # squared norm 2.09e-320, a subnormal
+        "subnormal_vector": np.array([1e-160, 3e-161, 0.0, 1e-160]),
+        "one_entry": np.array([1.0]),
+    }
+    for name, values in arrays.items():
+        paths[name] = tmp_path / f"{name}.npy"
+        np.save(paths[name], values)
+    # .npy headers that no array has: a word, a negative and a 4001-digit dimension, and no shape
+    headers = {"word_dim": ("a", 2), "negative_dim": (-1, 2), "huge_dim": (10**4000, 1), "no_dim": None}
+    for name, shape in headers.items():
+        paths[name] = tmp_path / f"{name}.npy"
+        _npy_header_only(paths[name], shape)
+    paths["archive"] = tmp_path / "archive.npy"
+    _npz_archive(paths["archive"])
     head, plus = "kind minus-sign\nn 2\nC 2\n", "implicit all-plus n=2 scale=0.5"
     manifests = {
         "undecodable_manifest": "kind \xff\n",
@@ -570,13 +643,15 @@ def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
         "missing_vector": head + f"seed 0\nvector 1 {plus}\n",
         "unknown_backing": head + f"seed 0\nvector 1 {plus}\nvector 2 zip vector_2.zip\n",
         "not_its_seed": head + f"seed 0\nvector 1 {plus}\nvector 2 {plus}\n",  # seed 0 has a minus vector
+        "infinite_scale": head + "seed 0\nk_star 2\nvector 1 implicit all-plus n=2 scale=inf\n"
+        "vector 2 implicit minus-at-index n=2 scale=inf minus_index=1\n",
     }
     for name, text in manifests.items():
         paths[name] = tmp_path / name
         paths[name].mkdir()
         (paths[name] / "manifest.txt").write_bytes(text.encode("latin-1"))
     paths["fresh_dir"] = tmp_path / "fresh"
-    paths["missing"] = tmp_path / "missing.txt"
+    paths["missing"] = tmp_path / "missing.npy"
     assert main([arg.format(**paths) for arg in argv]) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -597,7 +672,7 @@ def test_cli_serves_or_rejects_in_one_line(tmp_path, capsys, argv, code):
             path = Path(argv[argv.index(flag) + 1].format(**paths))
             assert captured.err.startswith(f"error: {path / 'manifest.txt' if flag == '--instance' else path}:")
     if "{huge_dim}" in argv:
-        assert "2*dim^2" in captured.err
+        assert "not a readable .npy array" in captured.err and len(captured.err) < 300
     if argv[0] == "gen-instance":  # refused before anything is written
         assert not paths["fresh_dir"].exists()
 
@@ -706,9 +781,6 @@ _MANIFEST_HEAD = "kind minus-sign\nC 2\nseed 0\n"
 @pytest.mark.parametrize(
     "name,text,reason",
     [
-        ("density.txt", "dim " + "9" * 5000 + "\n1 0\n", "longer than"),
-        ("density.txt", "dim 1\n1 " + "x" * 5000 + "\n", "expected numbers"),
-        ("vector.txt", "1 0\n" + "7" * 5000 + "\n", "expected `<re> <im>`"),
         ("circuit.txt", "qubits " + "9" * 5000 + "\n", "longer than"),
         ("circuit.txt", "qubits 1\n" + "G" * 5000 + " 0\n", "unknown gate"),
         ("manifest.txt", _MANIFEST_HEAD + "n " + "9" * 5000 + "\n", "longer than"),
@@ -732,16 +804,13 @@ _MANIFEST_HEAD = "kind minus-sign\nC 2\nseed 0\n"
             "vector 2: 'vvvv",
         ),
     ],
-    ids=["density-dim", "density-entry", "vector-line", "circuit-qubits", "circuit-gate",
-         "manifest-n", "manifest-descriptor", "circuit-qubits-in-digit-limit",
+    ids=["circuit-qubits", "circuit-gate", "manifest-n", "manifest-descriptor", "circuit-qubits-in-digit-limit",
          "circuit-gate-qubit-in-digit-limit", "manifest-descriptor-n-in-digit-limit", "manifest-npy-name"],
 )
 def test_a_long_token_gives_a_short_refusal(tmp_path, capsys, name, text, reason):
     (tmp_path / name).write_text(text)
     path = str(tmp_path / name)
     argv = {
-        "density.txt": ["discriminate", "--a", path, "--b", path],
-        "vector.txt": ["sample-test", "--vector", path],
         "circuit.txt": ["sharp-p", "--circuit", path],
         "manifest.txt": ["solve", "minus-sign", "--instance", str(tmp_path)],
     }[name]

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,8 @@ from sqlab.instances import (
     load_instance,
 )
 from sqlab.sq_oracle import ImplicitVector
+
+from _fixtures import sparse_npy
 
 
 def test_haar_real_d1_is_sign():
@@ -250,6 +253,21 @@ def test_load_checks_vector_length_against_manifest(tmp_path):
         np.save(tmp_path / "inst" / f"vector_{j}.npy", short)
     with pytest.raises(ValueError, match=r"vector_1\.npy: 2 entries, the manifest's n=4 needs 16"):
         load_instance(tmp_path / "inst")
+
+
+def test_load_refuses_an_oversize_vector_from_its_header(tmp_path):
+    # revealed, so nothing regenerates the instance; the file holds 2^22 entries (64 MB) for n=4
+    dump_instance(gen_real_vector_search(4, 2, seed=24), tmp_path / "inst", reveal=True)
+    victim = tmp_path / "inst" / "vector_1.npy"
+    sparse_npy(victim, (1 << 22,), np.complex128)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(victim))}: 4194304 entries exceed the cap of 16$"):
+            load_instance(tmp_path / "inst")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_load_names_the_vector_file_it_refuses(tmp_path):

@@ -7,6 +7,7 @@ nothing runs but the tests.
 
 The entry points (`sqlab.cli.main` and each script's `main`) share one
 refusal rule: a `ValueError` or an `OSError` is one `error:` line and exit 1.
+Numeric array files are read in one place, `sq_oracle.load_npy`.
 """
 
 import ast
@@ -84,6 +85,26 @@ def test_every_function_class_and_method_is_used_outside_its_definition():
     unused = {qualname for qualname, name in _definitions().items() if name not in used}
     assert sorted(unused - set(_UNUSED)) == []
     assert sorted(set(_UNUSED) - unused) == []  # the allowlist names only unused definitions
+
+
+# numpy's file readers; sqlab reads every numeric array file through `sq_oracle.load_npy`
+_NUMPY_READERS = ("load", "loadtxt", "genfromtxt", "fromfile", "memmap")
+
+
+def test_numpy_files_are_read_in_one_place():
+    calls = []
+    for path in sorted((ROOT / "src" / "sqlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {
+            id(n): f"{path.stem}.{top.name}"
+            for top in tree.body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            for n in ast.walk(top)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in {f"np.{r}" for r in _NUMPY_READERS}:
+                calls.append((owner.get(id(node), path.stem), ast.unparse(node.func)))
+    assert calls == [("sq_oracle.load_npy", "np.load")]
 
 
 _ENTRY_POINTS = ["src/sqlab/cli.py", *sorted(f"scripts/{p.name}" for p in (ROOT / "scripts").glob("*.py"))]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 from functools import reduce
 
@@ -21,7 +22,7 @@ from sqlab.quantum_sim import (
     success_from_schatten1,
 )
 
-from _fixtures import random_density_operator, save_density_operator
+from _fixtures import random_density_operator
 
 
 def _pure(vec) -> DensityOperator:
@@ -301,13 +302,13 @@ def test_simulate_discrimination_matches_formula():
 
 def test_density_operator_file_round_trip(tmp_path):
     rho = random_density_operator(5, np.random.default_rng(12))
-    path = tmp_path / "rho.txt"
-    save_density_operator(path, rho)
+    path = tmp_path / "rho.npy"
+    np.save(path, rho.matrix)
     loaded = load_density_operator(path)
-    assert np.array_equal(loaded.matrix, rho.matrix)
-    bad = tmp_path / "bad.txt"
-    bad.write_text("2\n1 0 0 0\n")
-    with pytest.raises(ValueError, match="header"):
+    assert loaded.matrix.tobytes() == rho.matrix.tobytes()
+    bad = tmp_path / "bad.npy"
+    np.save(bad, np.eye(2)[:1])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}: density operator must be a square matrix$"):
         load_density_operator(bad)
 
 

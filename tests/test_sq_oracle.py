@@ -30,7 +30,7 @@ from sqlab.sq_oracle import (
     build_dense,
     build_implicit,
     content_lines,
-    load_dense_vector,
+    load_npy,
     materialize,
     parse_int,
     quoted,
@@ -129,6 +129,9 @@ def test_implicit_all_plus_norms():
     assert flat.query_norm() == pytest.approx(4.0, abs=1e-15)
     wide = build_implicit(ImplicitVector(kind="all-plus", n=10, scale=1.0))
     assert wide.query(777) == 1.0
+    # the largest scale served at n=62, whose norm is the largest finite float
+    top = build_implicit(ImplicitVector(kind="all-plus", n=62, scale=np.finfo(np.float64).max / 2**31))
+    assert top.query_norm() == np.finfo(np.float64).max
 
 
 def test_implicit_uniform_sampling():
@@ -150,6 +153,21 @@ def test_implicit_rejects_bad_specs():
         ImplicitVector(kind="minus-at-index", n=2, scale=1.0, minus_index=5)
     with pytest.raises(ValueError):
         ImplicitVector(kind="sign-pattern-product", n=2, scale=1.0, sign_mask=4)
+
+
+@pytest.mark.parametrize(
+    "scale,n,refusal",
+    [
+        (math.inf, 2, r"^scale must be positive and finite, got inf$"),
+        (math.nan, 2, r"^scale must be positive and finite, got nan$"),
+        (0.0, 2, r"^scale must be positive and finite, got 0\.0$"),
+        (1e300, 62, r"^the norm scale\*sqrt\(2\^n\) overflows at scale=1e\+300, n=62$"),
+    ],
+    ids=["inf", "nan", "zero", "norm-overflow"],
+)
+def test_implicit_refuses_a_non_finite_scale_or_an_overflowing_norm(scale, n, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        ImplicitVector(kind="all-plus", n=n, scale=scale)
 
 
 def test_sign_pattern_product_components():
@@ -296,49 +314,37 @@ def test_sampling_time_scales_gently():
     assert t_deep < 8 * max(t_shallow, 1e-9)
 
 
-def write_legacy_dense_vector(path, values):
-    """Write a vector in the text format `load_dense_vector` reads: one `%.17g` pair per line.
-
-    This is the format of `sample-test --vector` files, the one input that
-    still reads vectors as text; instance directories hold `.npy` files.
-    """
-    arr = np.asarray(values, dtype=np.complex128)
-    with open(path, "w") as fh:
-        fh.write("# dense vector: one component per line as `<re> <im>`\n")
-        for z in arr:
-            fh.write(f"{z.real:.17g} {z.imag:.17g}\n")
-
-
 def test_dense_vector_file_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     values = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     values[:6] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308j, 1.0, complex(-0.0, -0.0)]
     values[8:12] = values[8:12].real  # exact-zero imaginary parts
-    path = tmp_path / "vec.txt"
-    write_legacy_dense_vector(path, values)
-    loaded = load_dense_vector(path)
+    path = tmp_path / "vec.npy"
+    np.save(path, values)
+    loaded = load_npy(path, 1, 16)
     assert loaded.tobytes() == values.tobytes()  # bit-exact, signed zeros included
 
 
 def test_dense_vector_file_parsing(tmp_path):
-    path = tmp_path / "vec.txt"
-    path.write_text("# comment\n1.5 0\n-2e-3 7\n")
-    loaded = load_dense_vector(path)
-    assert loaded.tolist() == [1.5 + 0j, -0.002 + 7j]
-    bad = tmp_path / "bad.txt"
-    bad.write_text("1.5\n")
-    with pytest.raises(ValueError, match="expected"):
-        load_dense_vector(bad)
+    # every numeric dtype is read as complex128; any other dtype or shape is refused, naming the file
+    path = tmp_path / "vec.npy"
+    for values in (np.array([3, -2], dtype=np.int8), np.array([1.5, -2e-3], dtype=">f4"), np.array([1 + 7j, 0j])):
+        np.save(path, values)
+        loaded = load_npy(path, 1, 2)
+        assert loaded.dtype == np.complex128 and loaded.tolist() == values.astype(np.complex128).tolist()
+    for values in (np.array([True, False]), np.array(["1", "0"]), np.full((2, 1), 0.5)):
+        np.save(path, values)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: expected a 1-d numeric array, got shape"):
+            load_npy(path, 1, 2)
 
 
-def test_dense_vector_file_is_refused_past_the_component_cap(tmp_path, monkeypatch):
-    monkeypatch.setattr(sq_oracle, "DENSE_BUDGET_N", 2)
-    path = tmp_path / "vec.txt"
-    path.write_text("# four components fit\n1 0\n0 1\n1 0\n0 1\n")
-    assert load_dense_vector(path).size == 4
-    path.write_text(path.read_text() + "1 0\n0 1\n")
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 6: more than 2\^2 components$"):
-        load_dense_vector(path)
+def test_dense_vector_file_is_refused_past_the_component_cap(tmp_path):
+    path = tmp_path / "vec.npy"
+    np.save(path, np.arange(4))
+    assert load_npy(path, 1, 4).size == 4
+    np.save(path, np.arange(6))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: 6 entries exceed the cap of 4$"):
+        load_npy(path, 1, 4)
 
 
 def test_content_lines_skip_blank_and_comment_lines():
