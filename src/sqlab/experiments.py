@@ -97,9 +97,8 @@ def _haar_gap_cell(config: ExperimentConfig, d: int, copies: int) -> ResultRecor
     )
     t0 = time.perf_counter_ns()
     try:
-        report = trace_norm_gap(
-            d, copies, mc_samples=config.mc_samples, rng=keyed_stream(config.seed, d, copies)
-        )
+        rng = None if config.mc_samples is None else keyed_stream(config.seed, d, copies)
+        report = trace_norm_gap(d, copies, mc_samples=config.mc_samples, rng=rng)
         record.values = _gap_values(report)
     except BudgetExceededError as exc:
         if exc.exact is not None:  # only the Monte Carlo stage was refused

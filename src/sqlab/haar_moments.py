@@ -15,10 +15,10 @@ The real moment is block diagonal over the sets of indices that occur an odd
 number of times, and a `MomentOperator` holds only those blocks. Index
 permutations map one such set onto any other of the same size s and commute
 with the moment, so every block of one s is an exact row and column
-permutation of any other: one representative block per s is assembled and
-permuted into the rest, and each s is eigensolved as one (classes, k, k)
-stack, at most N/2 + 1 stacks in all. The dense matrix is assembled on
-request, for tests and tiny-cell cross-checks.
+permutation of any other. One representative block per s is assembled from
+int64 keys and lookups, with no d-wide gather per row, and permuted into the
+rest; each s is eigensolved as one (classes, k, k) stack, at most N/2 + 1 in
+all. The dense matrix is built on request, for tests and tiny-cell checks.
 
 `trace_norm_gap` computes the Schatten-1 distance between the two moments
 and checks it against the two-term and 4N^2/d bounds, along with positivity
@@ -66,8 +66,8 @@ MC_ESTIMATE_BYTE_BUDGET = 1 << 30
 
 BOUND_SLACK = 1e-9
 
-# Elements per temporary in the block gather of `real_moment` and in the
-# coefficient gather and accumulation of `mc_moment` (one row at least).
+# Elements per temporary in the coefficient gather and accumulation of
+# `mc_moment` and its deviation checks (one row at least).
 _GATHER_CAP = 1 << 20
 # Unit vectors drawn per RNG call in `mc_moment` (real parts before imaginary parts).
 _MC_DRAW_CHUNK = 100_000
@@ -139,14 +139,6 @@ def sym_basis(d: int, copies: int) -> SymBasis:
     return SymBasis(d=d, N=copies, indices=indices, norm_factors=norm)
 
 
-def _double_factorial(k: int) -> int:
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
-
-
 @lru_cache(maxsize=None)
 def _sphere_moment_denominator(d: int, copies: int) -> int:
     """d(d+2)...(d+2N-2), cross-checked against its Gamma form via log-gamma."""
@@ -168,12 +160,11 @@ class MomentOperator:
     entry of `blocks` pairs a (classes, k) array, whose c-th row lists the
     basis rows of class c in ascending order, with the (classes, k, k) stack
     of their blocks. `real_moment` assembles one representative block per s
-    and fills the rest of its stack with that block's exact row and column
-    permutations. Construction checks that the rows of all stacks partition
-    the basis and that the operator is symmetric, of unit trace and PSD, and
-    computes `eigenvalues` (ascending) from the stacks. The dense `matrix` is
-    built only when the property is read, by tests and by the tiny-cell
-    cross-check of `trace_norm_gap`.
+    and permutes it into the rest of its stack, every index found by integer
+    keys. Construction checks that the rows of all stacks partition the basis
+    and that the operator is symmetric, of unit trace and PSD, and computes
+    `eigenvalues` (ascending) from the stacks. The dense `matrix` is built
+    only when read, by tests and the tiny-cell cross-check of `trace_norm_gap`.
     """
 
     d: int
@@ -212,47 +203,22 @@ class MomentOperator:
         return m
 
 
-def _class_rows(members: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """`members` (ascending) grouped by equal rows of `keys`, one class per row of the result.
+def _block_counts(pairs: np.ndarray, runs: np.ndarray, s: int, d: int) -> np.ndarray:
+    """Exact int64 matching counts of the representative block of odd-set size s.
 
-    Classes follow in lexicographic order of their keys, and each keeps its
-    members ascending. Every class must have the same number of members.
+    Row a is {0..s-1} plus the pairs listed in `pairs[a]`, ascending; `runs[a, u]` is the place
+    of pair u among the row's pairs on its index. With q_a[j] the pairs of row a on j,
+    count[a, b] = prod_j h_j(q_a[j] + q_b[j]), where h_j(q) = (2q + 1)!! for j < s and (2q - 1)!!
+    otherwise. That is r_b = prod_j h_j(q_b[j]) times, for the u-th pair of row a on j, the odd
+    number h_j(u + q_b[j]) / h_j(u - 1 + q_b[j]): one (k, k) layer per pair, none per index of [d].
     """
-    order = np.lexsort(keys.T[::-1])  # stable, primary key first column
-    sorted_keys = keys[order]
-    starts = np.flatnonzero(np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)) + 1
-    bounds = np.concatenate(([0], starts, [len(order)]))
-    sizes = bounds[1:] - bounds[:-1]
-    if np.any(sizes != sizes[0]):
-        raise ValueError(f"classes of one group differ in size ({sizes.min()} to {sizes.max()} rows)")
-    return members[order].reshape(len(sizes), sizes[0])
-
-
-def _class_permutations(indices: np.ndarray, odd: np.ndarray, d: int) -> np.ndarray:
-    """For the classes of one odd-set size, pi[c, a] is the row of class 0 that matches row a of class c.
-
-    `indices` (classes, k, N) holds each class's rows, `odd` (classes, N) its
-    odd set padded with d. Relabelling a class's odd set S to 0..s-1 and the
-    rest of [d] to s..d-1, both in order, takes its rows to one common set of
-    index multisets; sorting each class's relabelled rows matches them up.
-    Ranks come from each row's own N indices, so nothing here is d wide.
-    """
-    s = np.sum(odd[0] < d)
-    below = np.sum(odd[:, None, None, :] < indices[..., None], axis=3)
-    in_odd = np.any(odd[:, None, None, :] == indices[..., None], axis=3)
-    relabelled = np.sort(np.where(in_odd, below, s + indices - below), axis=2)
-    order = np.lexsort(relabelled.transpose(2, 0, 1)[::-1])  # per class, first entry primary
-    pi = np.empty_like(order)
-    pi[np.arange(len(order))[:, None], order] = order[0]
-    return pi
-
-
-def _matching_counts(o: np.ndarray, matchings: np.ndarray) -> np.ndarray:
-    """count[a, b] = prod_j matchings[o[a, j] + o[b, j]], gathered in row chunks of at most `_GATHER_CAP` elements."""
-    count = np.empty((len(o), len(o)), dtype=np.int64)
-    step = max(1, _GATHER_CAP // o.size)
-    for a in range(0, len(o), step):
-        np.multiply.reduce(matchings[o[a : a + step, None] + o], axis=2, dtype=np.int64, out=count[a : a + step])
+    k, t = pairs.shape
+    # held[j, b] = q_b[j], the pairs of row b on index j
+    held = np.bincount((k * pairs + np.arange(k)[:, None]).ravel(), minlength=k * d).reshape(d, k)
+    step = 2 * runs + 2 * (pairs < s) - 1  # h_j(u) / h_j(u - 1)
+    count = step.prod(axis=1)[None, :]  # r_b
+    for u in range(t):
+        count = count * (2 * held[pairs[:, u]] + step[:, u, None])
     return count
 
 
@@ -267,39 +233,57 @@ def real_moment(d: int, copies: int) -> MomentOperator:
     that takes S to another set S' of the same size s, and the rest of [d] to
     the rest, maps the rows of S one-to-one onto those of S' and keeps every
     occupation multiset, so norm factors and matching counts agree entry for
-    entry. Only one representative block per s is therefore assembled; every
-    other block of that s is its exact row and column permutation, with each
+    entry. Only the block of S = {0..s-1} is therefore assembled; every other
+    block of that s is its exact row and column permutation, with each
     class's rows kept ascending, and each s is eigensolved as one stack.
+
+    Bookkeeping runs on integer keys, nothing d wide per row: one stable
+    argsort of odd-set keys groups the rows by s and class, and a (classes, d)
+    relabelling table takes each class's sorted pair lists, keyed in base d,
+    to the representative's rows by one `searchsorted`. The exact counts take
+    one (k, k) layer per pair of a row (`_block_counts`).
     """
     basis = sym_basis(d, copies)
-    nf = basis.norm_factors
+    x, nf = basis.indices, basis.norm_factors
     denom = _sphere_moment_denominator(d, copies)
-    # (a-1)!! for even a; a combined occupation within a parity class is even.
-    # Each entry is at most 15!!, so it is gathered as int32 and multiplied as int64.
-    matchings = np.array([_double_factorial(a - 1) for a in range(2 * copies + 1)], dtype=np.int32)
-    # each row's odd set, ascending and padded with d to N entries
-    run_end = np.ones(basis.indices.shape, dtype=bool)
-    run_end[:, :-1] = basis.indices[:, 1:] != basis.indices[:, :-1]
-    odd = np.sort(np.where(run_end & (_run_positions(basis.indices) % 2 == 1), basis.indices, d), axis=1)
-    odd_size = np.sum(odd < d, axis=1)
+    pos = _run_positions(x)
+    run_end = np.ones(x.shape, dtype=bool)
+    run_end[:, :-1] = x[:, 1:] != x[:, :-1]
+    odd = run_end & (pos % 2 == 1)  # each index of a row's odd set, once
+    rank = odd.cumsum(axis=1)
+    odd_size = rank[:, -1]
+    power = d ** np.arange(copies + 1)  # odd_key: s, then the members of S, as base-d digits
+    odd_key = power[copies] * odd_size + (np.where(odd, x, 0) * power[odd_size[:, None] - rank]).sum(axis=1)
+    order = np.argsort(odd_key, kind="stable")  # by s, then S; rows ascending within each class
+    sorted_keys, pos = odd_key[order], pos[order]
+    pairs, runs = x[order][pos % 2 == 0], pos[pos % 2 == 0] // 2  # each pair a row holds, and its place on its index
     blocks = []
-    for s in np.flatnonzero(np.bincount(odd_size)):  # s = N mod 2, N mod 2 + 2, ..., at most N
-        members = np.flatnonzero(odd_size == s)
-        rows = _class_rows(members, odd[members])
-        classes, k = rows.shape
-        # occupations of the representative's rows as uint8 (at most N <= 8),
-        # so that the gather's index temporary takes one byte per element
-        rep = basis.indices[rows[0]]
-        count = _matching_counts((rep[:, :, None] == np.arange(d)).sum(axis=1, dtype=np.uint8), matchings)
-        # count and denom stay below 2^53 for every cell whose basis fits in
-        # memory, so the quotient is the correctly rounded one, as float(Fraction).
+    lo = at = 0  # first row of the group in `order`, and its first entry in `pairs`
+    sizes = np.bincount(odd_size)
+    for s in np.flatnonzero(sizes):  # s = N mod 2, N mod 2 + 2, ..., at most N
+        group, t = sizes[s], (copies - s) // 2
+        starts = np.flatnonzero(sorted_keys[lo + 1 : lo + group] != sorted_keys[lo : lo + group - 1]) + 1
+        k = int(starts[0]) if len(starts) else group
+        if group % k or not np.array_equal(starts, np.arange(k, group, k)):
+            raise ValueError(f"classes of odd-set size {s} differ in size")
+        rows = order[lo : lo + group].reshape(-1, k)
+        classes, rep = len(rows), slice(at, at + k * t)  # rep: the pairs of class 0, S = {0..s-1}
+        count = _block_counts(pairs[rep].reshape(k, t), runs[rep].reshape(k, t), s, d)
+        # count and denom stay below 2^53 in every admitted cell: the quotient is rounded once, as float(Fraction)
         e0 = np.multiply.outer(nf[rows[0]], nf[rows[0]]) * (count / denom)
         if classes == 1 or k == 1:  # nothing to permute: one class, or equal 1 x 1 blocks
             stack = np.repeat(e0[None], classes, axis=0)
-        else:
-            pi = _class_permutations(basis.indices[rows], odd[rows[:, 0]], d)
-            stack = e0[pi[:, :, None], pi[:, None, :]]
+        else:  # relabel S to 0..s-1 and the rest of [d] to s..d-1, both in order
+            in_set = np.zeros((classes, d), dtype=bool)
+            in_set[np.arange(classes)[:, None], x[rows[:, 0]][odd[rows[:, 0]]].reshape(classes, s)] = True
+            below = in_set.cumsum(axis=1)
+            relabel = np.where(in_set, below - 1, s + np.arange(d) - below)
+            class_pairs = pairs[at : at + group * t].reshape(classes, k, t)
+            keys = np.sort(relabel[np.arange(classes)[:, None, None], class_pairs], axis=2) @ power[t - 1 :: -1]
+            pi = np.searchsorted(keys[0], keys)  # class 0 is the representative, its keys ascending
+            stack = np.take(e0, k * pi[:, :, None] + pi[:, None, :])
         blocks.append((rows, stack))
+        lo, at = lo + group, at + group * t
     return MomentOperator(d=d, N=copies, blocks=tuple(blocks))
 
 

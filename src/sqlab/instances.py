@@ -82,7 +82,8 @@ def haar_unit_vector(d: int, field: str, rng: np.random.Generator) -> np.ndarray
         g.imag = rng.standard_normal(d)
     else:
         raise ValueError(f"unknown field {field!r}")
-    nrm = np.linalg.norm(g)
+    # numpy's pairwise sum, not a BLAS dot: the instance bytes do not depend on the BLAS thread count
+    nrm = np.sqrt(np.square(g.view(np.float64)).sum())
     if nrm == 0.0:  # probability zero, but fail loudly rather than divide
         raise RuntimeError("degenerate Gaussian draw")
     g /= nrm

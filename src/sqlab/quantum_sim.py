@@ -248,15 +248,15 @@ def simulate_discrimination(
     """Empirical success rate of the optimal two-outcome measurement.
 
     Measures the projector onto the nonnegative eigenspace of a - b on states
-    drawn with equal priors; guesses `a` on the projecting outcome.
+    drawn with equal priors; guesses `a` on the projecting outcome. Each click
+    probability tr(P rho) is read as sum_ij P_ij rho_ji, without forming P rho.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     eigvals, eigvecs = np.linalg.eigh(a.matrix - b.matrix)
     positive = eigvecs[:, eigvals >= 0.0]
     projector = positive @ positive.conj().T
-    p_click_a = float(np.trace(projector @ a.matrix).real)
-    p_click_b = float(np.trace(projector @ b.matrix).real)
+    p_click_a, p_click_b = (float(np.einsum("ij,ji->", projector, rho.matrix).real) for rho in (a, b))
     return _click_success_rate(p_click_a, p_click_b, trials, rng)
 
 

@@ -82,6 +82,25 @@ def test_sweep_is_deterministic_and_thread_count_invariant():
     assert text_a == text_b == text_c
 
 
+def test_haar_gap_cells_key_a_generator_only_for_monte_carlo(monkeypatch):
+    keyed = []
+    keyed_stream = experiments.keyed_stream
+
+    def counting(seed, *key):
+        keyed.append(key)
+        return keyed_stream(seed, *key)
+
+    monkeypatch.setattr(experiments, "keyed_stream", counting)
+    exact = render_records(run_sweep(_gap_config()), "csv")
+    assert keyed == []
+    # the exact columns are the same with or without a Monte Carlo stage
+    with_mc = run_sweep(_gap_config(mc_samples=200))
+    assert keyed == [(2, 1), (2, 2), (4, 1), (4, 2)]
+    for record in with_mc:
+        record.values["mc_max_dev"] = None
+    assert render_records(with_mc, "csv") == exact
+
+
 def test_budget_exceeded_becomes_error_record():
     records = run_sweep(_gap_config(d_values=(2, 64), copies_values=(4,)))
     by_d = {r.params["d"]: r for r in records}

@@ -26,6 +26,11 @@ from sqlab.haar_moments import (
 )
 
 
+def _double_factorial(k):
+    """k!! for k >= -1, so (-1)!! = 0!! = 1."""
+    return math.prod(range(k, 0, -2))
+
+
 def test_sym_basis_small_cases():
     basis = sym_basis(2, 2)
     assert basis.indices.tolist() == [[0, 0], [0, 1], [1, 1]]
@@ -130,7 +135,7 @@ def real_monomial_moment(indices, d) -> Fraction:
     for m in Counter(int(a) for a in indices).values():
         if m % 2:
             return Fraction(0)  # an odd power admits no equal-index matching
-        count *= haar_moments._double_factorial(m - 1)
+        count *= _double_factorial(m - 1)
     return Fraction(count, haar_moments._sphere_moment_denominator(d, len(indices) // 2))
 
 
@@ -282,7 +287,7 @@ def test_real_moment_blocks_match_dense_eigh_at_larger_cells(d, copies):
     np.testing.assert_allclose(op.eigenvalues, np.linalg.eigvalsh(op.matrix), atol=1e-12)
 
 
-def test_moment_operator_checks_every_block_and_the_row_partition():
+def test_moment_operator_checks_every_block_and_the_row_partition(monkeypatch):
     first = (np.array([[0]]), np.full((1, 1, 1), 1 / 5))
     rows = np.array([[1, 2], [4, 3]])
     stack = np.stack([np.eye(2), np.eye(2)]) / 5
@@ -296,12 +301,19 @@ def test_moment_operator_checks_every_block_and_the_row_partition():
         bad = np.array(bad)
         with pytest.raises(ValueError, match="partition"):
             MomentOperator(d=5, N=1, blocks=(first, (bad, np.stack([np.eye(2)] * len(bad)) / 5)))
-    # classes of one group that differ in size: refused when grouped, and a
-    # stack whose blocks do not match the group's row count is refused too
-    with pytest.raises(ValueError, match="differ in size"):
-        haar_moments._class_rows(np.arange(3), np.array([[0], [0], [1]]))
+    # a stack whose blocks do not match the group's row count is refused
     with pytest.raises(ValueError, match="do not index"):
         MomentOperator(d=5, N=1, blocks=(first, (rows, np.stack([np.eye(3)] * 2) / 7.5)))
+    # classes of one odd-set size that differ in size are refused when grouped:
+    # at d=2, N=3 the classes {0} = (000), (011) and {1} = (001), (111) lose
+    # one row, the smaller class listed last or first
+    full = sym_basis(2, 3)
+    for dropped in (3, 2):
+        keep = np.arange(full.size) != dropped
+        basis = haar_moments.SymBasis(d=2, N=3, indices=full.indices[keep], norm_factors=full.norm_factors[keep])
+        monkeypatch.setattr(haar_moments, "sym_basis", lambda d, copies: basis)
+        with pytest.raises(ValueError, match="differ in size"):
+            real_moment(2, 3)
 
 
 def _real_moment_per_class(d, copies):
@@ -318,7 +330,7 @@ def _real_moment_per_class(d, copies):
     order = np.argsort(parity_class, kind="stable")
     nf = basis.norm_factors
     denom = haar_moments._sphere_moment_denominator(d, copies)
-    matchings = np.array([haar_moments._double_factorial(a - 1) for a in range(2 * copies + 1)], dtype=np.int64)
+    matchings = np.array([_double_factorial(a - 1) for a in range(2 * copies + 1)], dtype=np.int64)
     blocks, eigenvalues = [], []
     for rows in np.split(order, np.flatnonzero(np.diff(parity_class[order])) + 1):
         idx = basis.indices[rows]
@@ -334,7 +346,10 @@ def _real_moment_per_class(d, copies):
 
 
 @pytest.mark.parametrize(
-    "d,copies", [cell for cell in _ADMITTED_SMALL_CELLS if cell[0] <= 16] + [(40, 3), (199, 2)]
+    "d,copies",
+    [cell for cell in _ADMITTED_SMALL_CELLS if cell[0] <= 16]
+    # large admitted cells for N = 3, 2, 4, 6, 8, 1, where the keys take large bases
+    + [(40, 3), (199, 2), (24, 4), (12, 6), (9, 8), (2000, 1)],
 )
 def test_stacked_moment_is_byte_identical_to_the_per_class_assembly(d, copies):
     op = real_moment(d, copies)
@@ -371,16 +386,17 @@ def test_real_moment_makes_one_eigensolve_per_odd_set_size(monkeypatch, d, copie
 @pytest.mark.parametrize("d,copies", [(5, 3), (12, 4), (16, 4), (8, 6), (6, 8), (40, 3), (199, 2), (300, 1)])
 def test_real_moment_gathers_matching_counts_for_one_class_per_odd_set_size(monkeypatch, d, copies):
     gathered = []
-    matching_counts = haar_moments._matching_counts
+    block_counts = haar_moments._block_counts
 
-    def counting(o, matchings):
-        gathered.append(len(o))
-        return matching_counts(o, matchings)
+    def counting(pairs, runs, s, d):
+        gathered.append((s, pairs.shape))
+        return block_counts(pairs, runs, s, d)
 
-    monkeypatch.setattr(haar_moments, "_matching_counts", counting)
+    monkeypatch.setattr(haar_moments, "_block_counts", counting)
     op = real_moment(d, copies)
-    assert len(gathered) <= copies // 2 + 1
-    assert gathered == [rows.shape[1] for rows, _ in op.blocks]  # one class's k rows per stack
+    assert len(gathered) == len(op.blocks) <= copies // 2 + 1
+    for (s, shape), (rows, _) in zip(gathered, op.blocks):
+        assert shape == (rows.shape[1], (copies - s) // 2)  # one class's k rows, t = (N - s)/2 pairs, never d
 
 
 # gap and o_rest_min_eig of the per-class assembly, as float.hex()
@@ -434,25 +450,35 @@ def test_large_parity_block_gathers_in_bounded_chunks():
     assert peak < 48 * 2**20
 
 
-@pytest.mark.parametrize("d,copies", [(5, 3), (12, 4)])
-def test_chunked_block_gather_is_bit_identical(monkeypatch, d, copies):
-    whole = real_moment(d, copies)
-    for cap in (7, 5000):
-        monkeypatch.setattr(haar_moments, "_GATHER_CAP", cap)
-        chunked = real_moment(d, copies)
-        # rows of each representative's gather per chunk (its k rows over d indices)
-        steps = {rows.shape: max(1, cap // (rows.shape[1] * d)) for rows, _ in chunked.blocks}
-        if cap == 7:  # every representative one row at a time
-            assert set(steps.values()) == {1}
-        elif (d, copies) == (12, 4):
-            # row chunks of the 78-row representative, and the 12-row
-            # representative of the 66 classes whole
-            assert 1 < steps[(1, 78)] < 78
-            assert steps[(66, 12)] >= 12
-        assert len(chunked.blocks) == len(whole.blocks)
-        for (rows_a, block_a), (rows_b, block_b) in zip(whole.blocks, chunked.blocks):
-            assert np.array_equal(rows_a, rows_b)
-            assert block_a.tobytes() == block_b.tobytes()
+@pytest.mark.parametrize("d,copies", [(5, 3), (12, 4), (9, 8)])
+def test_block_counts_match_the_d_wide_product_in_bounded_memory(monkeypatch, d, copies):
+    # each representative's counts are prod_j (o_a[j] + o_b[j] - 1)!! over all
+    # d indices, bit for bit, from a few k x k temporaries
+    basis = sym_basis(d, copies)
+    matchings = np.array([_double_factorial(a - 1) for a in range(2 * copies + 1)], dtype=np.int64)
+    block_counts = haar_moments._block_counts
+    measured = []
+
+    def tracing(pairs, runs, s, d):
+        tracemalloc.start()
+        try:
+            count = block_counts(pairs, runs, s, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        measured.append((count, peak))
+        return count
+
+    monkeypatch.setattr(haar_moments, "_block_counts", tracing)
+    op = real_moment(d, copies)
+    assert len(measured) == len(op.blocks)
+    for (rows, _), (count, peak) in zip(op.blocks, measured):
+        o = (basis.indices[rows[0]][:, :, None] == np.arange(d)).sum(axis=1)
+        reference = matchings[o[:, None, :] + o[None, :, :]].prod(axis=2)
+        assert count.dtype == np.int64
+        assert np.array_equal(count, reference)
+        k = rows.shape[1]
+        assert peak < 8 * (6 * k * k + d * k) + (16 << 10)
 
 
 def test_symmetric_embedding_is_isometry():

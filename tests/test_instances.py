@@ -1,10 +1,15 @@
 """Instance-generator tests: distributions, determinism, dump/load round trips."""
 
 import hashlib
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,25 +74,26 @@ def test_haar_complex_imag_parts_never_exactly_zero():
 
 
 # sha256 of each handle's entries in gen_real_vector_search(16, 4, seed), recorded
-# when the complex draw was still `re + 1j * im`; the real vector is j = 3, 0, 2
+# with the norm taken by numpy's pairwise sum (the same under every BLAS thread
+# count); the real vector is j = 3, 0, 2
 _PINNED_REAL_SEARCH = {
     0: [
-        "1fefb72b04ee03d2314aadb099bd21063d7f0be143d4ed00e090d0c0d2345e41",
+        "7297fb66d51a9ba7b98a06601d73d61cc18cbfdd29d8926554f733a4b738fb61",
         "f665bb9171fb3e3b9452e4c2d2072742a67b0926173366ad6afd0a3c05190b79",
-        "0ff3dac12af212209fd90b11c52c015e9b090d1c6f904b62505e40fc6b6e6aee",
-        "94e50a45170584a5d03cff96da221b4f14bef868f5296e859ac760978ba41ce4",
+        "e0335f6b05ad66a2fbccee44d1d817b239da1695093f157550c9262317d9684e",
+        "e7a93d9a6385a3d601cc9d587d9e319db0919b4969090957cb28e3e2c563748b",
     ],
     1: [
-        "100237492cd27ca667bd9faee0d3d0469dfe7da72d0e1ff369642497f0a89335",
-        "a3149c5a7f45a961b21b0e3d03cc444288ac9df7eab59a3cd459db8700f065fa",
+        "5ba58d6aa0a148268e871a30309100b6859b9317b2cdb3842ad3e7fcf44ef3a9",
+        "01bcdb9b5e21c8a66f83b85daf8976bd125ce8314b72089cf7c73aa35452b67d",
         "a013eb58710e755c47cad7973ec91bb661c29d8b5970cd55a45e925c3a5f9c75",
         "9098aae551311b8409eb94b70c952507d440d13a722fab977a457d1ec244f858",
     ],
     3: [
         "1e18d2af6fd2e6b2a154e86da0b194468b71c19a0e618d472f5d4ac5bf6f9bd1",
-        "07314eb995ef25bf3579f6257bc3313ddf5b8327ac60cb13416b7c60fadd8858",
-        "74195fba8be97c01e03c1ccd0ea56e3c1632a250ec01f206e09279fc4186d44c",
-        "14c8115b8e835ec505233755b40949f03fbce0f2e128be23b7a70e6074eed7d1",
+        "36ec638e2cdcaa0ce4bf6c885556bc2910efdc4826b5f2fabd11c231423ac640",
+        "77d5d9c1cfde0ff348fd0d75fe4aa0353791483aaafccf9642e5c8cea2ac81ea",
+        "97133520287e23c05e9d8085cbd60e76787d020271aab55eb0a9caccd7255368",
     ],
 }
 
@@ -97,6 +103,30 @@ def test_real_search_vector_bytes_are_pinned(seed):
     handles = gen_real_vector_search(16, 4, seed).handles
     assert [hashlib.sha256(h.backing.entries.tobytes()).hexdigest() for h in handles] == _PINNED_REAL_SEARCH[seed]
     assert [bool(np.all(h.backing.entries.imag == 0.0)) for h in handles].count(True) == 1
+
+
+@pytest.mark.parametrize("gen_threads,solve_threads", [("2", "1"), ("1", "2")])
+def test_real_search_instance_solves_under_another_blas_thread_count(tmp_path, gen_threads, solve_threads):
+    # `solve` regenerates the instance from its seed to check the dumped
+    # vectors, so their bytes must not depend on the BLAS thread count
+    def sqlab(threads, *argv):
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+        }
+        return subprocess.run(
+            [sys.executable, "-m", "sqlab.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    inst = tmp_path / "inst"
+    generated = sqlab(gen_threads, "--seed", "5", "gen-instance", "--kind", "real-search", "--n", "16", "--C", "4",
+                      "--dir", str(inst))
+    assert generated.returncode == 0, generated.stderr
+    solved = sqlab(solve_threads, "solve", "real-search", "--instance", str(inst))
+    assert solved.returncode == 0, solved.stderr
+    assert json.loads(solved.stdout)["correct"] is True
 
 
 def test_gen_minus_sign_small_case_values():

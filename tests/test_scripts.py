@@ -3,6 +3,7 @@
 import contextlib
 import importlib.util
 import io
+import json
 import os
 import re
 import subprocess
@@ -89,6 +90,7 @@ def _load_script(name):
 _DEMO = _load_script("run_separation_demo")
 _COPIES = _load_script("run_copies_scaling")
 _GRID = _load_script("run_haar_gap_grid")
+_BENCH = _load_script("bench_real_moment")
 
 
 def _run_in_process(module, argv):
@@ -232,3 +234,36 @@ def test_haar_grid_integer_flags_serve_or_reject_in_one_line(d, N, mc, seed):
         with mock.patch.object(haar_moments, "MC_ESTIMATE_BYTE_BUDGET", 1 << 25):
             code, out, err = _run_in_process(_GRID, argv + ["--out", str(path)])
         _assert_report_or_one_line_refusal(code, out, err, path)
+
+
+def test_bench_real_moment_writes_every_cell_split_into_assembly_and_checks(tmp_path):
+    path = tmp_path / "bench" / "BENCH_real_moment.json"
+    code, out, err = _run_in_process(_BENCH, ["bench_real_moment.py", "--repeats", "1", "--out", str(path)])
+    assert (code, err) == (0, "")
+    assert out.startswith(f"wrote 25 cells to {path}\n")
+    report = json.loads(path.read_text())
+    assert [(c["d"], c["N"]) for c in report["bounds_grid"]] == _BENCH.BOUNDS_GRID_CELLS
+    assert [(c["d"], c["N"]) for c in report["guard"]] == [(9, 8), (12, 6), (24, 4), (40, 3), (199, 2), (2000, 1)]
+    for cell in report["bounds_grid"] + report["guard"]:
+        assert 0 < cell["moment_operator_s"]
+        assert cell["assembly_s"] == cell["real_moment_s"] - cell["moment_operator_s"]
+    assert report["bounds_grid_total"]["real_moment_s"] == sum(c["real_moment_s"] for c in report["bounds_grid"])
+
+
+@pytest.mark.parametrize(
+    "argv,refusal",
+    [(["--repeats", "0"], "--repeats must be at least 1, got 0"),
+     (["--repeats", "x"], "argument --repeats: expected an integer, got 'x'"),
+     (["--out", "{blocker}/x.json"], "[Errno 17] File exists: '{blocker}'"),
+     (["--out", "{tmp}"], "[Errno 21] Is a directory: '{tmp}'")],
+    ids=["repeats-0", "repeats-x", "out-under-a-file", "out-a-directory"],
+)
+def test_bench_real_moment_refuses_in_one_line_before_any_work(tmp_path, monkeypatch, argv, refusal):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    monkeypatch.setattr(_BENCH, "real_moment", _no_work)
+    argv = ["bench_real_moment.py", *[arg.format(tmp=tmp_path, blocker=blocker) for arg in argv]]
+    code, out, err = _run_in_process(_BENCH, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: " + refusal.format(tmp=tmp_path, blocker=blocker) + "\n"
+    assert blocker.read_text() == ""
