@@ -156,6 +156,7 @@ def _cmd_sample_test(args) -> tuple[dict, int]:
     # at 0 the test passes every sampler, at 1 or above it fails every one
     if not 0.0 < args.significance < 1.0:
         raise ValueError(f"--significance must lie in (0, 1), got {args.significance}")
+    sq_oracle._check_sample_count(args.draws)
     rng = np.random.default_rng(args.seed)
     if args.vector is not None:
         values = sq_oracle.load_npy(args.vector, 1, 1 << sq_oracle.DENSE_BUDGET_N)
@@ -223,6 +224,9 @@ def _cmd_gen_instance(args) -> tuple[dict, int]:
 
 
 def _cmd_solve(args) -> tuple[dict, int]:
+    if args.solver == "sample-only":
+        learners._check_budget(args.budget)
+        sq_oracle._check_sample_count(args.budget)
     instance = instances.load_instance(args.instance)
     rng = np.random.default_rng(args.seed)
     if args.solver == "minus-sign":
@@ -248,6 +252,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
 
 
 def _cmd_discriminate(args) -> tuple[dict, int]:
+    quantum_sim._check_trials(args.trials)
     rng = np.random.default_rng(args.seed)
     if args.family is not None:
         if args.a is not None or args.b is not None:
@@ -261,12 +266,9 @@ def _cmd_discriminate(args) -> tuple[dict, int]:
     elif args.a and args.b:
         if args.d is not None or args.copies is not None:
             raise ValueError("--d and --copies apply only to --family")
-        rho_a = quantum_sim.load_density_operator(args.a)
-        rho_b = quantum_sim.load_density_operator(args.b)
+        rho_a, rho_b = map(quantum_sim.load_density_operator, (args.a, args.b))
         dim = rho_a.dim
-        schatten = quantum_sim.schatten1_diff(rho_a, rho_b)
-        success = quantum_sim.success_from_schatten1(schatten)
-        empirical = quantum_sim.simulate_discrimination(rho_a, rho_b, args.trials, rng)
+        schatten, success, empirical = quantum_sim.discriminate_mixed_pair(rho_a, rho_b, args.trials, rng)
         source = "files"
     else:
         raise ValueError("discriminate needs either --a and --b or --family")

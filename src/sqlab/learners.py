@@ -87,6 +87,11 @@ def _collision_score(indices: np.ndarray) -> int:
     return int(np.sum(counts * (counts - 1) // 2))
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+
+
 def solve_sample_only(
     handles: Sequence[SqHandle], budget: int, rng: np.random.Generator
 ) -> SolveReport:
@@ -98,8 +103,7 @@ def solve_sample_only(
     exchangeable and the answer is uniform over {1, ..., C} no matter the
     budget: the restricted oracle carries no signal for these tasks.
     """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    _check_budget(budget)
     for h in handles:
         if h.capabilities != frozenset({Capability.SAMPLE}):
             raise ValueError("sample-only solver requires handles restricted to {Sample}")

@@ -2,8 +2,8 @@
 and the closed forms for the minus-sign (sign-flip) pair.
 
 A pair of pure states is reported from its overlap alone
-(`discriminate_pure_pair`); dense density operators serve mixed states read
-from `.npy` files and the test-only cross-check of that Gram form.
+(`discriminate_pure_pair`), a pair of density operators read from `.npy` files
+from one eigendecomposition of their difference (`discriminate_mixed_pair`).
 
 Convention: ||M||_1 is the Schatten-1 norm (sum of singular values), so two
 orthogonal pure states differ by norm 2 and the optimal success probability
@@ -27,14 +27,13 @@ __all__ = [
     "DensityOperator",
     "HELSTROM_SCHATTEN_THRESHOLD",
     "check_schatten_threshold",
+    "discriminate_mixed_pair",
     "discriminate_pure_pair",
     "load_density_operator",
     "min_copies_minus_sign",
     "minus_sign_product_vectors",
     "ncopy_minus_sign_tracenorm",
     "ncopy_minus_sign_tracenorm_dense",
-    "schatten1_diff",
-    "simulate_discrimination",
     "success_from_schatten1",
 ]
 
@@ -103,21 +102,6 @@ class DensityOperator:
         vec = np.asarray(state, dtype=np.complex128)
         _unit_norm_sq(vec)
         return cls(np.outer(vec, vec.conj()))
-
-
-def _schatten1_hermitian(matrix: np.ndarray) -> float:
-    """Sum of absolute eigenvalues, with a roundoff floor for tiny ones."""
-    eigs = np.linalg.eigvalsh(matrix)
-    floor = _EIG_ZERO_REL * matrix.shape[0]
-    eigs = np.where(np.abs(eigs) < floor, 0.0, eigs)
-    return float(np.sum(np.abs(eigs)))
-
-
-def schatten1_diff(a: DensityOperator, b: DensityOperator) -> float:
-    """||a - b||_1 via Hermitian eigendecomposition of the difference."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return _schatten1_hermitian(a.matrix - b.matrix)
 
 
 def success_from_schatten1(schatten: float) -> float:
@@ -242,22 +226,24 @@ def min_copies_minus_sign(d: int, threshold: float = HELSTROM_SCHATTEN_THRESHOLD
     return reached
 
 
-def simulate_discrimination(
+def discriminate_mixed_pair(
     a: DensityOperator, b: DensityOperator, trials: int, rng: np.random.Generator
-) -> float:
-    """Empirical success rate of the optimal two-outcome measurement.
+) -> tuple[float, float, float]:
+    """Schatten-1 distance, optimal success and empirical success rate for density operators a, b.
 
-    Measures the projector onto the nonnegative eigenspace of a - b on states
-    drawn with equal priors; guesses `a` on the projecting outcome. Each click
-    probability tr(P rho) is read as sum_ij P_ij rho_ji, without forming P rho.
+    All three come from one eigendecomposition of a - b: the distance sums its
+    absolute eigenvalues, |lambda| < _EIG_ZERO_REL * dim counted as 0, and the
+    measurement P projects onto the unfloored nonnegative eigenspace, guessing `a`
+    on that outcome, each click probability tr(P rho) read as sum_ij P_ij rho_ji.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     eigvals, eigvecs = np.linalg.eigh(a.matrix - b.matrix)
+    schatten = float(np.sum(np.abs(np.where(np.abs(eigvals) < _EIG_ZERO_REL * a.dim, 0.0, eigvals))))
     positive = eigvecs[:, eigvals >= 0.0]
     projector = positive @ positive.conj().T
     p_click_a, p_click_b = (float(np.einsum("ij,ji->", projector, rho.matrix).real) for rho in (a, b))
-    return _click_success_rate(p_click_a, p_click_b, trials, rng)
+    return schatten, success_from_schatten1(schatten), _click_success_rate(p_click_a, p_click_b, trials, rng)
 
 
 def discriminate_pure_pair(
@@ -265,25 +251,28 @@ def discriminate_pure_pair(
 ) -> tuple[float, float, float]:
     """Schatten-1 distance, optimal success and empirical success rate for pure states u, v.
 
-    The same report as `schatten1_diff`, `success_from_schatten1` of it and
-    `simulate_discrimination` on `DensityOperator.from_pure(u)` and `(v)`,
-    from the overlap of u and v alone: the optimal projector clicks with
-    probability `success` on u and `1 - success` on v, and the random draws
-    are those of `simulate_discrimination`.
+    The same report as `discriminate_mixed_pair` on `DensityOperator.from_pure(u)`
+    and `(v)`, from the overlap of u and v alone: the optimal projector clicks
+    with probability `success` on u and `1 - success` on v, and the random
+    draws are those of `discriminate_mixed_pair`.
     """
     schatten = _pure_pair_schatten1(u, v)
     success = success_from_schatten1(schatten)
     return schatten, success, _click_success_rate(success, 1.0 - success, trials, rng)
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if trials > 1 << DENSE_BUDGET_N:  # about 30 bytes per trial in `_click_success_rate`'s arrays
+        raise ValueError(f"trials must be at most 2^{DENSE_BUDGET_N}, got {quoted(trials)}")
+
+
 def _click_success_rate(
     p_click_a: float, p_click_b: float, trials: int, rng: np.random.Generator
 ) -> float:
     """Success rate of guessing `a` on a click, over `trials` equal-prior draws."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if trials > 1 << DENSE_BUDGET_N:  # about 30 bytes per trial in the arrays below
-        raise ValueError(f"trials must be at most 2^{DENSE_BUDGET_N}, got {quoted(trials)}")
+    _check_trials(trials)
     p_click_a = min(max(p_click_a, 0.0), 1.0)
     p_click_b = min(max(p_click_b, 0.0), 1.0)
     truth_is_a = rng.integers(2, size=trials).astype(bool)

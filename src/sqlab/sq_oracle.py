@@ -191,6 +191,11 @@ class ImplicitVector:
         return self.scale * math.sqrt(self.dim)
 
 
+def _check_sample_count(k: int) -> None:
+    if not 0 <= k <= 1 << DENSE_BUDGET_N:
+        raise ValueError(f"sample count must be in [0, 2^{DENSE_BUDGET_N}], got {quoted(k)}")
+
+
 class SqHandle:
     """Capability-gated SQ oracle over a dense or implicit backing vector.
 
@@ -233,8 +238,7 @@ class SqHandle:
         keeps the search's memory accesses local.
         """
         self._require(Capability.SAMPLE)
-        if not 0 <= k <= 1 << DENSE_BUDGET_N:
-            raise ValueError(f"sample count must be in [0, 2^{DENSE_BUDGET_N}], got {quoted(k)}")
+        _check_sample_count(k)
         if isinstance(self.backing, DenseVector):
             cdf = self.backing.cdf
             u = rng.random(k) * cdf[-1]

@@ -26,12 +26,10 @@ from sqlab.haar_moments import mc_moment, real_moment, trace_norm_gap
 from sqlab.instances import gen_minus_sign, gen_real_vector_search
 from sqlab.learners import solve_minus_sign, solve_real_search, solve_sample_only
 from sqlab.quantum_sim import (
+    discriminate_mixed_pair,
     min_copies_minus_sign,
     ncopy_minus_sign_tracenorm,
     ncopy_minus_sign_tracenorm_dense,
-    schatten1_diff,
-    simulate_discrimination,
-    success_from_schatten1,
 )
 from sqlab.sq_oracle import Capability, OracleStats, build_dense
 
@@ -110,8 +108,7 @@ def test_criterion_4_discrimination_simulation_matches_formula():
         dim = int(rng.integers(2, 17))
         rho_a = random_density_operator(dim, rng)
         rho_b = random_density_operator(dim, rng)
-        predicted = success_from_schatten1(schatten1_diff(rho_a, rho_b))
-        empirical = simulate_discrimination(rho_a, rho_b, 10_000, rng)
+        _, predicted, empirical = discriminate_mixed_pair(rho_a, rho_b, 10_000, rng)
         sigma = math.sqrt(predicted * (1 - predicted) / 10_000)
         assert abs(empirical - predicted) <= 3 * sigma + 1e-12
     _finish(4, "optimal-measurement simulation", started, 60.0)

@@ -383,14 +383,13 @@ def test_amplitude_single_copy_success_is_correctly_rounded():
 
 
 def test_amplitude_success_agrees_with_helstrom_at_small_n():
-    from sqlab.quantum_sim import DensityOperator, schatten1_diff, success_from_schatten1
+    from sqlab.quantum_sim import DensityOperator, discriminate_mixed_pair
 
     for n in (1, 2, 3, 6):
         d = 1 << n
         plus = np.full(d, 1 / math.sqrt(d))
         minus = plus.copy()
         minus[0] *= -1
-        direct = success_from_schatten1(
-            schatten1_diff(DensityOperator.from_pure(minus), DensityOperator.from_pure(plus))
-        )
+        pair = DensityOperator.from_pure(minus), DensityOperator.from_pure(plus)
+        direct = discriminate_mixed_pair(*pair, 1, np.random.default_rng(0))[1]
         assert amplitude_single_copy_success(n) == pytest.approx(direct, abs=1e-12)

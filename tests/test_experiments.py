@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqlab import circuit_bridge, experiments, haar_moments, instances
+from sqlab import circuit_bridge, experiments, haar_moments, instances, quantum_sim, sq_oracle
 from sqlab.cli import _SOLVER_NAMES, main
 from sqlab.experiments import (
     ExperimentConfig,
@@ -445,6 +445,20 @@ def test_cli_discriminate_files(tmp_path, capsys):
     assert main(["discriminate", "--a", str(tmp_path / "a.npy"), "--b", str(tmp_path / "b.npy"), "--trials", "1000"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert 0.5 <= payload["optimal_success"] <= 1.0
+
+
+def test_cli_discriminate_files_eigensolves_the_difference_once(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(9)
+    for name in ("a", "b"):
+        np.save(tmp_path / f"{name}.npy", random_density_operator(4, rng).matrix)
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _name=name, _f=original, **k: calls.append(_name) or _f(*a, **k))
+    assert main(["discriminate", "--a", str(tmp_path / "a.npy"), "--b", str(tmp_path / "b.npy")]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 4
+    # each state's PSD check, then one eigendecomposition of their difference for the whole report
+    assert calls == ["eigvalsh", "eigvalsh", "eigh"]
 
 
 def test_cli_file_reports_are_pinned(tmp_path, capsys):
@@ -968,6 +982,45 @@ def test_a_sample_count_past_the_budget_is_refused_in_one_line(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: sample count must be in [0, 2^{DENSE_BUDGET_N}], got 1000000000\n"
+
+
+class _NoDraws:
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} ran before the count flag was checked")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["discriminate", "--a", "a.npy", "--b", "b.npy", "--trials", "0"], "trials must be at least 1"),
+        (["discriminate", "--a", "a.npy", "--b", "b.npy", "--trials", "16777217"], "trials must be at most 2^24, got 16777217"),
+        (["discriminate", "--family", "minus-sign", "--d", "4096", "--trials", "0"], "trials must be at least 1"),
+        (["sample-test", "--dim", "16777216", "--draws", "16777217"], "sample count must be in [0, 2^24], got 16777217"),
+        (["sample-test", "--vector", "v.npy", "--draws", "-1"], "sample count must be in [0, 2^24], got -1"),
+        (["solve", "sample-only", "--instance", "inst", "--budget", "-1"], "budget must be nonnegative"),
+        (["solve", "sample-only", "--instance", "inst", "--budget", "16777217"], "sample count must be in [0, 2^24], got 16777217"),
+    ],
+    ids=["files-trials-0", "files-trials-past-cap", "family-trials-0", "sample-test-dim", "sample-test-vector",
+         "solve-budget-negative", "solve-budget-past-cap"],
+)
+def test_a_count_flag_is_refused_before_any_file_read_or_array_build(capsys, monkeypatch, argv, message):
+    def refuse(name):
+        def costly(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the count flag was checked")
+        return costly
+
+    for module, name in [
+        (quantum_sim, "load_density_operator"),
+        (quantum_sim, "minus_sign_product_vectors"),
+        (sq_oracle, "load_npy"),
+        (sq_oracle, "build_dense"),
+        (sq_oracle, "build_implicit"),
+        (instances, "load_instance"),
+    ]:
+        monkeypatch.setattr(module, name, refuse(name))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _NoDraws())
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_missing_instance_dir_is_config_error(capsys):

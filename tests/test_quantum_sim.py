@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 
 from sqlab.quantum_sim import (
+    _EIG_ZERO_REL,
     DensityOperator,
+    discriminate_mixed_pair,
     discriminate_pure_pair,
     load_density_operator,
     min_copies_minus_sign,
     minus_sign_product_vectors,
     ncopy_minus_sign_tracenorm,
     ncopy_minus_sign_tracenorm_dense,
-    schatten1_diff,
-    simulate_discrimination,
     success_from_schatten1,
 )
 
@@ -28,6 +28,17 @@ from _fixtures import random_density_operator
 def _pure(vec) -> DensityOperator:
     vec = np.asarray(vec, dtype=np.complex128)
     return DensityOperator.from_pure(vec / np.linalg.norm(vec))
+
+
+def _schatten1(a: DensityOperator, b: DensityOperator) -> float:
+    """`discriminate_mixed_pair`'s Schatten-1 distance, its one trial drawn from a generator of its own."""
+    return discriminate_mixed_pair(a, b, 1, np.random.default_rng(0))[0]
+
+
+def _schatten1_eigvalsh(a: DensityOperator, b: DensityOperator) -> float:
+    """||a - b||_1 from `eigvalsh`'s spectrum, with the same floor: the reference for the `eigh` one."""
+    eigs = np.linalg.eigvalsh(a.matrix - b.matrix)
+    return float(np.sum(np.abs(np.where(np.abs(eigs) < _EIG_ZERO_REL * a.dim, 0.0, eigs))))
 
 
 def _overlap_pair(c: float) -> tuple[DensityOperator, DensityOperator]:
@@ -93,17 +104,17 @@ def test_density_operator_validation():
 
 def test_schatten_basics():
     rho = random_density_operator(4, np.random.default_rng(0))
-    assert schatten1_diff(rho, rho) == 0.0
+    assert _schatten1(rho, rho) == 0.0
     zero, one = _pure([1, 0]), _pure([0, 1])
-    assert schatten1_diff(zero, one) == pytest.approx(2.0, abs=1e-12)
+    assert _schatten1(zero, one) == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ValueError, match="mismatch"):
-        schatten1_diff(zero, random_density_operator(4, np.random.default_rng(1)))
+        _schatten1(zero, random_density_operator(4, np.random.default_rng(1)))
 
 
 @pytest.mark.parametrize("c", [0.0, 0.25, 0.5, 0.9, 0.999])
 def test_schatten_pure_overlap_closed_form(c):
     a, b = _overlap_pair(c)
-    assert schatten1_diff(a, b) == pytest.approx(2.0 * math.sqrt(1 - c * c), abs=1e-10)
+    assert _schatten1(a, b) == pytest.approx(2.0 * math.sqrt(1 - c * c), abs=1e-10)
 
 
 def test_schatten_metric_properties_on_random_triples():
@@ -111,31 +122,31 @@ def test_schatten_metric_properties_on_random_triples():
     for _ in range(100):
         dim = int(rng.integers(2, 17))
         a, b, c = (random_density_operator(dim, rng) for _ in range(3))
-        d_ab, d_ba = schatten1_diff(a, b), schatten1_diff(b, a)
+        d_ab, d_ba = _schatten1(a, b), _schatten1(b, a)
         assert d_ab == pytest.approx(d_ba, abs=1e-10)
         assert d_ab >= 0.0
-        assert d_ab <= schatten1_diff(a, c) + schatten1_diff(c, b) + 1e-10
+        assert d_ab <= _schatten1(a, c) + _schatten1(c, b) + 1e-10
 
 
 def test_helstrom_success_range_and_extremes():
     rho = random_density_operator(3, np.random.default_rng(7))
-    assert success_from_schatten1(schatten1_diff(rho, rho)) == 0.5
+    assert success_from_schatten1(_schatten1(rho, rho)) == 0.5
     zero, one = _pure([1, 0]), _pure([0, 1])
-    assert success_from_schatten1(schatten1_diff(zero, one)) == pytest.approx(1.0, abs=1e-12)
+    assert success_from_schatten1(_schatten1(zero, one)) == pytest.approx(1.0, abs=1e-12)
     for c in (0.1, 0.5, 0.9):
         a, b = _overlap_pair(c)
-        assert 0.5 <= success_from_schatten1(schatten1_diff(a, b)) <= 1.0
+        assert 0.5 <= success_from_schatten1(_schatten1(a, b)) <= 1.0
 
 
 def test_helstrom_one_iff_orthogonal_supports():
     # block-diagonal states with disjoint supports vs overlapping ones
     disjoint_a = DensityOperator.from_matrix(np.diag([0.5, 0.5, 0.0, 0.0]))
     disjoint_b = DensityOperator.from_matrix(np.diag([0.0, 0.0, 0.7, 0.3]))
-    assert success_from_schatten1(schatten1_diff(disjoint_a, disjoint_b)) == pytest.approx(
+    assert success_from_schatten1(_schatten1(disjoint_a, disjoint_b)) == pytest.approx(
         1.0, abs=1e-12
     )
     overlapping = DensityOperator.from_matrix(np.diag([0.4, 0.2, 0.4, 0.0]))
-    assert success_from_schatten1(schatten1_diff(disjoint_a, overlapping)) < 1.0 - 1e-6
+    assert success_from_schatten1(_schatten1(disjoint_a, overlapping)) < 1.0 - 1e-6
 
 
 def test_minus_sign_pair_orthogonal_at_d2():
@@ -143,7 +154,7 @@ def test_minus_sign_pair_orthogonal_at_d2():
     assert ncopy_minus_sign_tracenorm(2, 1) == pytest.approx(2.0)
     plus = np.full(2, 1 / math.sqrt(2))
     minus = plus * np.array([-1, 1])
-    success = success_from_schatten1(schatten1_diff(_pure(plus), _pure(minus)))
+    success = success_from_schatten1(_schatten1(_pure(plus), _pure(minus)))
     assert success == pytest.approx(1.0, abs=1e-12)
 
 
@@ -278,26 +289,38 @@ def test_min_copies_doubling_ratio():
         assert abs(ratio - 2.0) < 0.2
 
 
-def test_simulate_discrimination_extremes():
+def test_mixed_pair_empirical_rate_extremes():
     rng = np.random.default_rng(10)
     rho = random_density_operator(4, rng)
-    rate_same = simulate_discrimination(rho, rho, 10_000, rng)
+    rate_same = discriminate_mixed_pair(rho, rho, 10_000, rng)[2]
     assert abs(rate_same - 0.5) < 0.015  # 3 sigma
     zero, one = _pure([1, 0]), _pure([0, 1])
-    assert simulate_discrimination(zero, one, 10_000, rng) == 1.0
+    assert discriminate_mixed_pair(zero, one, 10_000, rng)[2] == 1.0
 
 
-def test_simulate_discrimination_matches_formula():
+def test_mixed_pair_empirical_rate_matches_formula():
     rng = np.random.default_rng(11)
     for _ in range(5):
         dim = int(rng.integers(2, 17))
         a, b = random_density_operator(dim, rng), random_density_operator(dim, rng)
-        p = success_from_schatten1(schatten1_diff(a, b))
-        rate = simulate_discrimination(a, b, 10_000, rng)
+        schatten, p, rate = discriminate_mixed_pair(a, b, 10_000, rng)
+        assert p == success_from_schatten1(schatten)
         sigma = math.sqrt(p * (1 - p) / 10_000)
         assert abs(rate - p) <= 3 * sigma + 1e-12
     with pytest.raises(ValueError):
-        simulate_discrimination(a, b, 0, rng)
+        discriminate_mixed_pair(a, b, 0, rng)
+
+
+def test_mixed_pair_schatten1_matches_an_eigvalsh_reference():
+    # the distance is read from eigh's eigenvalues, which differ from eigvalsh's in
+    # the last bits, so the two agree to a tolerance, not byte for byte
+    rng = np.random.default_rng(26)
+    for dim in (2, 3, 5, 8, 17, 32, 64, 100, 128, 256):
+        full_rank = [random_density_operator(dim, rng) for _ in range(2)]
+        rank_one = [DensityOperator.from_pure(v) for v in _random_pure_pair(dim, rng)]
+        for a, b in (full_rank, rank_one, (full_rank[0], rank_one[0])):
+            reference = _schatten1_eigvalsh(a, b)
+            assert abs(_schatten1(a, b) - reference) <= 1e-12 * reference
 
 
 def test_density_operator_file_round_trip(tmp_path):
@@ -324,11 +347,12 @@ def test_pure_pair_gram_form_matches_the_dense_density_operators(dim):
         u, v = _random_pure_pair(dim, rng)
         schatten, success, empirical = discriminate_pure_pair(u, v, 10_000, np.random.default_rng(k))
         rho_u, rho_v = DensityOperator.from_pure(u), DensityOperator.from_pure(v)
-        assert abs(schatten - schatten1_diff(rho_u, rho_v)) <= 1e-12
-        assert abs(success - success_from_schatten1(schatten1_diff(rho_u, rho_v))) <= 1e-12
+        dense = discriminate_mixed_pair(rho_u, rho_v, 10_000, np.random.default_rng(k))
+        assert abs(schatten - dense[0]) <= 1e-12
+        assert abs(success - dense[1]) <= 1e-12
         # the optimal projector's click probabilities agree far below 1/trials,
         # so the same draws give the same rate
-        assert empirical == simulate_discrimination(rho_u, rho_v, 10_000, np.random.default_rng(k))
+        assert empirical == dense[2]
 
 
 def test_pure_pair_gram_form_is_exact_for_identical_and_orthogonal_pairs():
@@ -339,17 +363,15 @@ def test_pure_pair_gram_form_is_exact_for_identical_and_orthogonal_pairs():
         w = v - np.vdot(u, v) * u
         w /= np.linalg.norm(w)
         assert discriminate_pure_pair(u, w, 10, rng)[:2] == (2.0, 1.0)
-        assert simulate_discrimination(
+        assert discriminate_mixed_pair(
             DensityOperator.from_pure(u), DensityOperator.from_pure(w), 1000, np.random.default_rng(dim)
-        ) == discriminate_pure_pair(u, w, 1000, np.random.default_rng(dim))[2] == 1.0
+        )[2] == discriminate_pure_pair(u, w, 1000, np.random.default_rng(dim))[2] == 1.0
         # for identical states every measurement is optimal: the dense path always clicks,
         # the Gram path clicks with probability 1/2, and both rates sit at 1/2
         rho_u = DensityOperator.from_pure(u)
-        assert schatten1_diff(rho_u, rho_u) == 0.0
-        for rate in (
-            simulate_discrimination(rho_u, rho_u, 10_000, np.random.default_rng(dim)),
-            discriminate_pure_pair(u, u, 10_000, np.random.default_rng(dim))[2],
-        ):
+        schatten, _, dense_rate = discriminate_mixed_pair(rho_u, rho_u, 10_000, np.random.default_rng(dim))
+        assert schatten == 0.0
+        for rate in (dense_rate, discriminate_pure_pair(u, u, 10_000, np.random.default_rng(dim))[2]):
             assert abs(rate - 0.5) < 0.015  # 3 sigma
 
 
