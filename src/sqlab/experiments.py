@@ -216,7 +216,7 @@ def chi_square_gof(indices: np.ndarray, probabilities: np.ndarray) -> tuple[floa
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 1 or idx.max() > probabilities.size):
         raise ValueError("indices must be 1-based within the probability support")
-    counts = np.bincount(idx - 1, minlength=probabilities.size).astype(float)
+    counts = np.bincount(idx, minlength=probabilities.size + 1)[1:].astype(float)  # no shifted copy of idx
     expected = probabilities * counts.sum()
 
     small = expected < MIN_EXPECTED_COUNT

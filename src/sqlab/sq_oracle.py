@@ -6,11 +6,12 @@ Query returns a component exactly, and QueryN returns the 2-norm. Each
 operation is gated behind an explicit capability set and counted exactly, so
 experiments can account oracle cost separately from wall-clock time.
 
-Dense backings carry the running sums of the squared magnitudes, built on the
-first Sample in O(d); a draw is then a binary search for the first running sum
-above a uniform point, O(log d). Backings that are only queried never build
-them. Implicit backings evaluate components from a closed form in O(poly n)
-without materializing 2^n entries.
+Dense backings carry the running sums of the squared magnitudes and a guide
+table over them, both built on the first Sample in O(d); a draw is then the
+first running sum above a uniform point, found by stepping forward from the
+guide entry of the point's bucket, O(1) steps expected. Backings that are only
+queried never build them. Implicit backings evaluate components from a closed
+form in O(poly n) without materializing 2^n entries.
 
 Indices are 1-based at the oracle boundary and 0-based internally.
 """
@@ -68,6 +69,18 @@ MAX_IMPLICIT_N = 62
 # Implicit vectors, real-search instances and minus-sign pure pairs are
 # materialized with at most 2^DENSE_BUDGET_N entries.
 DENSE_BUDGET_N = 24
+
+
+# Entries per slice of the sampler's build and draws per slice of a batch: bounds
+# their temporaries at a few MB whatever d or k.
+_CHUNK = 1 << 16
+
+# An estimated guide edge is within a bucket or two of the exact one.
+_GUIDE_FIXUP_ROUNDS = 4
+
+# Steps a batch walks forward from its guide entries; the few draws still
+# walking are then binary-searched, so a crowded bucket costs O(log d) per draw.
+_WALK_ROUNDS = 8
 
 
 class CapabilityError(Exception):
@@ -133,9 +146,53 @@ class DenseVector:
 
     @functools.cached_property
     def cdf(self) -> np.ndarray:
-        """Running sums of |x_i|^2, built on first use and shared by every handle."""
-        weights = self.entries.real**2 + self.entries.imag**2
+        """Running sums of |x_i|^2, built on first use and shared by every handle.
+
+        A draw is the first index whose running sum is above the draw's point;
+        `guide` says where to start looking. The weights are squared in slices
+        of `_CHUNK`, so the build holds 8 B per entry plus one slice.
+        """
+        weights = np.empty(self.dim)
+        for start in range(0, self.dim, _CHUNK):
+            part = self.entries[start : start + _CHUNK]
+            weights[start : start + _CHUNK] = part.real**2 + part.imag**2
         return np.cumsum(weights, out=weights)
+
+    @functools.cached_property
+    def guide(self) -> np.ndarray:
+        """Guide table over `cdf`, built on first use in O(d) and shared by every handle.
+
+        With M = 2d buckets and edges e_j = (j/M)*cdf[-1] rounded as a draw
+        rounds its point, `guide[j]` is #{i : cdf[i] <= e_j} for j = 0..M, as
+        int32. Each running sum's first edge at or above it is estimated from
+        the ratio (cdf/total)*M, which cannot overflow at a total near the
+        smallest normal as cdf*(M/total) can, then fixed up against the edges
+        themselves. The sums go through in slices of `_CHUNK`, so the build's
+        temporaries stay small beside the table's 8 B per entry.
+        """
+        cdf = self.cdf
+        total, buckets = cdf[-1], 2 * cdf.size
+        width = 1.0 / buckets  # exact, so first * width is the exact j/M a draw's r is compared with
+        guide = np.zeros(buckets + 1, dtype=np.int32)
+        with np.errstate(under="ignore"):  # subnormal ratios and edges are fixed up like any other
+            for start in range(0, cdf.size, _CHUNK):
+                sums = cdf[start : start + _CHUNK]
+                first = np.ceil(sums / total * buckets)  # whole numbers, held as floats
+                for _ in range(_GUIDE_FIXUP_ROUNDS):
+                    up = first * width * total < sums
+                    down = (first - 1) * width * total >= sums
+                    if not (up.any() or down.any()):
+                        break
+                    first += up
+                    first -= down
+                else:
+                    raise RuntimeError(f"guide table edges did not settle in {_GUIDE_FIXUP_ROUNDS} rounds")
+                # `first` is non-decreasing: the last sum on each edge sets that edge's count
+                first = first.astype(np.intp)
+                last = (first[1:] != first[:-1]).nonzero()[0]
+                guide[first[last]] = start + last + 1
+                guide[first[-1]] = start + first.size
+        return np.maximum.accumulate(guide, out=guide)
 
 
 @dataclass(frozen=True)
@@ -191,6 +248,37 @@ class ImplicitVector:
         return self.scale * math.sqrt(self.dim)
 
 
+def _invert(vec: DenseVector, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k 1-based draws, each `searchsorted(cdf, U(0,1)*cdf[-1], side="right") + 1` bit for bit.
+
+    A uniform r lies in bucket j = floor(r*M), exact because M is a power of
+    two. Rounding is monotone, so u = r*total lies between the edges e_j and
+    e_{j+1}, and the 0-based draw lies between guide[j] and guide[j+1]: it
+    steps forward from guide[j] while cdf[i] <= u, and stops before d because
+    u < cdf[-1]. The uniforms come in slices of `_CHUNK`, which read the
+    generator's stream exactly as one call would.
+    """
+    cdf, guide = vec.cdf, vec.guide
+    total, buckets = cdf[-1], guide.size - 1
+    out = np.empty(k, dtype=np.int64)
+    for start in range(0, k, _CHUNK):
+        r = rng.random(min(_CHUNK, k - start))
+        u = r * total
+        i = guide[(r * buckets).astype(np.intp)]
+        live = (cdf[i] <= u).nonzero()[0]  # draws that step past i
+        draws = out[start : start + r.size]
+        draws[...] = i + 1
+        for _ in range(_WALK_ROUNDS):
+            if not live.size:
+                break
+            i = draws[live]  # 1-based, so cdf[i] is the next running sum
+            draws[live] = i + 1
+            live = live[cdf[i] <= u[live]]
+        else:
+            draws[live] = np.searchsorted(cdf, u[live], side="right") + 1
+    return out
+
+
 def _check_sample_count(k: int) -> None:
     if not 0 <= k <= 1 << DENSE_BUDGET_N:
         raise ValueError(f"sample count must be in [0, 2^{DENSE_BUDGET_N}], got {quoted(k)}")
@@ -234,19 +322,14 @@ class SqHandle:
         anything is drawn or counted. A dense draw is the index i whose
         interval [cdf[i-1], cdf[i]) holds u = U(0,1)*cdf[-1]: a zero weight
         has an empty interval and is never drawn, and u < cdf[-1] because the
-        total is not subnormal. The points are searched in sorted order, which
-        keeps the search's memory accesses local.
+        total is not subnormal. Each point is found by stepping forward from
+        the guide-table entry of its bucket (`_invert`); a batch holds the
+        result's 8 B per draw plus one slice of `_CHUNK` draws.
         """
         self._require(Capability.SAMPLE)
         _check_sample_count(k)
         if isinstance(self.backing, DenseVector):
-            cdf = self.backing.cdf
-            u = rng.random(k) * cdf[-1]
-            order = np.argsort(u)
-            u = u[order]
-            idx = np.empty(k, dtype=np.int64)
-            idx[order] = np.searchsorted(cdf, u, side="right")
-            idx += 1
+            idx = _invert(self.backing, k, rng)
         else:
             # all implicit kinds have uniform squared magnitudes
             idx = rng.integers(1, self.dim + 1, size=k, dtype=np.int64)

@@ -71,9 +71,10 @@ def test_query_only_paths_build_no_sampling_tree(tmp_path):
     instance = load_instance(tmp_path)  # also regenerates the instance to recover k*
     report = solve_real_search(instance.handles)
     assert instance.verify_answer(report.answer)
-    assert not any("cdf" in vars(h.backing) for h in instance.handles)
+    assert not any("cdf" in vars(h.backing) or "guide" in vars(h.backing) for h in instance.handles)
     instance.handles[0].sample(np.random.default_rng(0))
     assert [vars(h.backing).get("cdf", np.empty(0)).size for h in instance.handles] == [1 << 10, 0, 0, 0]
+    assert [vars(h.backing).get("guide", np.empty(0)).size for h in instance.handles] == [(1 << 11) + 1, 0, 0, 0]
 
 
 def test_solve_real_search_tracks_vector_not_position():

@@ -91,6 +91,7 @@ _DEMO = _load_script("run_separation_demo")
 _COPIES = _load_script("run_copies_scaling")
 _GRID = _load_script("run_haar_gap_grid")
 _BENCH = _load_script("bench_real_moment")
+_BENCH_SAMPLER = _load_script("bench_sampler")
 
 
 def _run_in_process(module, argv):
@@ -263,6 +264,39 @@ def test_bench_real_moment_refuses_in_one_line_before_any_work(tmp_path, monkeyp
     monkeypatch.setattr(_BENCH, "real_moment", _no_work)
     argv = ["bench_real_moment.py", *[arg.format(tmp=tmp_path, blocker=blocker) for arg in argv]]
     code, out, err = _run_in_process(_BENCH, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: " + refusal.format(tmp=tmp_path, blocker=blocker) + "\n"
+    assert blocker.read_text() == ""
+
+
+def test_bench_sampler_writes_the_build_batch_single_and_memory_figures(tmp_path, monkeypatch):
+    path = tmp_path / "bench" / "BENCH_sampler.json"
+    monkeypatch.setattr(_BENCH_SAMPLER, "REPEATS", 1)
+    code, out, err = _run_in_process(_BENCH_SAMPLER, ["bench_sampler.py", "--out", str(path)])
+    assert (code, err) == (0, "")
+    assert out.startswith(f"wrote the sampler timings to {path}\n")
+    report = json.loads(path.read_text())
+    assert (report["dim"], report["batch"], report["single_calls"]) == (1 << 20, 1 << 19, 1000)
+    for key in ("cdf_build_ns_per_entry", "first_sample_ns_per_entry", "batch_ns_per_draw", "sample_call_us"):
+        assert 0 < report[key]
+    assert report["guide_build_ns_per_entry"] == report["first_sample_ns_per_entry"] - report["cdf_build_ns_per_entry"]
+    # the first Sample keeps 16 B per entry; a batch keeps its 8 B per draw
+    assert 16 * report["dim"] <= report["first_sample_peak_bytes"]
+    assert 8 * report["batch"] <= report["batch_peak_bytes"]
+
+
+@pytest.mark.parametrize(
+    "argv,refusal",
+    [(["--out", "{blocker}/x.json"], "[Errno 17] File exists: '{blocker}'"),
+     (["--out", "{tmp}"], "[Errno 21] Is a directory: '{tmp}'")],
+    ids=["out-under-a-file", "out-a-directory"],
+)
+def test_bench_sampler_refuses_in_one_line_before_any_work(tmp_path, monkeypatch, argv, refusal):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    monkeypatch.setattr(_BENCH_SAMPLER, "haar_unit_vector", _no_work)
+    argv = ["bench_sampler.py", *[arg.format(tmp=tmp_path, blocker=blocker) for arg in argv]]
+    code, out, err = _run_in_process(_BENCH_SAMPLER, argv)
     assert (code, out) == (1, "")
     assert err == "error: " + refusal.format(tmp=tmp_path, blocker=blocker) + "\n"
     assert blocker.read_text() == ""

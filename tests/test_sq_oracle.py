@@ -10,6 +10,7 @@ import math
 import re
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -293,11 +294,11 @@ def _per_draw_seconds(handle, draws, rng):
 
 
 def test_sampling_time_scales_gently():
-    """A dense draw is a binary search over d running sums; implicit is O(poly n).
+    """A dense draw takes O(1) expected steps from its guide entry; implicit is O(poly n).
 
-    Theoretical dense ratio for 2^16 vs 2^10 is at most 1.6 (log2 d), and the
-    sort of the batch costs the same at both sizes; the bound of 8 leaves
-    generous room for scheduler noise.
+    The steps per draw are the same at 2^16 as at 2^10, so the dense ratio
+    is set by cache misses on the larger tables; the bound of 8 leaves
+    generous room for those and for scheduler noise.
     """
     rng = np.random.default_rng(0)
     small = build_dense(np.random.default_rng(1).random(1 << 10) + 0.01)
@@ -428,10 +429,10 @@ def test_prefix_tree_is_built_on_first_sample_and_shared():
     child = handle.restrict({Capability.SAMPLE})
     handle.query(1)
     handle.query_norm()
-    assert "cdf" not in vars(handle.backing)
+    assert "cdf" not in vars(handle.backing) and "guide" not in vars(handle.backing)
     child.sample(np.random.default_rng(0))
     assert child.backing is handle.backing
-    assert "cdf" in vars(handle.backing)
+    assert "cdf" in vars(handle.backing) and "guide" in vars(handle.backing)
 
 
 # sha256 of `sample_many(2**16)` and of 1000 `sample()` draws, recorded with the
@@ -511,3 +512,123 @@ def test_sample_count_is_refused_past_the_budget_before_drawing():
                 handle.sample_many(k, rng)
         assert rng.bit_generator.state == state
         assert handle.stats().total() == 0
+
+
+def _plain_inversion(cdf, k, rng):
+    """Reference draws: one binary search of each uniform point over the running sums."""
+    return np.searchsorted(cdf, rng.random(k) * cdf[-1], side="right") + 1
+
+
+def _guide_reference(cdf):
+    buckets = 2 * cdf.size
+    return np.searchsorted(cdf, np.arange(buckets + 1) / buckets * cdf[-1], side="right")
+
+
+def _half_zeros(rng):
+    values = rng.random(1 << 12)
+    values[rng.random(1 << 12) < 0.5] = 0.0
+    return values
+
+
+# 4094 small weights: their running sums crowd into two of the 8192 buckets
+_CROWDED = np.r_[1.0, np.full((1 << 12) - 2, 3e-5), 1.0]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        pytest.param(haar_unit_vector(1 << 16, "complex", np.random.default_rng(51)), id="haar-2^16"),
+        pytest.param(np.exp(5 * np.random.default_rng(52).standard_normal(1 << 12)), id="heavy-tailed-2^12"),
+        pytest.param(_half_zeros(np.random.default_rng(53)), id="half-zeros-2^12"),
+        pytest.param(np.ones(1 << 10), id="ones-2^10"),
+        pytest.param(1e-150 * np.random.default_rng(54).random(1 << 12), id="scaled-1e-150-2^12"),
+        pytest.param(np.array([0, 1, 0, 0, 2, 0, 0, 3.0]), id="zero-leaves-8"),
+        pytest.param(np.r_[np.zeros((1 << 10) - 1), 1.0], id="last-entry-2^10"),
+        pytest.param(_CROWDED, id="crowded-bucket-2^12"),
+        # the first running sum equals the rounded edge 3/4 * total; its ratio to the total rounds above 3/4
+        pytest.param(np.array([1.091845477420242, 0.6303772803020521]), id="sum-on-an-edge-2"),
+    ],
+)
+def test_guide_table_draws_equal_plain_inversion(values):
+    handle = build_dense(values)
+    chunk = sq_oracle._CHUNK
+    for k in (0, 1, 7, chunk, 3 * chunk + 5):
+        rng, reference_rng = np.random.default_rng(k), np.random.default_rng(k)
+        draws = handle.sample_many(k, rng)
+        assert draws.dtype == np.int64
+        assert np.array_equal(draws, _plain_inversion(handle.backing.cdf, k, reference_rng))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert np.array_equal(handle.backing.guide, _guide_reference(handle.backing.cdf))
+
+
+# a total of 2^-1022 has subnormal edges j * 2^-1043; adding 2^-1062 makes them inexact
+@pytest.mark.parametrize("head", [[1.0], [1.0, 2**-20]], ids=["exact-edges", "inexact-edges"])
+def test_guide_table_is_exact_at_a_total_near_the_smallest_normal(head):
+    # cdf * (M / total) overflows here, and inf * 0 is NaN; (cdf / total) * M does not
+    values = np.zeros(1 << 20)
+    values[: len(head)] = np.multiply(head, np.sqrt(np.finfo(np.float64).tiny))
+    handle = build_dense(values)
+    with np.errstate(all="raise"):
+        guide = handle.backing.guide
+    assert np.array_equal(guide, _guide_reference(handle.backing.cdf))
+    assert set(handle.sample_many(1000, np.random.default_rng(0)).tolist()) == {1}
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose `random(n)` returns the given points in turn."""
+
+    def __init__(self, points):
+        self.points = list(points)
+
+    def random(self, n):
+        drawn, self.points = self.points[:n], self.points[n:]
+        return np.array(drawn)
+
+
+@pytest.mark.parametrize(
+    "values,total,sums,drawn",
+    [
+        # squares 1,1,1,1,4,4,16,36: running sums 1,2,3,4,8,12,28,64
+        ([1, 1, 1, 1, 2, 2, 4, 6], 64, [0, 1, 2, 3, 4, 8, 12, 28, 63], [1, 2, 3, 4, 5, 6, 7, 8, 8]),
+        # squares 1, sixteen of 2^-20, then 65535/65536 over four entries: the running sums
+        # 1 + k*2^-20 crowd one bucket of width 1/32, so the point on the 12th walks past the step bound
+        ([1] + [2**-10] * 16 + [255 / 256, 22 / 256, 5 / 256, 1 / 256] + [0] * 11, 2,
+         [1, 1 + 2**-20, 1 + 12 * 2**-20, 1 + 16 * 2**-20], [2, 3, 14, 18]),
+    ],
+    ids=["small", "crowded"],
+)
+def test_a_point_on_a_running_sum_draws_the_next_index(values, total, sums, drawn):
+    handle = build_dense(values)
+    assert handle.backing.cdf[-1] == total
+    assert handle.sample_many(len(sums), _FixedUniforms([s / total for s in sums])).tolist() == drawn
+
+
+def test_guide_build_raises_past_its_fixup_bound(monkeypatch):
+    monkeypatch.setattr(sq_oracle, "_GUIDE_FIXUP_ROUNDS", 0)
+    with pytest.raises(RuntimeError, match=r"^guide table edges did not settle in 0 rounds$"):
+        build_dense([1, 2]).backing.guide
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_batch_holds_eight_bytes_per_draw_plus_one_slice():
+    handle = build_dense(haar_unit_vector(1 << 10, "complex", np.random.default_rng(61)))
+    handle.sample(np.random.default_rng(0))  # builds the running sums and the guide table
+    k = 1 << 22
+    peak = _traced_peak(lambda: handle.sample_many(k, np.random.default_rng(1)))
+    assert peak <= 8 * k + 64 * sq_oracle._CHUNK  # an argsort of the batch held 32 B per draw
+
+
+def test_first_sample_holds_the_sampler_plus_one_slice():
+    d = 1 << 20
+    handle = build_dense(haar_unit_vector(d, "complex", np.random.default_rng(62)))
+    peak = _traced_peak(lambda: handle.sample(np.random.default_rng(0)))
+    # 8 B per entry each for the running sums and the guide table
+    assert peak <= 16 * d + 64 * sq_oracle._CHUNK
