@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Time the dense sampler: its build, a batch of draws and single draws.
+"""Time the dense sampler: its builds, batches on each side of the guide threshold, single draws.
 
 On a Haar-random complex vector of DIM = 2^20 entries it records the best of
 REPEATS = 15 runs (after one warm-up run) of: building the running sums
-(`DenseVector.cdf`); the first Sample on a fresh handle, which builds
-everything the sampler keeps and draws once, and its excess over the running
-sums: the guide table's build, plus one draw; `sample_many(BATCH)` with BATCH = 2^19 on a
-built handle; and SINGLE_CALLS = 1000 `sample()` calls. It also records the
-tracemalloc peaks of that first Sample and of that batch. The JSON goes to
---out (default BENCH_sampler.json); run it on each tree to compare, on one
-machine, with sqlab importable (installed, or PYTHONPATH=src from the root of
-the checkout).
+(`DenseVector.cdf`); building the guide table over built running sums
+(`DenseVector.guide`); `sample_many(BATCH)` with BATCH = 2^19, at least d/4
+draws, which walks the guide table, and `sample_many(SMALL_BATCH)` with
+SMALL_BATCH = 2^14, fewer than d/4, which binary-searches its sorted points,
+each on a fresh handle (so the first includes both builds and the second the
+running sums) and on a built handle; and SINGLE_CALLS = 1000 `sample()` calls.
+It also records the tracemalloc peaks of a first Sample (the running sums
+only), of a first BATCH (both tables) and of a BATCH on a built handle. The
+JSON goes to --out (default BENCH_sampler.json); run it on each tree to
+compare, on one machine, with sqlab importable (installed, or PYTHONPATH=src
+from the root of the checkout).
 An --out that cannot be written is refused with one `error:` line on stderr
 and exit code 1.
 """
@@ -31,6 +34,7 @@ from sqlab.sq_oracle import DenseVector, build_dense
 
 DIM = 1 << 20
 BATCH = 1 << 19
+SMALL_BATCH = 1 << 14
 SINGLE_CALLS = 1000
 REPEATS = 15
 
@@ -59,21 +63,32 @@ def _peak_bytes(call) -> int:
 def _measure() -> dict:
     values = haar_unit_vector(DIM, "complex", np.random.default_rng(0))
     rng = np.random.default_rng(1)
+
+    def built_cdf():
+        vec = DenseVector.from_values(values)
+        vec.cdf
+        return vec
+
     cdf_s = _best(lambda vec: vec.cdf, setup=lambda: DenseVector.from_values(values))
-    first_sample_s = _best(lambda handle: handle.sample(rng), setup=lambda: build_dense(values))
+    guide_s = _best(lambda vec: vec.guide, setup=built_cdf)
+    first_batch_s = _best(lambda handle: handle.sample_many(BATCH, rng), setup=lambda: build_dense(values))
+    first_small_s = _best(lambda handle: handle.sample_many(SMALL_BATCH, rng), setup=lambda: build_dense(values))
     handle = build_dense(values)
-    handle.sample(rng)
+    handle.sample_many(BATCH, rng)
     batch_s = _best(lambda _: handle.sample_many(BATCH, rng))
+    small_s = _best(lambda _: handle.sample_many(SMALL_BATCH, rng))
     single_s = _best(lambda _: [handle.sample(rng) for _ in range(SINGLE_CALLS)])
-    fresh = build_dense(values)
-    cdf_ns, first_sample_ns = cdf_s / DIM * 1e9, first_sample_s / DIM * 1e9
+    fresh, fresh_batch = build_dense(values), build_dense(values)
     return {
-        "cdf_build_ns_per_entry": cdf_ns,
-        "first_sample_ns_per_entry": first_sample_ns,
-        "guide_build_ns_per_entry": first_sample_ns - cdf_ns,
+        "cdf_build_ns_per_entry": cdf_s / DIM * 1e9,
+        "guide_build_ns_per_entry": guide_s / DIM * 1e9,
+        "first_batch_ns_per_draw": first_batch_s / BATCH * 1e9,
         "batch_ns_per_draw": batch_s / BATCH * 1e9,
+        "first_small_batch_ns_per_draw": first_small_s / SMALL_BATCH * 1e9,
+        "small_batch_ns_per_draw": small_s / SMALL_BATCH * 1e9,
         "sample_call_us": single_s / SINGLE_CALLS * 1e6,
         "first_sample_peak_bytes": _peak_bytes(lambda: fresh.sample(rng)),
+        "first_batch_peak_bytes": _peak_bytes(lambda: fresh_batch.sample_many(BATCH, rng)),
         "batch_peak_bytes": _peak_bytes(lambda: handle.sample_many(BATCH, rng)),
     }
 
@@ -94,6 +109,7 @@ def main() -> int:
             "cpus": os.cpu_count(),
             "dim": DIM,
             "batch": BATCH,
+            "small_batch": SMALL_BATCH,
             "single_calls": SINGLE_CALLS,
             **_measure(),
         }
@@ -102,8 +118,9 @@ def main() -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote the sampler timings to {args.out}")
-    print(f"build {report['first_sample_ns_per_entry']:.1f} ns per entry, "
-          f"batch {report['batch_ns_per_draw']:.1f} ns per draw, sample() {report['sample_call_us']:.2f} us")
+    print(f"builds {report['cdf_build_ns_per_entry']:.1f} + {report['guide_build_ns_per_entry']:.1f} ns per entry, "
+          f"batches {report['batch_ns_per_draw']:.1f} and {report['small_batch_ns_per_draw']:.1f} ns per draw, "
+          f"sample() {report['sample_call_us']:.2f} us")
     return 0
 
 

@@ -6,12 +6,14 @@ Query returns a component exactly, and QueryN returns the 2-norm. Each
 operation is gated behind an explicit capability set and counted exactly, so
 experiments can account oracle cost separately from wall-clock time.
 
-Dense backings carry the running sums of the squared magnitudes and a guide
-table over them, both built on the first Sample in O(d); a draw is then the
-first running sum above a uniform point, found by stepping forward from the
-guide entry of the point's bucket, O(1) steps expected. Backings that are only
-queried never build them. Implicit backings evaluate components from a closed
-form in O(poly n) without materializing 2^n entries.
+Dense backings carry the running sums of the squared magnitudes, built on the
+first Sample in O(d); a draw is the first running sum above a uniform point.
+A batch of at least d/4 draws also builds a guide table over the sums, in
+O(d) once, and finds each draw by stepping forward from the guide entry of
+its point's bucket, O(1) steps expected; a smaller batch binary-searches the
+sums for its points in sorted order. Backings that are only queried build
+neither. Implicit backings evaluate components from a closed form in
+O(poly n) without materializing 2^n entries.
 
 Indices are 1-based at the oracle boundary and 0-based internally.
 """
@@ -82,6 +84,10 @@ _GUIDE_FIXUP_ROUNDS = 4
 # walking are then binary-searched, so a crowded bucket costs O(log d) per draw.
 _WALK_ROUNDS = 8
 
+# A batch of k draws builds and walks the guide table only if d <= 4k: below
+# that, its O(d) build costs more than sorting the batch's points saves.
+_ENTRIES_PER_GUIDED_DRAW = 4
+
 
 class CapabilityError(Exception):
     """An operation was requested that the handle's capability set does not allow."""
@@ -149,8 +155,9 @@ class DenseVector:
         """Running sums of |x_i|^2, built on first use and shared by every handle.
 
         A draw is the first index whose running sum is above the draw's point;
-        `guide` says where to start looking. The weights are squared in slices
-        of `_CHUNK`, so the build holds 8 B per entry plus one slice.
+        in a large batch `guide` says where to start looking. The weights are
+        squared in slices of `_CHUNK`, so the build holds 8 B per entry plus
+        one slice.
         """
         weights = np.empty(self.dim)
         for start in range(0, self.dim, _CHUNK):
@@ -160,7 +167,7 @@ class DenseVector:
 
     @functools.cached_property
     def guide(self) -> np.ndarray:
-        """Guide table over `cdf`, built on first use in O(d) and shared by every handle.
+        """Guide table over `cdf`, built in O(d) by the first batch of at least d/4 draws and shared.
 
         With M = 2d buckets and edges e_j = (j/M)*cdf[-1] rounded as a draw
         rounds its point, `guide[j]` is #{i : cdf[i] <= e_j} for j = 0..M, as
@@ -251,32 +258,45 @@ class ImplicitVector:
 def _invert(vec: DenseVector, k: int, rng: np.random.Generator) -> np.ndarray:
     """k 1-based draws, each `searchsorted(cdf, U(0,1)*cdf[-1], side="right") + 1` bit for bit.
 
-    A uniform r lies in bucket j = floor(r*M), exact because M is a power of
-    two. Rounding is monotone, so u = r*total lies between the edges e_j and
-    e_{j+1}, and the 0-based draw lies between guide[j] and guide[j+1]: it
-    steps forward from guide[j] while cdf[i] <= u, and stops before d because
-    u < cdf[-1]. The uniforms come in slices of `_CHUNK`, which read the
-    generator's stream exactly as one call would.
+    The uniforms come in slices of `_CHUNK`, which read the generator's stream
+    exactly as one call would. A batch of fewer than d/4 draws runs that
+    binary search itself, over each slice's points in sorted order; a larger
+    one walks the guide table (`_walk`).
     """
-    cdf, guide = vec.cdf, vec.guide
-    total, buckets = cdf[-1], guide.size - 1
+    cdf = vec.cdf
+    guide = vec.guide if k * _ENTRIES_PER_GUIDED_DRAW >= cdf.size else None
     out = np.empty(k, dtype=np.int64)
     for start in range(0, k, _CHUNK):
         r = rng.random(min(_CHUNK, k - start))
-        u = r * total
-        i = guide[(r * buckets).astype(np.intp)]
-        live = (cdf[i] <= u).nonzero()[0]  # draws that step past i
+        u = r * cdf[-1]
         draws = out[start : start + r.size]
-        draws[...] = i + 1
-        for _ in range(_WALK_ROUNDS):
-            if not live.size:
-                break
-            i = draws[live]  # 1-based, so cdf[i] is the next running sum
-            draws[live] = i + 1
-            live = live[cdf[i] <= u[live]]
+        if guide is None:  # sorted points keep each search near the last one's end, in cache
+            order = np.argsort(u)
+            draws[order] = np.searchsorted(cdf, u[order], side="right") + 1
         else:
-            draws[live] = np.searchsorted(cdf, u[live], side="right") + 1
+            _walk(cdf, guide, r, u, draws)
     return out
+
+
+def _walk(cdf: np.ndarray, guide: np.ndarray, r: np.ndarray, u: np.ndarray, draws: np.ndarray) -> None:
+    """Writes the 1-based draws of the points u = r*cdf[-1] into `draws`, from the guide table.
+
+    A uniform r lies in bucket j = floor(r*M), exact because M is a power of
+    two. Rounding is monotone, so u lies between the edges e_j and e_{j+1},
+    and the 0-based draw lies between guide[j] and guide[j+1]: it steps
+    forward from guide[j] while cdf[i] <= u, and stops before d because
+    u < cdf[-1].
+    """
+    i = guide[(r * (guide.size - 1)).astype(np.intp)]
+    live = (cdf[i] <= u).nonzero()[0]  # draws that step past i
+    draws[...] = i + 1
+    for _ in range(_WALK_ROUNDS):
+        if not live.size:
+            return
+        i = draws[live]  # 1-based, so cdf[i] is the next running sum
+        draws[live] = i + 1
+        live = live[cdf[i] <= u[live]]
+    draws[live] = np.searchsorted(cdf, u[live], side="right") + 1
 
 
 def _check_sample_count(k: int) -> None:
@@ -322,9 +342,11 @@ class SqHandle:
         anything is drawn or counted. A dense draw is the index i whose
         interval [cdf[i-1], cdf[i]) holds u = U(0,1)*cdf[-1]: a zero weight
         has an empty interval and is never drawn, and u < cdf[-1] because the
-        total is not subnormal. Each point is found by stepping forward from
-        the guide-table entry of its bucket (`_invert`); a batch holds the
-        result's 8 B per draw plus one slice of `_CHUNK` draws.
+        total is not subnormal. A batch of at least d/4 points finds each by
+        stepping forward from the guide-table entry of its bucket; a smaller
+        one, `sample()` among them, binary-searches the running sums in
+        sorted order (`_invert`). A batch holds the result's 8 B per draw plus
+        one slice of `_CHUNK` draws.
         """
         self._require(Capability.SAMPLE)
         _check_sample_count(k)

@@ -74,6 +74,8 @@ def test_query_only_paths_build_no_sampling_tree(tmp_path):
     assert not any("cdf" in vars(h.backing) or "guide" in vars(h.backing) for h in instance.handles)
     instance.handles[0].sample(np.random.default_rng(0))
     assert [vars(h.backing).get("cdf", np.empty(0)).size for h in instance.handles] == [1 << 10, 0, 0, 0]
+    assert not any("guide" in vars(h.backing) for h in instance.handles)
+    instance.handles[0].sample_many(1 << 8, np.random.default_rng(0))  # a batch of d/4 builds the guide
     assert [vars(h.backing).get("guide", np.empty(0)).size for h in instance.handles] == [(1 << 11) + 1, 0, 0, 0]
 
 

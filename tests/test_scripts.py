@@ -276,12 +276,16 @@ def test_bench_sampler_writes_the_build_batch_single_and_memory_figures(tmp_path
     assert (code, err) == (0, "")
     assert out.startswith(f"wrote the sampler timings to {path}\n")
     report = json.loads(path.read_text())
-    assert (report["dim"], report["batch"], report["single_calls"]) == (1 << 20, 1 << 19, 1000)
-    for key in ("cdf_build_ns_per_entry", "first_sample_ns_per_entry", "batch_ns_per_draw", "sample_call_us"):
+    assert (report["dim"], report["batch"], report["small_batch"], report["single_calls"]) == (
+        1 << 20, 1 << 19, 1 << 14, 1000)
+    # the batch walks the guide table; the small batch is below d/4 and does not
+    assert 4 * report["small_batch"] < report["dim"] <= 4 * report["batch"]
+    for key in ("cdf_build_ns_per_entry", "guide_build_ns_per_entry", "first_batch_ns_per_draw",
+                "batch_ns_per_draw", "first_small_batch_ns_per_draw", "small_batch_ns_per_draw", "sample_call_us"):
         assert 0 < report[key]
-    assert report["guide_build_ns_per_entry"] == report["first_sample_ns_per_entry"] - report["cdf_build_ns_per_entry"]
-    # the first Sample keeps 16 B per entry; a batch keeps its 8 B per draw
-    assert 16 * report["dim"] <= report["first_sample_peak_bytes"]
+    # a first Sample keeps 8 B per entry, a first batch 16 B per entry, and a batch its 8 B per draw
+    assert 8 * report["dim"] <= report["first_sample_peak_bytes"] < 16 * report["dim"]
+    assert 16 * report["dim"] <= report["first_batch_peak_bytes"]
     assert 8 * report["batch"] <= report["batch_peak_bytes"]
 
 

@@ -425,14 +425,19 @@ def test_single_sample_is_gated_and_uncounted_without_capability():
 
 
 def test_prefix_tree_is_built_on_first_sample_and_shared():
-    handle = build_dense([1, 2, 3, 4])
+    handle = build_dense(np.arange(1, 17))
     child = handle.restrict({Capability.SAMPLE})
     handle.query(1)
     handle.query_norm()
     assert "cdf" not in vars(handle.backing) and "guide" not in vars(handle.backing)
     child.sample(np.random.default_rng(0))
     assert child.backing is handle.backing
-    assert "cdf" in vars(handle.backing) and "guide" in vars(handle.backing)
+    assert "cdf" in vars(handle.backing)
+    # the guide table waits for a batch of d/4 draws
+    child.sample_many(3, np.random.default_rng(0))
+    assert "guide" not in vars(handle.backing)
+    child.sample_many(4, np.random.default_rng(0))
+    assert "guide" in vars(handle.backing)
 
 
 # sha256 of `sample_many(2**16)` and of 1000 `sample()` draws, recorded with the
@@ -551,8 +556,9 @@ _CROWDED = np.r_[1.0, np.full((1 << 12) - 2, 3e-5), 1.0]
 )
 def test_guide_table_draws_equal_plain_inversion(values):
     handle = build_dense(values)
-    chunk = sq_oracle._CHUNK
-    for k in (0, 1, 7, chunk, 3 * chunk + 5):
+    chunk, d = sq_oracle._CHUNK, values.size
+    # below d/4 draws a batch binary-searches its sorted points; from d/4 on it walks the guide table
+    for k in (0, 1, 7, max(d // 4 - 1, 0), d // 4, chunk, 3 * chunk + 5):
         rng, reference_rng = np.random.default_rng(k), np.random.default_rng(k)
         draws = handle.sample_many(k, rng)
         assert draws.dtype == np.int64
@@ -590,17 +596,20 @@ class _FixedUniforms:
     [
         # squares 1,1,1,1,4,4,16,36: running sums 1,2,3,4,8,12,28,64
         ([1, 1, 1, 1, 2, 2, 4, 6], 64, [0, 1, 2, 3, 4, 8, 12, 28, 63], [1, 2, 3, 4, 5, 6, 7, 8, 8]),
+        # the same, padded to 64 entries: nine draws are below d/4, so they are binary-searched
+        ([1, 1, 1, 1, 2, 2, 4, 6] + [0] * 56, 64, [0, 1, 2, 3, 4, 8, 12, 28, 63], [1, 2, 3, 4, 5, 6, 7, 8, 8]),
         # squares 1, sixteen of 2^-20, then 65535/65536 over four entries: the running sums
         # 1 + k*2^-20 crowd one bucket of width 1/32, so the point on the 12th walks past the step bound
         ([1] + [2**-10] * 16 + [255 / 256, 22 / 256, 5 / 256, 1 / 256] + [0] * 11, 2,
          [1, 1 + 2**-20, 1 + 12 * 2**-20, 1 + 16 * 2**-20], [2, 3, 14, 18]),
     ],
-    ids=["small", "crowded"],
+    ids=["small", "small-sorted", "crowded"],
 )
 def test_a_point_on_a_running_sum_draws_the_next_index(values, total, sums, drawn):
     handle = build_dense(values)
     assert handle.backing.cdf[-1] == total
     assert handle.sample_many(len(sums), _FixedUniforms([s / total for s in sums])).tolist() == drawn
+    assert ("guide" in vars(handle.backing)) == (4 * len(sums) >= len(values))
 
 
 def test_guide_build_raises_past_its_fixup_bound(monkeypatch):
@@ -618,17 +627,35 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_a_batch_holds_eight_bytes_per_draw_plus_one_slice():
-    handle = build_dense(haar_unit_vector(1 << 10, "complex", np.random.default_rng(61)))
-    handle.sample(np.random.default_rng(0))  # builds the running sums and the guide table
-    k = 1 << 22
+def test_a_batch_below_a_quarter_of_d_equals_plain_inversion_and_builds_no_guide():
+    handle = build_dense(np.random.default_rng(55).random(1 << 20))
+    k = 3 * sq_oracle._CHUNK + 5  # sorted a slice at a time
+    for count in (k, handle.dim // 4 - 1):
+        rng, reference_rng = np.random.default_rng(count), np.random.default_rng(count)
+        draws = handle.sample_many(count, rng)
+        assert np.array_equal(draws, _plain_inversion(handle.backing.cdf, count, reference_rng))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert "guide" not in vars(handle.backing)
+    handle.sample_many(handle.dim // 4, np.random.default_rng(0))
+    assert "guide" in vars(handle.backing)
+
+
+@pytest.mark.parametrize("d,k", [(1 << 10, 1 << 22), (1 << 20, (1 << 18) - 1)], ids=["guided", "sorted"])
+def test_a_batch_holds_eight_bytes_per_draw_plus_one_slice(d, k):
+    handle = build_dense(haar_unit_vector(d, "complex", np.random.default_rng(61)))
+    handle.sample_many(d, np.random.default_rng(0))  # builds the running sums and the guide table
     peak = _traced_peak(lambda: handle.sample_many(k, np.random.default_rng(1)))
-    assert peak <= 8 * k + 64 * sq_oracle._CHUNK  # an argsort of the batch held 32 B per draw
+    assert peak <= 8 * k + 64 * sq_oracle._CHUNK  # an argsort of the whole batch held 32 B per draw
 
 
-def test_first_sample_holds_the_sampler_plus_one_slice():
+def test_first_sample_and_first_guided_batch_hold_their_tables_plus_one_slice():
     d = 1 << 20
-    handle = build_dense(haar_unit_vector(d, "complex", np.random.default_rng(62)))
-    peak = _traced_peak(lambda: handle.sample(np.random.default_rng(0)))
-    # 8 B per entry each for the running sums and the guide table
-    assert peak <= 16 * d + 64 * sq_oracle._CHUNK
+    values = haar_unit_vector(d, "complex", np.random.default_rng(62))
+    handle = build_dense(values)
+    # a single draw builds only the running sums, 8 B per entry
+    assert _traced_peak(lambda: handle.sample(np.random.default_rng(0))) <= 8 * d + 64 * sq_oracle._CHUNK
+    handle = build_dense(values)
+    k = d // 4
+    peak = _traced_peak(lambda: handle.sample_many(k, np.random.default_rng(0)))
+    # 8 B per entry each for the running sums and the guide table, and 8 B per draw
+    assert peak <= 16 * d + 8 * k + 64 * sq_oracle._CHUNK
