@@ -11,7 +11,7 @@ refused with one `error:` line on stderr and exit code 1.
 import sys
 from pathlib import Path
 
-from sqlab.cli import _ArgumentParser, _check_out, _int, _write_out  # the sqlab command line's rules
+from sqlab.cli import _ArgumentParser, _check_out, _count, _int, _write_out  # the sqlab command line's rules
 from sqlab.experiments import ExperimentConfig, render_records, run_sweep
 
 
@@ -19,8 +19,8 @@ def main() -> int:
     parser = _ArgumentParser(description=__doc__)
     parser.add_argument("--d", type=_int, nargs="+", default=[2, 4, 8, 16])
     parser.add_argument("--N", type=_int, nargs="+", default=[1, 2, 3, 4])
-    parser.add_argument("--mc-samples", type=_int, default=None)
-    parser.add_argument("--seed", type=_int, default=0)
+    parser.add_argument("--mc-samples", type=_count(1), default=None)
+    parser.add_argument("--seed", type=_count(0, None), default=0)
     parser.add_argument("--out", default="results/haar_gap_grid.csv")
 
     try:

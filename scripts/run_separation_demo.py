@@ -10,8 +10,8 @@ no task can serve are refused with one `error:` line on stderr and exit code
 
 import sys
 
-from sqlab.cli import _ArgumentParser, _int  # the sqlab command line's rule for flags
-from sqlab.instances import gen_minus_sign, gen_real_vector_search, gen_unnormalized_minus
+from sqlab.cli import _ArgumentParser, _count, _int  # the sqlab command line's rules for flags
+from sqlab.instances import MAX_VECTORS, gen_minus_sign, gen_real_vector_search, gen_unnormalized_minus
 from sqlab.learners import solve_minus_sign, solve_real_search, solve_sample_only
 from sqlab.quantum_sim import min_copies_minus_sign
 from sqlab.sq_oracle import Capability
@@ -29,8 +29,6 @@ def _line(label, instance, report):
 
 
 def _report(args) -> list[str]:
-    if args.baseline_trials < 1:  # a zero-trial rate would print as if it were measured
-        raise ValueError(f"--baseline-trials must be >= 1, got {args.baseline_trials}")
     minus = gen_minus_sign(args.n, args.C, args.seed)
     unnorm = gen_unnormalized_minus(args.n, args.C, args.seed)
     real = gen_real_vector_search(min(args.n, 20), args.C, args.seed)
@@ -64,10 +62,11 @@ def _report(args) -> list[str]:
 def main() -> int:
     parser = _ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=_int, default=12)
-    parser.add_argument("--C", type=_int, default=4)
-    parser.add_argument("--seed", type=_int, default=0)
-    parser.add_argument("--budget", type=_int, default=10_000)
-    parser.add_argument("--baseline-trials", type=_int, default=200)
+    parser.add_argument("--C", type=_count(2, MAX_VECTORS), default=4)
+    parser.add_argument("--seed", type=_count(0, None), default=0)
+    parser.add_argument("--budget", type=_count(0), default=10_000)
+    # at least one trial: a zero-trial rate would print as if it were measured
+    parser.add_argument("--baseline-trials", type=_count(1), default=200)
 
     try:
         args = parser.parse_args()

@@ -10,9 +10,11 @@ Subcommands:
   sharp-p         verify the probe-state amplitude identity for a circuit file
   encoding-demo   product versus amplitude encoding of a sign vector
 
-Each handler returns its result and exit code. `main` checks `--out` before any
-work, then writes the result (one JSON line, or a sweep's rows in `--format`) to
-`--out` or stdout. `--format` and `--timings` apply to the sweeps only.
+A count flag declares its range in its type (`_count`), so a count out of range
+is refused while the arguments are parsed. Each handler returns its result and
+exit code. `main` checks `--out` before any work, then writes the result (one
+JSON line, or a sweep's rows in `--format`) to `--out` or stdout. `--format`
+and `--timings` apply to the sweeps only.
 
 Exit codes: 0 on success, 1 on any refused input (a ValueError or an
 OSError, reported in one `error:` line), 2 when a sweep cell records a bound
@@ -62,6 +64,20 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _count(low: int, high: int | None = 1 << sq_oracle.DENSE_BUDGET_N):
+    """The type of a count flag: an integer in [low, high] (`sq_oracle.check_count`), refused as `_int` refuses."""
+
+    def count(text: str) -> int:
+        try:
+            value = sq_oracle.parse_int(text)
+            sq_oracle.check_count("value", value, low, high)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return count
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(_int(tok) for tok in text.split(",") if tok)
 
@@ -88,7 +104,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="sqlab")
-    parser.add_argument("--seed", type=_int, default=0, help="global RNG seed")
+    parser.add_argument("--seed", type=_count(0, None), default=0, help="global RNG seed, a nonnegative integer")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
     parser.add_argument("--format", dest="fmt", choices=("csv", "json-lines"), help="sweeps only (default: csv)")
     parser.add_argument(
@@ -101,22 +117,22 @@ def _build_parser() -> _ArgumentParser:
     p = sub.add_parser("sample-test", help="chi-square test of the sampler")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--vector", help="dense vector: a 1-d numeric .npy array")
-    src.add_argument("--dim", type=_int, help="random complex vector of this dimension")
+    src.add_argument("--dim", type=_count(1), help="random complex vector of this dimension")
     src.add_argument("--n", type=_int, help="implicit vector of dimension 2^n")
-    p.add_argument("--draws", type=_int, default=100_000)
+    p.add_argument("--draws", type=_count(0), default=100_000)
     p.add_argument("--significance", type=float, default=1e-3)
 
     p = sub.add_parser("gen-instance", help="generate and dump an instance")
     p.add_argument("--kind", required=True, choices=instances.KINDS)
     p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--C", dest="num_vectors", type=_int, default=2)
+    p.add_argument("--C", dest="num_vectors", type=_count(2, instances.MAX_VECTORS), default=2)
     p.add_argument("--dir", required=True, help="output directory")
     p.add_argument("--reveal", action="store_true", help="write k* into the manifest")
 
     p = sub.add_parser("solve", help="run a solver on a dumped instance")
     p.add_argument("solver", choices=_SOLVER_NAMES)
     p.add_argument("--instance", required=True, help="instance directory")
-    p.add_argument("--budget", type=_int, default=10_000, help="samples per handle (sample-only)")
+    p.add_argument("--budget", type=_count(0), default=10_000, help="samples per handle (sample-only)")
 
     p = sub.add_parser("discriminate", help="two-state discrimination report")
     p.add_argument("--a", help="first state's density operator: a square 2-d numeric .npy array")
@@ -124,12 +140,12 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--family", choices=("minus-sign",), help="construct a named pair instead")
     p.add_argument("--d", type=_int, help="vector dimension for --family (default 4)")
     p.add_argument("--copies", type=_int, help="copies per state for --family (default 1)")
-    p.add_argument("--trials", type=_int, default=10_000)
+    p.add_argument("--trials", type=_count(1), default=10_000)
 
     p = sub.add_parser("haar-gap", help="moment-gap sweep over (d, N)")
     p.add_argument("--d", type=_int_list, required=True, help="comma-separated d list")
     p.add_argument("--N", dest="copies", type=_int_list, required=True)
-    p.add_argument("--mc-samples", type=_int, default=None)
+    p.add_argument("--mc-samples", type=_count(1), default=None)
 
     p = sub.add_parser("copies-sweep", help="minimal copies vs dimension")
     p.add_argument("--d", type=_int_list, required=True)
@@ -146,8 +162,8 @@ def _build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("encoding-demo", help="product vs amplitude encoding contrast")
     p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--trials", type=_int, default=1000)
-    p.add_argument("--C", dest="num_vectors", type=_int, default=2)
+    p.add_argument("--trials", type=_count(1), default=1000)
+    p.add_argument("--C", dest="num_vectors", type=_count(2, instances.MAX_VECTORS), default=2)
 
     return parser
 
@@ -156,7 +172,6 @@ def _cmd_sample_test(args) -> tuple[dict, int]:
     # at 0 the test passes every sampler, at 1 or above it fails every one
     if not 0.0 < args.significance < 1.0:
         raise ValueError(f"--significance must lie in (0, 1), got {args.significance}")
-    sq_oracle._check_sample_count(args.draws)
     rng = np.random.default_rng(args.seed)
     if args.vector is not None:
         values = sq_oracle.load_npy(args.vector, 1, 1 << sq_oracle.DENSE_BUDGET_N)
@@ -171,10 +186,6 @@ def _cmd_sample_test(args) -> tuple[dict, int]:
         handle = sq_oracle.build_implicit(spec)
         probs = None  # uniform magnitudes; tested via equal-width buckets
     else:
-        if args.dim < 1:
-            raise ValueError("--dim must be a positive integer")
-        if args.dim > 1 << sq_oracle.DENSE_BUDGET_N:  # the cap of vector files and instances
-            raise ValueError(f"--dim must be at most 2^{sq_oracle.DENSE_BUDGET_N}, got {sq_oracle.quoted(args.dim)}")
         values = rng.standard_normal(args.dim) + 1j * rng.standard_normal(args.dim)
         handle = sq_oracle.build_dense(values)
         probs = np.abs(values) ** 2
@@ -224,9 +235,6 @@ def _cmd_gen_instance(args) -> tuple[dict, int]:
 
 
 def _cmd_solve(args) -> tuple[dict, int]:
-    if args.solver == "sample-only":
-        learners._check_budget(args.budget)
-        sq_oracle._check_sample_count(args.budget)
     instance = instances.load_instance(args.instance)
     rng = np.random.default_rng(args.seed)
     if args.solver == "minus-sign":
@@ -252,7 +260,6 @@ def _cmd_solve(args) -> tuple[dict, int]:
 
 
 def _cmd_discriminate(args) -> tuple[dict, int]:
-    quantum_sim._check_trials(args.trials)
     rng = np.random.default_rng(args.seed)
     if args.family is not None:
         if args.a is not None or args.b is not None:
@@ -327,12 +334,7 @@ def _cmd_sharp_p(args) -> tuple[dict, int]:
 
 
 def _cmd_encoding_demo(args) -> tuple[dict, int]:
-    if args.n < 1 or args.trials < 1 or args.num_vectors < 2:
-        raise ValueError("encoding-demo needs n >= 1, trials >= 1, C >= 2")
-    if args.trials > 1 << sq_oracle.DENSE_BUDGET_N:  # about 4 us per trial
-        raise ValueError(f"trials must be at most 2^{sq_oracle.DENSE_BUDGET_N}, got {sq_oracle.quoted(args.trials)}")
-    if args.num_vectors > instances.MAX_VECTORS:
-        raise ValueError(f"--C must be at most {instances.MAX_VECTORS}, got {sq_oracle.quoted(args.num_vectors)}")
+    amplitude_success = circuit_bridge.amplitude_single_copy_success(args.n)  # refuses n < 1 before any trial
     rng = np.random.default_rng(args.seed)
     # each object is the first factor of its product state: |-> for k*, |+> for the rest
     h = math.sqrt(0.5)
@@ -352,7 +354,7 @@ def _cmd_encoding_demo(args) -> tuple[dict, int]:
         "product_successes": successes,
         "product_success_rate": successes / args.trials,
         "measurements_per_object": 1,
-        "amplitude_single_copy_success": circuit_bridge.amplitude_single_copy_success(args.n),
+        "amplitude_single_copy_success": amplitude_success,
         "seed": args.seed,
     }, 0
 

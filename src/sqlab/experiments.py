@@ -28,7 +28,7 @@ from .quantum_sim import (
     min_copies_minus_sign,
     ncopy_minus_sign_tracenorm,
 )
-from .sq_oracle import DENSE_BUDGET_N, quoted
+from .sq_oracle import check_count
 
 __all__ = [
     "ExperimentConfig",
@@ -58,12 +58,11 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
+        check_count("threads", self.threads, 1, None)
         check_schatten_threshold(self.threshold)  # else every copies-sweep cell is invalid
         # refused before any cell runs: a count past the cap would draw for hours
-        if self.mc_samples is not None and not 1 <= self.mc_samples <= 1 << DENSE_BUDGET_N:
-            raise ValueError(f"mc_samples must lie in [1, 2^{DENSE_BUDGET_N}], got {quoted(self.mc_samples)}")
+        if self.mc_samples is not None:
+            check_count("mc_samples", self.mc_samples, 1)
 
 
 @dataclass

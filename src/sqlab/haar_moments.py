@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .quantum_sim import HERMITIAN_ATOL, PSD_ATOL, TRACE_ATOL
-from .sq_oracle import quoted
+from .sq_oracle import check_count, quoted
 
 __all__ = [
     "BoundViolationError",
@@ -323,8 +323,7 @@ def mc_moment(d: int, copies: int, samples: int, field: str, rng: np.random.Gene
     their temporary) would exceed `MC_ESTIMATE_BYTE_BUDGET` raises
     BudgetExceededError before the estimate is allocated or any vector drawn.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    check_count("samples", samples, 1)
     if field not in ("real", "complex"):
         raise ValueError(f"unknown field {field!r}")
     basis = sym_basis(d, copies)

@@ -27,6 +27,7 @@ from .sq_oracle import (
     SqHandle,
     build_dense,
     build_implicit,
+    check_count,
     content_lines,
     load_npy,
     materialize,
@@ -127,13 +128,6 @@ def keyed_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def _check_num_vectors(num_vectors: int) -> None:
-    if num_vectors < 2:
-        raise ValueError("need at least two vectors")
-    if num_vectors > MAX_VECTORS:
-        raise ValueError(f"C={quoted(num_vectors)} exceeds the vector-count cap ({MAX_VECTORS})")
-
-
 def _draw_k_star(seed: int, num_vectors: int) -> int:
     return int(keyed_stream(seed, 0).integers(1, num_vectors + 1))
 
@@ -142,7 +136,7 @@ def _minus_family(kind: str, n: int, num_vectors: int, seed: int, normalized: bo
     """k* has its first entry negated, the others are all-plus; entries are +-1/sqrt(d) or +-1."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    _check_num_vectors(num_vectors)
+    check_count("C", num_vectors, 2, MAX_VECTORS)
     k_star = _draw_k_star(seed, num_vectors)
     scale = 1.0 / math.sqrt(1 << n) if normalized else 1.0
     handles = tuple(
@@ -183,7 +177,7 @@ def gen_real_vector_search(n: int, num_vectors: int, seed: int) -> ProblemInstan
     """Haar instance: vector k* uniform on the real sphere, the rest complex."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    _check_num_vectors(num_vectors)
+    check_count("C", num_vectors, 2, MAX_VECTORS)
     _check_dense_caps(n, num_vectors)
     k_star = _draw_k_star(seed, num_vectors)
     d = 1 << n
@@ -322,7 +316,7 @@ def load_instance(directory: str | Path) -> ProblemInstance:
         raise ValueError(f"{manifest}: n must be in [1, {MAX_IMPLICIT_N}], got {quoted(n)}")
     num_dense = sum(backing == "npy" for backing, _ in vector_specs.values())
     try:
-        _check_num_vectors(num_vectors)
+        check_count("C", num_vectors, 2, MAX_VECTORS)
         if num_dense:
             _check_dense_caps(n, num_dense)
     except ValueError as exc:

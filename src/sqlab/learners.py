@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .sq_oracle import Capability, OracleStats, SqHandle
+from .sq_oracle import Capability, OracleStats, SqHandle, check_count
 
 __all__ = [
     "SolveReport",
@@ -87,11 +87,6 @@ def _collision_score(indices: np.ndarray) -> int:
     return int(np.sum(counts * (counts - 1) // 2))
 
 
-def _check_budget(budget: int) -> None:
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-
-
 def solve_sample_only(
     handles: Sequence[SqHandle], budget: int, rng: np.random.Generator
 ) -> SolveReport:
@@ -103,7 +98,7 @@ def solve_sample_only(
     exchangeable and the answer is uniform over {1, ..., C} no matter the
     budget: the restricted oracle carries no signal for these tasks.
     """
-    _check_budget(budget)
+    check_count("budget", budget, 0)
     for h in handles:
         if h.capabilities != frozenset({Capability.SAMPLE}):
             raise ValueError("sample-only solver requires handles restricted to {Sample}")

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sq_oracle import DENSE_BUDGET_N, load_npy, quoted
+from .sq_oracle import DENSE_BUDGET_N, check_count, load_npy, quoted
 
 __all__ = [
     "DensityOperator",
@@ -261,18 +261,11 @@ def discriminate_pure_pair(
     return schatten, success, _click_success_rate(success, 1.0 - success, trials, rng)
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if trials > 1 << DENSE_BUDGET_N:  # about 30 bytes per trial in `_click_success_rate`'s arrays
-        raise ValueError(f"trials must be at most 2^{DENSE_BUDGET_N}, got {quoted(trials)}")
-
-
 def _click_success_rate(
     p_click_a: float, p_click_b: float, trials: int, rng: np.random.Generator
 ) -> float:
     """Success rate of guessing `a` on a click, over `trials` equal-prior draws."""
-    _check_trials(trials)
+    check_count("trials", trials, 1)  # about 30 bytes per trial in the arrays below
     p_click_a = min(max(p_click_a, 0.0), 1.0)
     p_click_b = min(max(p_click_b, 0.0), 1.0)
     truth_is_a = rng.integers(2, size=trials).astype(bool)

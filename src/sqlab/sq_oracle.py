@@ -299,11 +299,6 @@ def _walk(cdf: np.ndarray, guide: np.ndarray, r: np.ndarray, u: np.ndarray, draw
     draws[live] = np.searchsorted(cdf, u[live], side="right") + 1
 
 
-def _check_sample_count(k: int) -> None:
-    if not 0 <= k <= 1 << DENSE_BUDGET_N:
-        raise ValueError(f"sample count must be in [0, 2^{DENSE_BUDGET_N}], got {quoted(k)}")
-
-
 class SqHandle:
     """Capability-gated SQ oracle over a dense or implicit backing vector.
 
@@ -338,18 +333,19 @@ class SqHandle:
     def sample_many(self, k: int, rng: np.random.Generator) -> np.ndarray:
         """Draw k indices at once; counts as k Sample calls.
 
-        k is refused past 2^DENSE_BUDGET_N, the array-length budget, before
-        anything is drawn or counted. A dense draw is the index i whose
-        interval [cdf[i-1], cdf[i]) holds u = U(0,1)*cdf[-1]: a zero weight
-        has an empty interval and is never drawn, and u < cdf[-1] because the
-        total is not subnormal. A batch of at least d/4 points finds each by
-        stepping forward from the guide-table entry of its bucket; a smaller
-        one, `sample()` among them, binary-searches the running sums in
-        sorted order (`_invert`). A batch holds the result's 8 B per draw plus
-        one slice of `_CHUNK` draws.
+        `check_count` refuses a k outside [0, 2^DENSE_BUDGET_N], the
+        array-length budget, before anything is drawn or counted. A dense
+        draw is the index i whose interval [cdf[i-1], cdf[i]) holds
+        u = U(0,1)*cdf[-1]: a zero weight has an empty interval and is never
+        drawn, and u < cdf[-1] because the total is not subnormal. A batch of
+        at least d/4 points finds each by stepping forward from the
+        guide-table entry of its bucket; a smaller one, `sample()` among
+        them, binary-searches the running sums in sorted order (`_invert`).
+        A batch holds the result's 8 B per draw plus one slice of `_CHUNK`
+        draws.
         """
         self._require(Capability.SAMPLE)
-        _check_sample_count(k)
+        check_count("sample count", k, 0)
         if isinstance(self.backing, DenseVector):
             idx = _invert(self.backing, k, rng)
         else:
@@ -479,6 +475,17 @@ def parse_int(token: str) -> int:
             limit = sys.get_int_max_str_digits()
             raise ValueError(f"integer {quoted(token)} is longer than {limit} digits") from None
         raise ValueError(f"expected an integer, got {quoted(token)}") from None
+
+
+def check_count(name: str, value: int, low: int, high: int | None = 1 << DENSE_BUDGET_N) -> None:
+    """Refuse a count `name` outside [low, high], a power of two, or below `low` when `high` is None.
+
+    The one rule for counts; accepting costs two comparisons and builds no string.
+    """
+    if low <= value and (high is None or value <= high):
+        return
+    span = f"at least {low}" if high is None else f"in [{low}, 2^{high.bit_length() - 1}]"
+    raise ValueError(f"{name} must be {span}, got {quoted(value)}")
 
 
 def load_npy(path: str | Path, ndim: int, max_entries: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqlab import circuit_bridge, experiments, haar_moments, instances, quantum_sim, sq_oracle
+from sqlab import circuit_bridge, cli, experiments, haar_moments, instances, quantum_sim, sq_oracle
 from sqlab.cli import _SOLVER_NAMES, main
 from sqlab.experiments import (
     ExperimentConfig,
@@ -41,8 +41,11 @@ def _gap_config(**overrides):
 def test_config_validation():
     with pytest.raises(ValueError, match="format"):
         render_records(run_sweep(_gap_config(copies_values=(1,))), "xml")
-    with pytest.raises(ValueError, match="threads"):
+    with pytest.raises(ValueError, match=r"^threads must be at least 1, got 0$"):
         ExperimentConfig(subcommand="haar-gap", threads=0)
+    for mc_samples in (0, (1 << DENSE_BUDGET_N) + 1):
+        with pytest.raises(ValueError, match=rf"^mc_samples must be in \[1, 2\^24\], got {mc_samples}$"):
+            _gap_config(mc_samples=mc_samples)
     with pytest.raises(ValueError, match="nonempty"):
         run_sweep(ExperimentConfig(subcommand="haar-gap", d_values=(), copies_values=(1,)))
     with pytest.raises(ValueError, match="unknown sweep"):
@@ -58,7 +61,7 @@ def test_cli_haar_gap_refuses_mc_samples_outside_the_cap_before_any_cell(capsys,
     assert main(["haar-gap", "--d", "2", "--N", "2", "--mc-samples", mc_samples]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: mc_samples must lie in [1, 2^{DENSE_BUDGET_N}], got {mc_samples}\n"
+    assert captured.err == f"error: argument --mc-samples: value must be in [1, 2^{DENSE_BUDGET_N}], got {mc_samples}\n"
     assert _gap_config(mc_samples=1 << DENSE_BUDGET_N).mc_samples == 1 << DENSE_BUDGET_N
 
 
@@ -968,20 +971,20 @@ def test_out_writes_the_line_stdout_would_get(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,flag",
     [
-        ["sample-test", "--dim", "8", "--draws", "1000000000"],
-        ["solve", "sample-only", "--budget", "1000000000", "--instance", "{inst}"],
+        (["sample-test", "--dim", "8", "--draws", "1000000000"], "--draws"),
+        (["solve", "sample-only", "--budget", "1000000000", "--instance", "{inst}"], "--budget"),
     ],
     ids=["sample-test", "solve-sample-only"],
 )
-def test_a_sample_count_past_the_budget_is_refused_in_one_line(tmp_path, capsys, argv):
+def test_a_sample_count_past_the_budget_is_refused_in_one_line(tmp_path, capsys, argv, flag):
     assert main(["gen-instance", "--kind", "minus-sign", "--n", "3", "--dir", str(tmp_path)]) == 0
     capsys.readouterr()
     assert main([arg.format(inst=tmp_path) for arg in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: sample count must be in [0, 2^{DENSE_BUDGET_N}], got 1000000000\n"
+    assert captured.err == f"error: argument {flag}: value must be in [0, 2^{DENSE_BUDGET_N}], got 1000000000\n"
 
 
 class _NoDraws:
@@ -989,38 +992,86 @@ class _NoDraws:
         raise AssertionError(f"rng.{name} ran before the count flag was checked")
 
 
-@pytest.mark.parametrize(
-    "argv,message",
-    [
-        (["discriminate", "--a", "a.npy", "--b", "b.npy", "--trials", "0"], "trials must be at least 1"),
-        (["discriminate", "--a", "a.npy", "--b", "b.npy", "--trials", "16777217"], "trials must be at most 2^24, got 16777217"),
-        (["discriminate", "--family", "minus-sign", "--d", "4096", "--trials", "0"], "trials must be at least 1"),
-        (["sample-test", "--dim", "16777216", "--draws", "16777217"], "sample count must be in [0, 2^24], got 16777217"),
-        (["sample-test", "--vector", "v.npy", "--draws", "-1"], "sample count must be in [0, 2^24], got -1"),
-        (["solve", "sample-only", "--instance", "inst", "--budget", "-1"], "budget must be nonnegative"),
-        (["solve", "sample-only", "--instance", "inst", "--budget", "16777217"], "sample count must be in [0, 2^24], got 16777217"),
-    ],
-    ids=["files-trials-0", "files-trials-past-cap", "family-trials-0", "sample-test-dim", "sample-test-vector",
-         "solve-budget-negative", "solve-budget-past-cap"],
-)
-def test_a_count_flag_is_refused_before_any_file_read_or_array_build(capsys, monkeypatch, argv, message):
+@pytest.fixture
+def no_work_past_parsing(monkeypatch):
+    """Make every file read, array build, RNG and the `--out` check fail if a run reaches it."""
+
     def refuse(name):
         def costly(*args, **kwargs):
             raise AssertionError(f"{name} ran before the count flag was checked")
         return costly
 
     for module, name in [
+        (cli, "_check_out"),
         (quantum_sim, "load_density_operator"),
         (quantum_sim, "minus_sign_product_vectors"),
         (sq_oracle, "load_npy"),
         (sq_oracle, "build_dense"),
         (sq_oracle, "build_implicit"),
         (instances, "load_instance"),
+        (instances, "generate"),
     ]:
         monkeypatch.setattr(module, name, refuse(name))
     monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _NoDraws())
-    assert main(argv) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+_CAP, _C_CAP = 1 << DENSE_BUDGET_N, instances.MAX_VECTORS
+# each count flag of sqlab, in a command that would otherwise read a file or build an array:
+# (argv, flag, low, high, the test ids at low - 1 and at high + 1)
+_COUNT_FLAGS = [
+    (["sample-test", "--dim", "16777216"], "--draws", 0, _CAP, ("sample-test-dim-negative-draws", "sample-test-dim")),
+    (["sample-test", "--vector", "v.npy"], "--draws", 0, _CAP, ("sample-test-vector", "sample-test-vector-past-cap")),
+    (["sample-test"], "--dim", 1, _CAP, ("dim-0", "dim-past-cap")),
+    (["gen-instance", "--kind", "real-search", "--n", "4", "--dir", "inst"], "--C", 2, _C_CAP,
+     ("gen-instance-C-1", "gen-instance-C-past-cap")),
+    (["solve", "sample-only", "--instance", "inst"], "--budget", 0, _CAP,
+     ("solve-budget-negative", "solve-budget-past-cap")),
+    # a flag out of range is refused whatever the subcommand uses it for
+    (["solve", "minus-sign", "--instance", "inst"], "--budget", 0, _CAP,
+     ("minus-sign-budget-negative", "minus-sign-budget-past-cap")),
+    (["discriminate", "--a", "a.npy", "--b", "b.npy"], "--trials", 1, _CAP, ("files-trials-0", "files-trials-past-cap")),
+    (["discriminate", "--family", "minus-sign", "--d", "4096"], "--trials", 1, _CAP,
+     ("family-trials-0", "family-trials-past-cap")),
+    (["haar-gap", "--d", "2", "--N", "2"], "--mc-samples", 1, _CAP, ("mc-samples-0", "mc-samples-past-cap")),
+    (["encoding-demo", "--n", "3"], "--trials", 1, _CAP, ("encoding-trials-0", "encoding-trials-past-cap")),
+    (["encoding-demo", "--n", "3"], "--C", 2, _C_CAP, ("encoding-C-1", "encoding-C-past-cap")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,flag,value,message",
+    [
+        (argv, flag, value, f"value must be in [{low}, 2^{high.bit_length() - 1}], got {value}")
+        for argv, flag, low, high, _ in _COUNT_FLAGS
+        for value in (low - 1, high + 1)
+    ],
+    ids=[test_id for *_, ids in _COUNT_FLAGS for test_id in ids],
+)
+def test_a_count_flag_is_refused_before_any_file_read_or_array_build(
+    capsys, no_work_past_parsing, argv, flag, value, message
+):
+    assert main([*argv, flag, str(value)]) == 1
+    assert capsys.readouterr() == ("", f"error: argument {flag}: {message}\n")
+
+
+# one command of each subcommand that would run if its seed were accepted
+_SEED_COMMANDS = [
+    ["sample-test", "--dim", "8"],
+    ["gen-instance", "--kind", "minus-sign", "--n", "3", "--dir", "inst"],
+    ["solve", "sample-only", "--instance", "inst"],
+    ["discriminate", "--family", "minus-sign"],
+    ["haar-gap", "--d", "2", "--N", "2", "--mc-samples", "100"],
+    ["copies-sweep", "--d", "64"],
+    ["sharp-p", "--circuit", "c.txt"],
+    ["encoding-demo", "--n", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _SEED_COMMANDS, ids=[argv[0] for argv in _SEED_COMMANDS])
+def test_a_negative_seed_is_refused_by_every_subcommand(capsys, no_work_past_parsing, argv):
+    assert sorted(a[0] for a in _SEED_COMMANDS) == sorted(cli._HANDLERS)
+    assert main(["--seed", "-1", *argv]) == 1
+    assert capsys.readouterr() == ("", "error: argument --seed: value must be at least 0, got -1\n")
 
 
 def test_cli_missing_instance_dir_is_config_error(capsys):

@@ -527,8 +527,9 @@ def test_mc_moment_error_scales_like_inverse_sqrt_samples():
 
 def test_mc_moment_validation():
     rng = np.random.default_rng(104)
-    with pytest.raises(ValueError):
-        mc_moment(2, 2, 0, "real", rng)
+    for samples in (0, (1 << 24) + 1):
+        with pytest.raises(ValueError, match=rf"^samples must be in \[1, 2\^24\], got {samples}$"):
+            mc_moment(2, 2, samples, "real", rng)
     with pytest.raises(ValueError):
         mc_moment(2, 2, 10, "rational", rng)
 

@@ -327,7 +327,7 @@ def test_load_refuses_a_text_vector_line(tmp_path):
     [
         (20, 80, r"C\*2\^n = 83886080 entries exceed the real-search cap \(2\^26\)"),
         (25, 2, r"n=25 exceeds the dense materialization budget \(24\)"),
-        (4, 65537, r"C=65537 exceeds the vector-count cap \(65536\)"),
+        (4, 65537, r"C must be in \[2, 2\^16\], got 65537"),
     ],
     ids=["entries", "n", "vector-count"],
 )

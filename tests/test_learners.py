@@ -109,8 +109,11 @@ def test_sample_only_requires_restricted_handles():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="restricted"):
         solve_sample_only(instance.handles, 10, rng)
-    with pytest.raises(ValueError, match="nonnegative"):
-        solve_sample_only(_sample_only(instance), -1, rng)
+    state = rng.bit_generator.state
+    for budget in (-1, (1 << 24) + 1):  # one rule refuses the sign and the cap before any draw
+        with pytest.raises(ValueError, match=rf"^budget must be in \[0, 2\^24\], got {budget}$"):
+            solve_sample_only(_sample_only(instance), budget, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_sample_only_uses_exactly_the_budget():

@@ -7,7 +7,9 @@ nothing runs but the tests.
 
 The entry points (`sqlab.cli.main` and each script's `main`) share one
 refusal rule: a `ValueError` or an `OSError` is one `error:` line and exit 1.
-Numeric array files are read in one place, `sq_oracle.load_npy`.
+Numeric array files are read in one place, `sq_oracle.load_npy`, and every
+integer flag whose range does not depend on other inputs declares it with
+`cli._count`.
 """
 
 import ast
@@ -146,3 +148,34 @@ def test_every_exception_class_is_a_valueerror_or_says_why_not():
     others = {n for n, cls in found.items() if not issubclass(cls, ValueError)}
     assert sorted(others - set(_NOT_REFUSALS)) == []
     assert sorted(set(_NOT_REFUSALS) - others) == []  # the allowlist names only such classes
+
+
+# Integer flags that are not counts with a fixed range (`cli._count`), each with why its range is checked elsewhere.
+_INT_FLAGS = {
+    "cli.py sample-test --n": "`ImplicitVector` refuses n outside [1, 62] before any draw",
+    "cli.py gen-instance --n": "its cap depends on the kind: 62 for the implicit kinds, 24 for real-search",
+    "cli.py discriminate --d": "capped jointly with --copies, on d^(2N), by `minus_sign_product_vectors`",
+    "cli.py discriminate --copies": "capped jointly with --d, on d^(2N), by `minus_sign_product_vectors`",
+    "cli.py encoding-demo --n": "`amplitude_single_copy_success` refuses n < 1 before any trial and serves every n >= 1",
+    "run_copies_scaling.py --d": "a list of d, checked per cell",
+    "run_haar_gap_grid.py --d": "a list of d, checked per cell",
+    "run_haar_gap_grid.py --N": "a list of N, checked per cell",
+    "run_separation_demo.py --n": "its cap depends on the kind, and each generator checks it",
+}
+
+
+def test_every_integer_flag_declares_its_range_or_says_why_not():
+    """Each `add_argument(..., type=_int)` is in `_INT_FLAGS`; a new count flag must use `_count`."""
+    int_flags = set()
+    for path in _ENTRY_POINTS:
+        calls = [n for n in ast.walk(ast.parse((ROOT / path).read_text())) if isinstance(n, ast.Call)]
+        subcommand = ""
+        for call in sorted(calls, key=lambda n: (n.lineno, n.col_offset)):
+            method = ast.unparse(call.func).split(".")[-1]
+            if method == "add_parser":
+                subcommand = f" {call.args[0].value}"
+            types = [ast.unparse(k.value) for k in call.keywords if k.arg == "type"]
+            if method == "add_argument" and types == ["_int"]:
+                int_flags.add(f"{Path(path).name}{subcommand} {call.args[0].value}")
+    assert sorted(int_flags - set(_INT_FLAGS)) == []
+    assert sorted(set(_INT_FLAGS) - int_flags) == []  # the allowlist names only such flags

@@ -383,5 +383,6 @@ def test_pure_pair_checks_norms_dimensions_and_trials():
         discriminate_pure_pair(np.array([np.nan, 0.0]), v, 10, np.random.default_rng(0))
     with pytest.raises(ValueError, match="mismatch"):
         discriminate_pure_pair(u, np.array([1.0, 0.0, 0.0]), 10, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="trials"):
-        discriminate_pure_pair(u, v, 0, np.random.default_rng(0))
+    for trials in (0, (1 << 24) + 1):
+        with pytest.raises(ValueError, match=rf"^trials must be in \[1, 2\^24\], got {trials}$"):
+            discriminate_pure_pair(u, v, trials, np.random.default_rng(0))

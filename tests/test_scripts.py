@@ -142,6 +142,36 @@ def test_every_entry_point_refuses_an_unwritable_out_before_any_work(tmp_path, m
     assert blocker.read_text() == ""
 
 
+_CAP = "2^24"
+# each count flag of the two scripts that take counts, at low - 1 and at high + 1:
+# (script, its other arguments, names a refusal must not reach, cases)
+_SCRIPT_COUNT_FLAGS = [
+    (_DEMO, ["--n", "20"], ("gen_minus_sign", "gen_unnormalized_minus", "gen_real_vector_search", "solve_sample_only"),
+     [("--budget", "-1", f"[0, {_CAP}]"), ("--budget", "16777217", f"[0, {_CAP}]"),
+      ("--C", "1", "[2, 2^16]"), ("--C", "65537", "[2, 2^16]"),
+      ("--baseline-trials", "0", f"[1, {_CAP}]"), ("--baseline-trials", "16777217", f"[1, {_CAP}]")]),
+    (_GRID, ["--d", "2", "--N", "2"], ("ExperimentConfig", "_check_out", "run_sweep"),
+     [("--mc-samples", "0", f"[1, {_CAP}]"), ("--mc-samples", "16777217", f"[1, {_CAP}]")]),
+]
+
+
+@pytest.mark.parametrize(
+    "script,argv,unreached,flag,value,refusal",
+    [(script, argv, unreached, flag, value, f"value must be in {span}, got {value}")
+     for script, argv, unreached, cases in _SCRIPT_COUNT_FLAGS for flag, value, span in cases]
+    + [(script, argv, unreached, "--seed", "-1", "value must be at least 0, got -1")
+       for script, argv, unreached, _ in _SCRIPT_COUNT_FLAGS],
+    ids=[f"{script.__name__}{flag}-{value}" for script, _, _, cases in _SCRIPT_COUNT_FLAGS for flag, value, _ in cases]
+    + [f"{script.__name__}--seed--1" for script, *_ in _SCRIPT_COUNT_FLAGS],
+)
+def test_script_count_flags_are_refused_while_parsing(monkeypatch, script, argv, unreached, flag, value, refusal):
+    # the demo once generated and solved three instances before it refused its budget
+    for name in unreached:
+        monkeypatch.setattr(script, name, _no_work)
+    code, out, err = _run_in_process(script, [f"{script.__name__}.py", *argv, flag, value])
+    assert (code, out, err) == (1, "", f"error: argument {flag}: {refusal}\n")
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=-2, max_value=6),

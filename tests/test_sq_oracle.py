@@ -30,6 +30,7 @@ from sqlab.sq_oracle import (
     OracleStats,
     build_dense,
     build_implicit,
+    check_count,
     content_lines,
     load_npy,
     materialize,
@@ -365,6 +366,31 @@ def test_refusals_quote_a_bounded_prefix_and_parse_int_refuses_in_its_own_words(
     with pytest.raises(ValueError, match=rf"\({limit + 1} characters\) is longer than {limit} digits$"):
         parse_int("9" * (limit + 1))
     assert parse_int("9" * limit) == 10**limit - 1
+
+
+@settings(max_examples=50)
+@given(low=st.integers(min_value=-3, max_value=1), k=st.integers(min_value=0, max_value=80))
+def test_check_count_accepts_exactly_low_through_high(low, k):
+    high = 1 << k
+    for value in (low, high):
+        assert check_count("n", value, low, high) is None
+    for value in (low - 1, high + 1):
+        with pytest.raises(ValueError, match=rf"^n must be in \[{low}, 2\^{k}\], got {value}$"):
+            check_count("n", value, low, high)
+    # without a cap, only the low end refuses
+    assert check_count("seed", 10**400, low, None) is None
+    with pytest.raises(ValueError, match=rf"^seed must be at least {low}, got {low - 1}$"):
+        check_count("seed", low - 1, low, None)
+
+
+def test_check_count_quotes_a_long_count_in_one_short_line():
+    assert check_count("n", 1 << DENSE_BUDGET_N, 0) is None  # the default cap is the dense budget
+    # 5000 digits, past Python's int-to-str limit: the refusal stays one short line
+    for value, bounds in ((10**4999, (0,)), (-(10**4999), (0, None))):
+        with pytest.raises(ValueError) as info:
+            check_count("n", value, *bounds)
+        assert str(info.value).endswith("... (5000 characters)" if value > 0 else "... (5001 characters)")
+        assert len(str(info.value)) < 100
 
 
 @settings(max_examples=25)
