@@ -20,6 +20,7 @@ import numpy as np
 
 from .sq_oracle import (
     DENSE_BUDGET_N,
+    DenseVector,
     ImplicitVector,
     KIND_ALL_PLUS,
     KIND_MINUS_AT_INDEX,
@@ -30,7 +31,6 @@ from .sq_oracle import (
     check_count,
     content_lines,
     load_npy,
-    materialize,
     parse_int,
     quoted,
 )
@@ -133,9 +133,12 @@ def _draw_k_star(seed: int, num_vectors: int) -> int:
 
 
 def _minus_family(kind: str, n: int, num_vectors: int, seed: int, normalized: bool) -> ProblemInstance:
-    """k* has its first entry negated, the others are all-plus; entries are +-1/sqrt(d) or +-1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    """k* has its first entry negated, the others are all-plus; entries are +-1/sqrt(d) or +-1.
+
+    n is refused outside `ImplicitVector`'s range before 2^n is formed for the scale.
+    """
+    if not 1 <= n <= MAX_IMPLICIT_N:
+        raise ValueError(f"n must be in [1, {MAX_IMPLICIT_N}], got {quoted(n)}")
     check_count("C", num_vectors, 2, MAX_VECTORS)
     k_star = _draw_k_star(seed, num_vectors)
     scale = 1.0 / math.sqrt(1 << n) if normalized else 1.0
@@ -274,7 +277,9 @@ def load_instance(directory: str | Path) -> ProblemInstance:
     from its file's header, before any entry is read. When the manifest does
     not reveal k*, the instance is regenerated from its (kind, n, C, seed)
     record to recover the answer, and the dumped data is checked against the
-    regeneration so tampered dumps are rejected.
+    regeneration so tampered dumps are rejected: dense entries bit for bit,
+    implicit vectors by descriptor. An `npy` line where the seed gives an
+    implicit vector is a mismatch, as an `implicit` line for a dense one is.
     """
     directory = Path(directory)
     manifest = directory / _MANIFEST_NAME
@@ -353,11 +358,11 @@ def load_instance(directory: str | Path) -> ProblemInstance:
     if k_star is None:
         regenerated = generate(kind, n, num_vectors, seed)
         for loaded, regen in zip(handles, regenerated.handles):
-            if isinstance(loaded.backing, ImplicitVector):
-                if loaded.backing != regen.backing:
-                    raise ValueError(f"{manifest}: dumped instance does not match its seed")
-            else:
-                if not np.array_equal(loaded.backing.entries, materialize(regen)):
-                    raise ValueError(f"{manifest}: dumped instance does not match its seed")
+            if isinstance(loaded.backing, DenseVector) and isinstance(regen.backing, DenseVector):
+                same = np.array_equal(loaded.backing.entries, regen.backing.entries)
+            else:  # an implicit vector matches only its own descriptor, never an `npy` line
+                same = loaded.backing == regen.backing
+            if not same:
+                raise ValueError(f"{manifest}: dumped instance does not match its seed")
         k_star = regenerated._k_star
     return ProblemInstance(kind, n, seed, tuple(handles), k_star)

@@ -4,7 +4,8 @@ An SQ handle wraps a complex vector x of length d = 2^n and serves three
 operations: Sample draws an index with probability |x_i|^2 / sum_j |x_j|^2,
 Query returns a component exactly, and QueryN returns the 2-norm. Each
 operation is gated behind an explicit capability set and counted exactly, so
-experiments can account oracle cost separately from wall-clock time.
+experiments can account oracle cost separately from wall-clock time. A handle
+is used from one thread at a time; its counters are plain integers.
 
 Dense backings carry the running sums of the squared magnitudes, built on the
 first Sample in O(d); a draw is the first running sum above a uniform point.
@@ -13,7 +14,8 @@ O(d) once, and finds each draw by stepping forward from the guide entry of
 its point's bucket, O(1) steps expected; a smaller batch binary-searches the
 sums for its points in sorted order. Backings that are only queried build
 neither. Implicit backings evaluate components from a closed form in
-O(poly n) without materializing 2^n entries.
+O(poly n) without materializing 2^n entries: `ImplicitVector.component` is
+the one definition of each implicit kind.
 
 Indices are 1-based at the oracle boundary and 0-based internally.
 """
@@ -25,7 +27,6 @@ import functools
 import math
 import re
 import sys
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -46,7 +47,6 @@ __all__ = [
     "SqHandle",
     "build_dense",
     "build_implicit",
-    "materialize",
 ]
 
 
@@ -68,8 +68,9 @@ _IMPLICIT_KINDS = (KIND_ALL_PLUS, KIND_MINUS_AT_INDEX, KIND_SIGN_PRODUCT)
 # Implicit index arithmetic must stay within exact int64 range.
 MAX_IMPLICIT_N = 62
 
-# Implicit vectors, real-search instances and minus-sign pure pairs are
-# materialized with at most 2^DENSE_BUDGET_N entries.
+# Dense vectors read from files, real-search instances, minus-sign pure pairs and
+# counts are capped at 2^DENSE_BUDGET_N entries; implicit vectors are never
+# materialized.
 DENSE_BUDGET_N = 24
 
 
@@ -133,8 +134,11 @@ class DenseVector:
             raise ValueError("dense vector must be a nonempty 1-d sequence")
         if arr.size & (arr.size - 1):
             raise ValueError(f"length {arr.size} is not a power of two")
+        sq = 0.0  # summed over slices of `_CHUNK`, as `cdf` squares them, so the temporaries stay small
         with np.errstate(over="ignore"):  # an overflow is reported below
-            sq = float(np.sum(arr.real**2 + arr.imag**2))
+            for start in range(0, arr.size, _CHUNK):
+                part = arr[start : start + _CHUNK]
+                sq += float(np.sum(part.real**2 + part.imag**2))
         if not math.isfinite(sq):
             raise ValueError(f"squared norm {sq} is not finite (non-finite or overflowing entries)")
         if sq == 0.0:
@@ -302,8 +306,10 @@ def _walk(cdf: np.ndarray, guide: np.ndarray, r: np.ndarray, u: np.ndarray, draw
 class SqHandle:
     """Capability-gated SQ oracle over a dense or implicit backing vector.
 
-    The backing is immutable; only the call counters mutate, and they do so
-    under a lock so concurrent use from several threads stays exact.
+    The backing is immutable; only the call counters mutate. A handle is used
+    from one thread at a time, so they are plain increments: no program path
+    shares a handle between threads, and the sweep's thread pool runs Haar and
+    copies cells, which build no handle.
     """
 
     def __init__(
@@ -313,7 +319,6 @@ class SqHandle:
     ):
         self.backing = backing
         self.capabilities = frozenset(capabilities)
-        self._lock = threading.Lock()
         self._sample_calls = 0
         self._query_calls = 0
         self._norm_calls = 0
@@ -351,8 +356,7 @@ class SqHandle:
         else:
             # all implicit kinds have uniform squared magnitudes
             idx = rng.integers(1, self.dim + 1, size=k, dtype=np.int64)
-        with self._lock:
-            self._sample_calls += k
+        self._sample_calls += k
         return idx
 
     def query(self, i: int) -> complex:
@@ -364,16 +368,14 @@ class SqHandle:
             value = complex(self.backing.entries[i - 1])
         else:
             value = self.backing.component(i)
-        with self._lock:
-            self._query_calls += 1
+        self._query_calls += 1
         return value
 
     def query_norm(self) -> float:
         """The 2-norm of the backing vector."""
         self._require(Capability.QUERY_NORM)
         value = self.backing.norm()
-        with self._lock:
-            self._norm_calls += 1
+        self._norm_calls += 1
         return value
 
     def restrict(self, capabilities: Iterable[Capability]) -> "SqHandle":
@@ -389,8 +391,7 @@ class SqHandle:
         return SqHandle(self.backing, requested)
 
     def stats(self) -> OracleStats:
-        with self._lock:
-            return OracleStats(self._sample_calls, self._query_calls, self._norm_calls)
+        return OracleStats(self._sample_calls, self._query_calls, self._norm_calls)
 
 
 def build_dense(values: Sequence[complex] | np.ndarray) -> SqHandle:
@@ -401,25 +402,6 @@ def build_dense(values: Sequence[complex] | np.ndarray) -> SqHandle:
 def build_implicit(spec: ImplicitVector) -> SqHandle:
     """Full-capability handle over an implicit vector; per-call cost O(poly n)."""
     return SqHandle(spec)
-
-
-def materialize(backing: DenseVector | ImplicitVector | SqHandle) -> np.ndarray:
-    """Dense copy of a vector; refuses implicit backings larger than 2^DENSE_BUDGET_N."""
-    if isinstance(backing, SqHandle):
-        backing = backing.backing
-    if isinstance(backing, DenseVector):
-        return backing.entries.copy()
-    if backing.n > DENSE_BUDGET_N:
-        raise ValueError(f"refusing to materialize 2^{backing.n} entries (max_n={DENSE_BUDGET_N})")
-    d = backing.dim
-    out = np.full(d, backing.scale, dtype=np.complex128)
-    if backing.kind == KIND_MINUS_AT_INDEX:
-        out[backing.minus_index - 1] = -backing.scale
-    elif backing.kind == KIND_SIGN_PRODUCT:
-        masked = np.arange(d, dtype=np.uint64) & np.uint64(backing.sign_mask)
-        parity = np.bitwise_count(masked) & 1
-        out[parity == 1] *= -1
-    return out
 
 
 def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:

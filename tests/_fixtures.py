@@ -1,4 +1,4 @@
-"""Generators and file writers that only the tests use, and the tests' reference forward run.
+"""Generators and file writers that only the tests use, and the tests' reference forward run and vectors.
 
 Imported as `from _fixtures import ...`: pytest puts this directory on the
 import path. The pinned probe circuits are drawn by `random_circuit`, so its
@@ -13,6 +13,7 @@ import numpy as np
 
 from sqlab.circuit_bridge import GATE_NAMES, Circuit, Gate, _run_gates
 from sqlab.quantum_sim import DensityOperator
+from sqlab.sq_oracle import KIND_MINUS_AT_INDEX, KIND_SIGN_PRODUCT, DenseVector, ImplicitVector, SqHandle
 
 
 def random_circuit(n: int, depth: int, rng: np.random.Generator) -> Circuit:
@@ -64,3 +65,20 @@ def forward_run(circuit: Circuit) -> np.ndarray:
     zero = np.zeros(1 << circuit.n, dtype=np.complex128)
     zero[0] = 1.0
     return kernel(zero, circuit.gates, circuit.n)
+
+
+def materialize(backing: DenseVector | ImplicitVector | SqHandle) -> np.ndarray:
+    """Dense copy of a vector: the vectorised reference that `ImplicitVector.component` is checked against."""
+    if isinstance(backing, SqHandle):
+        backing = backing.backing
+    if isinstance(backing, DenseVector):
+        return backing.entries.copy()
+    d = backing.dim
+    out = np.full(d, backing.scale, dtype=np.complex128)
+    if backing.kind == KIND_MINUS_AT_INDEX:
+        out[backing.minus_index - 1] = -backing.scale
+    elif backing.kind == KIND_SIGN_PRODUCT:
+        masked = np.arange(d, dtype=np.uint64) & np.uint64(backing.sign_mask)
+        parity = np.bitwise_count(masked) & 1
+        out[parity == 1] *= -1
+    return out

@@ -23,9 +23,9 @@ from sqlab.circuit_bridge import (
 )
 from sqlab.cli import main
 from sqlab.experiments import chi_square_gof
-from sqlab.sq_oracle import ImplicitVector, build_dense, materialize
+from sqlab.sq_oracle import ImplicitVector, build_dense
 
-from _fixtures import forward_run, kernel, random_circuit
+from _fixtures import forward_run, kernel, materialize, random_circuit
 
 SQRT_HALF = 1 / math.sqrt(2)
 

@@ -26,7 +26,7 @@ from sqlab.instances import (
 )
 from sqlab.sq_oracle import ImplicitVector
 
-from _fixtures import sparse_npy
+from _fixtures import materialize, sparse_npy
 
 
 def test_haar_real_d1_is_sign():
@@ -273,6 +273,45 @@ def test_load_detects_tampering(tmp_path):
     np.save(victim, values)
     with pytest.raises(ValueError, match="does not match"):
         load_instance(tmp_path / "inst")
+
+
+@pytest.mark.parametrize(
+    "make,line,rewrite",
+    [
+        # the closed form's exact entries, written as a file: an `npy` line never matches an implicit vector
+        (lambda: gen_minus_sign(4, 3, seed=19), "vector 1 implicit", "vector 1 npy vector_1.npy"),
+        (lambda: gen_real_vector_search(4, 2, seed=19), "vector 1 npy", "vector 1 implicit all-plus n=4 scale=0.25"),
+    ],
+    ids=["npy-for-implicit", "implicit-for-dense"],
+)
+def test_load_refuses_a_vector_dumped_with_the_other_backing(tmp_path, make, line, rewrite):
+    instance = make()
+    dump_instance(instance, tmp_path / "inst")
+    np.save(tmp_path / "inst" / "vector_1.npy", materialize(instance.handles[0]))
+    manifest = tmp_path / "inst" / "manifest.txt"
+    lines = [rewrite if entry.startswith(line) else entry for entry in manifest.read_text().splitlines()]
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(manifest))}: dumped instance does not match its seed$"):
+        load_instance(tmp_path / "inst")
+
+
+@pytest.mark.parametrize("generator", [gen_minus_sign, gen_unnormalized_minus])
+@pytest.mark.parametrize("n", [0, 63, 1024, 10**9])
+def test_minus_families_refuse_n_before_forming_two_to_the_n(generator, n):
+    # 1 / sqrt(1 << n) raised OverflowError from n = 1024, after building a 125 MB integer at n = 10^9
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^n must be in \[1, 62\], got {n}$"):
+            generator(n, 2, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_minus_sign_scale_is_one_over_sqrt_d_up_to_n_62():
+    for n in range(1, 63):
+        assert gen_minus_sign(n, 2, seed=0).handles[0].backing.scale == 1.0 / math.sqrt(1 << n)
 
 
 def test_load_checks_vector_length_against_manifest(tmp_path):

@@ -9,7 +9,8 @@ The entry points (`sqlab.cli.main` and each script's `main`) share one
 refusal rule: a `ValueError` or an `OSError` is one `error:` line and exit 1.
 Numeric array files are read in one place, `sq_oracle.load_npy`, and every
 integer flag whose range does not depend on other inputs declares it with
-`cli._count`.
+`cli._count`. An SQ handle is used from one thread at a time, so only the
+sweep's pool, which builds no handle, may start threads or processes.
 """
 
 import ast
@@ -148,6 +149,31 @@ def test_every_exception_class_is_a_valueerror_or_says_why_not():
     others = {n for n, cls in found.items() if not issubclass(cls, ValueError)}
     assert sorted(others - set(_NOT_REFUSALS)) == []
     assert sorted(set(_NOT_REFUSALS) - others) == []  # the allowlist names only such classes
+
+
+# Program files that may import a thread or process module, each with why no SQ handle crosses threads.
+_CONCURRENT = {
+    "src/sqlab/experiments.py": "`run_sweep`'s thread pool runs Haar and copies cells, which build no handle",
+}
+_CONCURRENCY_MODULES = ("threading", "concurrent", "multiprocessing")
+
+
+def test_only_the_sweep_pool_imports_threads_or_processes():
+    """An `SqHandle`'s counters are plain increments: no program file may share one between threads."""
+    importers = set()
+    for folder in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    modules = [node.module]
+                else:
+                    continue
+                if any(module.split(".")[0] in _CONCURRENCY_MODULES for module in modules):
+                    importers.add(path.relative_to(ROOT).as_posix())
+    assert sorted(importers - set(_CONCURRENT)) == []
+    assert sorted(set(_CONCURRENT) - importers) == []  # the allowlist names only such files
 
 
 # Integer flags that are not counts with a fixed range (`cli._count`), each with why its range is checked elsewhere.

@@ -172,6 +172,21 @@ def test_script_count_flags_are_refused_while_parsing(monkeypatch, script, argv,
     assert (code, out, err) == (1, "", f"error: argument {flag}: {refusal}\n")
 
 
+@pytest.mark.parametrize("n", [63, 1024, 10**9])
+@pytest.mark.parametrize(
+    "entry,argv",
+    [(cli, ["sqlab", "gen-instance", "--kind", kind, "--dir", "{tmp}/inst"])
+     for kind in ("minus-sign", "unnormalized-minus")]
+    + [(_DEMO, ["run_separation_demo.py"])],
+    ids=["sqlab-minus-sign", "sqlab-unnormalized-minus", "demo"],
+)
+def test_a_minus_sign_n_past_62_is_refused_in_one_line(tmp_path, entry, argv, n):
+    # n >= 1024 ended in an OverflowError traceback from 1 / sqrt(1 << n)
+    code, out, err = _run_in_process(entry, [arg.format(tmp=tmp_path) for arg in argv] + ["--n", str(n)])
+    assert (code, out, err) == (1, "", f"error: n must be in [1, 62], got {n}\n")
+    assert not (tmp_path / "inst").exists()
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=-2, max_value=6),

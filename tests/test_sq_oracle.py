@@ -11,7 +11,6 @@ import re
 import sys
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,10 +32,11 @@ from sqlab.sq_oracle import (
     check_count,
     content_lines,
     load_npy,
-    materialize,
     parse_int,
     quoted,
 )
+
+from _fixtures import materialize
 
 
 def test_point_mass_always_samples_index_one():
@@ -254,8 +254,6 @@ def test_implicit_and_dense_backings_agree():
     for i in range(1, 17):
         assert implicit.query(i) == dense.query(i)
     assert implicit.query_norm() == pytest.approx(dense.query_norm(), rel=1e-12)
-    with pytest.raises(ValueError, match=rf"^refusing to materialize 2\^{DENSE_BUDGET_N + 1} entries"):
-        materialize(ImplicitVector(kind="all-plus", n=DENSE_BUDGET_N + 1, scale=1.0))
 
     rng = np.random.default_rng(17)
     probs = np.abs(materialize(spec)) ** 2
@@ -270,22 +268,6 @@ def test_prefix_tree_leaves_match_squared_magnitudes():
     values = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     handle = build_dense(values)
     assert handle.backing.cdf.tobytes() == np.cumsum(values.real**2 + values.imag**2).tobytes()
-
-
-def test_concurrent_counters_are_exact():
-    handle = build_dense(np.ones(16))
-    rng_pool = [np.random.default_rng(i) for i in range(8)]
-
-    def hammer(rng):
-        for _ in range(250):
-            handle.sample(rng)
-            handle.query(1)
-            handle.query_norm()
-
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        list(pool.map(hammer, rng_pool))
-    s = handle.stats()
-    assert (s.sample_calls, s.query_calls, s.norm_calls) == (2000, 2000, 2000)
 
 
 def _per_draw_seconds(handle, draws, rng):
@@ -685,3 +667,38 @@ def test_first_sample_and_first_guided_batch_hold_their_tables_plus_one_slice():
     peak = _traced_peak(lambda: handle.sample_many(k, np.random.default_rng(0)))
     # 8 B per entry each for the running sums and the guide table, and 8 B per draw
     assert peak <= 16 * d + 8 * k + 64 * sq_oracle._CHUNK
+
+
+def test_build_holds_one_slice_beside_the_vector():
+    values = haar_unit_vector(1 << 20, "complex", np.random.default_rng(63))
+    # |x_i|^2 of the whole vector held 16 B per entry: a 16.0 MB peak at this size
+    assert _traced_peak(lambda: build_dense(values)) <= 64 * sq_oracle._CHUNK
+
+
+def test_squared_norm_is_summed_slice_by_slice():
+    chunk = sq_oracle._CHUNK
+    values = haar_unit_vector(4 * chunk, "complex", np.random.default_rng(64))
+    one_slice = values[:chunk]
+    assert build_dense(one_slice).backing.squared_norm == float(np.sum(one_slice.real**2 + one_slice.imag**2))
+    assert build_dense(values).backing.squared_norm == pytest.approx(float(np.sum(np.abs(values) ** 2)), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "entries,refusal",
+    [
+        ({3 * sq_oracle._CHUNK - 1: math.nan}, r"^squared norm nan is not finite"),
+        ({sq_oracle._CHUNK: math.inf}, r"^squared norm inf is not finite"),
+        ({sq_oracle._CHUNK: 1e200}, r"^squared norm inf is not finite"),
+        # each slice's sum is finite, their total is not
+        ({0: 1.3e154, sq_oracle._CHUNK: 1.3e154}, r"^squared norm inf is not finite"),
+        ({}, r"^zero vector"),
+        ({0: 1e-160, sq_oracle._CHUNK: 1e-160}, r"^squared norm 2e-320 is subnormal"),
+    ],
+    ids=["nan", "inf", "overflowing-entry", "overflowing-total", "zero", "subnormal"],
+)
+def test_build_refuses_a_bad_norm_in_any_slice(entries, refusal):
+    values = np.zeros(4 * sq_oracle._CHUNK, dtype=np.complex128)
+    for i, value in entries.items():
+        values[i] = value
+    with pytest.raises(ValueError, match=refusal):
+        build_dense(values)
