@@ -211,18 +211,21 @@ def chi_square_gof(indices: np.ndarray, probabilities: np.ndarray) -> tuple[floa
     (statistic, degrees of freedom, p-value).
     """
     probabilities = np.asarray(probabilities, dtype=np.float64)
-    probabilities = probabilities / probabilities.sum()
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 1 or idx.max() > probabilities.size):
         raise ValueError("indices must be 1-based within the probability support")
+    # at most three d-length float arrays live at once: counts, expected, and a compressed copy or the residual
     counts = np.bincount(idx, minlength=probabilities.size + 1)[1:].astype(float)  # no shifted copy of idx
-    expected = probabilities * counts.sum()
+    expected = probabilities / probabilities.sum()
+    expected *= counts.sum()
 
     small = expected < MIN_EXPECTED_COUNT
     if small.any():
         pooled_obs = counts[small].sum()
         pooled_exp = expected[small].sum()
-        counts, expected = counts[~small], expected[~small]
+        keep = np.logical_not(small, out=small)
+        counts = counts[keep]
+        expected = expected[keep]
         if pooled_exp >= MIN_EXPECTED_COUNT or expected.size == 0:
             counts = np.append(counts, pooled_obs)
             expected = np.append(expected, pooled_exp)
@@ -237,7 +240,7 @@ def chi_square_gof(indices: np.ndarray, probabilities: np.ndarray) -> tuple[floa
     # imported here: scipy.special takes most of `import sqlab.cli`, and only this test needs it
     from scipy.special import chdtrc
 
-    statistic = float(np.sum((counts - expected) ** 2 / expected))
+    statistic = float(np.sum(np.square(counts - expected, out=counts) / expected))  # counts is not read again
     dof = expected.size - 1
     p_value = float(chdtrc(dof, statistic))
     return statistic, dof, p_value

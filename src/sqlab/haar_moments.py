@@ -86,7 +86,12 @@ class BudgetExceededError(Exception):
 
 
 class BoundViolationError(RuntimeError):
-    """A proven inequality failed numerically; indicates an implementation bug."""
+    """A proven property or inequality failed numerically; indicates an implementation bug."""
+
+
+def _check(condition: bool, message: str) -> None:
+    if not condition:
+        raise BoundViolationError(message)
 
 
 @dataclass(frozen=True)
@@ -122,8 +127,8 @@ def sym_basis(d: int, copies: int) -> SymBasis:
     """Enumerate the index-tuple basis; errors out above the copy cap or the dimension budget."""
     if copies > MAX_MOMENT_COPIES:  # keeps N! and so every multinomial exact in int64
         raise BudgetExceededError(f"N={quoted(copies)} exceeds the cap {MAX_MOMENT_COPIES}")
-    if d < 1 or copies < 1:
-        raise ValueError("d and N must be at least 1")
+    check_count("d", d, 1, None)
+    check_count("N", copies, 1, None)
     size = math.comb(d + copies - 1, copies)
     if size > SYM_DIM_BUDGET:
         raise BudgetExceededError(f"symmetric dimension {quoted(size)} exceeds budget {SYM_DIM_BUDGET}")
@@ -142,12 +147,10 @@ def sym_basis(d: int, copies: int) -> SymBasis:
 @lru_cache(maxsize=None)
 def _sphere_moment_denominator(d: int, copies: int) -> int:
     """d(d+2)...(d+2N-2), cross-checked against its Gamma form via log-gamma."""
-    denom = 1
-    for k in range(copies):
-        denom *= d + 2 * k
+    denom = math.prod(range(d, d + 2 * copies, 2))
     gamma_form = copies * math.log(2.0) + math.lgamma(copies + d / 2.0) - math.lgamma(d / 2.0)
-    if abs(math.log(float(denom)) - gamma_form) > 1e-10 * max(1.0, abs(gamma_form)):
-        raise RuntimeError(f"normalization identity failed at d={d}, N={copies}")
+    dev = abs(math.log(float(denom)) - gamma_form)
+    _check(dev <= 1e-10 * max(1.0, abs(gamma_form)), f"normalization identity failed at d={d}, N={copies}")
     return denom
 
 
@@ -174,20 +177,16 @@ class MomentOperator:
 
     def __post_init__(self):
         for rows, stack in self.blocks:
-            if rows.ndim != 2 or stack.shape != (*rows.shape, rows.shape[1]):
-                raise ValueError(f"block rows of shape {rows.shape} do not index a stack of shape {stack.shape}")
+            fits = rows.ndim == 2 and stack.shape == (*rows.shape, rows.shape[1])
+            _check(fits, f"block rows of shape {rows.shape} do not index a stack of shape {stack.shape}")
         rows = np.sort(np.concatenate([r.ravel() for r, _ in self.blocks]))
-        if not np.array_equal(rows, np.arange(self.size)):
-            raise ValueError(f"block rows do not partition the {self.size} basis rows")
+        _check(np.array_equal(rows, np.arange(self.size)), f"block rows do not partition the {self.size} basis rows")
         dev = max(float(np.max(np.abs(stack - stack.swapaxes(1, 2)))) for _, stack in self.blocks)
-        if dev > HERMITIAN_ATOL:
-            raise ValueError(f"moment operator not Hermitian (deviation {dev:.3e})")
+        _check(dev <= HERMITIAN_ATOL, f"moment operator not Hermitian (deviation {dev:.3e})")
         tr = sum(float(np.trace(stack, axis1=1, axis2=2).sum()) for _, stack in self.blocks)
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"moment operator trace {tr} deviates from 1")
+        _check(abs(tr - 1.0) <= TRACE_ATOL, f"moment operator trace {tr} deviates from 1")
         eigenvalues = np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel() for _, stack in self.blocks]))
-        if float(eigenvalues[0]) < -PSD_ATOL:
-            raise ValueError(f"moment operator not PSD (min eigenvalue {float(eigenvalues[0]):.3e})")
+        _check(eigenvalues[0] >= -PSD_ATOL, f"moment operator not PSD (min eigenvalue {eigenvalues[0]:.3e})")
         object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @property
@@ -264,8 +263,8 @@ def real_moment(d: int, copies: int) -> MomentOperator:
         group, t = sizes[s], (copies - s) // 2
         starts = np.flatnonzero(sorted_keys[lo + 1 : lo + group] != sorted_keys[lo : lo + group - 1]) + 1
         k = int(starts[0]) if len(starts) else group
-        if group % k or not np.array_equal(starts, np.arange(k, group, k)):
-            raise ValueError(f"classes of odd-set size {s} differ in size")
+        same_size = group % k == 0 and np.array_equal(starts, np.arange(k, group, k))
+        _check(same_size, f"classes of odd-set size {s} differ in size")
         rows = order[lo : lo + group].reshape(-1, k)
         classes, rep = len(rows), slice(at, at + k * t)  # rep: the pairs of class 0, S = {0..s-1}
         count = _block_counts(pairs[rep].reshape(k, t), runs[rep].reshape(k, t), s, d)
@@ -358,8 +357,7 @@ def mc_moment(d: int, copies: int, samples: int, field: str, rng: np.random.Gene
     estimate /= samples
     _hermitian_part_in_place(estimate)
     tr = float(np.trace(estimate).real)
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise ValueError(f"Monte Carlo estimate trace {tr} deviates from 1")
+    _check(abs(tr - 1.0) <= TRACE_ATOL, f"Monte Carlo estimate trace {tr} deviates from 1")
     return estimate
 
 
@@ -392,11 +390,6 @@ class GapReport:
     middle_term: float
     o_rest_min_eig: float
     mc_max_dev: float | None = None
-
-
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise BoundViolationError(message)
 
 
 def trace_norm_gap(

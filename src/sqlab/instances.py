@@ -322,6 +322,9 @@ def load_instance(directory: str | Path) -> ProblemInstance:
     num_dense = sum(backing == "npy" for backing, _ in vector_specs.values())
     try:
         check_count("C", num_vectors, 2, MAX_VECTORS)
+        check_count("seed", seed, 0, None)
+        if k_star is not None and not 1 <= k_star <= num_vectors:  # its cap is C, not a power of two
+            raise ValueError(f"k_star must be in [1, C={num_vectors}], got {quoted(k_star)}")
         if num_dense:
             _check_dense_caps(n, num_dense)
     except ValueError as exc:

@@ -186,6 +186,22 @@ def test_chi_square_gof_point_mass_degenerates_gracefully():
     assert (statistic, dof, p_value) == (0.0, 0, 1.0)
 
 
+@pytest.mark.parametrize("draws", [1 << 16, 1 << 20, 1 << 22], ids=["all-pooled", "mostly-pooled", "mostly-kept"])
+def test_chi_square_gof_holds_at_most_26_bytes_per_probability(draws):
+    import scipy.special  # noqa: F401  (its first import is not the test's memory)
+
+    rng = np.random.default_rng(5)
+    probs = rng.random(1 << 20)
+    indices = rng.integers(1, probs.size + 1, size=draws)
+    tracemalloc.start()
+    try:
+        chi_square_gof(indices, probs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * probs.size
+
+
 def test_linear_fit_recovers_exact_line():
     xs = np.arange(1, 8)
     slope, intercept, r2 = linear_fit(xs, 3.5 * xs - 2.0)
@@ -894,6 +910,34 @@ def test_a_bound_violation_is_a_record_and_exit_2(tmp_path, capsys, monkeypatch)
         "bound-violation: negative gap at d=2, N=1",
         "bound-violation: negative gap at d=2, N=2",
     ]
+
+
+def test_a_failed_moment_operator_invariant_is_a_bound_violation_and_exit_2(tmp_path, capsys, monkeypatch):
+    exact = haar_moments._block_counts
+
+    def asymmetric(pairs, runs, s, d):  # one more matching above the diagonal; a 1 x 1 block is unchanged
+        count = exact(pairs, runs, s, d)
+        return count + np.triu(np.ones_like(count), 1)
+
+    monkeypatch.setattr(haar_moments, "_block_counts", asymmetric)
+    out = tmp_path / "gap.csv"
+    assert main(["--out", str(out), "haar-gap", "--d", "2,4", "--N", "1,2"]) == 2
+    assert capsys.readouterr() == ("", "")
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert [(row["d"], row["N"]) for row in rows] == [("2", "1"), ("2", "2"), ("4", "1"), ("4", "2")]
+    for row in rows:
+        if row["N"] == "1":
+            assert row["error"] == "" and row["gap"] != ""
+        else:
+            assert row["error"].startswith("bound-violation: moment operator not Hermitian (deviation ")
+            assert row["gap"] == ""
+
+
+def test_haar_gap_names_the_d_or_n_below_one(capsys):
+    assert main(["haar-gap", "--d", "0,2", "--N", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: d must be at least 1, got 0\n")
+    assert main(["haar-gap", "--d", "2", "--N", "1,0"]) == 1
+    assert capsys.readouterr() == ("", "error: N must be at least 1, got 0\n")
 
 
 def test_a_middle_term_below_half_the_gap_is_a_bound_violation(tmp_path, capsys, monkeypatch):

@@ -16,6 +16,7 @@ from sqlab import haar_moments
 from sqlab.haar_moments import (
     MAX_MOMENT_COPIES,
     MC_ESTIMATE_BYTE_BUDGET,
+    BoundViolationError,
     BudgetExceededError,
     MomentOperator,
     mc_moment,
@@ -292,17 +293,17 @@ def test_moment_operator_checks_every_block_and_the_row_partition(monkeypatch):
     rows = np.array([[1, 2], [4, 3]])
     stack = np.stack([np.eye(2), np.eye(2)]) / 5
     stack[1, 1, 0] = 1e-6  # only the second member of the stack is asymmetric
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(BoundViolationError, match="not Hermitian"):
         MomentOperator(d=5, N=1, blocks=(first, (rows, stack)))
     stack[1, 0, 1] = 1e-6
     op = MomentOperator(d=5, N=1, blocks=(first, (rows, stack)))
     assert op.matrix[3, 4] == op.matrix[4, 3] == 1e-6
     for bad in ([[1, 2], [2, 3]], [[1, 2], [3, 5]], [[1, 2]]):  # overlap, outside, missing
         bad = np.array(bad)
-        with pytest.raises(ValueError, match="partition"):
+        with pytest.raises(BoundViolationError, match="partition"):
             MomentOperator(d=5, N=1, blocks=(first, (bad, np.stack([np.eye(2)] * len(bad)) / 5)))
     # a stack whose blocks do not match the group's row count is refused
-    with pytest.raises(ValueError, match="do not index"):
+    with pytest.raises(BoundViolationError, match="do not index"):
         MomentOperator(d=5, N=1, blocks=(first, (rows, np.stack([np.eye(3)] * 2) / 7.5)))
     # classes of one odd-set size that differ in size are refused when grouped:
     # at d=2, N=3 the classes {0} = (000), (011) and {1} = (001), (111) lose
@@ -312,7 +313,7 @@ def test_moment_operator_checks_every_block_and_the_row_partition(monkeypatch):
         keep = np.arange(full.size) != dropped
         basis = haar_moments.SymBasis(d=2, N=3, indices=full.indices[keep], norm_factors=full.norm_factors[keep])
         monkeypatch.setattr(haar_moments, "sym_basis", lambda d, copies: basis)
-        with pytest.raises(ValueError, match="differ in size"):
+        with pytest.raises(BoundViolationError, match="differ in size"):
             real_moment(2, 3)
 
 

@@ -379,6 +379,24 @@ def test_load_applies_the_dense_caps_before_opening_any_vector_file(tmp_path, n,
         load_instance(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "seed,k_star,refusal",
+    [
+        (-5, None, "seed must be at least 0, got -5"),
+        (-5, 1, "seed must be at least 0, got -5"),
+        (0, 0, r"k_star must be in \[1, C=2\], got 0"),
+        (0, 9, r"k_star must be in \[1, C=2\], got 9"),
+    ],
+    ids=["negative-seed", "revealed-negative-seed", "k-star-0", "k-star-past-C"],
+)
+def test_load_refuses_a_manifest_seed_or_k_star_before_opening_any_vector_file(tmp_path, seed, k_star, refusal):
+    lines = ["kind real-search", "n 2", "C 2", f"seed {seed}", *([f"k_star {k_star}"] if k_star is not None else [])]
+    lines += [f"vector {j} npy missing.npy" for j in (1, 2)]
+    (tmp_path / "manifest.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(tmp_path / 'manifest.txt'))}: {refusal}$"):
+        load_instance(tmp_path)
+
+
 def test_load_checks_implicit_n_against_manifest(tmp_path):
     dump_instance(gen_minus_sign(4, 2, seed=25), tmp_path / "inst", reveal=True)
     manifest = tmp_path / "inst" / "manifest.txt"

@@ -11,6 +11,8 @@ Numeric array files are read in one place, `sq_oracle.load_npy`, and every
 integer flag whose range does not depend on other inputs declares it with
 `cli._count`. An SQ handle is used from one thread at a time, so only the
 sweep's pool, which builds no handle, may start threads or processes.
+Per-layer timings come from one script into one file: `scripts/bench_layers.py`
+writes `BENCH_layers.json`, one section per layer.
 """
 
 import ast
@@ -108,6 +110,22 @@ def test_numpy_files_are_read_in_one_place():
             if isinstance(node, ast.Call) and ast.unparse(node.func) in {f"np.{r}" for r in _NUMPY_READERS}:
                 calls.append((owner.get(id(node), path.stem), ast.unparse(node.func)))
     assert calls == [("sq_oracle.load_npy", "np.load")]
+
+
+def test_one_bench_script_writes_the_one_bench_file():
+    """A new per-layer number is a new section of `bench_layers.py`, not a new script or file."""
+    scripts = sorted(p.name for p in (ROOT / "scripts").glob("bench_*.py"))
+    files = sorted(p.name for p in ROOT.glob("BENCH_*.json"))
+    assert (len(scripts), len(files)) == (1, 1), (scripts, files)
+    calls = [n for n in ast.walk(ast.parse((ROOT / "scripts" / scripts[0]).read_text())) if isinstance(n, ast.Call)]
+    out_defaults = [
+        ast.literal_eval(k.value)
+        for call in calls
+        if ast.unparse(call.func).endswith("add_argument") and ast.literal_eval(call.args[0]) == "--out"
+        for k in call.keywords
+        if k.arg == "default"
+    ]
+    assert out_defaults == files
 
 
 _ENTRY_POINTS = ["src/sqlab/cli.py", *sorted(f"scripts/{p.name}" for p in (ROOT / "scripts").glob("*.py"))]

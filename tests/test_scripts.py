@@ -90,8 +90,7 @@ def _load_script(name):
 _DEMO = _load_script("run_separation_demo")
 _COPIES = _load_script("run_copies_scaling")
 _GRID = _load_script("run_haar_gap_grid")
-_BENCH = _load_script("bench_real_moment")
-_BENCH_SAMPLER = _load_script("bench_sampler")
+_BENCH = _load_script("bench_layers")
 
 
 def _run_in_process(module, argv):
@@ -282,19 +281,35 @@ def test_haar_grid_integer_flags_serve_or_reject_in_one_line(d, N, mc, seed):
         _assert_report_or_one_line_refusal(code, out, err, path)
 
 
-def test_bench_real_moment_writes_every_cell_split_into_assembly_and_checks(tmp_path, monkeypatch):
-    path = tmp_path / "bench" / "BENCH_real_moment.json"
+def test_bench_layers_writes_every_layer(tmp_path, monkeypatch):
+    path = tmp_path / "bench" / "BENCH_layers.json"
     monkeypatch.setattr(_BENCH, "REPEATS", 1)
-    code, out, err = _run_in_process(_BENCH, ["bench_real_moment.py", "--out", str(path)])
+    code, out, err = _run_in_process(_BENCH, ["bench_layers.py", "--out", str(path)])
     assert (code, err) == (0, "")
-    assert out.startswith(f"wrote 25 cells to {path}\n")
+    assert out.startswith(f"wrote the real_moment and sampler layers to {path}\n")
     report = json.loads(path.read_text())
-    assert [(c["d"], c["N"]) for c in report["bounds_grid"]] == _BENCH.BOUNDS_GRID_CELLS
-    assert [(c["d"], c["N"]) for c in report["guard"]] == [(9, 8), (12, 6), (24, 4), (40, 3), (199, 2), (2000, 1)]
-    for cell in report["bounds_grid"] + report["guard"]:
+    assert report["repeats"] == 1
+
+    moment = report["real_moment"]
+    assert [(c["d"], c["N"]) for c in moment["bounds_grid"]] == _BENCH.BOUNDS_GRID_CELLS
+    assert [(c["d"], c["N"]) for c in moment["guard"]] == [(9, 8), (12, 6), (24, 4), (40, 3), (199, 2), (2000, 1)]
+    for cell in moment["bounds_grid"] + moment["guard"]:
         assert 0 < cell["moment_operator_s"]
         assert cell["assembly_s"] == cell["real_moment_s"] - cell["moment_operator_s"]
-    assert report["bounds_grid_total"]["real_moment_s"] == sum(c["real_moment_s"] for c in report["bounds_grid"])
+    assert moment["bounds_grid_total"]["real_moment_s"] == sum(c["real_moment_s"] for c in moment["bounds_grid"])
+
+    sampler = report["sampler"]
+    assert (sampler["dim"], sampler["batch"], sampler["small_batch"], sampler["single_calls"]) == (
+        1 << 20, 1 << 19, 1 << 14, 1000)
+    # the batch walks the guide table; the small batch is below d/4 and does not
+    assert 4 * sampler["small_batch"] < sampler["dim"] <= 4 * sampler["batch"]
+    for key in ("cdf_build_ns_per_entry", "guide_build_ns_per_entry", "first_batch_ns_per_draw",
+                "batch_ns_per_draw", "first_small_batch_ns_per_draw", "small_batch_ns_per_draw", "sample_call_us"):
+        assert 0 < sampler[key]
+    # a first Sample keeps 8 B per entry, a first batch 16 B per entry, and a batch its 8 B per draw
+    assert 8 * sampler["dim"] <= sampler["first_sample_peak_bytes"] < 16 * sampler["dim"]
+    assert 16 * sampler["dim"] <= sampler["first_batch_peak_bytes"]
+    assert 8 * sampler["batch"] <= sampler["batch_peak_bytes"]
 
 
 @pytest.mark.parametrize(
@@ -303,49 +318,13 @@ def test_bench_real_moment_writes_every_cell_split_into_assembly_and_checks(tmp_
      (["--out", "{tmp}"], "[Errno 21] Is a directory: '{tmp}'")],
     ids=["out-under-a-file", "out-a-directory"],
 )
-def test_bench_real_moment_refuses_in_one_line_before_any_work(tmp_path, monkeypatch, argv, refusal):
+def test_bench_layers_refuses_in_one_line_before_any_work(tmp_path, monkeypatch, argv, refusal):
     blocker = tmp_path / "afile"
     blocker.write_text("")
     monkeypatch.setattr(_BENCH, "real_moment", _no_work)
-    argv = ["bench_real_moment.py", *[arg.format(tmp=tmp_path, blocker=blocker) for arg in argv]]
+    monkeypatch.setattr(_BENCH, "haar_unit_vector", _no_work)
+    argv = ["bench_layers.py", *[arg.format(tmp=tmp_path, blocker=blocker) for arg in argv]]
     code, out, err = _run_in_process(_BENCH, argv)
-    assert (code, out) == (1, "")
-    assert err == "error: " + refusal.format(tmp=tmp_path, blocker=blocker) + "\n"
-    assert blocker.read_text() == ""
-
-
-def test_bench_sampler_writes_the_build_batch_single_and_memory_figures(tmp_path, monkeypatch):
-    path = tmp_path / "bench" / "BENCH_sampler.json"
-    monkeypatch.setattr(_BENCH_SAMPLER, "REPEATS", 1)
-    code, out, err = _run_in_process(_BENCH_SAMPLER, ["bench_sampler.py", "--out", str(path)])
-    assert (code, err) == (0, "")
-    assert out.startswith(f"wrote the sampler timings to {path}\n")
-    report = json.loads(path.read_text())
-    assert (report["dim"], report["batch"], report["small_batch"], report["single_calls"]) == (
-        1 << 20, 1 << 19, 1 << 14, 1000)
-    # the batch walks the guide table; the small batch is below d/4 and does not
-    assert 4 * report["small_batch"] < report["dim"] <= 4 * report["batch"]
-    for key in ("cdf_build_ns_per_entry", "guide_build_ns_per_entry", "first_batch_ns_per_draw",
-                "batch_ns_per_draw", "first_small_batch_ns_per_draw", "small_batch_ns_per_draw", "sample_call_us"):
-        assert 0 < report[key]
-    # a first Sample keeps 8 B per entry, a first batch 16 B per entry, and a batch its 8 B per draw
-    assert 8 * report["dim"] <= report["first_sample_peak_bytes"] < 16 * report["dim"]
-    assert 16 * report["dim"] <= report["first_batch_peak_bytes"]
-    assert 8 * report["batch"] <= report["batch_peak_bytes"]
-
-
-@pytest.mark.parametrize(
-    "argv,refusal",
-    [(["--out", "{blocker}/x.json"], "[Errno 17] File exists: '{blocker}'"),
-     (["--out", "{tmp}"], "[Errno 21] Is a directory: '{tmp}'")],
-    ids=["out-under-a-file", "out-a-directory"],
-)
-def test_bench_sampler_refuses_in_one_line_before_any_work(tmp_path, monkeypatch, argv, refusal):
-    blocker = tmp_path / "afile"
-    blocker.write_text("")
-    monkeypatch.setattr(_BENCH_SAMPLER, "haar_unit_vector", _no_work)
-    argv = ["bench_sampler.py", *[arg.format(tmp=tmp_path, blocker=blocker) for arg in argv]]
-    code, out, err = _run_in_process(_BENCH_SAMPLER, argv)
     assert (code, out) == (1, "")
     assert err == "error: " + refusal.format(tmp=tmp_path, blocker=blocker) + "\n"
     assert blocker.read_text() == ""
