@@ -15,8 +15,14 @@ with any setup untimed. The JSON holds the platform and one section per layer:
   with SMALL_BATCH = 2^14, fewer than d/4, which binary-searches its sorted
   points, each on a fresh handle (so the first includes both builds and the
   second the running sums) and on a built handle; SINGLE_CALLS = 1000
-  `sample()` calls; and the tracemalloc peaks of a first Sample (the running
-  sums only), of a first BATCH (both tables) and of a BATCH on a built handle.
+  `sample()` calls; the tracemalloc peaks of a first Sample (the running
+  sums only), of a first BATCH (both tables) and of a BATCH on a built handle;
+  QUERIES = 1000 `query()` calls on that dense handle and on an implicit
+  sign-pattern vector of 2^62 entries; and `solve_sample_only` with the
+  benchmark's `sq_search` sizes: C = 4 minus-sign vectors of 2^10 entries,
+  restricted to Sample, and a budget of 1000 draws per vector.
+Run as a script, it pins BLAS to one thread before numpy is imported, so its
+figures do not move with the thread count; the header records the setting.
 The JSON goes to --out (default BENCH_layers.json); run it on each tree to
 compare, on one machine, with sqlab importable (installed, or PYTHONPATH=src
 from the root of the checkout).
@@ -32,12 +38,16 @@ import time
 import tracemalloc
 from pathlib import Path
 
+if __name__ == "__main__":  # before numpy is first imported, which reads the thread count once
+    os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from sqlab.cli import _ArgumentParser, _check_out, _write_out  # the sqlab command line's rules
 from sqlab.haar_moments import MomentOperator, real_moment
-from sqlab.instances import haar_unit_vector
-from sqlab.sq_oracle import DenseVector, build_dense
+from sqlab.instances import gen_minus_sign, haar_unit_vector
+from sqlab.learners import solve_sample_only
+from sqlab.sq_oracle import Capability, DenseVector, ImplicitVector, build_dense, build_implicit
 
 REPEATS = 15
 BOUNDS_GRID_CELLS = [(d, n) for d in (2, 4, 8, 16) for n in (1, 2, 3, 4)] + [(12, 4), (8, 6), (6, 8)]
@@ -46,6 +56,8 @@ DIM = 1 << 20
 BATCH = 1 << 19
 SMALL_BATCH = 1 << 14
 SINGLE_CALLS = 1000
+QUERIES = 1000
+SOLVE_N, SOLVE_C, SOLVE_BUDGET = 10, 4, 1000
 
 
 def _best(call, setup=lambda: None) -> float:
@@ -106,11 +118,21 @@ def _sampler() -> dict:
     small_s = _best(lambda _: handle.sample_many(SMALL_BATCH, rng))
     single_s = _best(lambda _: [handle.sample(rng) for _ in range(SINGLE_CALLS)])
     fresh, fresh_batch = build_dense(values), build_dense(values)
+    spec = ImplicitVector(kind="sign-pattern-product", n=62, scale=2.0**-31, sign_mask=(1 << 61) + 1)
+    implicit = build_implicit(spec)
+    dense_queries = rng.integers(1, DIM + 1, size=QUERIES).tolist()
+    implicit_queries = rng.integers(1, implicit.dim + 1, size=QUERIES).tolist()
+    dense_query_s = _best(lambda _: [handle.query(i) for i in dense_queries])
+    implicit_query_s = _best(lambda _: [implicit.query(i) for i in implicit_queries])
+    sample_only = [h.restrict({Capability.SAMPLE}) for h in gen_minus_sign(SOLVE_N, SOLVE_C, 0).handles]
+    solve_s = _best(lambda _: solve_sample_only(sample_only, SOLVE_BUDGET, rng))
     return {
         "dim": DIM,
         "batch": BATCH,
         "small_batch": SMALL_BATCH,
         "single_calls": SINGLE_CALLS,
+        "queries": QUERIES,
+        "solve": {"n": SOLVE_N, "C": SOLVE_C, "budget": SOLVE_BUDGET},
         "cdf_build_ns_per_entry": cdf_s / DIM * 1e9,
         "guide_build_ns_per_entry": guide_s / DIM * 1e9,
         "first_batch_ns_per_draw": first_batch_s / BATCH * 1e9,
@@ -121,6 +143,9 @@ def _sampler() -> dict:
         "first_sample_peak_bytes": _peak_bytes(lambda: fresh.sample(rng)),
         "first_batch_peak_bytes": _peak_bytes(lambda: fresh_batch.sample_many(BATCH, rng)),
         "batch_peak_bytes": _peak_bytes(lambda: handle.sample_many(BATCH, rng)),
+        "dense_query_ns": dense_query_s / QUERIES * 1e9,
+        "implicit_query_ns": implicit_query_s / QUERIES * 1e9,
+        "sample_only_solve_us": solve_s * 1e6,
     }
 
 
@@ -138,6 +163,7 @@ def main() -> int:
             "numpy": np.__version__,
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),  # None: numpy's default
             "real_moment": _real_moment(),
             "sampler": _sampler(),
         }
@@ -151,7 +177,9 @@ def main() -> int:
           f"of which assembly {totals['assembly_s'] * 1e3:.2f} ms")
     print(f"sampler: builds {sampler['cdf_build_ns_per_entry']:.1f} + {sampler['guide_build_ns_per_entry']:.1f} ns "
           f"per entry, batches {sampler['batch_ns_per_draw']:.1f} and {sampler['small_batch_ns_per_draw']:.1f} ns "
-          f"per draw, sample() {sampler['sample_call_us']:.2f} us")
+          f"per draw, sample() {sampler['sample_call_us']:.2f} us, query() {sampler['dense_query_ns']:.0f} "
+          f"(dense) and {sampler['implicit_query_ns']:.0f} ns (implicit), a sample-only solve "
+          f"{sampler['sample_only_solve_us']:.0f} us")
     return 0
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -102,6 +103,7 @@ def _write_out(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+@functools.cache  # built on the first `main` call and reused: parsing leaves the parser as it was
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="sqlab")
     parser.add_argument("--seed", type=_count(0, None), default=0, help="global RNG seed, a nonnegative integer")

@@ -82,9 +82,14 @@ def solve_real_search(handles: Sequence[SqHandle]) -> SolveReport:
 
 
 def _collision_score(indices: np.ndarray) -> int:
-    """Number of colliding sample pairs, a standard uniformity statistic."""
-    _, counts = np.unique(indices, return_counts=True)
-    return int(np.sum(counts * (counts - 1) // 2))
+    """Number of colliding sample pairs, a standard uniformity statistic.
+
+    After sorting, each draw but the first is labelled by the value changes before it; the first joins group 0.
+    """
+    s = np.sort(indices)
+    counts = np.bincount(np.cumsum(s[1:] != s[:-1]), minlength=1)
+    counts[0] += 1
+    return int(counts @ (counts - 1)) // 2
 
 
 def solve_sample_only(

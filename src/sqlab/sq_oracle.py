@@ -5,17 +5,21 @@ operations: Sample draws an index with probability |x_i|^2 / sum_j |x_j|^2,
 Query returns a component exactly, and QueryN returns the 2-norm. Each
 operation is gated behind an explicit capability set and counted exactly, so
 experiments can account oracle cost separately from wall-clock time. A handle
-is used from one thread at a time; its counters are plain integers.
+is used from one thread at a time; its counters are plain integers. It
+resolves its dimension, dense backing and capability flags once, when built,
+so a call costs about as much as its arithmetic.
 
 Dense backings carry the running sums of the squared magnitudes, built on the
 first Sample in O(d); a draw is the first running sum above a uniform point.
-A batch of at least d/4 draws also builds a guide table over the sums, in
-O(d) once, and finds each draw by stepping forward from the guide entry of
-its point's bucket, O(1) steps expected; a smaller batch binary-searches the
-sums for its points in sorted order. Backings that are only queried build
-neither. Implicit backings evaluate components from a closed form in
-O(poly n) without materializing 2^n entries: `ImplicitVector.component` is
-the one definition of each implicit kind.
+A single Sample binary-searches the sums for one scalar point. A batch of at
+least d/4 draws also builds a guide table over the sums, in O(d) once, and
+finds each draw by stepping forward from the guide entry of its point's
+bucket, O(1) steps expected; a smaller batch binary-searches the sums for its
+points in sorted order. Every draw is the same whichever path finds it.
+Backings that are only queried build neither. Implicit backings evaluate
+components from a closed form in O(poly n) without materializing 2^n
+entries: `ImplicitVector.component` is the one definition of each implicit
+kind.
 
 Indices are 1-based at the oracle boundary and 0-based internally.
 """
@@ -319,21 +323,33 @@ class SqHandle:
     ):
         self.backing = backing
         self.capabilities = frozenset(capabilities)
+        # resolved once, so each call tests a bool and reads an attribute
+        self.dim = backing.dim
+        self._dense = backing if isinstance(backing, DenseVector) else None
+        self._can_sample = Capability.SAMPLE in self.capabilities
+        self._can_query = Capability.QUERY in self.capabilities
         self._sample_calls = 0
         self._query_calls = 0
         self._norm_calls = 0
-
-    @property
-    def dim(self) -> int:
-        return self.backing.dim
 
     def _require(self, cap: Capability) -> None:
         if cap not in self.capabilities:
             raise CapabilityError(f"{cap.value} not in capability set")
 
     def sample(self, rng: np.random.Generator) -> int:
-        """Draw one 1-based index with probability |x_i|^2 / ||x||^2; the draw of `sample_many(1, rng)`."""
-        return int(self.sample_many(1, rng)[0])
+        """Draw one 1-based index with probability |x_i|^2 / ||x||^2, as one scalar draw.
+
+        It is `sample_many(1, rng)` bit for bit and leaves the generator in the same state.
+        """
+        if not self._can_sample:
+            self._require(Capability.SAMPLE)
+        if self._dense is None:
+            i = int(rng.integers(1, self.dim + 1, dtype=np.int64))
+        else:
+            cdf = self._dense.cdf
+            i = int(cdf.searchsorted(rng.random() * cdf[-1], side="right")) + 1
+        self._sample_calls += 1
+        return i
 
     def sample_many(self, k: int, rng: np.random.Generator) -> np.ndarray:
         """Draw k indices at once; counts as k Sample calls.
@@ -344,15 +360,16 @@ class SqHandle:
         u = U(0,1)*cdf[-1]: a zero weight has an empty interval and is never
         drawn, and u < cdf[-1] because the total is not subnormal. A batch of
         at least d/4 points finds each by stepping forward from the
-        guide-table entry of its bucket; a smaller one, `sample()` among
-        them, binary-searches the running sums in sorted order (`_invert`).
+        guide-table entry of its bucket; a smaller one binary-searches the
+        running sums in sorted order (`_invert`).
         A batch holds the result's 8 B per draw plus one slice of `_CHUNK`
         draws.
         """
-        self._require(Capability.SAMPLE)
+        if not self._can_sample:
+            self._require(Capability.SAMPLE)
         check_count("sample count", k, 0)
-        if isinstance(self.backing, DenseVector):
-            idx = _invert(self.backing, k, rng)
+        if self._dense is not None:
+            idx = _invert(self._dense, k, rng)
         else:
             # all implicit kinds have uniform squared magnitudes
             idx = rng.integers(1, self.dim + 1, size=k, dtype=np.int64)
@@ -361,11 +378,12 @@ class SqHandle:
 
     def query(self, i: int) -> complex:
         """Exact component x_i for a 1-based index i."""
-        self._require(Capability.QUERY)
+        if not self._can_query:
+            self._require(Capability.QUERY)
         if not 1 <= i <= self.dim:
             raise ValueError(f"index {i} out of range [1, {self.dim}]")
-        if isinstance(self.backing, DenseVector):
-            value = complex(self.backing.entries[i - 1])
+        if self._dense is not None:
+            value = self._dense.entries.item(i - 1)  # a Python complex with the stored bits
         else:
             value = self.backing.component(i)
         self._query_calls += 1

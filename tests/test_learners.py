@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sqlab.instances import (
     dump_instance,
@@ -11,6 +13,7 @@ from sqlab.instances import (
     load_instance,
 )
 from sqlab.learners import (
+    _collision_score,
     solve_minus_sign,
     solve_real_search,
     solve_sample_only,
@@ -188,3 +191,26 @@ def test_wall_time_roughly_independent_of_n():
     t10 = total_seconds(10)
     t30 = total_seconds(30)
     assert t30 < 2.0 * t10
+
+
+_DRAW_VALUES = st.integers(1, 1 << 62)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    draws=st.one_of(
+        st.lists(_DRAW_VALUES, min_size=1, max_size=2000),
+        st.lists(st.integers(1, 8), min_size=1, max_size=2000),  # many collisions
+        st.builds(lambda value, size: [value] * size, _DRAW_VALUES, st.integers(1, 2000)),  # all equal
+        st.lists(_DRAW_VALUES, min_size=1, max_size=2000, unique=True),  # all distinct
+    )
+)
+@example(draws=[1])
+@example(draws=[1 << 62] * 2000)
+@example(draws=list(range(2000, 0, -1)))
+def test_collision_score_is_the_unique_count_formula(draws):
+    indices = np.array(draws, dtype=np.int64)
+    _, counts = np.unique(indices, return_counts=True)
+    expected = int(np.sum(counts * (counts - 1) // 2))
+    score = _collision_score(indices)
+    assert type(score) is int and score == expected

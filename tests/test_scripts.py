@@ -281,6 +281,22 @@ def test_haar_grid_integer_flags_serve_or_reject_in_one_line(d, N, mc, seed):
         _assert_report_or_one_line_refusal(code, out, err, path)
 
 
+def test_the_cached_parser_answers_as_a_fresh_one(monkeypatch):
+    runs = [
+        ["sqlab", "--seed", "3", "sample-test", "--dim", "8", "--draws", "500"],
+        ["sqlab", "sample-test", "--dim", "0"],  # refused while parsing
+        ["sqlab", "haar-gap", "--d", "2", "--N", "1"],
+        ["sqlab", "--seed", "3", "sample-test", "--dim", "8", "--draws", "500"],
+    ]
+    assert cli._build_parser() is cli._build_parser()
+    cached = [_run_in_process(cli, argv) for argv in runs]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [_run_in_process(cli, argv) for argv in runs]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 1, 0, 0]
+    assert cached[1][2] == "error: argument --dim: value must be in [1, 2^24], got 0\n"
+
+
 def test_bench_layers_writes_every_layer(tmp_path, monkeypatch):
     path = tmp_path / "bench" / "BENCH_layers.json"
     monkeypatch.setattr(_BENCH, "REPEATS", 1)
@@ -289,6 +305,7 @@ def test_bench_layers_writes_every_layer(tmp_path, monkeypatch):
     assert out.startswith(f"wrote the real_moment and sampler layers to {path}\n")
     report = json.loads(path.read_text())
     assert report["repeats"] == 1
+    assert report["blas_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
 
     moment = report["real_moment"]
     assert [(c["d"], c["N"]) for c in moment["bounds_grid"]] == _BENCH.BOUNDS_GRID_CELLS
@@ -301,15 +318,43 @@ def test_bench_layers_writes_every_layer(tmp_path, monkeypatch):
     sampler = report["sampler"]
     assert (sampler["dim"], sampler["batch"], sampler["small_batch"], sampler["single_calls"]) == (
         1 << 20, 1 << 19, 1 << 14, 1000)
+    assert (sampler["queries"], sampler["solve"]) == (1000, {"n": 10, "C": 4, "budget": 1000})
     # the batch walks the guide table; the small batch is below d/4 and does not
     assert 4 * sampler["small_batch"] < sampler["dim"] <= 4 * sampler["batch"]
     for key in ("cdf_build_ns_per_entry", "guide_build_ns_per_entry", "first_batch_ns_per_draw",
-                "batch_ns_per_draw", "first_small_batch_ns_per_draw", "small_batch_ns_per_draw", "sample_call_us"):
+                "batch_ns_per_draw", "first_small_batch_ns_per_draw", "small_batch_ns_per_draw", "sample_call_us",
+                "dense_query_ns", "implicit_query_ns", "sample_only_solve_us"):
         assert 0 < sampler[key]
     # a first Sample keeps 8 B per entry, a first batch 16 B per entry, and a batch its 8 B per draw
     assert 8 * sampler["dim"] <= sampler["first_sample_peak_bytes"] < 16 * sampler["dim"]
     assert 16 * sampler["dim"] <= sampler["first_batch_peak_bytes"]
     assert 8 * sampler["batch"] <= sampler["batch_peak_bytes"]
+
+
+# Runs bench_layers as a script, refused before any work, and prints the BLAS settings numpy is imported under.
+_NUMPY_IMPORT_SPY = """
+import os, runpy, sys
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS"))
+            sys.meta_path.remove(self)
+
+sys.meta_path.insert(0, Spy())
+sys.argv = [sys.argv[1], "--out", sys.argv[2]]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+def test_bench_layers_pins_one_blas_thread_before_numpy_is_imported(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_IMPORT_SPY, str(ROOT / "scripts" / "bench_layers.py"), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "1 1\n"), proc.stderr
+    assert proc.stderr == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
 @pytest.mark.parametrize(

@@ -226,6 +226,49 @@ def test_stats_subtraction():
     assert delta.total() == 2
 
 
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def test_query_returns_a_python_complex_with_the_stored_bits():
+    tiny = 5e-324  # the smallest subnormal
+    entries = np.array([complex(-0.0, tiny), complex(tiny, -0.0), -0.0j, 1.0 - 2.0j])
+    dense = build_dense(entries)
+    for i, entry in enumerate(entries, start=1):
+        value = dense.query(i)
+        assert type(value) is complex
+        assert _bits(value) == (float(entry.real).hex(), float(entry.imag).hex())
+    implicit = [
+        ImplicitVector(kind="all-plus", n=3, scale=tiny),
+        ImplicitVector(kind="minus-at-index", n=62, scale=tiny, minus_index=2),
+        ImplicitVector(kind="sign-pattern-product", n=62, scale=tiny, sign_mask=1),
+    ]
+    for spec in implicit:
+        handle = build_implicit(spec)
+        for i, sign in ((1, 1.0), (2, -1.0)):
+            value = handle.query(i)
+            assert type(value) is complex
+            want = sign if spec.kind != "all-plus" else 1.0
+            assert _bits(value) == ((want * tiny).hex(), (0.0).hex())
+
+
+def test_refused_query_on_a_restricted_handle_leaves_every_counter():
+    for full in (build_dense([1, 2, 3, 4]), build_implicit(ImplicitVector(kind="all-plus", n=62, scale=1.0))):
+        rng = np.random.default_rng(5)
+        sample_only = full.restrict({Capability.SAMPLE})
+        sample_only.sample(rng)
+        sample_only.sample_many(3, rng)
+        query_only = full.restrict({Capability.QUERY})
+        query_only.query(2)
+        before = (full.stats(), sample_only.stats(), query_only.stats())
+        with pytest.raises(CapabilityError, match="^query not in capability set$"):
+            sample_only.query(1)
+        with pytest.raises(ValueError, match="out of range"):
+            query_only.query(full.dim + 1)
+        assert (full.stats(), sample_only.stats(), query_only.stats()) == before
+        assert before[1:] == (OracleStats(sample_calls=4), OracleStats(query_calls=1))
+
+
 def test_rejected_calls_do_not_count():
     handle = build_dense([1, 1])
     with pytest.raises(ValueError):
@@ -387,9 +430,18 @@ def test_sample_many_count_matches_budget(exp, k):
         assert draws.min() >= 1 and draws.max() <= handle.dim
 
 
+def _zero_runs() -> np.ndarray:
+    """2^12 weights, nine in ten zero, with zero runs at both ends: many running sums repeat."""
+    rng = np.random.default_rng(43)
+    values = np.where(rng.random(1 << 12) < 0.9, 0.0, rng.random(1 << 12))
+    values[:64] = values[-64:] = 0.0
+    return values
+
+
 _STREAM_CASES = [
     pytest.param(lambda: build_dense([0.5j]), id="dense-1"),
     pytest.param(lambda: build_dense([0, 1, 0, 0, 2, 0, 0, 3]), id="dense-8-zero-leaves"),
+    pytest.param(lambda: build_dense(_zero_runs()), id="dense-2^12-zero-runs"),
     pytest.param(lambda: build_dense(np.random.default_rng(41).random(1 << 20)), id="dense-2^20"),
     pytest.param(
         lambda: build_implicit(ImplicitVector(kind="all-plus", n=3, scale=1.0)), id="all-plus-n3"
