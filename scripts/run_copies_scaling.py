@@ -11,7 +11,7 @@ written is refused with one `error:` line on stderr and exit code 1.
 import sys
 from pathlib import Path
 
-from sqlab.cli import _ArgumentParser, _check_out, _int, _write_out  # the sqlab command line's rules
+from sqlab.cli import _ArgumentParser, _check_out, _float, _int, _write_out  # the sqlab command line's rules
 from sqlab.experiments import ExperimentConfig, linear_fit, render_records, run_sweep
 from sqlab.quantum_sim import HELSTROM_SCHATTEN_THRESHOLD
 
@@ -19,7 +19,7 @@ from sqlab.quantum_sim import HELSTROM_SCHATTEN_THRESHOLD
 def main() -> int:
     parser = _ArgumentParser(description=__doc__)
     parser.add_argument("--d", type=_int, nargs="+", default=[64 << k for k in range(7)])
-    parser.add_argument("--threshold", type=float, default=HELSTROM_SCHATTEN_THRESHOLD)
+    parser.add_argument("--threshold", type=_float, default=HELSTROM_SCHATTEN_THRESHOLD)
     parser.add_argument("--out", default="results/copies_scaling.csv")
 
     try:

@@ -5,7 +5,7 @@ generators (`instances`), constant-query classical solvers plus a sample-only
 baseline (`learners`), state-discrimination bounds and N-copy closed forms
 (`quantum_sim`), Haar moment operators on the symmetric subspace
 (`haar_moments`), the circuit probe-state construction (`circuit_bridge`),
-and seeded sweep tooling (`experiments`, `cli`).
+seeded sweep tooling (`experiments`, `cli`), and the shared input rules (`inputs`).
 """
 
 __version__ = "0.1.0"

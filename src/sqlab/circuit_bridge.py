@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .quantum_sim import _minus_sign_schatten1, _unit_norm_sq, success_from_schatten1
-from .sq_oracle import content_lines, parse_int, quoted
+from .inputs import content_lines, parse_int, quoted, refusals_from
 
 __all__ = [
     "Circuit",
@@ -89,12 +89,12 @@ def parse_circuit(text: str) -> Circuit:
     First content line is `qubits <n>`; gate lines follow, one per line:
     `H <q>` / `T <q>` / `S <q>` / `X <q>` / `Z <q>` / `CNOT <c> <t>`.
     Comments and blank lines follow `content_lines`. Empty input yields the
-    trivial identity circuit on zero qubits.
+    trivial identity circuit on zero qubits. A refusal names its line.
     """
     n = None
     gates: list[Gate] = []
-    for lineno, tokens in content_lines(text.splitlines()):
-        try:
+    with refusals_from() as at:
+        for at.line, tokens in content_lines(text.splitlines()):
             if n is None:
                 if tokens[0] != "qubits" or len(tokens) != 2:
                     raise ValueError(f"expected `qubits <n>`, got {quoted(' '.join(tokens))}")
@@ -103,9 +103,7 @@ def parse_circuit(text: str) -> Circuit:
                 continue
             gate = Gate(tokens[0], tuple(parse_int(t) for t in tokens[1:]))
             _check_gate(gate, n)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        gates.append(gate)
+            gates.append(gate)
     if n is None:
         return Circuit(n=0, gates=())
     return Circuit(n=n, gates=tuple(gates))

@@ -35,11 +35,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import circuit_bridge, instances, learners, quantum_sim, sq_oracle
+from . import circuit_bridge, inputs, instances, learners, quantum_sim, sq_oracle
 from .experiments import (
     MIN_EXPECTED_COUNT,
     ExperimentConfig,
     ResultRecord,
+    chi_square_cells,
     chi_square_gof,
     render_records,
     run_sweep,
@@ -57,26 +58,30 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _int(text: str) -> int:
-    """The type of every integer flag: `sq_oracle.parse_int`, refused as argparse refuses a flag."""
-    try:
-        return sq_oracle.parse_int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _flag_type(parse):
+    """The argparse type of a flag read by `parse`: its ValueError is refused as argparse refuses a flag."""
 
-
-def _count(low: int, high: int | None = 1 << sq_oracle.DENSE_BUDGET_N):
-    """The type of a count flag: an integer in [low, high] (`sq_oracle.check_count`), refused as `_int` refuses."""
-
-    def count(text: str) -> int:
+    def flag_type(text: str):
         try:
-            value = sq_oracle.parse_int(text)
-            sq_oracle.check_count("value", value, low, high)
+            return parse(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return flag_type
+
+
+_int, _float = _flag_type(inputs.parse_int), _flag_type(inputs.parse_float)  # every integer and float flag
+
+
+def _count(low: int, high: int | None = 1 << inputs.DENSE_BUDGET_N):
+    """The type of a count flag: an integer in [low, high] (`inputs.check_count`), refused as `_int` refuses."""
+
+    def count(text: str) -> int:
+        value = inputs.parse_int(text)
+        inputs.check_count("value", value, low, high)
         return value
 
-    return count
+    return _flag_type(count)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -122,7 +127,7 @@ def _build_parser() -> _ArgumentParser:
     src.add_argument("--dim", type=_count(1), help="random complex vector of this dimension")
     src.add_argument("--n", type=_int, help="implicit vector of dimension 2^n")
     p.add_argument("--draws", type=_count(0), default=100_000)
-    p.add_argument("--significance", type=float, default=1e-3)
+    p.add_argument("--significance", type=_float, default=1e-3)
 
     p = sub.add_parser("gen-instance", help="generate and dump an instance")
     p.add_argument("--kind", required=True, choices=instances.KINDS)
@@ -153,14 +158,14 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--d", type=_int_list, required=True)
     p.add_argument(
         "--threshold",
-        type=float,
+        type=_float,
         default=quantum_sim.HELSTROM_SCHATTEN_THRESHOLD,
         help="Schatten-1 threshold (default: the 0.9-success level)",
     )
 
     p = sub.add_parser("sharp-p", help="probe-state amplitude identity for a circuit")
     p.add_argument("--circuit", required=True, help="circuit file")
-    p.add_argument("--tolerance", type=float, default=1e-12)
+    p.add_argument("--tolerance", type=_float, default=1e-12)
 
     p = sub.add_parser("encoding-demo", help="product vs amplitude encoding contrast")
     p.add_argument("--n", type=_int, required=True)
@@ -176,29 +181,22 @@ def _cmd_sample_test(args) -> tuple[dict, int]:
         raise ValueError(f"--significance must lie in (0, 1), got {args.significance}")
     rng = np.random.default_rng(args.seed)
     if args.vector is not None:
-        values = sq_oracle.load_npy(args.vector, 1, 1 << sq_oracle.DENSE_BUDGET_N)
-        try:
+        values = inputs.load_npy(args.vector, 1, 1 << inputs.DENSE_BUDGET_N)
+        with inputs.refusals_from(args.vector):
             handle = sq_oracle.build_dense(values)
-        except ValueError as exc:
-            raise ValueError(f"{args.vector}: {exc}") from None
         probs = np.abs(handle.backing.entries) ** 2
     elif args.n is not None:
         # every implicit kind has constant magnitude, so its Sample is one uniform draw
         spec = sq_oracle.ImplicitVector(kind=sq_oracle.KIND_ALL_PLUS, n=args.n, scale=1.0)
         handle = sq_oracle.build_implicit(spec)
-        probs = None  # uniform magnitudes; tested via equal-width buckets
+        buckets = min(handle.dim, 1024)  # uniform magnitudes, tested via equal-width buckets
+        probs = np.full(buckets, 1.0 / buckets)
     else:
         values = rng.standard_normal(args.dim) + 1j * rng.standard_normal(args.dim)
         handle = sq_oracle.build_dense(values)
         probs = np.abs(values) ** 2
-    draws = handle.sample_many(args.draws, rng)
-    if probs is None:
-        # power-of-two dims split evenly into buckets, avoiding int64 overflow
-        buckets = min(handle.dim, 1024)
-        draws = (draws - 1) // (handle.dim // buckets) + 1
-        probs = np.full(buckets, 1.0 / buckets)
-    statistic, dof, p_value = chi_square_gof(draws, probs)
-    if dof < 1:
+    *_, cells = chi_square_cells(probs, args.draws)  # known before any draw
+    if cells < 2:
         # two cells need MIN_EXPECTED_COUNT each: the likeliest outcome and the rest
         p_max = float(np.max(probs) / np.sum(probs))
         if p_max >= 1.0:
@@ -208,6 +206,10 @@ def _cmd_sample_test(args) -> tuple[dict, int]:
             f"{args.draws} draws leave the chi-square test no degrees of freedom;"
             f" use at least {needed} draws"
         )
+    draws = handle.sample_many(args.draws, rng)
+    if args.n is not None:  # power-of-two dims split evenly into buckets, avoiding int64 overflow
+        draws = (draws - 1) // (handle.dim // probs.size) + 1
+    statistic, dof, p_value = chi_square_gof(draws, probs)
     passed = p_value >= args.significance
     return {
         "experiment": "sample-test",
@@ -275,7 +277,12 @@ def _cmd_discriminate(args) -> tuple[dict, int]:
     elif args.a and args.b:
         if args.d is not None or args.copies is not None:
             raise ValueError("--d and --copies apply only to --family")
-        rho_a, rho_b = map(quantum_sim.load_density_operator, (args.a, args.b))
+        matrices = [inputs.load_npy(path, 2, 1 << inputs.DENSE_BUDGET_N) for path in (args.a, args.b)]
+        # refused before either PSD eigensolve; an empty or non-square array is refused naming its file
+        dims = [m.shape[0] for m in matrices if 0 < m.shape[0] == m.shape[1]]
+        if len(dims) == 2 and dims[0] != dims[1]:
+            raise ValueError(f"dimension mismatch: {dims[0]} vs {dims[1]}")
+        rho_a, rho_b = map(quantum_sim.load_density_operator, (args.a, args.b), matrices)
         dim = rho_a.dim
         schatten, success, empirical = quantum_sim.discriminate_mixed_pair(rho_a, rho_b, args.trials, rng)
         source = "files"
@@ -311,12 +318,11 @@ def _cmd_sharp_p(args) -> tuple[dict, int]:
     # a negative tolerance fails every circuit, an infinite one passes every one
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
         raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
-    try:
-        circuit = circuit_bridge.parse_circuit(Path(args.circuit).read_text())
+    text = inputs.read_text(args.circuit)
+    with inputs.refusals_from(args.circuit):
+        circuit = circuit_bridge.parse_circuit(text)
         t0 = time.perf_counter_ns()
         probe, p_zero = circuit_bridge.build_psi_u(circuit)  # refuses zero qubits and any past the budget
-    except ValueError as exc:
-        raise ValueError(f"{args.circuit}: {exc}") from None
     handle = sq_oracle.build_dense(probe)
     amplitude = handle.query(1)
     deviation = abs(amplitude - p_zero)

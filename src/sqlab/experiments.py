@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .haar_moments import BoundViolationError, BudgetExceededError, GapReport, trace_norm_gap
+from .inputs import check_count
 from .instances import keyed_stream
 from .quantum_sim import (
     HELSTROM_SCHATTEN_THRESHOLD,
@@ -28,7 +29,6 @@ from .quantum_sim import (
     min_copies_minus_sign,
     ncopy_minus_sign_tracenorm,
 )
-from .sq_oracle import check_count
 
 __all__ = [
     "ExperimentConfig",
@@ -203,12 +203,25 @@ def render_records(records: list[ResultRecord], fmt: str, timings: bool = False)
     raise ValueError(f"unknown output format {fmt!r}")
 
 
+def chi_square_cells(probabilities: np.ndarray, draws: int) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Expected counts of `draws` draws, the mask of bins pooled, the pool's expected count and the cells.
+
+    Bins with expected count below `MIN_EXPECTED_COUNT` are pooled (the usual validity rule for the
+    chi-square approximation): into a cell of their own when the pool reaches that count or no bin
+    is kept, otherwise into the smallest kept bin. No count drawn changes the cells.
+    """
+    expected = probabilities / probabilities.sum()
+    expected *= draws
+    small = expected < MIN_EXPECTED_COUNT
+    pooled_exp = expected[small].sum()
+    kept = small.size - int(np.count_nonzero(small))
+    return expected, small, pooled_exp, kept + int(kept == 0 or pooled_exp >= MIN_EXPECTED_COUNT)
+
+
 def chi_square_gof(indices: np.ndarray, probabilities: np.ndarray) -> tuple[float, int, float]:
     """Chi-square goodness of fit of sampled 1-based indices against probabilities.
 
-    Bins with expected count below `MIN_EXPECTED_COUNT` are pooled into one cell
-    (the usual validity rule for the chi-square approximation). Returns
-    (statistic, degrees of freedom, p-value).
+    Bins are pooled into cells by `chi_square_cells`. Returns (statistic, degrees of freedom, p-value).
     """
     probabilities = np.asarray(probabilities, dtype=np.float64)
     idx = np.asarray(indices, dtype=np.int64)
@@ -216,17 +229,13 @@ def chi_square_gof(indices: np.ndarray, probabilities: np.ndarray) -> tuple[floa
         raise ValueError("indices must be 1-based within the probability support")
     # at most three d-length float arrays live at once: counts, expected, and a compressed copy or the residual
     counts = np.bincount(idx, minlength=probabilities.size + 1)[1:].astype(float)  # no shifted copy of idx
-    expected = probabilities / probabilities.sum()
-    expected *= counts.sum()
-
-    small = expected < MIN_EXPECTED_COUNT
+    expected, small, pooled_exp, cells = chi_square_cells(probabilities, idx.size)
     if small.any():
         pooled_obs = counts[small].sum()
-        pooled_exp = expected[small].sum()
         keep = np.logical_not(small, out=small)
         counts = counts[keep]
         expected = expected[keep]
-        if pooled_exp >= MIN_EXPECTED_COUNT or expected.size == 0:
+        if cells > expected.size:
             counts = np.append(counts, pooled_obs)
             expected = np.append(expected, pooled_exp)
         elif pooled_exp > 0.0 or pooled_obs > 0.0:

@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .quantum_sim import HERMITIAN_ATOL, PSD_ATOL, TRACE_ATOL
-from .sq_oracle import check_count, quoted
+from .inputs import check_count, quoted
 
 __all__ = [
     "BoundViolationError",

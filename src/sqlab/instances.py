@@ -18,21 +18,26 @@ from pathlib import Path
 
 import numpy as np
 
-from .sq_oracle import (
+from .inputs import (
     DENSE_BUDGET_N,
+    check_count,
+    content_lines,
+    load_npy,
+    parse_float,
+    parse_int,
+    quoted,
+    read_text,
+    refusals_from,
+)
+from .sq_oracle import (
     DenseVector,
     ImplicitVector,
     KIND_ALL_PLUS,
     KIND_MINUS_AT_INDEX,
-    MAX_IMPLICIT_N,
     SqHandle,
     build_dense,
     build_implicit,
-    check_count,
-    content_lines,
-    load_npy,
-    parse_int,
-    quoted,
+    check_implicit_n,
 )
 
 __all__ = [
@@ -137,8 +142,7 @@ def _minus_family(kind: str, n: int, num_vectors: int, seed: int, normalized: bo
 
     n is refused outside `ImplicitVector`'s range before 2^n is formed for the scale.
     """
-    if not 1 <= n <= MAX_IMPLICIT_N:
-        raise ValueError(f"n must be in [1, {MAX_IMPLICIT_N}], got {quoted(n)}")
+    check_implicit_n(n)
     check_count("C", num_vectors, 2, MAX_VECTORS)
     k_star = _draw_k_star(seed, num_vectors)
     scale = 1.0 / math.sqrt(1 << n) if normalized else 1.0
@@ -219,10 +223,7 @@ def _parse_implicit_descriptor(tokens: list[str]) -> ImplicitVector:
         if key in ("n", "minus_index", "sign_mask"):
             kwargs[key] = parse_int(value)
         elif key == "scale":
-            try:
-                kwargs["scale"] = float(value)
-            except ValueError:  # float()'s message quotes the whole token
-                raise ValueError(f"expected a number, got {quoted(value)}") from None
+            kwargs["scale"] = parse_float(value)
         else:
             raise ValueError(f"unknown implicit field {quoted(key)}")
     return ImplicitVector(kind=kind, **kwargs)
@@ -286,12 +287,9 @@ def load_instance(directory: str | Path) -> ProblemInstance:
     kind = None
     numbers: dict[str, int] = {}
     vector_specs: dict[int, tuple[str, list[str]]] = {}
-    try:
-        text = manifest.read_text()
-    except ValueError as exc:  # bytes that do not decode as text
-        raise ValueError(f"{manifest}: {exc}") from None
-    for lineno, (key, *values) in content_lines(text.splitlines()):
-        try:
+    text = read_text(manifest)
+    with refusals_from(manifest) as at:
+        for at.line, (key, *values) in content_lines(text.splitlines()):
             if key == "vector":
                 if len(values) < 3:
                     raise ValueError("expected `vector <j> <backing> <file or descriptor>`")
@@ -311,26 +309,21 @@ def load_instance(directory: str | Path) -> ProblemInstance:
                 kind = values[0]
             else:
                 numbers[key] = parse_int(values[0])
-        except ValueError as exc:
-            raise ValueError(f"{manifest}:{lineno}: {exc}") from None
-    if kind is None or any(key not in numbers for key in ("n", "C", "seed")):
-        raise ValueError(f"{manifest}: incomplete manifest")
-    n, num_vectors, seed = numbers["n"], numbers["C"], numbers["seed"]
-    k_star = numbers.get("k_star")
-    if not 1 <= n <= MAX_IMPLICIT_N:
-        raise ValueError(f"{manifest}: n must be in [1, {MAX_IMPLICIT_N}], got {quoted(n)}")
-    num_dense = sum(backing == "npy" for backing, _ in vector_specs.values())
-    try:
+        at.line = None
+        if kind is None or any(key not in numbers for key in ("n", "C", "seed")):
+            raise ValueError("incomplete manifest")
+        n, num_vectors, seed = numbers["n"], numbers["C"], numbers["seed"]
+        k_star = numbers.get("k_star")
+        check_implicit_n(n)
+        num_dense = sum(backing == "npy" for backing, _ in vector_specs.values())
         check_count("C", num_vectors, 2, MAX_VECTORS)
         check_count("seed", seed, 0, None)
         if k_star is not None and not 1 <= k_star <= num_vectors:  # its cap is C, not a power of two
             raise ValueError(f"k_star must be in [1, C={num_vectors}], got {quoted(k_star)}")
         if num_dense:
             _check_dense_caps(n, num_dense)
-    except ValueError as exc:
-        raise ValueError(f"{manifest}: {exc}") from None
-    if len(vector_specs) != num_vectors or sorted(vector_specs) != list(range(1, num_vectors + 1)):
-        raise ValueError(f"{manifest}: expected vectors 1..{quoted(num_vectors)}")
+        if len(vector_specs) != num_vectors or sorted(vector_specs) != list(range(1, num_vectors + 1)):
+            raise ValueError(f"expected vectors 1..{quoted(num_vectors)}")
 
     handles = []
     for j in range(1, num_vectors + 1):
@@ -349,12 +342,10 @@ def load_instance(directory: str | Path) -> ProblemInstance:
                 entries = load_npy(path, 1, 1 << n)
             except OSError as exc:  # its message repeats the file name, which may be any length
                 raise ValueError(f"{manifest}: vector {j}: {quoted(rest[0])}: {exc.strerror}") from None
-            if entries.size != 1 << n:
-                raise ValueError(f"{path}: {entries.size} entries, the manifest's n={n} needs {1 << n}")
-            try:
+            with refusals_from(path):
+                if entries.size != 1 << n:
+                    raise ValueError(f"{entries.size} entries, the manifest's n={n} needs {1 << n}")
                 handles.append(build_dense(entries))
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
         else:
             raise ValueError(f"{manifest}: unknown backing {quoted(backing_kind)}")
 

@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .sq_oracle import Capability, OracleStats, SqHandle, check_count
+from .inputs import check_count
+from .sq_oracle import Capability, OracleStats, SqHandle
 
 __all__ = [
     "SolveReport",
@@ -41,7 +42,11 @@ class SolveReport:
     elapsed_ns: int
 
     def total_calls(self) -> OracleStats:
-        return sum(self.per_handle_stats, OracleStats())
+        return OracleStats(
+            sum(s.sample_calls for s in self.per_handle_stats),
+            sum(s.query_calls for s in self.per_handle_stats),
+            sum(s.norm_calls for s in self.per_handle_stats),
+        )
 
 
 def _finish(handles: Sequence[SqHandle], before: list[OracleStats], answer: int, t0: int) -> SolveReport:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sq_oracle import DENSE_BUDGET_N, check_count, load_npy, quoted
+from .inputs import DENSE_BUDGET_N, check_count, load_npy, quoted, refusals_from
 
 __all__ = [
     "DensityOperator",
@@ -275,15 +275,15 @@ def _click_success_rate(
     return float(successes) / trials
 
 
-def load_density_operator(path: str | Path) -> DensityOperator:
+def load_density_operator(path: str | Path, matrix: np.ndarray | None = None) -> DensityOperator:
     """The density operator in the `.npy` file at `path`: a square 2-d numeric array.
 
     At most 2^DENSE_BUDGET_N entries (dim <= 4096), checked from the file's
     header before any entry is read. A file that cannot be opened raises the
-    OSError; every other refusal is a ValueError naming the file.
+    OSError; every other refusal is a ValueError naming the file. `matrix` is
+    the file's array when the caller has read it already with `load_npy`.
     """
-    matrix = load_npy(path, 2, 1 << DENSE_BUDGET_N)
-    try:
+    if matrix is None:
+        matrix = load_npy(path, 2, 1 << DENSE_BUDGET_N)
+    with refusals_from(path):
         return DensityOperator.from_matrix(matrix)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

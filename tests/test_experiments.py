@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqlab import circuit_bridge, cli, experiments, haar_moments, instances, quantum_sim, sq_oracle
+from sqlab import circuit_bridge, cli, experiments, haar_moments, inputs, instances, quantum_sim, sq_oracle
 from sqlab.cli import _SOLVER_NAMES, main
 from sqlab.experiments import (
     ExperimentConfig,
@@ -27,7 +27,7 @@ from sqlab.experiments import (
 )
 from sqlab.haar_moments import BoundViolationError, trace_norm_gap
 from sqlab.quantum_sim import ncopy_minus_sign_tracenorm
-from sqlab.sq_oracle import DENSE_BUDGET_N
+from sqlab.inputs import DENSE_BUDGET_N
 
 from _fixtures import random_density_operator, sparse_npy
 
@@ -478,6 +478,38 @@ def test_cli_discriminate_files_eigensolves_the_difference_once(tmp_path, capsys
     assert json.loads(capsys.readouterr().out)["dim"] == 4
     # each state's PSD check, then one eigendecomposition of their difference for the whole report
     assert calls == ["eigvalsh", "eigvalsh", "eigh"]
+
+
+def _no_heavy_work(*args, **kwargs):
+    raise AssertionError("the heavy work ran before the refusal")
+
+
+def test_cli_discriminate_refuses_a_dimension_mismatch_before_any_eigensolve(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(9)
+    for name, dim in (("a", 4), ("b", 2)):
+        np.save(tmp_path / f"{name}.npy", random_density_operator(dim, rng).matrix)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, _no_heavy_work)
+    assert main(["discriminate", "--a", str(tmp_path / "a.npy"), "--b", str(tmp_path / "b.npy")]) == 1
+    assert capsys.readouterr() == ("", "error: dimension mismatch: 4 vs 2\n")
+
+
+@pytest.mark.parametrize(
+    "source,refusal",
+    [
+        (["--dim", "64"], "3 draws leave the chi-square test no degrees of freedom; use at least 100 draws"),
+        (["--vector", "{vector}"], "3 draws leave the chi-square test no degrees of freedom; use at least 110 draws"),
+        (["--n", "10"], "3 draws leave the chi-square test no degrees of freedom; use at least 5120 draws"),
+        (["--dim", "1"], "the sampling distribution has one outcome; there is nothing to test"),
+    ],
+    ids=["dim", "vector", "n", "one-outcome"],
+)
+def test_cli_sample_test_refuses_too_few_draws_before_any_draw(tmp_path, capsys, monkeypatch, source, refusal):
+    np.save(tmp_path / "v.npy", np.arange(1, 65, dtype=float))
+    monkeypatch.setattr(sq_oracle.SqHandle, "sample_many", _no_heavy_work)
+    argv = ["sample-test", *[arg.format(vector=tmp_path / "v.npy") for arg in source], "--draws", "3"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {refusal}\n")
 
 
 def test_cli_file_reports_are_pinned(tmp_path, capsys):
@@ -1049,7 +1081,7 @@ def no_work_past_parsing(monkeypatch):
         (cli, "_check_out"),
         (quantum_sim, "load_density_operator"),
         (quantum_sim, "minus_sign_product_vectors"),
-        (sq_oracle, "load_npy"),
+        (inputs, "load_npy"),
         (sq_oracle, "build_dense"),
         (sq_oracle, "build_implicit"),
         (instances, "load_instance"),

@@ -7,9 +7,11 @@ nothing runs but the tests.
 
 The entry points (`sqlab.cli.main` and each script's `main`) share one
 refusal rule: a `ValueError` or an `OSError` is one `error:` line and exit 1.
-Numeric array files are read in one place, `sq_oracle.load_npy`, and every
-integer flag whose range does not depend on other inputs declares it with
-`cli._count`. An SQ handle is used from one thread at a time, so only the
+Every input rule lives in `inputs`, a module that imports no other sqlab
+module, so no layer imports the SQ model only to check its inputs. Numeric
+array files are read in one place, `inputs.load_npy`; every integer flag whose
+range does not depend on other inputs declares it with `cli._count`, and every
+float flag is parsed by `cli._float`. An SQ handle is used from one thread at a time, so only the
 sweep's pool, which builds no handle, may start threads or processes.
 Per-layer timings come from one script into one file: `scripts/bench_layers.py`
 writes `BENCH_layers.json`, one section per layer.
@@ -92,7 +94,7 @@ def test_every_function_class_and_method_is_used_outside_its_definition():
     assert sorted(set(_UNUSED) - unused) == []  # the allowlist names only unused definitions
 
 
-# numpy's file readers; sqlab reads every numeric array file through `sq_oracle.load_npy`
+# numpy's file readers; sqlab reads every numeric array file through `inputs.load_npy`
 _NUMPY_READERS = ("load", "loadtxt", "genfromtxt", "fromfile", "memmap")
 
 
@@ -109,7 +111,40 @@ def test_numpy_files_are_read_in_one_place():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and ast.unparse(node.func) in {f"np.{r}" for r in _NUMPY_READERS}:
                 calls.append((owner.get(id(node), path.stem), ast.unparse(node.func)))
-    assert calls == [("sq_oracle.load_npy", "np.load")]
+    assert calls == [("inputs.load_npy", "np.load")]
+
+
+def _sqlab_imports(name: str) -> set[str]:
+    """The sqlab modules that `src/sqlab/<name>.py` imports, relatively or by absolute name."""
+    imported = set()
+    for node in ast.walk(ast.parse((ROOT / "src" / "sqlab" / f"{name}.py").read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("sqlab." + (node.module or "")).rstrip(".") if node.level else node.module
+            modules = [f"sqlab.{alias.name}" for alias in node.names] if base == "sqlab" else [base]
+        else:
+            continue
+        imported.update(module.split(".")[1] for module in modules if module.startswith("sqlab."))
+    return imported
+
+
+def test_inputs_is_a_leaf_and_only_the_sq_layers_import_the_sq_model():
+    assert _sqlab_imports("inputs") == set()
+    for name in ("haar_moments", "quantum_sim", "experiments", "circuit_bridge"):
+        assert "sq_oracle" not in _sqlab_imports(name), name
+
+
+def test_no_flag_is_parsed_by_argparse_float():
+    """argparse's `type=float` quotes a refused token in full; `cli._float` quotes it in bounded length."""
+    floats = [
+        f"{path}:{call.lineno}"
+        for path in _ENTRY_POINTS
+        for call in ast.walk(ast.parse((ROOT / path).read_text()))
+        if isinstance(call, ast.Call) and ast.unparse(call.func).endswith("add_argument")
+        and any(k.arg == "type" and ast.unparse(k.value) == "float" for k in call.keywords)
+    ]
+    assert floats == []
 
 
 def test_one_bench_script_writes_the_one_bench_file():

@@ -281,6 +281,24 @@ def test_haar_grid_integer_flags_serve_or_reject_in_one_line(d, N, mc, seed):
         _assert_report_or_one_line_refusal(code, out, err, path)
 
 
+@pytest.mark.parametrize(
+    "entry,argv",
+    [
+        (cli, ["sqlab", "sample-test", "--dim", "8", "--significance"]),
+        (cli, ["sqlab", "sharp-p", "--circuit", "c.txt", "--tolerance"]),
+        (cli, ["sqlab", "copies-sweep", "--d", "64", "--threshold"]),
+        (_COPIES, ["run_copies_scaling.py", "--threshold"]),
+    ],
+    ids=["significance", "tolerance", "threshold", "copies-script-threshold"],
+)
+def test_a_float_flag_refuses_a_long_token_in_one_short_line(entry, argv):
+    # argparse's `type=float` quoted the whole token: a 5000-character value gave a 5056-byte line
+    code, out, err = _run_in_process(entry, [*argv, "z" * 5000])
+    assert (code, out) == (1, "")
+    assert err == f"error: argument {argv[-1]}: expected a number, got {'z' * 40!r}... (5000 characters)\n"
+    assert len(err.encode()) < 200
+
+
 def test_the_cached_parser_answers_as_a_fresh_one(monkeypatch):
     runs = [
         ["sqlab", "--seed", "3", "sample-test", "--dim", "8", "--draws", "500"],

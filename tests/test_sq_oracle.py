@@ -19,21 +19,16 @@ from hypothesis import strategies as st
 
 from sqlab import sq_oracle
 from sqlab.experiments import chi_square_gof
+from sqlab.inputs import DENSE_BUDGET_N, check_count, content_lines, load_npy, parse_int, quoted
 from sqlab.instances import haar_unit_vector
 from sqlab.sq_oracle import (
     ALL_CAPABILITIES,
-    DENSE_BUDGET_N,
     Capability,
     CapabilityError,
     ImplicitVector,
     OracleStats,
     build_dense,
     build_implicit,
-    check_count,
-    content_lines,
-    load_npy,
-    parse_int,
-    quoted,
 )
 
 from _fixtures import materialize
