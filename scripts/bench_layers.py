@@ -18,9 +18,10 @@ with any setup untimed. The JSON holds the platform and one section per layer:
   `sample()` calls; the tracemalloc peaks of a first Sample (the running
   sums only), of a first BATCH (both tables) and of a BATCH on a built handle;
   QUERIES = 1000 `query()` calls on that dense handle and on an implicit
-  sign-pattern vector of 2^62 entries; and `solve_sample_only` with the
-  benchmark's `sq_search` sizes: C = 4 minus-sign vectors of 2^10 entries,
-  restricted to Sample, and a budget of 1000 draws per vector.
+  sign-pattern vector of 2^62 entries; and the solvers at the benchmark's
+  `sq_search` sizes, on C = 4 implicit minus-sign vectors of 2^10 entries:
+  `solve_minus_sign`, and `solve_sample_only` with the vectors restricted to
+  Sample and a budget of 1000 draws per vector.
 Run as a script, it pins BLAS to one thread before numpy is imported, so its
 figures do not move with the thread count; the header records the setting.
 The JSON goes to --out (default BENCH_layers.json); run it on each tree to
@@ -46,7 +47,7 @@ import numpy as np
 from sqlab.cli import _ArgumentParser, _check_out, _write_out  # the sqlab command line's rules
 from sqlab.haar_moments import MomentOperator, real_moment
 from sqlab.instances import gen_minus_sign, haar_unit_vector
-from sqlab.learners import solve_sample_only
+from sqlab.learners import solve_minus_sign, solve_sample_only
 from sqlab.sq_oracle import Capability, DenseVector, ImplicitVector, build_dense, build_implicit
 
 REPEATS = 15
@@ -124,8 +125,10 @@ def _sampler() -> dict:
     implicit_queries = rng.integers(1, implicit.dim + 1, size=QUERIES).tolist()
     dense_query_s = _best(lambda _: [handle.query(i) for i in dense_queries])
     implicit_query_s = _best(lambda _: [implicit.query(i) for i in implicit_queries])
-    sample_only = [h.restrict({Capability.SAMPLE}) for h in gen_minus_sign(SOLVE_N, SOLVE_C, 0).handles]
-    solve_s = _best(lambda _: solve_sample_only(sample_only, SOLVE_BUDGET, rng))
+    minus = gen_minus_sign(SOLVE_N, SOLVE_C, 0).handles
+    sample_only = [h.restrict({Capability.SAMPLE}) for h in minus]
+    query_solve_s = _best(lambda _: solve_minus_sign(minus))
+    sample_only_solve_s = _best(lambda _: solve_sample_only(sample_only, SOLVE_BUDGET, rng))
     return {
         "dim": DIM,
         "batch": BATCH,
@@ -145,7 +148,8 @@ def _sampler() -> dict:
         "batch_peak_bytes": _peak_bytes(lambda: handle.sample_many(BATCH, rng)),
         "dense_query_ns": dense_query_s / QUERIES * 1e9,
         "implicit_query_ns": implicit_query_s / QUERIES * 1e9,
-        "sample_only_solve_us": solve_s * 1e6,
+        "query_solve_us": query_solve_s * 1e6,
+        "sample_only_solve_us": sample_only_solve_s * 1e6,
     }
 
 
@@ -178,8 +182,8 @@ def main() -> int:
     print(f"sampler: builds {sampler['cdf_build_ns_per_entry']:.1f} + {sampler['guide_build_ns_per_entry']:.1f} ns "
           f"per entry, batches {sampler['batch_ns_per_draw']:.1f} and {sampler['small_batch_ns_per_draw']:.1f} ns "
           f"per draw, sample() {sampler['sample_call_us']:.2f} us, query() {sampler['dense_query_ns']:.0f} "
-          f"(dense) and {sampler['implicit_query_ns']:.0f} ns (implicit), a sample-only solve "
-          f"{sampler['sample_only_solve_us']:.0f} us")
+          f"(dense) and {sampler['implicit_query_ns']:.0f} ns (implicit), solves {sampler['query_solve_us']:.1f} us "
+          f"(query) and {sampler['sample_only_solve_us']:.0f} us (sample-only)")
     return 0
 
 

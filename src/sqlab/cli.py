@@ -277,12 +277,13 @@ def _cmd_discriminate(args) -> tuple[dict, int]:
     elif args.a and args.b:
         if args.d is not None or args.copies is not None:
             raise ValueError("--d and --copies apply only to --family")
-        matrices = [inputs.load_npy(path, 2, 1 << inputs.DENSE_BUDGET_N) for path in (args.a, args.b)]
-        # refused before either PSD eigensolve; an empty or non-square array is refused naming its file
-        dims = [m.shape[0] for m in matrices if 0 < m.shape[0] == m.shape[1]]
+        mapped = [inputs.open_npy(path, 2, 1 << inputs.DENSE_BUDGET_N) for path in (args.a, args.b)]
+        # refused from the two headers, before either array is read; an empty or non-square
+        # array is refused naming its file
+        dims = [m.shape[0] for m in mapped if 0 < m.shape[0] == m.shape[1]]
         if len(dims) == 2 and dims[0] != dims[1]:
             raise ValueError(f"dimension mismatch: {dims[0]} vs {dims[1]}")
-        rho_a, rho_b = map(quantum_sim.load_density_operator, (args.a, args.b), matrices)
+        rho_a, rho_b = map(quantum_sim.load_density_operator, (args.a, args.b), mapped)
         dim = rho_a.dim
         schatten, success, empirical = quantum_sim.discriminate_mixed_pair(rho_a, rho_b, args.trials, rng)
         source = "files"

@@ -20,6 +20,7 @@ __all__ = [
     "check_count",
     "content_lines",
     "load_npy",
+    "open_npy",
     "parse_float",
     "parse_int",
     "quoted",
@@ -134,15 +135,14 @@ def check_count(name: str, value: int, low: int, high: int | None = 1 << DENSE_B
     raise ValueError(f"{name} must be {span}, got {quoted(value)}")
 
 
-def load_npy(path: str | Path, ndim: int, max_entries: int) -> np.ndarray:
-    """The `ndim`-d numeric array in the `.npy` file at `path`, copied as complex128.
+def open_npy(path: str | Path, ndim: int, max_entries: int) -> np.ndarray:
+    """The `ndim`-d numeric array in the `.npy` file at `path`, as a checked read-only memory map.
 
     A file that does not begin with the `.npy` magic string (text, a pickle or
-    an `.npz` archive) is refused before numpy reads it. The array is
-    memory-mapped, so its shape, dtype and size are checked from its header
-    before any entry is read, and one of more than `max_entries` entries is
-    never copied. A file that cannot be opened raises the OSError; every other
-    refusal is a ValueError naming the file.
+    an `.npz` archive) is refused before numpy reads it. The shape, dtype and
+    size are checked from the header, and no entry is read, so one of more
+    than `max_entries` entries is never copied. A file that cannot be opened
+    raises the OSError; every other refusal is a ValueError naming the file.
     """
     with open(path, "rb") as fh:
         if fh.read(len(np.lib.format.MAGIC_PREFIX)) != np.lib.format.MAGIC_PREFIX:
@@ -156,4 +156,9 @@ def load_npy(path: str | Path, ndim: int, max_entries: int) -> np.ndarray:
         raise ValueError(f"{path}: expected a {ndim}-d numeric array, got shape {arr.shape} of {arr.dtype}")
     if arr.size > max_entries:
         raise ValueError(f"{path}: {arr.size} entries exceed the cap of {max_entries}")
-    return np.array(arr, dtype=np.complex128)
+    return arr
+
+
+def load_npy(path: str | Path, ndim: int, max_entries: int) -> np.ndarray:
+    """The array `open_npy` maps, copied as complex128 once its header has passed every check."""
+    return np.array(open_npy(path, ndim, max_entries), dtype=np.complex128)

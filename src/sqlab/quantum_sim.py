@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .inputs import DENSE_BUDGET_N, check_count, load_npy, quoted, refusals_from
+from .inputs import DENSE_BUDGET_N, check_count, open_npy, quoted, refusals_from
 
 __all__ = [
     "DensityOperator",
@@ -275,15 +275,17 @@ def _click_success_rate(
     return float(successes) / trials
 
 
-def load_density_operator(path: str | Path, matrix: np.ndarray | None = None) -> DensityOperator:
+def load_density_operator(path: str | Path, mapped: np.ndarray | None = None) -> DensityOperator:
     """The density operator in the `.npy` file at `path`: a square 2-d numeric array.
 
     At most 2^DENSE_BUDGET_N entries (dim <= 4096), checked from the file's
     header before any entry is read. A file that cannot be opened raises the
-    OSError; every other refusal is a ValueError naming the file. `matrix` is
-    the file's array when the caller has read it already with `load_npy`.
+    OSError; every other refusal is a ValueError naming the file. `mapped` is
+    the file's array when the caller has opened it already with `open_npy`.
+    The operator's checks and symmetrization read the map, so a complex128
+    file is not copied first.
     """
-    if matrix is None:
-        matrix = load_npy(path, 2, 1 << DENSE_BUDGET_N)
+    if mapped is None:
+        mapped = open_npy(path, 2, 1 << DENSE_BUDGET_N)
     with refusals_from(path):
-        return DensityOperator.from_matrix(matrix)
+        return DensityOperator.from_matrix(mapped)

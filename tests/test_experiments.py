@@ -494,6 +494,21 @@ def test_cli_discriminate_refuses_a_dimension_mismatch_before_any_eigensolve(tmp
     assert capsys.readouterr() == ("", "error: dimension mismatch: 4 vs 2\n")
 
 
+def test_cli_discriminate_refuses_a_dimension_mismatch_from_the_headers(tmp_path, capsys, monkeypatch):
+    sparse_npy(tmp_path / "a.npy", (1024, 1024), np.complex128)  # 16 MB, never copied
+    np.save(tmp_path / "b.npy", np.eye(16) / 16)
+    monkeypatch.setattr(inputs, "load_npy", _no_heavy_work)  # the complex128 copy
+    monkeypatch.setattr(quantum_sim, "load_density_operator", _no_heavy_work)
+    tracemalloc.start()
+    try:
+        assert main(["discriminate", "--a", str(tmp_path / "a.npy"), "--b", str(tmp_path / "b.npy")]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr() == ("", "error: dimension mismatch: 1024 vs 16\n")
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize(
     "source,refusal",
     [
@@ -1082,6 +1097,7 @@ def no_work_past_parsing(monkeypatch):
         (quantum_sim, "load_density_operator"),
         (quantum_sim, "minus_sign_product_vectors"),
         (inputs, "load_npy"),
+        (inputs, "open_npy"),
         (sq_oracle, "build_dense"),
         (sq_oracle, "build_implicit"),
         (instances, "load_instance"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sqlab import learners
 from sqlab.instances import (
     dump_instance,
     gen_minus_sign,
@@ -203,14 +204,41 @@ _DRAW_VALUES = st.integers(1, 1 << 62)
         st.lists(st.integers(1, 8), min_size=1, max_size=2000),  # many collisions
         st.builds(lambda value, size: [value] * size, _DRAW_VALUES, st.integers(1, 2000)),  # all equal
         st.lists(_DRAW_VALUES, min_size=1, max_size=2000, unique=True),  # all distinct
-    )
+        st.lists(st.integers(1, 64), min_size=1, max_size=2000, unique=True),  # distinct, d near k
+    ),
+    spare=st.one_of(st.integers(0, 8), st.integers(0, 10_000), _DRAW_VALUES),
 )
-@example(draws=[1])
-@example(draws=[1 << 62] * 2000)
-@example(draws=list(range(2000, 0, -1)))
-def test_collision_score_is_the_unique_count_formula(draws):
+@example(draws=[1], spare=0)
+@example(draws=[1 << 62] * 2000, spare=0)
+@example(draws=list(range(2000, 0, -1)), spare=0)
+@example(draws=[1, 3, 3, 2, 3], spare=0)  # counted: dim 3, below 4k = 20
+@example(draws=[8, 8], spare=0)  # counted: dim 8, at 4k
+@example(draws=[9, 9], spare=0)  # sorted: dim 9, above 4k
+@example(draws=[5, 1, 5, 5], spare=11)  # counted: dim 16, at 4k
+@example(draws=[5, 1, 5, 5], spare=12)  # sorted: dim 17, above 4k
+def test_collision_score_is_the_unique_count_formula(draws, spare):
     indices = np.array(draws, dtype=np.int64)
+    dim = max(draws) + spare
     _, counts = np.unique(indices, return_counts=True)
     expected = int(np.sum(counts * (counts - 1) // 2))
-    score = _collision_score(indices)
+    score = _collision_score(indices, dim)
     assert type(score) is int and score == expected
+
+
+def test_sample_only_counting_and_sorting_paths_agree(monkeypatch):
+    counted = 0
+    for seed in range(200):
+        n = 1 + seed % 12  # d from 2 to 4096: each budget above 0 meets both paths
+        gen = gen_minus_sign if seed % 2 else gen_real_vector_search
+        handles = _sample_only(gen(n, 2 + seed % 3, seed=seed))
+        for budget in (0, 1, 2, 50, 1000):
+            rng_count, rng_sort = np.random.default_rng(seed), np.random.default_rng(seed)
+            by_count = solve_sample_only(handles, budget, rng_count)
+            with monkeypatch.context() as patched:
+                patched.setattr(learners, "_COUNTS_PER_DRAW", 0)  # dim <= 0 never holds: every score sorts
+                by_sort = solve_sample_only(handles, budget, rng_sort)
+            assert by_count.answer == by_sort.answer
+            assert by_count.per_handle_stats == by_sort.per_handle_stats
+            assert rng_count.bit_generator.state == rng_sort.bit_generator.state
+            counted += 0 < budget and (1 << n) <= learners._COUNTS_PER_DRAW * budget
+    assert counted > 200  # the default path counted by value in many of the 1000 solves

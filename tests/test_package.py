@@ -9,7 +9,7 @@ The entry points (`sqlab.cli.main` and each script's `main`) share one
 refusal rule: a `ValueError` or an `OSError` is one `error:` line and exit 1.
 Every input rule lives in `inputs`, a module that imports no other sqlab
 module, so no layer imports the SQ model only to check its inputs. Numeric
-array files are read in one place, `inputs.load_npy`; every integer flag whose
+array files are read in one place, `inputs.open_npy`; every integer flag whose
 range does not depend on other inputs declares it with `cli._count`, and every
 float flag is parsed by `cli._float`. An SQ handle is used from one thread at a time, so only the
 sweep's pool, which builds no handle, may start threads or processes.
@@ -94,7 +94,7 @@ def test_every_function_class_and_method_is_used_outside_its_definition():
     assert sorted(set(_UNUSED) - unused) == []  # the allowlist names only unused definitions
 
 
-# numpy's file readers; sqlab reads every numeric array file through `inputs.load_npy`
+# numpy's file readers; sqlab reads every numeric array file through `inputs.open_npy`
 _NUMPY_READERS = ("load", "loadtxt", "genfromtxt", "fromfile", "memmap")
 
 
@@ -111,7 +111,7 @@ def test_numpy_files_are_read_in_one_place():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and ast.unparse(node.func) in {f"np.{r}" for r in _NUMPY_READERS}:
                 calls.append((owner.get(id(node), path.stem), ast.unparse(node.func)))
-    assert calls == [("inputs.load_npy", "np.load")]
+    assert calls == [("inputs.open_npy", "np.load")]
 
 
 def _sqlab_imports(name: str) -> set[str]:

@@ -341,7 +341,7 @@ def test_bench_layers_writes_every_layer(tmp_path, monkeypatch):
     assert 4 * sampler["small_batch"] < sampler["dim"] <= 4 * sampler["batch"]
     for key in ("cdf_build_ns_per_entry", "guide_build_ns_per_entry", "first_batch_ns_per_draw",
                 "batch_ns_per_draw", "first_small_batch_ns_per_draw", "small_batch_ns_per_draw", "sample_call_us",
-                "dense_query_ns", "implicit_query_ns", "sample_only_solve_us"):
+                "dense_query_ns", "implicit_query_ns", "query_solve_us", "sample_only_solve_us"):
         assert 0 < sampler[key]
     # a first Sample keeps 8 B per entry, a first batch 16 B per entry, and a batch its 8 B per draw
     assert 8 * sampler["dim"] <= sampler["first_sample_peak_bytes"] < 16 * sampler["dim"]

@@ -264,6 +264,23 @@ def test_refused_query_on_a_restricted_handle_leaves_every_counter():
         assert before[1:] == (OracleStats(sample_calls=4), OracleStats(query_calls=1))
 
 
+def test_oracle_stats_are_values():
+    big = 1 << 70  # exact past int64: the counts are Python ints
+    a, b = OracleStats(big + 5, 7, 3), OracleStats(5, 2, 3)
+    assert a == OracleStats(big + 5, 7, 3) and a != b and OracleStats() == OracleStats(0, 0, 0)
+    assert a.total() == big + 15 and b.total() == 10
+    assert a - b == OracleStats(big, 5, 0) and b - a == OracleStats(-big, -5, 0)
+    with pytest.raises(TypeError):
+        a + b  # no sum of snapshots, and never a tuple concatenation
+    handle = build_dense([1, 1])
+    handle.query(1)
+    first, second = handle.stats(), handle.stats()
+    assert first == second and first is not second
+    first.query_calls = 99
+    handle.query_norm()
+    assert second == OracleStats(0, 1, 0) and handle.stats() == OracleStats(0, 1, 1)
+
+
 def test_rejected_calls_do_not_count():
     handle = build_dense([1, 1])
     with pytest.raises(ValueError):
