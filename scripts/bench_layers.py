@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time sqlab layer by layer: the exact real Haar moment and the dense sampler.
+"""Time sqlab layer by layer: the exact real Haar moment, the dense sampler and the circuit simulator.
 
 Every time is the best of REPEATS = 15 timed calls after one warm-up call,
 with any setup untimed. The JSON holds the platform and one section per layer:
@@ -22,6 +22,12 @@ with any setup untimed. The JSON holds the platform and one section per layer:
   `sq_search` sizes, on C = 4 implicit minus-sign vectors of 2^10 entries:
   `solve_minus_sign`, and `solve_sample_only` with the vectors restricted to
   Sample and a budget of 1000 draws per vector.
+- "circuit": `build_psi_u` on CIRCUITS = 3 circuits of QUBITS = 16 qubits and
+  GATES = 200 gates, drawn by this script's seeded generator with the
+  benchmark's `cli_session` gate mix (each of H, T, S, X, Z and CNOT equally
+  likely, qubits uniform); and, for each gate kind, `build_psi_u` on a
+  GATES-gate circuit of that kind alone over 2*GATES = 400: the time per gate
+  application, U and U^dag each applying every gate once.
 Run as a script, it pins BLAS to one thread before numpy is imported, so its
 figures do not move with the thread count; the header records the setting.
 The JSON goes to --out (default BENCH_layers.json); run it on each tree to
@@ -44,6 +50,7 @@ if __name__ == "__main__":  # before numpy is first imported, which reads the th
 
 import numpy as np
 
+from sqlab.circuit_bridge import Circuit, Gate, build_psi_u
 from sqlab.cli import _ArgumentParser, _check_out, _write_out  # the sqlab command line's rules
 from sqlab.haar_moments import MomentOperator, real_moment
 from sqlab.instances import gen_minus_sign, haar_unit_vector
@@ -59,6 +66,8 @@ SMALL_BATCH = 1 << 14
 SINGLE_CALLS = 1000
 QUERIES = 1000
 SOLVE_N, SOLVE_C, SOLVE_BUDGET = 10, 4, 1000
+QUBITS, GATES, CIRCUITS = 16, 200, 3
+GATE_KINDS = ("H", "T", "S", "Z", "X", "CNOT")
 
 
 def _best(call, setup=lambda: None) -> float:
@@ -153,6 +162,28 @@ def _sampler() -> dict:
     }
 
 
+def _random_circuit(kinds, rng: np.random.Generator) -> Circuit:
+    """GATES gates, each of a kind drawn uniformly from `kinds`, on uniform qubits (a CNOT on two distinct ones)."""
+    gates = []
+    for _ in range(GATES):
+        name = kinds[int(rng.integers(len(kinds)))]
+        count = 2 if name == "CNOT" else 1
+        gates.append(Gate(name, tuple(int(q) for q in rng.choice(QUBITS, size=count, replace=False))))
+    return Circuit(n=QUBITS, gates=tuple(gates))
+
+
+def _circuit() -> dict:
+    rng = np.random.default_rng(2)
+    mixed = [_random_circuit(GATE_KINDS, rng) for _ in range(CIRCUITS)]
+    single = {kind: _random_circuit((kind,), rng) for kind in GATE_KINDS}
+    return {
+        "qubits": QUBITS,
+        "gates": GATES,
+        "build_psi_u_ms": [_best(lambda _: build_psi_u(c)) * 1e3 for c in mixed],
+        "gate_us": {kind: _best(lambda _: build_psi_u(c)) / (2 * GATES) * 1e6 for kind, c in single.items()},
+    }
+
+
 def main() -> int:
     parser = _ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="BENCH_layers.json")
@@ -170,13 +201,14 @@ def main() -> int:
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),  # None: numpy's default
             "real_moment": _real_moment(),
             "sampler": _sampler(),
+            "circuit": _circuit(),
         }
         _write_out(json.dumps(report, indent=1) + "\n", args.out)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    totals, sampler = report["real_moment"]["bounds_grid_total"], report["sampler"]
-    print(f"wrote the real_moment and sampler layers to {args.out}")
+    totals, sampler, circuit = report["real_moment"]["bounds_grid_total"], report["sampler"], report["circuit"]
+    print(f"wrote the real_moment, sampler and circuit layers to {args.out}")
     print(f"bounds_grid cells: real_moment {totals['real_moment_s'] * 1e3:.2f} ms, "
           f"of which assembly {totals['assembly_s'] * 1e3:.2f} ms")
     print(f"sampler: builds {sampler['cdf_build_ns_per_entry']:.1f} + {sampler['guide_build_ns_per_entry']:.1f} ns "
@@ -184,6 +216,8 @@ def main() -> int:
           f"per draw, sample() {sampler['sample_call_us']:.2f} us, query() {sampler['dense_query_ns']:.0f} "
           f"(dense) and {sampler['implicit_query_ns']:.0f} ns (implicit), solves {sampler['query_solve_us']:.1f} us "
           f"(query) and {sampler['sample_only_solve_us']:.0f} us (sample-only)")
+    print("circuit: build_psi_u " + " / ".join(f"{ms:.1f}" for ms in circuit["build_psi_u_ms"]) + " ms, per gate "
+          + ", ".join(f"{kind} {us:.1f}" for kind, us in circuit["gate_us"].items()) + " us")
     return 0
 
 

@@ -11,8 +11,11 @@ therefore amounts to strong simulation of the circuit, which is why cheap SQ
 access to circuit-generated states cannot exist in general. By unitarity the
 state's ancilla-1 half is |0> minus its ancilla-0 half, the only one simulated.
 That probability itself is read off the probe's forward run of U, before the
-projection; the dense-unitary tests are the independent check of the forward
-gate kernels. `build_psi_u` is the only simulation entry point, and its probe
+projection; the dense-unitary tests are the independent check of the gate
+kernels. These update the state in place and allocate nothing: T, S and Z scale
+a half, CNOT swaps two quarters through a quarter of a scratch buffer, H goes
+through that buffer and back, and X is a pending relabelling settled by one
+copy per run. `build_psi_u` is the only simulation entry point, and its probe
 is a plain complex128 amplitude array, as every pure state in sqlab is.
 
 Bit order: the first listed qubit (index 0 in circuit files) is the most
@@ -47,6 +50,8 @@ GATE_NAMES = ("H", "T", "S", "X", "Z", "CNOT")
 # the diagonal gates are diag(1, phase); H and X are their own inverses
 _PHASES = {"T": complex(np.exp(1j * math.pi / 4)), "S": 1j, "Z": -1 + 0j}
 _DAGGER_PHASES = {name: phase.conjugate() for name, phase in _PHASES.items()}
+_SHORT_ROW = 4  # rows this short are transposed, so ufuncs loop along the long axis (fastest measured: 2 to 8)
+_BUFSIZE = 256  # ufuncs copy rows shorter than their buffer (8192 by default) through it (fastest measured: 128 to 512)
 
 
 @dataclass(frozen=True)
@@ -109,58 +114,71 @@ def parse_circuit(text: str) -> Circuit:
     return Circuit(n=n, gates=tuple(gates))
 
 
-def _blocks(state: np.ndarray, q: int, n: int) -> np.ndarray:
-    """View of `state` as (outer, bit q, inner) for qubit q of an n-qubit circuit."""
-    return state.reshape(-1, 2, 1 << (n - q - 1))
+def _halves(state: np.ndarray, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Qubit q's stored 0- and 1-halves as (outer, inner) views, transposed if rows are short: use order="C"."""
+    blocks = state.reshape(-1, 2, 1 << (n - q - 1))
+    if blocks.shape[2] <= _SHORT_ROW:
+        return blocks[:, 0].T, blocks[:, 1].T
+    return blocks[:, 0], blocks[:, 1]
 
 
-def _apply_h(state: np.ndarray, scratch: np.ndarray, q: int, n: int) -> None:
-    """H as (h*a0 + h*a1, h*a0 - h*a1) with h = 1/sqrt(2), ending back in `state`."""
+def _apply_h(state: np.ndarray, scratch: np.ndarray, q: int, n: int, flipped: bool) -> None:
+    """H as (h*a0 + h*a1, h*a0 - h*a1) with h = 1/sqrt(2), through `scratch` and back into `state`."""
     np.multiply(state.view(np.float64), _SQRT_HALF, out=scratch.view(np.float64))
-    a, out = _blocks(scratch, q, n), _blocks(state, q, n)
-    np.add(a[:, 0], a[:, 1], out=out[:, 0])
-    np.subtract(a[:, 0], a[:, 1], out=out[:, 1])
+    a0, a1 = _halves(scratch, q, n)[:: -1 if flipped else 1]  # a flipped qubit's a0 is its stored 1-half
+    out0, out1 = _halves(state, q, n)
+    np.add(a0, a1, out=out0, order="C")
+    np.subtract(a0, a1, out=out1, order="C")
 
 
-def _apply_x(src: np.ndarray, dst: np.ndarray, q: int, n: int) -> None:
-    """Copy `src` into `dst` with bit q flipped."""
-    np.copyto(_blocks(dst, q, n), _blocks(src, q, n)[:, ::-1])
-
-
-def _apply_cnot(src: np.ndarray, dst: np.ndarray, control: int, target: int, n: int) -> None:
-    """Copy `src` into `dst` with the target bit flipped where the control bit is set."""
+def _apply_cnot(state: np.ndarray, scratch: np.ndarray, control: int, target: int, n: int) -> None:
+    """Swap the target's two quarters where the control bit is set, through a quarter of `scratch`."""
     lo, hi = sorted((control, target))
-    shape = (-1, 2, 1 << (hi - lo - 1), 2, 1 << (n - hi - 1))
-    a, out = src.reshape(shape), dst.reshape(shape)
-    if control < target:
-        out[:, 0] = a[:, 0]
-        out[:, 1] = a[:, 1, :, ::-1]
-    else:
-        out[:, :, :, 0] = a[:, :, :, 0]
-        out[:, :, :, 1] = a[:, ::-1, :, 1]
+    a = state.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << (n - hi - 1))
+    zero, one = (a[:, 1, :, 0], a[:, 1, :, 1]) if control < target else (a[:, 0, :, 1], a[:, 1, :, 1])
+    swap = scratch[: 1 << (n - 2)].reshape(zero.shape)
+    np.copyto(swap, zero)
+    np.copyto(zero, one)
+    np.copyto(one, swap)
 
 
-def _run_gates(pair: list[np.ndarray], gates, n: int, dagger: bool = False) -> None:
-    """Apply `gates` (or their inverse) to the state in pair[0]; pair[1] is scratch.
+def _settle(state: np.ndarray, scratch: np.ndarray, flip: list[bool], n: int) -> None:
+    """Apply the pending X flips: one copy into `scratch` with the flipped bits reversed, one copy back."""
+    if any(flip):
+        axes = tuple(slice(None, None, -1) if f else slice(None) for f in flip)
+        np.copyto(scratch.reshape((2,) * n), state.reshape((2,) * n)[axes])
+        np.copyto(state, scratch)
 
-    Diagonal gates scale the |1> half of their qubit in place, and H goes
-    through the scratch buffer and back. X and CNOT are permutations: they
-    copy into the scratch buffer and the two entries of `pair` swap. No gate
-    allocates an amplitude vector.
+
+def _run_gates(state: np.ndarray, scratch: np.ndarray, gates, n: int, dagger: bool = False) -> None:
+    """Apply `gates` (or their inverse) to `state` in place; `scratch` is a buffer of its size.
+
+    X is a pending relabelling: `flip[q]` is true while qubit q's stored halves
+    hold its actual ones swapped, and `_settle` applies the pending flips when the
+    run ends. A diagonal gate scales the stored half holding the actual |1> half,
+    H reads a flipped qubit's halves swapped and clears its flip, and a flipped
+    control makes CNOT a CNOT then X on the target: nothing is negated.
     """
     phases = _DAGGER_PHASES if dagger else _PHASES
-    for gate in reversed(gates) if dagger else gates:
-        state, scratch = pair
-        if gate.name in phases:
-            _blocks(state, gate.qubits[0], n)[:, 1] *= phases[gate.name]
-        elif gate.name == "H":
-            _apply_h(state, scratch, gate.qubits[0], n)
-        else:
-            if gate.name == "CNOT":
-                _apply_cnot(state, scratch, gate.qubits[0], gate.qubits[1], n)
+    flip = [False] * n
+    bufsize = np.setbufsize(_BUFSIZE)
+    try:
+        for gate in reversed(gates) if dagger else gates:
+            q = gate.qubits[0]
+            if gate.name in phases:
+                half = _halves(state, q, n)[0 if flip[q] else 1]
+                np.multiply(half, phases[gate.name], out=half, order="C")
+            elif gate.name == "H":
+                _apply_h(state, scratch, q, n, flip[q])
+                flip[q] = False
+            elif gate.name == "X":
+                flip[q] = not flip[q]
             else:
-                _apply_x(state, scratch, gate.qubits[0], n)
-            pair.reverse()
+                _apply_cnot(state, scratch, q, gate.qubits[1], n)
+                flip[gate.qubits[1]] ^= flip[q]
+    finally:
+        np.setbufsize(bufsize)
+    _settle(state, scratch, flip, n)
 
 
 def build_psi_u(circuit: Circuit) -> tuple[np.ndarray, float]:
@@ -175,7 +193,7 @@ def build_psi_u(circuit: Circuit) -> tuple[np.ndarray, float]:
 
     With P0 + P1 = I projecting U's first qubit on 0 and 1, the ancilla-1 half
     U^dag P1 U|0^n> is |0^n> - U^dag P0 U|0^n> by unitarity: U and U^dag run
-    once each, on the ancilla-0 half, with the other half as their scratch.
+    once each, in place on the ancilla-0 half with the other half as scratch.
     """
     n = circuit.n
     if n + 1 > MAX_QUBITS:
@@ -184,13 +202,11 @@ def build_psi_u(circuit: Circuit) -> tuple[np.ndarray, float]:
         raise ValueError("the probe construction needs at least one circuit qubit")
     full = np.zeros(2 << n, dtype=np.complex128)
     full[0] = 1.0
-    lower, upper = pair = [full[: 1 << n], full[1 << n :]]
-    _run_gates(pair, circuit.gates, n)
-    # U|0^n> sits in pair[0], which is `upper` after an odd number of X/CNOT gates
-    p_zero = float(np.sum(np.abs(pair[0][: 1 << (n - 1)]) ** 2))
-    pair[0][1 << (n - 1) :] = 0.0  # P0: the CNOT moves these amplitudes to the ancilla-1 half
-    # U^dag has as many permutation gates as U, so the state ends back in `lower`
-    _run_gates(pair, circuit.gates, n, dagger=True)
+    lower, upper = full[: 1 << n], full[1 << n :]
+    _run_gates(lower, upper, circuit.gates, n)
+    p_zero = float(np.sum(np.abs(lower[: 1 << (n - 1)]) ** 2))
+    lower[1 << (n - 1) :] = 0.0  # P0: the CNOT moves these amplitudes to the ancilla-1 half
+    _run_gates(lower, upper, circuit.gates, n, dagger=True)
     np.negative(lower, out=upper)
     upper[0] += 1.0
     _unit_norm_sq(full)  # U and U^dag keep the norm, so a kernel fault shows here

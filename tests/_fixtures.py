@@ -55,9 +55,9 @@ def sparse_npy(path: str | Path, shape: tuple[int, ...], dtype) -> None:
 
 def kernel(state: np.ndarray, gates, n: int, dagger: bool = False) -> np.ndarray:
     """The gate kernels' run of `gates` (or their inverse) on a copy of `state`."""
-    pair = [state.copy(), np.full_like(state, np.nan)]  # scratch garbage must not leak in
-    _run_gates(pair, gates, n, dagger=dagger)
-    return pair[0]
+    out = state.copy()
+    _run_gates(out, np.full_like(state, np.nan), gates, n, dagger=dagger)  # scratch garbage must not leak in
+    return out
 
 
 def forward_run(circuit: Circuit) -> np.ndarray:

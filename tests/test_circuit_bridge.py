@@ -160,6 +160,24 @@ def test_every_gate_kernel_matches_its_dense_unitary(n):
         )
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_every_gate_kernel_on_flipped_qubits_matches_its_dense_unitary(n):
+    # X first leaves its qubit flipped when the gate runs: a diagonal gate or H on
+    # a flipped qubit, CNOT with a flipped control or target, and, with X on every
+    # qubit, a settle of several pending flips
+    rng = np.random.default_rng(50 + n)
+    for gate in _all_gates(n):
+        unitary = _dense_gate(gate, n)
+        for flipped in [(q,) for q in gate.qubits] + [tuple(range(n))]:
+            xs = tuple(Gate("X", (q,)) for q in flipped)
+            x_all = functools.reduce(np.matmul, [_dense_gate(x, n) for x in xs])
+            state = _random_state(n, rng)
+            np.testing.assert_allclose(kernel(state, xs + (gate,), n), unitary @ x_all @ state, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(  # U^dag of (gate, X...) runs the X gates first
+                kernel(state, (gate,) + xs, n, dagger=True), unitary.conj().T @ x_all @ state, rtol=0, atol=1e-14
+            )
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_gate_sequences_match_the_dense_circuit_unitary(n):
     rng = np.random.default_rng(10 + n)
@@ -189,9 +207,9 @@ def test_build_psi_u_matches_the_dense_probe(n):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_p_zero_is_the_bits_of_a_separate_forward_run(n):
-    # U|0^n> ends in the upper half of the probe buffer after an odd number of
-    # X/CNOT gates, so both parities are covered: a trailing X flips the parity,
-    # and on qubit 0 it also moves p_zero away from the state before it
+    # a trailing X leaves a flip pending on qubit 0 when the forward run ends,
+    # which moves p_zero away from the state before it, so p_zero is read after
+    # the settle; circuits with both parities of X/CNOT gates are covered
     rng = np.random.default_rng(60 + n)
     parities = set()
     for _ in range(3):
@@ -258,6 +276,45 @@ def test_one_qubit_probe_bytes_are_pinned():
     # failure on another host reads as a platform change, not a regression.
     amplitude = build_psi_u(parse_circuit("qubits 1\nH 0\nT 0\nH 0\nS 0\nX 0\n"))[0][0]
     assert (amplitude.real.hex(), amplitude.imag.hex()) == ("0x1.2bec333018864p-3", "-0x1.0000000000000p-55")
+
+
+def _byte_pinned_circuits():
+    """Named circuits for the byte pins: random ones, then X left pending on qubit
+    0 and on qubit n-1 at the end of each run, a CNOT under a flipped control, and
+    T/S/Z/H on the three last qubits (rows of 1, 2 and 4 amplitudes), flipped and not."""
+    rng = np.random.default_rng(82)
+    for n in (2, 3, 5, 8, 12):
+        yield f"random-{n}", random_circuit(n, 6 * n, rng)
+    n = 10
+    base = random_circuit(n, 60, np.random.default_rng(81)).gates
+    flips = [Gate("X", (q,)) for q in (n - 1, n - 2, n - 3)]
+    short = [Gate(name, (q,)) for q in (n - 1, n - 2, n - 3) for name in ("T", "S", "Z", "H")]
+    yield "x-pending-on-first", Circuit(n, base + (Gate("X", (0,)),))
+    yield "x-pending-on-last", Circuit(n, base + (Gate("H", (n - 1,)), Gate("X", (n - 1,))))
+    yield "cnot-flipped-control", Circuit(n, base + (Gate("X", (3,)), Gate("CNOT", (3, 7)), Gate("CNOT", (3, 0)), Gate("H", (3,))))
+    yield "short-rows", Circuit(n, base + tuple(short + flips + short))
+
+
+# (name, sha256 of the whole probe, float.hex of p_zero), recorded with the
+# kernels that copied every X and CNOT into a second buffer, with numpy 2.4.6 on
+# an x86_64 Xeon with AVX-512 (read a mismatch on another host as a platform change first)
+_BYTE_PINS = [
+    ("random-2", "77c5d069d90c3673d05f95907e1cf4450304c588cb357b79ac079ee7d4cd9648", "0x1.ffffffffffffep-2"),
+    ("random-3", "2473f0299ea73a6936055a7a700a6ac6f813e55d7f21b68aeef1757776a3bab2", "0x1.ffffffffffffcp-2"),
+    ("random-5", "c60e8137364832768005563eeb56166ad629529e8508b8ef63089260c1e2f47f", "0x1.b504f333f9ddap-1"),
+    ("random-8", "9afcd3b4c388c3fab45be4cbd84560dcf2a4ee9339aa99ad47611a6e330bbf9f", "0x1.ffffffffffff6p-2"),
+    ("random-12", "87d5bbd8484d09e4249f4131ba23345f5417789e86017d93daa549963ce2e4bd", "0x1.ffffffffffff0p-2"),
+    ("x-pending-on-first", "8b1035b722df418bee3e7387eaae0185612ef025ecf56a12707ff75604ad4cc1", "0x1.fffffffffffe8p-2"),
+    ("x-pending-on-last", "93188fb8fdcd0902d03b1ae42a0b62b226a41fa996ea5979c68eae013c987bf1", "0x1.fffffffffffe4p-2"),
+    ("cnot-flipped-control", "0df0732d85c09aa294af266eae6db6126fdf4df92b7ce73de40937a3619175c8", "0x1.fffffffffffe5p-2"),
+    ("short-rows", "de0ee8911e621202d120082a44163b5263547dfcddf695237ce076308ee2b792", "0x1.fffffffffffddp-2"),
+]
+
+
+def test_probe_and_p_zero_bytes_are_pinned():
+    got = [(name, hashlib.sha256(probe.tobytes()).hexdigest(), p_zero.hex())
+           for name, (probe, p_zero) in ((name, build_psi_u(c)) for name, c in _byte_pinned_circuits())]
+    assert got == _BYTE_PINS
 
 
 def test_build_psi_u_holds_at_most_one_and_a_half_amplitude_vectors():

@@ -320,7 +320,8 @@ def test_bench_layers_writes_every_layer(tmp_path, monkeypatch):
     monkeypatch.setattr(_BENCH, "REPEATS", 1)
     code, out, err = _run_in_process(_BENCH, ["bench_layers.py", "--out", str(path)])
     assert (code, err) == (0, "")
-    assert out.startswith(f"wrote the real_moment and sampler layers to {path}\n")
+    assert out.startswith(f"wrote the real_moment, sampler and circuit layers to {path}\n")
+    assert out.splitlines()[-1].startswith("circuit: build_psi_u ")
     report = json.loads(path.read_text())
     assert report["repeats"] == 1
     assert report["blas_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
@@ -347,6 +348,12 @@ def test_bench_layers_writes_every_layer(tmp_path, monkeypatch):
     assert 8 * sampler["dim"] <= sampler["first_sample_peak_bytes"] < 16 * sampler["dim"]
     assert 16 * sampler["dim"] <= sampler["first_batch_peak_bytes"]
     assert 8 * sampler["batch"] <= sampler["batch_peak_bytes"]
+
+    circuit = report["circuit"]
+    assert (circuit["qubits"], circuit["gates"]) == (16, 200)
+    assert len(circuit["build_psi_u_ms"]) == 3 and all(0 < ms for ms in circuit["build_psi_u_ms"])
+    assert list(circuit["gate_us"]) == ["H", "T", "S", "Z", "X", "CNOT"]
+    assert all(0 < us for us in circuit["gate_us"].values())
 
 
 # Runs bench_layers as a script, refused before any work, and prints the BLAS settings numpy is imported under.
@@ -386,6 +393,7 @@ def test_bench_layers_refuses_in_one_line_before_any_work(tmp_path, monkeypatch,
     blocker.write_text("")
     monkeypatch.setattr(_BENCH, "real_moment", _no_work)
     monkeypatch.setattr(_BENCH, "haar_unit_vector", _no_work)
+    monkeypatch.setattr(_BENCH, "build_psi_u", _no_work)
     argv = ["bench_layers.py", *[arg.format(tmp=tmp_path, blocker=blocker) for arg in argv]]
     code, out, err = _run_in_process(_BENCH, argv)
     assert (code, out) == (1, "")
