@@ -283,7 +283,10 @@ def _cmd_discriminate(args) -> tuple[dict, int]:
         dims = [m.shape[0] for m in mapped if 0 < m.shape[0] == m.shape[1]]
         if len(dims) == 2 and dims[0] != dims[1]:
             raise ValueError(f"dimension mismatch: {dims[0]} vs {dims[1]}")
-        rho_a, rho_b = map(quantum_sim.load_density_operator, (args.a, args.b), mapped)
+        with inputs.refusals_from(args.a):  # checked and symmetrized from the map, with no copy first
+            rho_a = quantum_sim.DensityOperator.from_matrix(mapped[0])
+        with inputs.refusals_from(args.b):
+            rho_b = quantum_sim.DensityOperator.from_matrix(mapped[1])
         dim = rho_a.dim
         schatten, success, empirical = quantum_sim.discriminate_mixed_pair(rho_a, rho_b, args.trials, rng)
         source = "files"

@@ -18,11 +18,14 @@ with the moment, so every block of one s is an exact row and column
 permutation of any other. One representative block per s is assembled from
 int64 keys and lookups, with no d-wide gather per row, and permuted into the
 rest; each s is eigensolved as one (classes, k, k) stack, at most N/2 + 1 in
-all. The dense matrix is built on request, for tests and tiny-cell checks.
+all. The dense matrix is built only for tests and the swapped-pair check.
 
 `trace_norm_gap` computes the Schatten-1 distance between the two moments
 and checks it against the two-term and 4N^2/d bounds, along with positivity
 of the remainder left after subtracting the scalar part from the real moment.
+For d <= 3, N <= 2 it checks the swapped 2N-copy pair's distance against 2 * gap
+in the symmetric basis: V (x) V, for the isometry V of Sym^N into the d^N space,
+leaves the distance unchanged, so nothing d^N wide is built.
 Its optional Monte Carlo cross-check (`mc_moment`) works on one plain
 size x size estimate at a time, admitted only within `MC_ESTIMATE_BYTE_BUDGET`.
 """
@@ -30,7 +33,6 @@ size x size estimate at a time, admitted only within `MC_ESTIMATE_BYTE_BUDGET`.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quantum_sim import HERMITIAN_ATOL, PSD_ATOL, TRACE_ATOL
+from .quantum_sim import PSD_ATOL, TRACE_ATOL
 from .inputs import check_count, quoted
 
 __all__ = [
@@ -53,7 +55,6 @@ __all__ = [
     "mc_moment",
     "real_moment",
     "sym_basis",
-    "symmetric_embedding",
     "trace_norm_gap",
 ]
 
@@ -71,8 +72,6 @@ BOUND_SLACK = 1e-9
 _GATHER_CAP = 1 << 20
 # Unit vectors drawn per RNG call in `mc_moment` (real parts before imaginary parts).
 _MC_DRAW_CHUNK = 100_000
-# Largest d^N that `symmetric_embedding` materializes.
-_MAX_EMBED_DIM = 1 << 16
 
 
 class BudgetExceededError(Exception):
@@ -164,10 +163,11 @@ class MomentOperator:
     basis rows of class c in ascending order, with the (classes, k, k) stack
     of their blocks. `real_moment` assembles one representative block per s
     and permutes it into the rest of its stack, every index found by integer
-    keys. Construction checks that the rows of all stacks partition the basis
-    and that the operator is symmetric, of unit trace and PSD, and computes
-    `eigenvalues` (ascending) from the stacks. The dense `matrix` is built
-    only when read, by tests and the tiny-cell cross-check of `trace_norm_gap`.
+    keys. Construction checks that the rows of all stacks partition the basis,
+    that every stack equals its transpose exactly (the assembly is symmetric by
+    construction), and that the operator has unit trace and is PSD, and computes
+    `eigenvalues` (ascending) from the stacks. The dense `matrix` is built only
+    when read, by tests and the swapped-pair check of `trace_norm_gap`.
     """
 
     d: int
@@ -181,8 +181,10 @@ class MomentOperator:
             _check(fits, f"block rows of shape {rows.shape} do not index a stack of shape {stack.shape}")
         rows = np.sort(np.concatenate([r.ravel() for r, _ in self.blocks]))
         _check(np.array_equal(rows, np.arange(self.size)), f"block rows do not partition the {self.size} basis rows")
-        dev = max(float(np.max(np.abs(stack - stack.swapaxes(1, 2)))) for _, stack in self.blocks)
-        _check(dev <= HERMITIAN_ATOL, f"moment operator not Hermitian (deviation {dev:.3e})")
+        for _, stack in self.blocks:  # exactly: counts and norm factors are symmetric, rows and columns permute alike
+            if not np.array_equal(stack, stack.swapaxes(1, 2)):
+                dev = float(np.max(np.abs(stack - stack.swapaxes(1, 2))))
+                raise BoundViolationError(f"moment operator not Hermitian (deviation {dev:.3e})")
         tr = sum(float(np.trace(stack, axis1=1, axis2=2).sum()) for _, stack in self.blocks)
         _check(abs(tr - 1.0) <= TRACE_ATOL, f"moment operator trace {tr} deviates from 1")
         eigenvalues = np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel() for _, stack in self.blocks]))
@@ -195,7 +197,7 @@ class MomentOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense size x size assembly of the blocks (tests and tiny-cell cross-checks)."""
+        """Dense size x size assembly of the blocks (tests and the swapped-pair check)."""
         m = np.zeros((self.size, self.size))
         for rows, stack in self.blocks:
             m[rows[:, :, None], rows[:, None, :]] = stack
@@ -284,26 +286,6 @@ def real_moment(d: int, copies: int) -> MomentOperator:
         blocks.append((rows, stack))
         lo, at = lo + group, at + group * t
     return MomentOperator(d=d, N=copies, blocks=tuple(blocks))
-
-
-def symmetric_embedding(basis: SymBasis) -> np.ndarray:
-    """Isometry V from the symmetric basis into the full d^N tensor space.
-
-    Column b spreads amplitude sqrt(prod_j m_j!/N!) over every distinct
-    arrangement of the element's index tuple; V^T V = identity.
-    """
-    full_dim = basis.d**basis.N
-    if full_dim > _MAX_EMBED_DIM:
-        raise BudgetExceededError(f"full tensor dimension {full_dim} exceeds {_MAX_EMBED_DIM}")
-    v = np.zeros((full_dim, basis.size), dtype=np.float64)
-    for b in range(basis.size):
-        amp = 1.0 / basis.norm_factors[b]
-        for arrangement in set(itertools.permutations(basis.indices[b].tolist())):
-            row = 0
-            for idx in arrangement:
-                row = row * basis.d + idx
-            v[row, b] = amp
-    return v
 
 
 def mc_moment(d: int, copies: int, samples: int, field: str, rng: np.random.Generator) -> np.ndarray:
@@ -401,8 +383,8 @@ def trace_norm_gap(
     E_real - (N!/(d(d+2)...(d+2N-2))) * I is PSD. The middle term
     1 - (d+N-1)!(d/2-1)!/(2^N (d/2+N-1)!(d-1)!), exactly 1 - size times that
     scalar, is the remainder's trace, so gap <= 2 * middle term is checked
-    too. At tiny sizes the swapped 2N-copy pair is materialized densely
-    and its distance checked against 2 * gap.
+    too. For d <= 3, N <= 2 the distance of the swapped 2N-copy pair, from
+    size^2-wide Kronecker products, is checked against 2 * gap.
     Violations raise BoundViolationError: they indicate a bug, not bad luck.
     A Monte Carlo stage over its byte budget raises BudgetExceededError with
     the checked exact report in `exact`.
@@ -441,12 +423,8 @@ def trace_norm_gap(
     )
 
     if d <= 3 and copies <= 2:
-        v = symmetric_embedding(sym_basis(d, copies))
-        e_real_full = v @ e_real.matrix @ v.T
-        e_complex_full = (v @ v.T) / size
-        rho_a = np.kron(e_complex_full, e_real_full)
-        rho_b = np.kron(e_real_full, e_complex_full)
-        swapped = float(np.sum(np.abs(np.linalg.eigvalsh(rho_a - rho_b))))
+        m, scalar_part = e_real.matrix, np.eye(size) / size
+        swapped = float(np.sum(np.abs(np.linalg.eigvalsh(np.kron(scalar_part, m) - np.kron(m, scalar_part)))))
         _check(
             swapped <= 2.0 * gap + BOUND_SLACK,
             f"swapped-pair distance {swapped} exceeds 2*gap {2 * gap} at d={d}, N={copies}",

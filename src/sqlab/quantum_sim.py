@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from pathlib import Path
 
 import numpy as np
 
-from .inputs import DENSE_BUDGET_N, check_count, open_npy, quoted, refusals_from
+from .inputs import DENSE_BUDGET_N, check_count, quoted
 
 __all__ = [
     "DensityOperator",
@@ -29,7 +28,6 @@ __all__ = [
     "check_schatten_threshold",
     "discriminate_mixed_pair",
     "discriminate_pure_pair",
-    "load_density_operator",
     "min_copies_minus_sign",
     "minus_sign_product_vectors",
     "ncopy_minus_sign_tracenorm",
@@ -274,18 +272,3 @@ def _click_success_rate(
     successes = np.sum(clicked == truth_is_a)
     return float(successes) / trials
 
-
-def load_density_operator(path: str | Path, mapped: np.ndarray | None = None) -> DensityOperator:
-    """The density operator in the `.npy` file at `path`: a square 2-d numeric array.
-
-    At most 2^DENSE_BUDGET_N entries (dim <= 4096), checked from the file's
-    header before any entry is read. A file that cannot be opened raises the
-    OSError; every other refusal is a ValueError naming the file. `mapped` is
-    the file's array when the caller has opened it already with `open_npy`.
-    The operator's checks and symmetrization read the map, so a complex128
-    file is not copied first.
-    """
-    if mapped is None:
-        mapped = open_npy(path, 2, 1 << DENSE_BUDGET_N)
-    with refusals_from(path):
-        return DensityOperator.from_matrix(mapped)

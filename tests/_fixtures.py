@@ -1,4 +1,4 @@
-"""Generators and file writers that only the tests use, and the tests' reference forward run and vectors.
+"""Generators and file writers that only the tests use, and the tests' reference forward run, vectors and embedding.
 
 Imported as `from _fixtures import ...`: pytest puts this directory on the
 import path. The pinned probe circuits are drawn by `random_circuit`, so its
@@ -7,13 +7,18 @@ stream of draws must not change.
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
 
 from sqlab.circuit_bridge import GATE_NAMES, Circuit, Gate, _run_gates
+from sqlab.haar_moments import BudgetExceededError, SymBasis
 from sqlab.quantum_sim import DensityOperator
 from sqlab.sq_oracle import KIND_MINUS_AT_INDEX, KIND_SIGN_PRODUCT, DenseVector, ImplicitVector, SqHandle
+
+# Largest d^N that `symmetric_embedding` materializes.
+_MAX_EMBED_DIM = 1 << 16
 
 
 def random_circuit(n: int, depth: int, rng: np.random.Generator) -> Circuit:
@@ -82,3 +87,23 @@ def materialize(backing: DenseVector | ImplicitVector | SqHandle) -> np.ndarray:
         parity = np.bitwise_count(masked) & 1
         out[parity == 1] *= -1
     return out
+
+
+def symmetric_embedding(basis: SymBasis) -> np.ndarray:
+    """Isometry V from the symmetric basis into the full d^N tensor space.
+
+    Column b spreads amplitude sqrt(prod_j m_j!/N!) over every distinct
+    arrangement of the element's index tuple; V^T V = identity.
+    """
+    full_dim = basis.d**basis.N
+    if full_dim > _MAX_EMBED_DIM:
+        raise BudgetExceededError(f"full tensor dimension {full_dim} exceeds {_MAX_EMBED_DIM}")
+    v = np.zeros((full_dim, basis.size), dtype=np.float64)
+    for b in range(basis.size):
+        amp = 1.0 / basis.norm_factors[b]
+        for arrangement in set(itertools.permutations(basis.indices[b].tolist())):
+            row = 0
+            for idx in arrangement:
+                row = row * basis.d + idx
+            v[row, b] = amp
+    return v

@@ -498,7 +498,7 @@ def test_cli_discriminate_refuses_a_dimension_mismatch_from_the_headers(tmp_path
     sparse_npy(tmp_path / "a.npy", (1024, 1024), np.complex128)  # 16 MB, never copied
     np.save(tmp_path / "b.npy", np.eye(16) / 16)
     monkeypatch.setattr(inputs, "load_npy", _no_heavy_work)  # the complex128 copy
-    monkeypatch.setattr(quantum_sim, "load_density_operator", _no_heavy_work)
+    monkeypatch.setattr(quantum_sim.DensityOperator, "from_matrix", _no_heavy_work)
     tracemalloc.start()
     try:
         assert main(["discriminate", "--a", str(tmp_path / "a.npy"), "--b", str(tmp_path / "b.npy")]) == 1
@@ -1094,7 +1094,7 @@ def no_work_past_parsing(monkeypatch):
 
     for module, name in [
         (cli, "_check_out"),
-        (quantum_sim, "load_density_operator"),
+        (quantum_sim.DensityOperator, "from_matrix"),
         (quantum_sim, "minus_sign_product_vectors"),
         (inputs, "load_npy"),
         (inputs, "open_npy"),

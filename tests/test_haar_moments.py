@@ -22,9 +22,10 @@ from sqlab.haar_moments import (
     mc_moment,
     real_moment,
     sym_basis,
-    symmetric_embedding,
     trace_norm_gap,
 )
+
+from _fixtures import symmetric_embedding
 
 
 def _double_factorial(k):
@@ -292,9 +293,11 @@ def test_moment_operator_checks_every_block_and_the_row_partition(monkeypatch):
     first = (np.array([[0]]), np.full((1, 1, 1), 1 / 5))
     rows = np.array([[1, 2], [4, 3]])
     stack = np.stack([np.eye(2), np.eye(2)]) / 5
-    stack[1, 1, 0] = 1e-6  # only the second member of the stack is asymmetric
-    with pytest.raises(BoundViolationError, match="not Hermitian"):
-        MomentOperator(d=5, N=1, blocks=(first, (rows, stack)))
+    # only the second member of the stack is asymmetric, at first by less than any float tolerance
+    for below_diagonal in (1e-15, 1e-6):
+        stack[1, 1, 0] = below_diagonal
+        with pytest.raises(BoundViolationError, match=rf"not Hermitian \(deviation {below_diagonal:.3e}\)"):
+            MomentOperator(d=5, N=1, blocks=(first, (rows, stack)))
     stack[1, 0, 1] = 1e-6
     op = MomentOperator(d=5, N=1, blocks=(first, (rows, stack)))
     assert op.matrix[3, 4] == op.matrix[4, 3] == 1e-6
@@ -691,7 +694,42 @@ def test_middle_term_equals_scalar_trace_deficit():
         assert report.middle_term == pytest.approx(explicit, abs=1e-10)
 
 
-def test_swapped_pair_check_runs_at_tiny_sizes():
-    # the d<=3, N<=2 branch materializes the 2N-copy pair; no violation expected
-    for d, copies in ((2, 1), (2, 2), (3, 2)):
+def _full_space_swapped_distance(d, copies):
+    """Distance between the swapped 2N-copy pairs, built densely in the d^2N tensor space."""
+    v = symmetric_embedding(sym_basis(d, copies))
+    e_real_full = v @ real_moment(d, copies).matrix @ v.T
+    e_complex_full = (v @ v.T) / v.shape[1]
+    difference = np.kron(e_complex_full, e_real_full) - np.kron(e_real_full, e_complex_full)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(difference))))
+
+
+def test_swapped_pair_check_runs_at_tiny_sizes(monkeypatch):
+    # the d <= 3, N <= 2 branch builds the 2N-copy pair in the symmetric basis; V (x) V keeps its distance
+    tiny = [(d, copies) for d in (1, 2, 3) for copies in (1, 2)]
+    full_space = [_full_space_swapped_distance(d, copies) for d, copies in tiny]
+    eigvalsh = np.linalg.eigvalsh
+    distances = []
+
+    def recording(a):  # the stacks are 3-d, the swapped-pair difference 2-d
+        w = eigvalsh(a)
+        if a.ndim == 2:
+            distances.append(float(np.sum(np.abs(w))))
+        return w
+
+    monkeypatch.setattr(haar_moments.np.linalg, "eigvalsh", recording)
+    for (d, copies), reference in zip(tiny, full_space):
+        distances.clear()
         trace_norm_gap(d, copies)
+        assert len(distances) == 1
+        assert abs(distances[0] - reference) <= 1e-15
+    trace_norm_gap(4, 2)
+    trace_norm_gap(2, 3)
+    assert len(distances) == 1  # no swapped pair outside d <= 3, N <= 2
+
+
+def test_a_swapped_pair_distance_past_twice_the_gap_is_a_bound_violation(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+    shifted = lambda a: eigvalsh(a) + (1.0 if a.ndim == 2 else 0.0)  # the moment's stacks are untouched
+    monkeypatch.setattr(haar_moments.np.linalg, "eigvalsh", shifted)
+    with pytest.raises(BoundViolationError, match="^swapped-pair distance .* exceeds 2\\*gap .* at d=2, N=2$"):
+        trace_norm_gap(2, 2)

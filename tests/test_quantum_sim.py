@@ -1,20 +1,21 @@
 """Discrimination-toolkit tests: norms, success probabilities, N-copy forms."""
 
 import dataclasses
+import json
 import math
-import re
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from sqlab import quantum_sim
+from sqlab.cli import main
 from sqlab.quantum_sim import (
     _EIG_ZERO_REL,
     DensityOperator,
     discriminate_mixed_pair,
     discriminate_pure_pair,
-    load_density_operator,
     min_copies_minus_sign,
     minus_sign_product_vectors,
     ncopy_minus_sign_tracenorm,
@@ -323,16 +324,25 @@ def test_mixed_pair_schatten1_matches_an_eigvalsh_reference():
             assert abs(_schatten1(a, b) - reference) <= 1e-12 * reference
 
 
-def test_density_operator_file_round_trip(tmp_path):
+def test_density_operator_file_round_trip(tmp_path, capsys, monkeypatch):
     rho = random_density_operator(5, np.random.default_rng(12))
     path = tmp_path / "rho.npy"
     np.save(path, rho.matrix)
-    loaded = load_density_operator(path)
-    assert loaded.matrix.tobytes() == rho.matrix.tobytes()
+    loaded = []
+    discriminate = quantum_sim.discriminate_mixed_pair
+
+    def recording(a, b, trials, rng):
+        loaded.extend((a, b))
+        return discriminate(a, b, trials, rng)
+
+    monkeypatch.setattr(quantum_sim, "discriminate_mixed_pair", recording)
+    assert main(["discriminate", "--a", str(path), "--b", str(path)]) == 0
+    assert [op.matrix.tobytes() for op in loaded] == [rho.matrix.tobytes()] * 2
+    assert json.loads(capsys.readouterr().out)["schatten1_diff"] == 0.0
     bad = tmp_path / "bad.npy"
     np.save(bad, np.eye(2)[:1])
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}: density operator must be a square matrix$"):
-        load_density_operator(bad)
+    assert main(["discriminate", "--a", str(path), "--b", str(bad)]) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}: density operator must be a square matrix\n")
 
 
 def _random_pure_pair(dim, rng):
