@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time sqlab layer by layer: the exact real Haar moment, the dense sampler and the circuit simulator.
+"""Time sqlab layer by layer: exact and Monte Carlo Haar moments, the dense sampler and the circuit simulator.
 
 Every time is the best of REPEATS = 15 timed calls after one warm-up call,
 with any setup untimed. The JSON holds the platform and one section per layer:
@@ -8,6 +8,10 @@ with any setup untimed. The JSON holds the platform and one section per layer:
   1), `real_moment` and `MomentOperator` rebuilt from the finished blocks:
   its row-partition, symmetry, trace and PSD checks and its eigensolves.
   Assembly is the difference.
+- "monte_carlo": for the four Monte Carlo cells of `bounds_grid`, one
+  `mc_moment` estimate of MC_SAMPLES = 20 000 samples, real and complex, and
+  the normalization alone (`_normalize_rows`) on a fresh copy of MC_SAMPLES
+  draws of each field.
 - "sampler": on a Haar-random complex vector of DIM = 2^20 entries, building
   the running sums (`DenseVector.cdf`) and the guide table over built running
   sums (`DenseVector.guide`); `sample_many(BATCH)` with BATCH = 2^19, at
@@ -52,7 +56,7 @@ import numpy as np
 
 from sqlab.circuit_bridge import Circuit, Gate, build_psi_u
 from sqlab.cli import _ArgumentParser, _check_out, _write_out  # the sqlab command line's rules
-from sqlab.haar_moments import MomentOperator, real_moment
+from sqlab.haar_moments import MomentOperator, _normalize_rows, mc_moment, real_moment
 from sqlab.instances import gen_minus_sign, haar_unit_vector
 from sqlab.learners import solve_minus_sign, solve_sample_only
 from sqlab.sq_oracle import Capability, DenseVector, ImplicitVector, build_dense, build_implicit
@@ -60,6 +64,8 @@ from sqlab.sq_oracle import Capability, DenseVector, ImplicitVector, build_dense
 REPEATS = 15
 BOUNDS_GRID_CELLS = [(d, n) for d in (2, 4, 8, 16) for n in (1, 2, 3, 4)] + [(12, 4), (8, 6), (6, 8)]
 GUARD_CELLS = [(9, 8), (12, 6), (24, 4), (40, 3), (199, 2), (2000, 1)]
+MC_CELLS = [(2, 2), (3, 2), (4, 2), (2, 3)]
+MC_SAMPLES = 20_000
 DIM = 1 << 20
 BATCH = 1 << 19
 SMALL_BATCH = 1 << 14
@@ -107,6 +113,22 @@ def _real_moment() -> dict:
         "bounds_grid": grid,
         "guard": [_moment_cell(d, n) for d, n in GUARD_CELLS],
     }
+
+
+def _monte_carlo() -> dict:
+    rng = np.random.default_rng(3)
+    cells = []
+    for d, n in MC_CELLS:
+        cell = {"d": d, "N": n}
+        for field in ("real", "complex"):
+            draws = rng.standard_normal((MC_SAMPLES, d))
+            if field == "complex":
+                draws = draws + 1j * rng.standard_normal((MC_SAMPLES, d))
+            cell[f"{field}_ms"] = _best(lambda _: mc_moment(d, n, MC_SAMPLES, field, rng)) * 1e3
+            cell[f"{field}_normalize_ms"] = _best(_normalize_rows, setup=draws.copy) * 1e3
+        cells.append(cell)
+    keys = ("real_ms", "complex_ms", "real_normalize_ms", "complex_normalize_ms")
+    return {"samples": MC_SAMPLES, "total": {key: sum(c[key] for c in cells) for key in keys}, "cells": cells}
 
 
 def _sampler() -> dict:
@@ -200,6 +222,7 @@ def main() -> int:
             "cpus": os.cpu_count(),
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),  # None: numpy's default
             "real_moment": _real_moment(),
+            "monte_carlo": _monte_carlo(),
             "sampler": _sampler(),
             "circuit": _circuit(),
         }
@@ -208,9 +231,12 @@ def main() -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     totals, sampler, circuit = report["real_moment"]["bounds_grid_total"], report["sampler"], report["circuit"]
-    print(f"wrote the real_moment, sampler and circuit layers to {args.out}")
+    mc = report["monte_carlo"]["total"]
+    print(f"wrote the real_moment, monte_carlo, sampler and circuit layers to {args.out}")
     print(f"bounds_grid cells: real_moment {totals['real_moment_s'] * 1e3:.2f} ms, "
           f"of which assembly {totals['assembly_s'] * 1e3:.2f} ms")
+    print(f"bounds_grid Monte Carlo cells: mc_moment {mc['real_ms']:.2f} ms (real) and {mc['complex_ms']:.2f} ms "
+          f"(complex), of which normalization {mc['real_normalize_ms']:.2f} and {mc['complex_normalize_ms']:.2f} ms")
     print(f"sampler: builds {sampler['cdf_build_ns_per_entry']:.1f} + {sampler['guide_build_ns_per_entry']:.1f} ns "
           f"per entry, batches {sampler['batch_ns_per_draw']:.1f} and {sampler['small_batch_ns_per_draw']:.1f} ns "
           f"per draw, sample() {sampler['sample_call_us']:.2f} us, query() {sampler['dense_query_ns']:.0f} "

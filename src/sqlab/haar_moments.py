@@ -114,6 +114,21 @@ class SymBasis:
         return self.indices.shape[0]
 
 
+def _fold_rows(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(a, axis=1), bit for bit, a column at a time, for rows of a few entries.
+
+    numpy reduces each row on its own, at about 20 ns per row. An integer
+    result does not depend on the order, and numpy adds a float row of fewer
+    than 8 entries left to right, the order of the column loop.
+    """
+    if a.shape[1] == 0:
+        return ufunc.reduce(a, axis=1)
+    out = a[:, 0].copy()
+    for k in range(1, a.shape[1]):
+        ufunc(out, a[:, k], out=out)
+    return out
+
+
 def _run_positions(indices: np.ndarray) -> np.ndarray:
     """1-based position of each entry in its run of equal values; a row's product is prod_j m_j!."""
     pos = np.ones(indices.shape, dtype=np.int64)
@@ -139,7 +154,7 @@ def sym_basis(d: int, copies: int) -> SymBasis:
         nxt = np.arange(ends[-1]) - (ends - d).repeat(reps)
         indices = np.concatenate((indices.repeat(reps, axis=0), nxt[:, None]), axis=1)
     # N!/prod_j m_j! is an integer below 8!, so it converts to float64 exactly.
-    norm = np.sqrt((math.factorial(copies) // _run_positions(indices).prod(axis=1)).astype(np.float64))
+    norm = np.sqrt((math.factorial(copies) // _fold_rows(np.multiply, _run_positions(indices))).astype(np.float64))
     return SymBasis(d=d, N=copies, indices=indices, norm_factors=norm)
 
 
@@ -217,7 +232,7 @@ def _block_counts(pairs: np.ndarray, runs: np.ndarray, s: int, d: int) -> np.nda
     # held[j, b] = q_b[j], the pairs of row b on index j
     held = np.bincount((k * pairs + np.arange(k)[:, None]).ravel(), minlength=k * d).reshape(d, k)
     step = 2 * runs + 2 * (pairs < s) - 1  # h_j(u) / h_j(u - 1)
-    count = step.prod(axis=1)[None, :]  # r_b
+    count = _fold_rows(np.multiply, step)[None, :]  # r_b
     for u in range(t):
         count = count * (2 * held[pairs[:, u]] + step[:, u, None])
     return count
@@ -251,10 +266,12 @@ def real_moment(d: int, copies: int) -> MomentOperator:
     run_end = np.ones(x.shape, dtype=bool)
     run_end[:, :-1] = x[:, 1:] != x[:, :-1]
     odd = run_end & (pos % 2 == 1)  # each index of a row's odd set, once
-    rank = odd.cumsum(axis=1)
+    rank = odd.astype(np.int64)  # a running count of each row's odd set, a column at a time
+    for k in range(1, copies):
+        rank[:, k] += rank[:, k - 1]
     odd_size = rank[:, -1]
     power = d ** np.arange(copies + 1)  # odd_key: s, then the members of S, as base-d digits
-    odd_key = power[copies] * odd_size + (np.where(odd, x, 0) * power[odd_size[:, None] - rank]).sum(axis=1)
+    odd_key = power[copies] * odd_size + _fold_rows(np.add, np.where(odd, x, 0) * power[odd_size[:, None] - rank])
     order = np.argsort(odd_key, kind="stable")  # by s, then S; rows ascending within each class
     sorted_keys, pos = odd_key[order], pos[order]
     pairs, runs = x[order][pos % 2 == 0], pos[pos % 2 == 0] // 2  # each pair a row holds, and its place on its index
@@ -297,11 +314,20 @@ def mc_moment(d: int, copies: int, samples: int, field: str, rng: np.random.Gene
     one, which is checked. The mean is made exactly Hermitian as (E + E^H)/2.
 
     Unit vectors are drawn `_MC_DRAW_CHUNK` at a time, real parts before
-    imaginary parts; each chunk is gathered into coefficients and accumulated
-    in sub-chunks of at most `_GATHER_CAP` entries. Memory is therefore one
-    estimate, one draw chunk and bounded temporaries. A cell whose estimate
-    plus draw chunk (min(samples, `_MC_DRAW_CHUNK`) x d complex entries and
-    their temporary) would exceed `MC_ESTIMATE_BYTE_BUDGET` raises
+    imaginary parts, and normalized by `_normalize_rows`, whose norms are
+    column sums (`_row_norms`): numpy reduces a row of d < 8 entries at about
+    20 ns per row, while adding the columns left to right gives the same bits
+    in a fraction of that. Nothing real is cast to complex: complex draws are
+    written into the two parts of one array, and draws and coefficients are
+    scaled on their float64 view, by 1/norm and by norm_b. Against
+    `re + 1j * im`, complex division by the norm and complex multiplication
+    by norm_b, this differs at most in the sign of a zero component, which
+    needs an exactly zero Gaussian draw; every value, so every |entry| and
+    `mc_max_dev`, is unchanged. Each chunk is gathered into coefficients
+    and accumulated in sub-chunks of at most `_GATHER_CAP` entries. Memory is
+    therefore one estimate, one draw chunk and bounded temporaries. A cell
+    whose estimate plus draw chunk (min(samples, `_MC_DRAW_CHUNK`) x d complex
+    entries and their temporary) would exceed `MC_ESTIMATE_BYTE_BUDGET` raises
     BudgetExceededError before the estimate is allocated or any vector drawn.
     """
     check_count("samples", samples, 1)
@@ -324,12 +350,15 @@ def mc_moment(d: int, copies: int, samples: int, field: str, rng: np.random.Gene
         m = min(_MC_DRAW_CHUNK, samples - start)
         vecs = rng.standard_normal((m, d))
         if field == "complex":
-            vecs = vecs + 1j * rng.standard_normal((m, d))
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+            real_parts, vecs = vecs, np.empty((m, d), dtype=np.complex128)
+            vecs.real = real_parts
+            vecs.imag = rng.standard_normal((m, d))
+        _normalize_rows(vecs)
         for a in range(0, m, step):
             sub = vecs[a : a + step]
-            w = sub[:, basis.indices[:, 0]]
-            w *= basis.norm_factors
+            w = sub[:, basis.indices[:, 0]]  # column-major, as numpy lays out a gather along axis 1
+            scaled = w.T.view(np.float64)  # row b holds coefficient b of every sample, in float64
+            scaled *= basis.norm_factors[:, None]
             for k in range(1, copies):
                 w *= sub[:, basis.indices[:, k]]
             w_conj = w.conj()
@@ -341,6 +370,40 @@ def mc_moment(d: int, copies: int, samples: int, field: str, rng: np.random.Gene
     tr = float(np.trace(estimate).real)
     _check(abs(tr - 1.0) <= TRACE_ATOL, f"Monte Carlo estimate trace {tr} deviates from 1")
     return estimate
+
+
+def _row_norms(vecs: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(vecs, axis=1, keepdims=True), bit for bit, at the cost of d column passes.
+
+    The squares are numpy's own, (v.conj() * v).real or v * v, summed by
+    `_fold_rows` below d = 8; from 8 on numpy sums pairwise, and the rows go to
+    numpy.
+    """
+    d = vecs.shape[1]
+    if d >= 8:
+        return np.linalg.norm(vecs, axis=1, keepdims=True)
+    if np.iscomplexobj(vecs):
+        product = vecs.conj()
+        product *= vecs  # in place: one complex temporary, not two
+        squares = product.real
+    else:
+        squares = vecs * vecs
+    total = _fold_rows(np.add, squares)
+    return np.sqrt(total, out=total)[:, None]
+
+
+def _normalize_rows(vecs: np.ndarray) -> None:
+    """vecs <- vecs / its row norms, in place; complex rows by their float64 view times 1/norm.
+
+    numpy divides a complex a + bi by a real n as ((a + b*0) + (b - a*0)i) * (1/n),
+    so the view's product differs only where a or b is an exact zero, in its sign.
+    """
+    norms = _row_norms(vecs)
+    if np.iscomplexobj(vecs):
+        flat = vecs.view(np.float64)
+        flat *= 1.0 / norms
+    else:
+        vecs /= norms
 
 
 def _hermitian_part_in_place(a: np.ndarray) -> None:
@@ -387,8 +450,13 @@ def trace_norm_gap(
     size^2-wide Kronecker products, is checked against 2 * gap.
     Violations raise BoundViolationError: they indicate a bug, not bad luck.
     A Monte Carlo stage over its byte budget raises BudgetExceededError with
-    the checked exact report in `exact`.
+    the checked exact report in `exact`; `mc_samples` without an `rng`, or
+    outside [1, 2^24], is refused before any moment is computed.
     """
+    if mc_samples is not None:
+        if rng is None:
+            raise ValueError("mc_samples requires an rng")
+        check_count("samples", mc_samples, 1)
     e_real = real_moment(d, copies)
     size = e_real.size
     lam = e_real.eigenvalues
@@ -450,10 +518,8 @@ def trace_norm_gap(
     return dataclasses.replace(report, mc_max_dev=mc_max_dev)
 
 
-def _mc_max_dev(e_real: MomentOperator, samples: int, rng: np.random.Generator | None) -> float:
+def _mc_max_dev(e_real: MomentOperator, samples: int, rng: np.random.Generator) -> float:
     """Largest entry deviation of the real and complex Monte Carlo estimates from the exact moments."""
-    if rng is None:
-        raise ValueError("mc_samples requires an rng")
     d, copies, size = e_real.d, e_real.N, e_real.size
     # Deviations are taken in place: the real estimate minus each exact
     # block (it is 0 off the blocks), the complex one minus I/size.

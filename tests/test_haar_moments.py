@@ -1,5 +1,6 @@
 """Moment-operator tests: counting, monomials vs matching enumeration, the gap chain."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlab import haar_moments
+from sqlab.instances import keyed_stream
 from sqlab.haar_moments import (
     MAX_MOMENT_COPIES,
     MC_ESTIMATE_BYTE_BUDGET,
@@ -612,6 +614,91 @@ def test_mc_moment_refuses_a_draw_chunk_over_the_byte_budget():
     assert rng.bit_generator.state == state  # and before any draw
 
 
+# per cell and sample count: sha256 of mc_moment's real and then complex
+# estimate, drawn in that order from keyed_stream(1, d, N), and float.hex of
+# trace_norm_gap's mc_max_dev on a fresh keyed_stream(1, d, N); the cells of the
+# benchmark's bounds_grid workload, and (8, 3), where d >= 8 takes numpy's norms.
+# Recorded with the norms from np.linalg.norm, complex draws as re + 1j * im and
+# the complex scalings as complex division and multiplication, with numpy 2.4.6
+# on an x86_64 Xeon with AVX-512 (another numpy build or CPU may round
+# differently: read a mismatch there as a platform change first).
+_PINNED_MONTE_CARLO = {
+    (2, 2, 20_000): (
+        "b675022e4cb4cc687c5b1430891d5e122cb04f27cd0c1c2bb69fe592f874509b",
+        "39b26ad3640d7132a72269c269aa671926f72b256e238be9246292c84021d848",
+        "0x1.7a4b5e138521cp-8",
+    ),
+    (3, 2, 20_000): (
+        "02d717b6060da832f75ce0f19a07040485db0d9b857cd0c06f593a68cd8413d1",
+        "325460290b773f4ea0e094a4785db0a78307e49188ad281ca76a1d80f9082106",
+        "0x1.5100db2fc11e6p-9",
+    ),
+    (4, 2, 20_000): (
+        "f8bb79795c3df022ac0b0beb5001b4e320c28eeb8a689fa1ed57c2a4ab4157ef",
+        "6b2cf137b3a54625e0dcf972c26382df66e3898603d87dba79fc29eb80c5a466",
+        "0x1.285576ca13709p-9",
+    ),
+    (2, 3, 20_000): (
+        "2bf9e57c46e7780cfad2216f95b6ba6c1e581b174168df9ed1b30d68347246c7",
+        "33da9bbb41e6a7ade7b2f0e6e974b35284b0c05935b03eefb713ef027ccf323a",
+        "0x1.4272adeb4d340p-9",
+    ),
+    (8, 3, 2000): (
+        "1fc94c0fa1315f07ae085f7405f9959d514c59ca07e2bcfcdefb0563192532f8",
+        "f2a8294e97950931f129b8550036d871a73851dbe9e82a935d6fe3af0d618b15",
+        "0x1.bad2846aa0b66p-10",
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(_PINNED_MONTE_CARLO))
+def test_monte_carlo_bytes_are_pinned(cell):
+    d, copies, samples = cell
+    rng = keyed_stream(1, d, copies)
+    estimates = [mc_moment(d, copies, samples, field, rng) for field in ("real", "complex")]
+    report = trace_norm_gap(d, copies, mc_samples=samples, rng=keyed_stream(1, d, copies))
+    got = (*(hashlib.sha256(e.tobytes()).hexdigest() for e in estimates), report.mc_max_dev.hex())
+    assert got == _PINNED_MONTE_CARLO[cell]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d", range(1, 17))
+def test_row_norms_are_numpys_row_norms_bit_for_bit(d, field):
+    rng = np.random.default_rng(1000 + d)
+    for m in (1, 7, 20_000):
+        vecs = rng.standard_normal((m, d))
+        if field == "complex":
+            vecs = vecs + 1j * rng.standard_normal((m, d))
+        vecs *= 10.0 ** rng.uniform(-150, 150, (m, d))  # entries of a row from 1e-150 to 1e150 in magnitude
+        norms = haar_moments._row_norms(vecs)
+        reference = np.linalg.norm(vecs, axis=1, keepdims=True)
+        assert norms.shape == (m, 1) and norms.tobytes() == reference.tobytes()
+
+
+def test_complex_draws_and_float64_view_scalings_are_numpys_complex_arithmetic():
+    rng = np.random.default_rng(1100)
+    for d in (1, 2, 3, 4, 7, 8, 12):
+        real_parts, imaginary_parts = rng.standard_normal((20_000, d)), rng.standard_normal((20_000, d))
+        vecs = np.empty((20_000, d), dtype=np.complex128)  # as mc_moment assembles its complex draws
+        vecs.real, vecs.imag = real_parts, imaginary_parts
+        assert vecs.tobytes() == (real_parts + 1j * imaginary_parts).tobytes()
+        divided = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+        haar_moments._normalize_rows(vecs)
+        assert vecs.tobytes() == divided.tobytes()
+        basis = sym_basis(d, 3)
+        w, product = vecs[:, basis.indices[:, 0]], vecs[:, basis.indices[:, 0]]
+        scaled = w.T.view(np.float64)  # as mc_moment scales its coefficients
+        scaled *= basis.norm_factors[:, None]
+        product *= basis.norm_factors
+        assert w.tobytes() == product.tobytes()
+    # an exactly zero component may change only its sign (numpy's division turns the
+    # real part of -0 + 1j into +0): equal values, equal |entries|
+    vecs = np.array([[complex(0.0, -0.0), complex(-0.0, 1.0)], [complex(-0.0, -2.0), complex(3.0, 0.0)]])
+    divided = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    haar_moments._normalize_rows(vecs)
+    assert np.array_equal(vecs, divided) and np.abs(vecs).tobytes() == np.abs(divided).tobytes()
+
+
 def test_mc_cross_check_memory_is_one_estimate_plus_bounded_temporaries():
     trace_norm_gap(4, 2, mc_samples=10, rng=np.random.default_rng(0))  # first-call caches
     size = math.comb(12 + 3, 4)
@@ -683,6 +770,18 @@ def test_gap_monte_carlo_hook():
     assert report.mc_max_dev is not None and report.mc_max_dev < 0.02
     with pytest.raises(ValueError, match="rng"):
         trace_norm_gap(2, 2, mc_samples=10)
+
+
+def test_monte_carlo_requests_are_refused_before_the_exact_moment(monkeypatch):
+    def refused(*args):
+        raise AssertionError("real_moment ran before the refusal")
+
+    monkeypatch.setattr(haar_moments, "real_moment", refused)
+    with pytest.raises(ValueError, match="^mc_samples requires an rng$"):
+        trace_norm_gap(2, 2, mc_samples=10)
+    for samples in (0, -3, (1 << 24) + 1):
+        with pytest.raises(ValueError, match=rf"^samples must be in \[1, 2\^24\], got {samples}$"):
+            trace_norm_gap(2, 2, mc_samples=samples, rng=np.random.default_rng(112))
 
 
 def test_middle_term_equals_scalar_trace_deficit():

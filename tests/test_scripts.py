@@ -320,7 +320,7 @@ def test_bench_layers_writes_every_layer(tmp_path, monkeypatch):
     monkeypatch.setattr(_BENCH, "REPEATS", 1)
     code, out, err = _run_in_process(_BENCH, ["bench_layers.py", "--out", str(path)])
     assert (code, err) == (0, "")
-    assert out.startswith(f"wrote the real_moment, sampler and circuit layers to {path}\n")
+    assert out.startswith(f"wrote the real_moment, monte_carlo, sampler and circuit layers to {path}\n")
     assert out.splitlines()[-1].startswith("circuit: build_psi_u ")
     report = json.loads(path.read_text())
     assert report["repeats"] == 1
@@ -333,6 +333,13 @@ def test_bench_layers_writes_every_layer(tmp_path, monkeypatch):
         assert 0 < cell["moment_operator_s"]
         assert cell["assembly_s"] == cell["real_moment_s"] - cell["moment_operator_s"]
     assert moment["bounds_grid_total"]["real_moment_s"] == sum(c["real_moment_s"] for c in moment["bounds_grid"])
+
+    mc = report["monte_carlo"]
+    assert mc["samples"] == 20_000
+    assert [(c["d"], c["N"]) for c in mc["cells"]] == [(2, 2), (3, 2), (4, 2), (2, 3)]  # bounds_grid's
+    for key in ("real_ms", "complex_ms", "real_normalize_ms", "complex_normalize_ms"):
+        assert all(0 < c[key] for c in mc["cells"])
+        assert mc["total"][key] == sum(c[key] for c in mc["cells"])
 
     sampler = report["sampler"]
     assert (sampler["dim"], sampler["batch"], sampler["small_batch"], sampler["single_calls"]) == (
