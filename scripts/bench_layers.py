@@ -6,8 +6,12 @@ with any setup untimed. The JSON holds the platform and one section per layer:
 - "real_moment": for the 19 exact cells of the benchmark's `bounds_grid`
   workload and six guard cells (large admitted cells for N = 8, 6, 4, 3, 2,
   1), `real_moment` and `MomentOperator` rebuilt from the finished blocks:
-  its row-partition, symmetry, trace and PSD checks and its eigensolves.
-  Assembly is the difference.
+  its row-partition and symmetry checks, its eigensolves and the agreement
+  of its eigenvalues with the exact spectrum. Assembly is the difference.
+  Two parts of those checks are timed on their own: the exact spectrum with
+  its exact bound chain, computed afresh (`moment_spectrum.__wrapped__`, the
+  call that its cache saves after the first), and the float agreement check
+  on the finished eigenvalues, as `MomentOperator` makes it.
 - "monte_carlo": for the four Monte Carlo cells of `bounds_grid`, one
   `mc_moment` estimate of MC_SAMPLES = 20 000 samples, real and complex, and
   the normalization alone (`_normalize_rows`) on a fresh copy of MC_SAMPLES
@@ -56,7 +60,7 @@ import numpy as np
 
 from sqlab.circuit_bridge import Circuit, Gate, build_psi_u
 from sqlab.cli import _ArgumentParser, _check_out, _write_out  # the sqlab command line's rules
-from sqlab.haar_moments import MomentOperator, _normalize_rows, mc_moment, real_moment
+from sqlab.haar_moments import BOUND_SLACK, MomentOperator, _normalize_rows, mc_moment, moment_spectrum, real_moment
 from sqlab.instances import gen_minus_sign, haar_unit_vector
 from sqlab.learners import solve_minus_sign, solve_sample_only
 from sqlab.sq_oracle import Capability, DenseVector, ImplicitVector, build_dense, build_implicit
@@ -97,19 +101,36 @@ def _peak_bytes(call) -> int:
         tracemalloc.stop()
 
 
+def _agreement(eigenvalues: np.ndarray, d: int, copies: int) -> bool:
+    """The float agreement check of `MomentOperator`'s construction, line for line, on sorted eigenvalues."""
+    lam, mult = zip(*moment_spectrum(d, copies))
+    exact = np.repeat([float(x) for x in lam], mult)
+    dev = float(np.max(np.abs(eigenvalues - exact)))
+    return dev <= BOUND_SLACK * exact[-1]
+
+
 def _moment_cell(d: int, copies: int) -> dict:
     op = real_moment(d, copies)
     total = _best(lambda _: real_moment(d, copies))
     checks = _best(lambda _: MomentOperator(d=d, N=copies, blocks=op.blocks))
-    return {"d": d, "N": copies, "real_moment_s": total, "moment_operator_s": checks, "assembly_s": total - checks}
+    return {
+        "d": d,
+        "N": copies,
+        "real_moment_s": total,
+        "moment_operator_s": checks,
+        "assembly_s": total - checks,
+        "exact_spectrum_s": _best(lambda _: moment_spectrum.__wrapped__(d, copies)),
+        "agreement_s": _best(lambda _: _agreement(op.eigenvalues, d, copies)),
+    }
+
+
+_MOMENT_KEYS = ("real_moment_s", "moment_operator_s", "assembly_s", "exact_spectrum_s", "agreement_s")
 
 
 def _real_moment() -> dict:
     grid = [_moment_cell(d, n) for d, n in BOUNDS_GRID_CELLS]
     return {
-        "bounds_grid_total": {
-            key: sum(c[key] for c in grid) for key in ("real_moment_s", "moment_operator_s", "assembly_s")
-        },
+        "bounds_grid_total": {key: sum(c[key] for c in grid) for key in _MOMENT_KEYS},
         "bounds_grid": grid,
         "guard": [_moment_cell(d, n) for d, n in GUARD_CELLS],
     }
@@ -234,7 +255,8 @@ def main() -> int:
     mc = report["monte_carlo"]["total"]
     print(f"wrote the real_moment, monte_carlo, sampler and circuit layers to {args.out}")
     print(f"bounds_grid cells: real_moment {totals['real_moment_s'] * 1e3:.2f} ms, "
-          f"of which assembly {totals['assembly_s'] * 1e3:.2f} ms")
+          f"of which assembly {totals['assembly_s'] * 1e3:.2f} ms; exact spectrum "
+          f"{totals['exact_spectrum_s'] * 1e3:.2f} ms uncached, agreement check {totals['agreement_s'] * 1e3:.2f} ms")
     print(f"bounds_grid Monte Carlo cells: mc_moment {mc['real_ms']:.2f} ms (real) and {mc['complex_ms']:.2f} ms "
           f"(complex), of which normalization {mc['real_normalize_ms']:.2f} and {mc['complex_normalize_ms']:.2f} ms")
     print(f"sampler: builds {sampler['cdf_build_ns_per_entry']:.1f} + {sampler['guide_build_ns_per_entry']:.1f} ns "

@@ -20,12 +20,12 @@ int64 keys and lookups, with no d-wide gather per row, and permuted into the
 rest; each s is eigensolved as one (classes, k, k) stack, at most N/2 + 1 in
 all. The dense matrix is built only for tests and the swapped-pair check.
 
-`trace_norm_gap` computes the Schatten-1 distance between the two moments
-and checks it against the two-term and 4N^2/d bounds, along with positivity
-of the remainder left after subtracting the scalar part from the real moment.
-For d <= 3, N <= 2 it checks the swapped 2N-copy pair's distance against 2 * gap
-in the symmetric basis: V (x) V, for the isometry V of Sym^N into the d^N space,
-leaves the distance unchanged, so nothing d^N wide is built.
+The real moment commutes with O(d): `moment_spectrum` gives its exact spectrum,
+which `MomentOperator` checks its eigenvalues against and on which the bound
+chain of `trace_norm_gap`'s Schatten-1 distance is checked exactly. For d <= 3,
+N <= 2 `trace_norm_gap` checks the swapped 2N-copy pair's distance against
+2 * gap in the symmetric basis: V (x) V, for the isometry V of Sym^N into the
+d^N space, leaves the distance unchanged, so nothing d^N wide is built.
 Its optional Monte Carlo cross-check (`mc_moment`) works on one plain
 size x size estimate at a time, admitted only within `MC_ESTIMATE_BYTE_BUDGET`.
 """
@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quantum_sim import PSD_ATOL, TRACE_ATOL
+from .quantum_sim import TRACE_ATOL
 from .inputs import check_count, quoted
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "SYM_DIM_BUDGET",
     "SymBasis",
     "mc_moment",
+    "moment_spectrum",
     "real_moment",
     "sym_basis",
     "trace_norm_gap",
@@ -159,13 +160,29 @@ def sym_basis(d: int, copies: int) -> SymBasis:
 
 
 @lru_cache(maxsize=None)
-def _sphere_moment_denominator(d: int, copies: int) -> int:
-    """d(d+2)...(d+2N-2), cross-checked against its Gamma form via log-gamma."""
-    denom = math.prod(range(d, d + 2 * copies, 2))
-    gamma_form = copies * math.log(2.0) + math.lgamma(copies + d / 2.0) - math.lgamma(d / 2.0)
-    dev = abs(math.log(float(denom)) - gamma_form)
-    _check(dev <= 1e-10 * max(1.0, abs(gamma_form)), f"normalization identity failed at d={d}, N={copies}")
-    return denom
+def moment_spectrum(d: int, copies: int) -> tuple[tuple[Fraction, int], ...]:
+    """Exact (eigenvalue, multiplicity) pairs of the real moment, eigenvalues ascending, checked with no slack.
+
+    The moment commutes with O(d), so it is a scalar on each harmonic component of Sym^N(R^d): lambda_j =
+    N!/(2^m m! d(d+2)...(d+N+j-2)) for j = N - 2m, of multiplicity C(j+d-1, d-1) - C(j+d-3, d-1), the second term 0
+    for j < 2. The first is lambda_N, the scalar part (multiplicity 0 at d = 1 from N = 2). The multiplicities
+    must sum to the basis size, the trace must be 1 and 0 <= gap <= 2 * middle term <= two-term bound <= 4N^2/d.
+    """
+    size = math.comb(d + copies - 1, copies)
+    spectrum = []
+    for j in range(copies, -1, -2):
+        m = (copies - j) // 2
+        lam = Fraction(math.factorial(copies), 2**m * math.factorial(m) * math.prod(range(d, d + copies + j - 1, 2)))
+        spectrum.append((lam, math.comb(j + d - 1, d - 1) - (math.comb(j + d - 3, d - 1) if j >= 2 else 0)))
+    _check(sum(mult for _, mult in spectrum) == size, f"spectrum multiplicities do not sum to {size}")
+    _check(sum(lam * mult for lam, mult in spectrum) == 1, "spectrum trace is not 1")
+    gap = sum(mult * abs(Fraction(1, size) - lam) for lam, mult in spectrum)
+    middle, two_term = 1 - size * spectrum[0][0], 2 * (1 - Fraction(d, d + 2 * copies) ** copies)
+    _check(
+        0 <= gap <= 2 * middle <= two_term <= Fraction(4 * copies**2, d),
+        f"bound chain 0 <= gap {gap} <= 2*middle term {2 * middle} <= two-term bound {two_term} <= 4N^2/d fails",
+    )
+    return tuple(spectrum)
 
 
 @dataclass(frozen=True)
@@ -180,9 +197,9 @@ class MomentOperator:
     and permutes it into the rest of its stack, every index found by integer
     keys. Construction checks that the rows of all stacks partition the basis,
     that every stack equals its transpose exactly (the assembly is symmetric by
-    construction), and that the operator has unit trace and is PSD, and computes
-    `eigenvalues` (ascending) from the stacks. The dense `matrix` is built only
-    when read, by tests and the swapped-pair check of `trace_norm_gap`.
+    construction), and that its `eigenvalues` (ascending, from the stacks) lie
+    within the bound slack times lambda_max of `moment_spectrum`. The dense
+    `matrix` is built only when read, by tests and the swapped-pair check.
     """
 
     d: int
@@ -200,10 +217,11 @@ class MomentOperator:
             if not np.array_equal(stack, stack.swapaxes(1, 2)):
                 dev = float(np.max(np.abs(stack - stack.swapaxes(1, 2))))
                 raise BoundViolationError(f"moment operator not Hermitian (deviation {dev:.3e})")
-        tr = sum(float(np.trace(stack, axis1=1, axis2=2).sum()) for _, stack in self.blocks)
-        _check(abs(tr - 1.0) <= TRACE_ATOL, f"moment operator trace {tr} deviates from 1")
         eigenvalues = np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel() for _, stack in self.blocks]))
-        _check(eigenvalues[0] >= -PSD_ATOL, f"moment operator not PSD (min eigenvalue {eigenvalues[0]:.3e})")
+        lam, mult = zip(*moment_spectrum(self.d, self.N))
+        exact = np.repeat([float(x) for x in lam], mult)
+        dev = float(np.max(np.abs(eigenvalues - exact)))
+        _check(dev <= BOUND_SLACK * exact[-1], f"eigenvalues deviate from the exact spectrum by {dev:.3e}")
         object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @property
@@ -261,7 +279,7 @@ def real_moment(d: int, copies: int) -> MomentOperator:
     """
     basis = sym_basis(d, copies)
     x, nf = basis.indices, basis.norm_factors
-    denom = _sphere_moment_denominator(d, copies)
+    denom = math.prod(range(d, d + 2 * copies, 2))  # d(d+2)...(d+2N-2)
     pos = _run_positions(x)
     run_end = np.ones(x.shape, dtype=bool)
     run_end[:, :-1] = x[:, 1:] != x[:, :-1]
@@ -274,7 +292,8 @@ def real_moment(d: int, copies: int) -> MomentOperator:
     odd_key = power[copies] * odd_size + _fold_rows(np.add, np.where(odd, x, 0) * power[odd_size[:, None] - rank])
     order = np.argsort(odd_key, kind="stable")  # by s, then S; rows ascending within each class
     sorted_keys, pos = odd_key[order], pos[order]
-    pairs, runs = x[order][pos % 2 == 0], pos[pos % 2 == 0] // 2  # each pair a row holds, and its place on its index
+    paired = pos % 2 == 0
+    pairs, runs = x[order][paired], pos[paired] // 2  # each pair a row holds, and its place on its index
     blocks = []
     lo = at = 0  # first row of the group in `order`, and its first entry in `pairs`
     sizes = np.bincount(odd_size)
@@ -442,12 +461,11 @@ def trace_norm_gap(
 ) -> GapReport:
     """Gap ||E_complex - E_real||_1 with every inequality of its bound chain checked.
 
-    Verifies 0 <= gap <= 2(1 - (1+2N/d)^-N) <= 4N^2/d and that the remainder
-    E_real - (N!/(d(d+2)...(d+2N-2))) * I is PSD. The middle term
-    1 - (d+N-1)!(d/2-1)!/(2^N (d/2+N-1)!(d-1)!), exactly 1 - size times that
-    scalar, is the remainder's trace, so gap <= 2 * middle term is checked
-    too. For d <= 3, N <= 2 the distance of the swapped 2N-copy pair, from
-    size^2-wide Kronecker products, is checked against 2 * gap.
+    The gap comes from `real_moment`'s eigenvalues, checked against the exact spectrum, on which `moment_spectrum`
+    checks 0 <= gap <= 2 * middle term <= 2(1 - (1+2N/d)^-N) <= 4N^2/d exactly; the middle term is the trace of
+    E_real - lambda_N * I, whose least eigenvalue is `o_rest_min_eig`. The emitted two-term bound is checked against
+    its exact value. For d <= 3, N <= 2 the swapped 2N-copy pair's distance, from size^2-wide Kronecker products, is
+    checked against 2 * gap.
     Violations raise BoundViolationError: they indicate a bug, not bad luck.
     A Monte Carlo stage over its byte budget raises BudgetExceededError with
     the checked exact report in `exact`; `mc_samples` without an `rng`, or
@@ -461,34 +479,16 @@ def trace_norm_gap(
     size = e_real.size
     lam = e_real.eigenvalues
 
-    # E_complex is identity/size on the same basis, so the difference spectrum
-    # is 1/size - lam exactly.
+    # E_complex is identity/size on the same basis, so the difference spectrum is 1/size - lam exactly.
     gap = float(np.sum(np.abs(1.0 / size - lam)))
 
-    scalar = Fraction(math.factorial(copies), _sphere_moment_denominator(d, copies))
+    scalar = moment_spectrum(d, copies)[0][0]  # lambda_N = N!/(d(d+2)...(d+2N-2))
     o_rest_min_eig = float(lam[0]) - float(scalar)
-
     middle_term = float(1 - size * scalar)
     bound_two_term = 2.0 * (1.0 - (1.0 + 2.0 * copies / d) ** (-copies))
     bound_final = 4.0 * copies**2 / d
-
-    _check(gap >= -BOUND_SLACK, f"negative gap {gap} at d={d}, N={copies}")
-    _check(
-        gap <= 2.0 * middle_term + BOUND_SLACK,
-        f"gap {gap} exceeds 2*middle term {2.0 * middle_term} at d={d}, N={copies}",
-    )
-    _check(
-        gap <= bound_two_term + BOUND_SLACK,
-        f"gap {gap} exceeds two-term bound {bound_two_term} at d={d}, N={copies}",
-    )
-    _check(
-        bound_two_term <= bound_final + BOUND_SLACK,
-        f"two-term bound {bound_two_term} exceeds {bound_final} at d={d}, N={copies}",
-    )
-    _check(
-        o_rest_min_eig >= -BOUND_SLACK,
-        f"scalar-subtracted remainder not PSD ({o_rest_min_eig}) at d={d}, N={copies}",
-    )
+    two_term = 2 * (1 - Fraction(d, d + 2 * copies) ** copies)  # its exact value
+    _check(abs(bound_two_term - two_term) <= BOUND_SLACK, f"two-term bound {bound_two_term} is not {two_term}")
 
     if d <= 3 and copies <= 2:
         m, scalar_part = e_real.matrix, np.eye(size) / size

@@ -52,8 +52,6 @@ class Golden(NamedTuple):
     sha256: str
 
 
-_COPIES_D = "64,128,256,512,1024,2048,4096"
-
 CORPUS = [
     # the benchmark's cli_session commands, at its full sizes
     Golden("gen-instance real-search", "sqlab --seed 1 gen-instance --kind real-search --n 16 --C 4 --dir rs", 0,
@@ -70,7 +68,7 @@ CORPUS = [
            "7b83d8b8e180d42a57dc25ca40b9bc18fcc79feb11efee3d1135fdc21626fbea"),
     Golden("discriminate family", "sqlab --seed 1 discriminate --family minus-sign --d 4 --copies 2", 0,
            "54f5ffab3fcf2f284b5847cceeace41ba81617d893d60432a3bea090d0129331"),
-    Golden("copies-sweep", f"sqlab copies-sweep --d {_COPIES_D}", 0,
+    Golden("copies-sweep", "sqlab copies-sweep --d 64,128,256,512,1024,2048,4096", 0,
            "878a5e089cc2a7fe12aaa5c32d264a6f5ff3b761862e8de840791d83c58a165e"),
     Golden("sharp-p", "sqlab sharp-p --circuit circuit.txt", 0,
            "f25425ac1aaf0d069f2caa88b1478795d209d1035a360343ff0f03732aa554fb"),

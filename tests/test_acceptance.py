@@ -73,14 +73,15 @@ def test_criterion_2_constant_query_solvers():
         assert instance.verify_answer(report.answer)
         assert report.per_handle_stats == (OracleStats(0, 1, 0),) * 4
 
-    def solver_nanoseconds(n: int) -> int:
-        batch = [gen_minus_sign(n, 4, seed=s) for s in range(1000)]
+    batches = {n: [gen_minus_sign(n, 4, seed=s) for s in range(1000)] for n in (10, 30)}
+    for batch in batches.values():
         for inst in batch[:100]:  # warmup
             solve_minus_sign(inst.handles)
-        return sum(solve_minus_sign(inst.handles).elapsed_ns for inst in batch)
-
-    t10 = solver_nanoseconds(10)
-    t30 = solver_nanoseconds(30)
+    fastest = {n: math.inf for n in batches}
+    for _ in range(5):  # the sizes alternate, and each keeps its fastest batch, so host load cannot favour one
+        for n, batch in batches.items():
+            fastest[n] = min(fastest[n], sum(solve_minus_sign(inst.handles).elapsed_ns for inst in batch))
+    t10, t30 = fastest[10], fastest[30]
     assert t30 < 2.0 * t10, f"n=30 solves took {t30 / t10:.2f}x the n=10 time"
     _finish(2, "constant-query solvers", started, 30.0)
 

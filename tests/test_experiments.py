@@ -988,16 +988,39 @@ def test_haar_gap_names_the_d_or_n_below_one(capsys):
 
 
 def test_a_middle_term_below_half_the_gap_is_a_bound_violation(tmp_path, capsys, monkeypatch):
-    honest = trace_norm_gap(4, 2)
-    shifted = honest.gap / 2 - 1e-6  # breaks gap <= 2 * middle_term by far more than BOUND_SLACK
-    # trace_norm_gap builds its scalar as a Fraction and takes middle_term = 1 - sym_dim * scalar
-    monkeypatch.setattr(haar_moments, "Fraction", lambda num, den: (1 - Fraction(shifted)) / honest.sym_dim)
+    # moment_spectrum builds lambda_j = Fraction(N!, 2^m m! d(d+2)...(d+N+j-2)); at d=2, N=3 the two eigenvalues,
+    # 6/48 and 6/16, have multiplicity 2 each, so swapping them keeps the multiplicities and the unit trace but
+    # makes the scalar part lambda_N = 3/8 and the middle term 1 - 4 * 3/8 = -1/2, below half the gap 1/2
+    swapped = {48: 16, 16: 48}
+    monkeypatch.setattr(haar_moments, "Fraction", lambda num, den: Fraction(num, swapped.get(den, den)))
+    haar_moments.moment_spectrum.cache_clear()  # the exact chain is checked once per cell, when first computed
     out = tmp_path / "gap.csv"
-    assert main(["--out", str(out), "haar-gap", "--d", "4", "--N", "2"]) == 2
+    assert main(["--out", str(out), "haar-gap", "--d", "2", "--N", "3"]) == 2
     assert capsys.readouterr() == ("", "")
     (row,) = csv.DictReader(io.StringIO(out.read_text()))
-    assert row["error"].startswith(f"bound-violation: gap {honest.gap!r} exceeds 2*middle term ")
-    assert row["error"].endswith(" at d=4, N=2")
+    assert row["error"] == (
+        "bound-violation: bound chain 0 <= gap 1/2 <= 2*middle term -1 <= two-term bound 63/32 <= 4N^2/d fails"
+    )
+    assert row["gap"] == ""
+
+
+def test_a_wrong_exact_eigenvalue_is_a_bound_violation_and_the_other_cells_are_served(tmp_path, capsys, monkeypatch):
+    exact = haar_moments.moment_spectrum
+
+    def wrong_at_4_2(d, copies):  # the largest eigenvalue of (4, 2) one part in 10^6 too large
+        spectrum = exact(d, copies)
+        if (d, copies) != (4, 2):
+            return spectrum
+        *rest, (lam, mult) = spectrum
+        return (*rest, (lam * (1 + Fraction(1, 10**6)), mult))
+
+    monkeypatch.setattr(haar_moments, "moment_spectrum", wrong_at_4_2)
+    out = tmp_path / "gap.csv"
+    assert main(["--out", str(out), "haar-gap", "--d", "2,4", "--N", "1,2"]) == 2
+    assert capsys.readouterr() == ("", "")
+    rows = {(row["d"], row["N"]): row for row in csv.DictReader(io.StringIO(out.read_text()))}
+    assert rows.pop(("4", "2"))["error"] == "bound-violation: eigenvalues deviate from the exact spectrum by 2.500e-07"
+    assert len(rows) == 3 and all(row["error"] == "" and row["gap"] != "" for row in rows.values())
 
 
 _HAAR_ARGV = ["--seed", "2", "haar-gap", "--d", "2,4", "--N", "1,2", "--mc-samples", "300"]

@@ -140,7 +140,7 @@ def real_monomial_moment(indices, d) -> Fraction:
         if m % 2:
             return Fraction(0)  # an odd power admits no equal-index matching
         count *= _double_factorial(m - 1)
-    return Fraction(count, haar_moments._sphere_moment_denominator(d, len(indices) // 2))
+    return Fraction(count, math.prod(range(d, d + len(indices), 2)))
 
 
 def test_enumerate_pairings_counts():
@@ -208,10 +208,16 @@ def test_real_monomial_moment_matches_enumeration(d, indices):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 9])
 def test_normalization_identity_holds_for_odd_and_even_d(d):
-    # the denominator helper raises internally if the log-gamma identity fails
-    for copies in range(1, 9):
-        value = real_monomial_moment([1] * (2 * copies), d)
-        assert value > 0
+    # the exact spectrum has unit trace over the whole basis, past the copy cap too; its least eigenvalue, the
+    # scalar part, is N!/(2N-1)!! times the monomial moment E[x_1^2N]
+    for copies in range(1, 13):
+        spectrum = haar_moments.moment_spectrum(d, copies)
+        assert sum(mult for _, mult in spectrum) == math.comb(d + copies - 1, copies)
+        assert sum(lam * mult for lam, mult in spectrum) == 1
+        assert [lam for lam, _ in spectrum] == sorted(lam for lam, _ in spectrum)
+        if copies <= 8:
+            moment = real_monomial_moment([1] * (2 * copies), d)
+            assert spectrum[0][0] == moment * math.factorial(copies) / _double_factorial(2 * copies - 1)
 
 
 def test_real_moment_first_copy_is_isotropic():
@@ -291,6 +297,32 @@ def test_real_moment_blocks_match_dense_eigh_at_larger_cells(d, copies):
     np.testing.assert_allclose(op.eigenvalues, np.linalg.eigvalsh(op.matrix), atol=1e-12)
 
 
+def test_every_admitted_small_cell_agrees_with_the_exact_spectrum():
+    # real_moment refuses a disagreement past BOUND_SLACK * lambda_max; the float error is far below that
+    assert len(_ADMITTED_SMALL_CELLS) == 193
+    worst = 0.0
+    for d, copies in _ADMITTED_SMALL_CELLS:
+        op = real_moment(d, copies)
+        lam, mult = zip(*haar_moments.moment_spectrum(d, copies))
+        assert sum(mult) == op.size == len(op.eigenvalues), (d, copies)
+        exact = np.repeat([float(x) for x in lam], mult)
+        worst = max(worst, float(np.max(np.abs(op.eigenvalues - exact))) / exact[-1])
+    assert worst <= 1e-13
+
+
+def test_one_dimensional_cells_keep_the_scalar_part_off_the_spectrum():
+    # at d = 1 the basis is one row of eigenvalue 1; lambda_N has multiplicity 0 from N = 2, yet it stays the scalar
+    for copies in range(1, MAX_MOMENT_COPIES + 1):
+        spectrum = haar_moments.moment_spectrum(1, copies)
+        scalar = Fraction(math.factorial(copies), math.prod(range(1, 2 * copies, 2)))
+        assert spectrum[0] == (scalar, 1 if copies == 1 else 0)
+        assert [mult for _, mult in spectrum] == [0] * (copies // 2) + [1]
+        assert real_moment(1, copies).eigenvalues.tolist() == [1.0]
+        report = trace_norm_gap(1, copies)
+        assert report.o_rest_min_eig == 1.0 - float(scalar)
+        assert report.middle_term == float(1 - scalar)
+
+
 def test_moment_operator_checks_every_block_and_the_row_partition(monkeypatch):
     first = (np.array([[0]]), np.full((1, 1, 1), 1 / 5))
     rows = np.array([[1, 2], [4, 3]])
@@ -300,9 +332,11 @@ def test_moment_operator_checks_every_block_and_the_row_partition(monkeypatch):
         stack[1, 1, 0] = below_diagonal
         with pytest.raises(BoundViolationError, match=rf"not Hermitian \(deviation {below_diagonal:.3e}\)"):
             MomentOperator(d=5, N=1, blocks=(first, (rows, stack)))
-    stack[1, 0, 1] = 1e-6
-    op = MomentOperator(d=5, N=1, blocks=(first, (rows, stack)))
-    assert op.matrix[3, 4] == op.matrix[4, 3] == 1e-6
+    stack[1, 0, 1] = 1e-6  # now exactly symmetric, but its eigenvalues 1/5 -+ 1e-6 are not the exact spectrum's
+    with pytest.raises(BoundViolationError, match=r"^eigenvalues deviate from the exact spectrum by 1\.000e-06$"):
+        MomentOperator(d=5, N=1, blocks=(first, (rows, stack)))
+    stack[1] = np.eye(2) / 5
+    assert np.array_equal(MomentOperator(d=5, N=1, blocks=(first, (rows, stack))).matrix, np.eye(5) / 5)
     for bad in ([[1, 2], [2, 3]], [[1, 2], [3, 5]], [[1, 2]]):  # overlap, outside, missing
         bad = np.array(bad)
         with pytest.raises(BoundViolationError, match="partition"):
@@ -335,7 +369,7 @@ def _real_moment_per_class(d, copies):
     _, parity_class = np.unique(odd, axis=0, return_inverse=True)
     order = np.argsort(parity_class, kind="stable")
     nf = basis.norm_factors
-    denom = haar_moments._sphere_moment_denominator(d, copies)
+    denom = math.prod(range(d, d + 2 * copies, 2))
     matchings = np.array([_double_factorial(a - 1) for a in range(2 * copies + 1)], dtype=np.int64)
     blocks, eigenvalues = [], []
     for rows in np.split(order, np.flatnonzero(np.diff(parity_class[order])) + 1):
